@@ -10,11 +10,6 @@
 // both schedule policies — the portable form of the runtime benchmark for
 // re-baselining on multi-core hosts.
 //
-// With -kernels it times the tensor kernels themselves (the blocked
-// pool-parallel GEMM core against the retained legacy scalar loop, plus a
-// worker-count sweep) — the portable form of the BenchmarkGEMM family for
-// re-baselining BENCH_kernels.json on multi-core hosts.
-//
 // Usage:
 //
 //	dapple-bench -exp all          # every table and figure (§VI)
@@ -23,17 +18,14 @@
 //	dapple-bench -exp fig12 -quick # trimmed sweeps
 //	dapple-bench -exp all -timeout 20s
 //	dapple-bench -exec -exec-iters 100
-//	dapple-bench -kernels -kernel-dim 512
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"dapple/internal/cliutil"
@@ -41,7 +33,6 @@ import (
 	"dapple/internal/hostinfo"
 	"dapple/internal/schedule"
 	"dapple/internal/stats"
-	"dapple/internal/tensor"
 	"dapple/internal/train"
 	"dapple/internal/transport"
 )
@@ -54,9 +45,6 @@ func main() {
 	execMode := flag.Bool("exec", false, "benchmark the real training runtime instead of the simulator sweeps")
 	execIters := flag.Int("exec-iters", 50, "timed iterations per policy in -exec mode (after 3 warm-up iterations)")
 	execTransport := flag.String("exec-transport", "inproc", "-exec data plane: 'inproc' (single-process executor) or 'tcp' (2-worker coordinator session over loopback sockets)")
-	kernelMode := flag.Bool("kernels", false, "benchmark the tensor GEMM kernels (blocked core vs legacy scalar, worker sweep)")
-	kernelDim := flag.Int("kernel-dim", 512, "square matrix dimension for -kernels timings")
-	kernelReps := flag.Int("kernel-reps", 5, "timed repetitions per -kernels measurement (median reported)")
 	planFlags := cliutil.RegisterPlanFlags()
 	profFlags := cliutil.RegisterProfileFlags()
 	seed := cliutil.RegisterSeedFlag()
@@ -78,11 +66,6 @@ func main() {
 
 	ctx, cancel := cliutil.RootContext(*timeout)
 	defer cancel()
-
-	if *kernelMode {
-		runKernelBench(*kernelDim, *kernelReps)
-		return
-	}
 
 	if *execMode {
 		if *execIters < 1 {
@@ -323,48 +306,4 @@ func runExecBenchTCP(ctx context.Context, iters int, seed int64) {
 			}
 		}
 	}
-}
-
-// medianOf times fn reps times (after one untimed warm-up that also primes
-// the kernel pools) and returns the median duration.
-func medianOf(reps int, fn func()) time.Duration {
-	fn()
-	ds := make([]time.Duration, reps)
-	for i := range ds {
-		t0 := time.Now()
-		fn()
-		ds[i] = time.Since(t0)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
-}
-
-// runKernelBench times the tensor GEMM kernels outside `go test`: the legacy
-// scalar loop (the pre-blocked dense hot path, retained as the sparse-aware
-// entry point), the blocked core on all three kinds, and a worker-count
-// sweep — the portable source of BENCH_kernels.json numbers. Results are
-// bit-identical across worker counts, so the sweep measures time only.
-func runKernelBench(dim, reps int) {
-	fmt.Printf("kernel benchmark: %d reps/measurement (medians), %dx%d float64 operands\nhost: %s\n",
-		reps, dim, dim, hostinfo.Summary())
-	rng := rand.New(rand.NewSource(1))
-	a := tensor.New(dim, dim)
-	b := tensor.New(dim, dim)
-	a.Randomize(rng, 1)
-	b.Randomize(rng, 1)
-	out := tensor.New(dim, dim)
-	flops := 2 * float64(dim) * float64(dim) * float64(dim)
-	report := func(name string, d time.Duration) {
-		fmt.Printf("  %-24s %12s  %7.2f GFLOP/s\n", name, d, flops/d.Seconds()/1e9)
-	}
-	report("legacy scalar (ikj)", medianOf(reps, func() { tensor.MatMulZeroSkipInto(out, a, b) }))
-	report("blocked NN", medianOf(reps, func() { tensor.MatMulInto(out, a, b) }))
-	report("blocked TN (a^T@b)", medianOf(reps, func() { tensor.MatMulATBAddInto(out, a, b) }))
-	report("blocked NT (a@b^T)", medianOf(reps, func() { tensor.MatMulABTInto(out, a, b) }))
-	prev := tensor.Workers()
-	for _, w := range []int{1, 2, 4, 8} {
-		tensor.SetWorkers(w)
-		report(fmt.Sprintf("blocked NN, %d workers", w), medianOf(reps, func() { tensor.MatMulInto(out, a, b) }))
-	}
-	tensor.SetWorkers(prev)
 }

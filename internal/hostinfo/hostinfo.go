@@ -1,7 +1,9 @@
 // Package hostinfo reports the execution-host facts benchmark records carry:
-// Go version, GOMAXPROCS, CPU count and CPU model. Every BENCH_*.json entry
-// embeds these so numbers from a 1-core CI container can never be confused
-// with a multi-core re-baseline of the same benchmark.
+// Go version, GOMAXPROCS, CPU count, CPU model and the GEMM micro-kernel the
+// process selected. Every benchmark provenance line embeds these so numbers
+// from a 1-core CI container, or from a host whose CPU fell back to the
+// portable kernel, can never be confused with another run of the same
+// benchmark.
 package hostinfo
 
 import (
@@ -9,6 +11,8 @@ import (
 	"os"
 	"runtime"
 	"strings"
+
+	"dapple/internal/tensor"
 )
 
 // CPUModel returns the host CPU model string from /proc/cpuinfo, or the
@@ -28,8 +32,8 @@ func CPUModel() string {
 }
 
 // Summary returns the one-line host description benchmark output prints and
-// BENCH_*.json records quote.
+// benchmark records quote.
 func Summary() string {
-	return fmt.Sprintf("%s, GOMAXPROCS=%d, %d CPUs, %s",
-		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU(), CPUModel())
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %d CPUs, %s, gemm kernel %s",
+		runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU(), CPUModel(), tensor.KernelName())
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"dapple/internal/tensor"
 )
@@ -40,22 +41,44 @@ func (mk *ReLUMask) resize(n int) {
 
 // forward rectifies y in place (zeroing non-positive elements) and records
 // the pass-through pattern in the mask, which must cover len(y.Data) zeroed
-// bits.
+// bits. Each 64-element chunk builds its word in a register and writes it
+// once.
 func (mk *ReLUMask) forward(y *tensor.Matrix) {
-	for i, v := range y.Data {
-		if v > 0 {
-			mk.Bits[i>>6] |= 1 << (uint(i) & 63)
-		} else {
-			y.Data[i] = 0
+	d := y.Data
+	for w := 0; w*64 < len(d); w++ {
+		chunk := d[w*64 : min(w*64+64, len(d))]
+		var word uint64
+		for i, v := range chunk {
+			if v > 0 {
+				word |= 1 << uint(i)
+			} else {
+				chunk[i] = 0
+			}
 		}
+		mk.Bits[w] |= word
 	}
 }
 
-// Apply zeroes the elements of m the mask blocked — the ReLU backward rule.
+// Apply zeroes the elements of m the mask blocked — the ReLU backward rule —
+// a mask word at a time: an all-ones word is skipped, an all-zero word clears
+// its 64 elements in one sweep, and a mixed word visits only its blocked
+// elements, found by counting trailing zeros of the complement.
 func (mk *ReLUMask) Apply(m *tensor.Matrix) {
-	for i := range m.Data {
-		if mk.Bits[i>>6]&(1<<(uint(i)&63)) == 0 {
-			m.Data[i] = 0
+	d := m.Data
+	for w := 0; w*64 < len(d); w++ {
+		chunk := d[w*64 : min(w*64+64, len(d))]
+		blocked := ^mk.Bits[w]
+		if len(chunk) < 64 {
+			blocked &= 1<<uint(len(chunk)) - 1
+		}
+		switch blocked {
+		case 0:
+		case ^uint64(0):
+			clear(chunk)
+		default:
+			for ; blocked != 0; blocked &= blocked - 1 {
+				chunk[bits.TrailingZeros64(blocked)] = 0
+			}
 		}
 	}
 }

@@ -153,6 +153,51 @@ func TestReLUMaskSemantics(t *testing.T) {
 	}
 }
 
+// TestReLUMaskWordAtATimeMatchesNaive pins the word-at-a-time forward and
+// Apply against the per-element definition on random data, for lengths on
+// every side of a word boundary and mask densities from all-blocked through
+// sparse and dense to all-passing (the skip, clear and bit-scan branches).
+func TestReLUMaskWordAtATimeMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 130, 1000} {
+		for _, pass := range []float64{0, 0.02, 0.5, 0.98, 1} {
+			x := tensor.New(1, n)
+			for i := range x.Data {
+				x.Data[i] = -rng.Float64()
+				if rng.Float64() < pass {
+					x.Data[i] = rng.Float64() + 0.1
+				}
+			}
+			if n > 2 {
+				x.Data[1], x.Data[2] = 0, math.NaN() // neither is > 0
+			}
+			y := x.Clone()
+			mask := NewReLUMask(n)
+			mask.forward(y)
+			dy := tensor.New(1, n)
+			dy.Randomize(rng, 1)
+			got := dy.Clone()
+			mask.Apply(got)
+			for i, v := range x.Data {
+				wantY, wantDx := 0.0, 0.0
+				if v > 0 {
+					wantY, wantDx = v, dy.Data[i]
+				}
+				if bit := mask.Bits[i>>6]>>(uint(i)&63)&1 == 1; bit != (v > 0) {
+					t.Fatalf("n=%d pass=%g: mask bit %d = %v for input %v", n, pass, i, bit, v)
+				}
+				if math.Float64bits(y.Data[i]) != math.Float64bits(wantY) || math.Float64bits(got.Data[i]) != math.Float64bits(wantDx) {
+					t.Fatalf("n=%d pass=%g element %d: forward %v (want %v), backward %v (want %v)",
+						n, pass, i, y.Data[i], wantY, got.Data[i], wantDx)
+				}
+			}
+			if n%64 != 0 && mask.Bits[len(mask.Bits)-1]>>(uint(n)&63) != 0 {
+				t.Fatalf("n=%d: forward set bits past the last element", n)
+			}
+		}
+	}
+}
+
 // TestWorkspaceMaskReuseResizes checks pooled masks re-target cleanly across
 // sizes (zeroed, right length).
 func TestWorkspaceMaskReuseResizes(t *testing.T) {

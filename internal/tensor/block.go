@@ -2,79 +2,123 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 )
 
-// This file is the blocked GEMM core every matmul variant routes through.
-// The structure is the classic GotoBLAS decomposition, sized for L1/L2:
+// This file is the GEMM core every matmul variant and every size routes
+// through: gemm() splits the output into disjoint tiles, each tile walks k in
+// panels, and each panel is folded in by one micro-kernel.
 //
-//   - The output is split into disjoint blockMC x blockNC tiles; the tile
-//     grid is the unit of parallelism (see parallel.go).
-//   - Each tile walks the k dimension in blockKC panels. Per panel, the
-//     needed slice of b (and of a, when a is accessed column-wise) is packed
-//     into a pooled, contiguous buffer so the inner kernel streams packed
-//     columns with unit stride regardless of operand layout.
-//   - A 2x4 register-tiled micro-kernel does the FLOPs: 8 accumulators plus
-//     2 a-scalars and 4 b-scalars stay within the 16 float registers of
-//     baseline amd64, so the inner loop runs without spills.
+//   - The micro-kernel (gemmKernel4x8, kernel_amd64.s) holds a 4x8 block of
+//     out in eight YMM accumulators, vectorised along output columns j: per k
+//     step it loads 8 consecutive b elements, broadcasts 4 a elements and
+//     issues 8 multiply-adds in the build's fmadd flavour. a is addressed by
+//     (row stride, k stride) and b by a k stride, so NN and TN read both
+//     operands where they lie: nothing is packed.
+//   - Only NT (a@bᵀ) has b laid out against the vector direction. Its b panel
+//     is transposed into k-major 8-wide strips (packNT8, 4x4 in-register
+//     transposes); NT tiles span every row of out, so each b panel is packed
+//     exactly once per call.
+//   - Rows past the last multiple of 4, columns past the last multiple of 8,
+//     and every product on a host without AVX2 go through goPanel, the
+//     portable kernel, which reads all three layouts in place.
 //
-// Determinism: a tile owns its output elements exclusively, and it runs its
-// k panels in increasing order with increasing kk inside each panel — so
-// every output element is one in-order accumulation chain (the refGemm
-// contract) no matter how many workers execute tiles. Fused bias/ReLU
-// epilogues run once per tile after its final panel, which likewise touches
-// each element exactly once.
+// Determinism: a tile owns its output elements exclusively and runs its k
+// panels in increasing order with increasing kk inside each panel, so every
+// output element is one in-order accumulation chain (the refGemm contract)
+// whichever kernel computes it and however many workers execute tiles. Fused
+// bias/ReLU epilogues run once per tile after its final panel, which
+// likewise touches each element exactly once.
 
-// Cache block sizes for the tiled core. At float64 these default to a
-// 192-deep packed b panel of 128 columns (192 KiB, L2-resident) against
-// 128-row output tiles. They are variables, not constants, so property
-// tests can shrink them to force block-boundary-straddling and multi-tile
-// paths on small, checkable shapes.
+// Cache block sizes: a tile is blockMC x blockNC outputs and a k panel is
+// blockKC deep, so the in-place (or packed) b block a tile sweeps is 192 KiB
+// and stays L2-resident across the tile's row sweep. They are variables, not
+// constants, so property tests can shrink them to force block-boundary-
+// straddling and multi-tile paths on small, checkable shapes.
 var (
 	blockMC = 128
 	blockNC = 128
 	blockKC = 192
 )
 
-// smallGEMMFlops is the m*n*k product below which GEMM skips packing and
-// parallel dispatch and runs a direct kernel (same accumulation chains). A
-// variable so property tests can force tiny shapes through the blocked core.
-var smallGEMMFlops = 1 << 18
+// microM x microN is the output block one gemmKernel4x8 call computes.
+const (
+	microM = 4
+	microN = 8
+)
 
-// shapeErr formats the panic message for a kernel shape mismatch.
-func shapeErr(op string, got, want *Matrix) string {
-	return fmt.Sprintf("tensor: %s shape %dx%d vs %dx%d", op, got.Rows, got.Cols, want.Rows, want.Cols)
-}
+// parGEMMFlops is the m*n*k product below which a multi-tile GEMM runs its
+// tiles on the calling goroutine instead of fanning out over the pool: a
+// helper's share must be worth several channel hand-offs (measurement in
+// ARCHITECTURE.md, "The kernel layer"). A variable so property tests can
+// force tiny shapes through the pool.
+var parGEMMFlops = 1 << 21
 
-// packBuf holds one worker's pooled packing panels, recycled via packPool so
-// warm kernels allocate nothing.
-type packBuf struct {
-	bt []float64
-	at []float64
-}
+// useSIMD routes full micro-tiles through the assembly kernel. It is set once
+// from the CPU probe; tests clear it to force the portable kernel.
+var useSIMD = hasSIMD
 
-var packPool = sync.Pool{New: func() any { return new(packBuf) }}
-
-// grow returns s with length n, reallocating only when capacity is short.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// KernelName names the GEMM micro-kernel this process runs — "avx2-fma",
+// "avx2-muladd" (separate multiply and add roundings, the default amd64
+// build) or "go" (the portable kernel) — so benchmark provenance can say
+// which one produced a number.
+func KernelName() string {
+	switch {
+	case !useSIMD:
+		return "go"
+	case fusedFMA:
+		return "avx2-fma"
+	default:
+		return "avx2-muladd"
 	}
-	return s[:n]
 }
 
-// gemmJob is one GEMM dispatch: operands, optional fused epilogues, and the
-// tile grid its disjoint output tiles are indexed by. Parallel runs copy the
-// job by value; all methods treat it as read-only apart from writes to out.
+// freeList is a bounded set of reusable values. Unlike sync.Pool the garbage
+// collector never empties it, so a warm kernel's "no allocation per call" is
+// a fact at any GOMAXPROCS rather than a property of the last GC's timing.
+type freeList[T any] chan T
+
+func (f freeList[T]) get() (v T, ok bool) {
+	select {
+	case v = <-f:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+// packFree recycles NT pack panels. One panel is live per NT tile in flight;
+// 32 covers every caller plus helper on the hosts this runs on, and a burst
+// beyond it only costs the surplus tiles an allocation each.
+var packFree = make(freeList[[]float64], 32)
+
+// gemmJob is one GEMM dispatch: operands, their strides, optional fused
+// epilogues, and the tile grid its disjoint output tiles are indexed by.
+// Parallel runs copy the job by value; all methods treat it as read-only
+// apart from writes to out.
 type gemmJob struct {
 	kind       gemmKind
 	out, a, b  *Matrix
 	accumulate bool
+	simd       bool
 	bias       []float64
 	reluMask   []uint64
 	m, n, k    int
-	tilesN     int
+
+	// Logical a(i,kk) is a.Data[i*ars+kk*aks] and b(kk,j) is
+	// b.Data[kk*bks+j*bjs].
+	ars, aks, bks, bjs int
+
+	// Tiles are tileM rows by blockNC columns, tilesN to a row of the grid.
+	tileM, tilesN int
 
 	// Vector-kernel dispatch (see vec.go). When vecOp is non-zero the job is
 	// an element-wise vector kernel and the gemm fields above are unused; the
@@ -86,137 +130,152 @@ type gemmJob struct {
 	vspan  int
 }
 
-// gemm routes one GEMM variant through the direct small-shape kernels or the
-// blocked pool-parallel core. bias (len n, added to every row) and reluMask
-// (pass-through bits at flat index i*n+j) are optional fused epilogues; both
-// paths produce bit-identical results for any worker count.
+// gemm runs one GEMM variant: inline when it is a single tile or too small
+// to be worth a hand-off, across the worker pool otherwise. bias (len n,
+// added to every row) and reluMask (pass-through bits at flat index i*n+j)
+// are optional fused epilogues; results are bit-identical for any worker
+// count and either kernel.
 func gemm(kind gemmKind, out, a, b *Matrix, accumulate bool, bias []float64, reluMask []uint64) {
 	m, n, k := gemmDims(kind, a, b)
-	g := gemmJob{
-		kind: kind, out: out, a: a, b: b, accumulate: accumulate,
-		bias: bias, reluMask: reluMask, m: m, n: n, k: k,
+	// The assembly kernel trusts these extents, so a hand-built Matrix whose
+	// Data is shorter than its shape must fail here, not read out of bounds.
+	if len(out.Data) < m*n || len(a.Data) < a.Rows*a.Cols || len(b.Data) < b.Rows*b.Cols {
+		panic(fmt.Sprintf("tensor: matrix data shorter than shape (out %d, a %d, b %d elements)",
+			len(out.Data), len(a.Data), len(b.Data)))
 	}
-	if m*n*k < smallGEMMFlops {
-		smallGemm(&g)
-		g.epilogue(0, m, 0, n, false)
+	g := gemmJob{
+		kind: kind, out: out, a: a, b: b, accumulate: accumulate, simd: useSIMD,
+		bias: bias, reluMask: reluMask, m: m, n: n, k: k,
+		ars: a.Cols, aks: 1, bks: b.Cols, bjs: 1, tileM: blockMC,
+	}
+	switch kind {
+	case gemmTN:
+		g.ars, g.aks = 1, a.Cols
+	case gemmNT:
+		g.bks, g.bjs = 1, b.Cols
+		if g.simd {
+			g.tileM = max(m, 1) // full height: one pack per b panel
+		}
+	}
+	g.tilesN = (n + blockNC - 1) / blockNC
+	ntiles := (m + g.tileM - 1) / g.tileM * g.tilesN
+	if ntiles > 1 && m*n*k >= parGEMMFlops {
+		parallelTiles(&g, ntiles)
 		return
 	}
-	tm := (m + blockMC - 1) / blockMC
-	tn := (n + blockNC - 1) / blockNC
-	g.tilesN = tn
-	parallelTiles(&g, tm*tn)
+	for t := 0; t < ntiles; t++ {
+		g.runTile(t)
+	}
 }
 
-// runTile computes one blockMC x blockNC output tile end to end: zero (or
-// keep, when accumulating) the tile, fold in every k panel through the
-// packed micro-kernel, then apply the fused epilogues. Vector-kernel jobs
-// dispatch through the same entry point so the pool protocol stays shared.
+// runTile computes one output tile end to end: zero (or keep, when
+// accumulating) the tile, fold in every k panel, then apply the fused
+// epilogues. Vector-kernel jobs dispatch through the same entry point so the
+// pool protocol stays shared.
 func (g *gemmJob) runTile(t int) {
 	if g.vecOp != vecNone {
 		g.runVecSpan(t)
 		return
 	}
 	ti, tj := t/g.tilesN, t%g.tilesN
-	i0 := ti * blockMC
-	i1 := min(i0+blockMC, g.m)
+	i0 := ti * g.tileM
+	i1 := min(i0+g.tileM, g.m)
 	j0 := tj * blockNC
 	j1 := min(j0+blockNC, g.n)
 	oc := g.out.Cols
 	if !g.accumulate {
 		for i := i0; i < i1; i++ {
-			row := g.out.Data[i*oc+j0 : i*oc+j1]
-			for x := range row {
-				row[x] = 0
+			clear(g.out.Data[i*oc+j0 : i*oc+j1])
+		}
+	}
+	// Full micro-tiles are rows [i0,iF) x columns [j0,jF); the portable
+	// kernel takes the right and bottom edges.
+	iF, jF := i0, j0
+	if g.simd {
+		iF += (i1 - i0) &^ (microM - 1)
+		jF += (j1 - j0) &^ (microN - 1)
+		if iF == i0 || jF == j0 {
+			iF, jF = i0, j0 // no whole micro-tile: pack nothing, all edge
+		}
+	}
+	var bt []float64
+	if g.kind == gemmNT && jF > j0 && g.k > 0 {
+		bt = getPack((jF - j0) * min(blockKC, g.k))
+	}
+	for pc := 0; pc < g.k; pc += blockKC {
+		kcb := min(blockKC, g.k-pc)
+		if jF > j0 {
+			g.simdPanel(i0, iF, j0, jF, pc, kcb, bt)
+		}
+		g.goPanel(i0, i1, jF, j1, pc, kcb)
+		g.goPanel(iF, i1, j0, jF, pc, kcb)
+	}
+	if bt != nil {
+		packFree.put(bt)
+	}
+	g.epilogue(i0, i1, j0, j1)
+}
+
+// getPack returns an NT pack panel of at least n elements, recycled when one
+// is free. Fresh panels are sized for a full tuned block so that any later
+// request fits them.
+func getPack(n int) []float64 {
+	if bt, ok := packFree.get(); ok && cap(bt) >= n {
+		return bt[:n]
+	}
+	return make([]float64, n, max(n, blockKC*blockNC))
+}
+
+// simdPanel folds one k panel into out[i0:i1, j0:j1] — whole micro-tiles only
+// — with the assembly kernel. Column strips are the outer loop and row
+// blocks of blockMC the outermost, so one strip of b (and, for NT, the packed
+// panel) is reused across a cache-sized run of a rows.
+func (g *gemmJob) simdPanel(i0, i1, j0, j1, pc, kcb int, bt []float64) {
+	ad, bd, od, oc := g.a.Data, g.b.Data, g.out.Data, g.out.Cols
+	bks := g.bks
+	if g.kind == gemmNT {
+		for j := j0; j < j1; j += microN {
+			packNT8(&bt[(j-j0)*kcb], &bd[j*g.bjs+pc], g.bjs, kcb)
+		}
+		bd, bks = bt, microN
+	}
+	mc := max(blockMC&^(microM-1), microM)
+	for ic := i0; ic < i1; ic += mc {
+		ie := min(ic+mc, i1)
+		for j := j0; j < j1; j += microN {
+			boff := pc*bks + j
+			if g.kind == gemmNT {
+				boff = (j - j0) * kcb
+			}
+			bp := &bd[boff]
+			for i := ic; i < ie; i += microM {
+				gemmKernel4x8(kcb, &ad[i*g.ars+pc*g.aks], g.ars, g.aks, bp, bks, &od[i*oc+j], oc)
 			}
 		}
 	}
-	pk := packPool.Get().(*packBuf)
-	for pc := 0; pc < g.k; pc += blockKC {
-		kcb := min(blockKC, g.k-pc)
-		pk.bt = grow(pk.bt, (j1-j0)*kcb)
-		g.packB(pk.bt, j0, j1, pc, kcb)
-		var at []float64
-		if g.kind == gemmTN {
-			pk.at = grow(pk.at, (i1-i0)*kcb)
-			g.packA(pk.at, i0, i1, pc, kcb)
-			at = pk.at
-		}
-		g.kernel(i0, i1, j0, j1, pc, kcb, pk.bt, at)
-	}
-	packPool.Put(pk)
-	g.epilogue(i0, i1, j0, j1, true)
 }
 
-// packB gathers the k panel's slice of b into bt so packed column j (the
-// kernel's unit-stride operand) holds b's logical column j0+j for rows
-// [pc, pc+kcb). Reads stream b contiguously; writes stay in the hot panel.
-func (g *gemmJob) packB(bt []float64, j0, j1, pc, kcb int) {
-	if g.kind == gemmNT {
-		bd, bc := g.b.Data, g.b.Cols
-		for j := j0; j < j1; j++ {
-			copy(bt[(j-j0)*kcb:(j-j0+1)*kcb], bd[j*bc+pc:j*bc+pc+kcb])
-		}
-		return
-	}
-	bd, n := g.b.Data, g.b.Cols
-	for kk := 0; kk < kcb; kk++ {
-		br := bd[(pc+kk)*n+j0 : (pc+kk)*n+j1]
-		for j, v := range br {
-			bt[j*kcb+kk] = v
-		}
-	}
-}
-
-// packA gathers a's column-wise rows for the TN (aᵀ@b) kind: packed row i
-// holds a's logical column i0+i for rows [pc, pc+kcb), giving the kernel
-// unit-stride a operands.
-func (g *gemmJob) packA(at []float64, i0, i1, pc, kcb int) {
-	ad, ac := g.a.Data, g.a.Cols
-	for kk := 0; kk < kcb; kk++ {
-		ar := ad[(pc+kk)*ac+i0 : (pc+kk)*ac+i1]
-		for i, v := range ar {
-			at[i*kcb+kk] = v
-		}
-	}
-}
-
-// aRow returns the unit-stride a operand for logical output row i of the
-// current panel: a direct row segment for NN/NT, the packed panel row for TN.
-func (g *gemmJob) aRow(i, i0, pc, kcb int, at []float64) []float64 {
-	if g.kind == gemmTN {
-		return at[(i-i0)*kcb : (i-i0+1)*kcb]
-	}
-	off := i*g.a.Cols + pc
-	return g.a.Data[off : off+kcb]
-}
-
-// kernel folds one packed k panel into out[i0:i1, j0:j1] with the 2x4
-// register-tiled micro-kernel. Row pairs are the outer loop (output rows are
-// finished in contiguous sweeps); each 4-column group slices its packed
-// columns and keeps 8 accumulators live across the kcb-long dot loop.
-// Anchoring that loop on ar0 and re-slicing every other operand to its
-// length lets the compiler drop all bounds checks from the 8-fmadd body.
-func (g *gemmJob) kernel(i0, i1, j0, j1, pc, kcb int, bt, at []float64) {
-	od, oc := g.out.Data, g.out.Cols
-	i := i0
-	for ; i+2 <= i1; i += 2 {
-		ar0 := g.aRow(i, i0, pc, kcb, at)
-		ar1 := g.aRow(i+1, i0, pc, kcb, at)[:len(ar0)]
-		r0, r1 := i*oc, (i+1)*oc
-		jj := j0
-		for ; jj+4 <= j1; jj += 4 {
-			p := (jj - j0) * kcb
-			bc0 := bt[p : p+kcb][:len(ar0)]
-			bc1 := bt[p+kcb : p+2*kcb][:len(ar0)]
-			bc2 := bt[p+2*kcb : p+3*kcb][:len(ar0)]
-			bc3 := bt[p+3*kcb : p+4*kcb][:len(ar0)]
-			or0 := od[r0+jj : r0+jj+4]
-			or1 := od[r1+jj : r1+jj+4]
-			c00, c01, c02, c03 := or0[0], or0[1], or0[2], or0[3]
-			c10, c11, c12, c13 := or1[0], or1[1], or1[2], or1[3]
-			for kk := range ar0 {
-				a0, a1 := ar0[kk], ar1[kk]
-				b0, b1, b2, b3 := bc0[kk], bc1[kk], bc2[kk], bc3[kk]
+// goPanel is the portable kernel: it folds one k panel into out[i0:i1, j0:j1]
+// for any extent and any operand layout, 2x4 outputs at a time in eight
+// scalar accumulators. A block hanging over the bottom or right edge clamps
+// its surplus rows and columns onto the last valid one: the duplicates load
+// the same element, run the same chain and store the same bits back, which
+// keeps every remainder class on the one loop.
+func (g *gemmJob) goPanel(i0, i1, j0, j1, pc, kcb int) {
+	ad, bd, od, oc := g.a.Data, g.b.Data, g.out.Data, g.out.Cols
+	ars, aks, bks, bjs := g.ars, g.aks, g.bks, g.bjs
+	for i := i0; i < i1; i += 2 {
+		i1c := min(i+1, i1-1)
+		r0, r1, da := i*oc, i1c*oc, (i1c-i)*ars
+		for j := j0; j < j1; j += 4 {
+			j1c, j2c, j3c := min(j+1, j1-1), min(j+2, j1-1), min(j+3, j1-1)
+			db1, db2, db3 := (j1c-j)*bjs, (j2c-j)*bjs, (j3c-j)*bjs
+			c00, c01, c02, c03 := od[r0+j], od[r0+j1c], od[r0+j2c], od[r0+j3c]
+			c10, c11, c12, c13 := od[r1+j], od[r1+j1c], od[r1+j2c], od[r1+j3c]
+			pa, pb := i*ars+pc*aks, pc*bks+j*bjs
+			for kk := 0; kk < kcb; kk++ {
+				a0, a1 := ad[pa], ad[pa+da]
+				b0, b1, b2, b3 := bd[pb], bd[pb+db1], bd[pb+db2], bd[pb+db3]
 				c00 = fmadd(a0, b0, c00)
 				c01 = fmadd(a0, b1, c01)
 				c02 = fmadd(a0, b2, c02)
@@ -225,56 +284,17 @@ func (g *gemmJob) kernel(i0, i1, j0, j1, pc, kcb int, bt, at []float64) {
 				c11 = fmadd(a1, b1, c11)
 				c12 = fmadd(a1, b2, c12)
 				c13 = fmadd(a1, b3, c13)
+				pa += aks
+				pb += bks
 			}
-			or0[0], or0[1], or0[2], or0[3] = c00, c01, c02, c03
-			or1[0], or1[1], or1[2], or1[3] = c10, c11, c12, c13
-		}
-		for ; jj < j1; jj++ {
-			bc := bt[(jj-j0)*kcb:][:len(ar0)]
-			acc0, acc1 := od[r0+jj], od[r1+jj]
-			for kk := range ar0 {
-				acc0 = fmadd(ar0[kk], bc[kk], acc0)
-				acc1 = fmadd(ar1[kk], bc[kk], acc1)
-			}
-			od[r0+jj], od[r1+jj] = acc0, acc1
-		}
-	}
-	if i < i1 {
-		ar0 := g.aRow(i, i0, pc, kcb, at)
-		r0 := i * oc
-		jj := j0
-		for ; jj+4 <= j1; jj += 4 {
-			p := (jj - j0) * kcb
-			bc0 := bt[p : p+kcb][:len(ar0)]
-			bc1 := bt[p+kcb : p+2*kcb][:len(ar0)]
-			bc2 := bt[p+2*kcb : p+3*kcb][:len(ar0)]
-			bc3 := bt[p+3*kcb : p+4*kcb][:len(ar0)]
-			or0 := od[r0+jj : r0+jj+4]
-			c00, c01, c02, c03 := or0[0], or0[1], or0[2], or0[3]
-			for kk, a0 := range ar0 {
-				c00 = fmadd(a0, bc0[kk], c00)
-				c01 = fmadd(a0, bc1[kk], c01)
-				c02 = fmadd(a0, bc2[kk], c02)
-				c03 = fmadd(a0, bc3[kk], c03)
-			}
-			or0[0], or0[1], or0[2], or0[3] = c00, c01, c02, c03
-		}
-		for ; jj < j1; jj++ {
-			bc := bt[(jj-j0)*kcb:][:len(ar0)]
-			acc := od[r0+jj]
-			for kk, av := range ar0 {
-				acc = fmadd(av, bc[kk], acc)
-			}
-			od[r0+jj] = acc
+			od[r0+j], od[r0+j1c], od[r0+j2c], od[r0+j3c] = c00, c01, c02, c03
+			od[r1+j], od[r1+j1c], od[r1+j2c], od[r1+j3c] = c10, c11, c12, c13
 		}
 	}
 }
 
-// epilogue applies the fused bias and ReLU to the finished tile. par selects
-// atomic mask-word updates: 64-bit mask words need not align with tile
-// boundaries, so concurrent tiles may share a word (ORing disjoint bits is
-// order-independent, keeping the result deterministic).
-func (g *gemmJob) epilogue(i0, i1, j0, j1 int, par bool) {
+// epilogue applies the fused bias and ReLU to the finished tile.
+func (g *gemmJob) epilogue(i0, i1, j0, j1 int) {
 	if g.bias == nil && g.reluMask == nil {
 		return
 	}
@@ -288,215 +308,35 @@ func (g *gemmJob) epilogue(i0, i1, j0, j1 int, par bool) {
 			}
 		}
 		if g.reluMask != nil {
-			g.reluSpan(row, i*oc, j0, j1, par)
+			g.reluSpan(row, i*oc, j0, j1)
 		}
 	}
 }
 
 // reluSpan rectifies row[j0:j1] in place and records pass-through bits (flat
 // element index base+j, matching nn's ReLU mask layout), batching bit sets
-// into one mask-word write per word touched.
-func (g *gemmJob) reluSpan(row []float64, base, j0, j1 int, par bool) {
+// into one mask-word update per word touched. The update is an atomic OR:
+// 64-bit mask words need not align with tile boundaries, so concurrent tiles
+// may share a word (ORing disjoint bits is order-independent, keeping the
+// result deterministic).
+func (g *gemmJob) reluSpan(row []float64, base, j0, j1 int) {
 	mask := g.reluMask
 	for j := j0; j < j1; {
 		word := (base + j) >> 6
 		end := min(j1, j+64-((base+j)&63))
 		var bits uint64
 		for ; j < end; j++ {
+			// Branch-free: activations' signs are a coin toss to the
+			// predictor. keep is all ones for a positive element.
+			var keep uint64
 			if row[j] > 0 {
-				bits |= 1 << (uint(base+j) & 63)
-			} else {
-				row[j] = 0
+				keep = ^uint64(0)
 			}
+			bits |= keep & (1 << (uint(base+j) & 63))
+			row[j] = math.Float64frombits(math.Float64bits(row[j]) & keep)
 		}
 		if bits != 0 {
-			if par {
-				atomic.OrUint64(&mask[word], bits)
-			} else {
-				mask[word] |= bits
-			}
-		}
-	}
-}
-
-// smallGemm computes small products with direct kernels — no packing or
-// dispatch overhead, but the same per-element in-order k chains as the
-// blocked core, so the two paths are bit-identical. Each kernel is unrolled
-// 2x2 over independent output rows / k pairs: pairing k steps nests fmadds
-// in ascending-k order (identical rounding to one-at-a-time accumulation),
-// while pairing rows and columns amortizes loads and breaks the
-// single-accumulator latency chain without touching element order.
-func smallGemm(g *gemmJob) {
-	if !g.accumulate {
-		g.out.Zero()
-	}
-	switch g.kind {
-	case gemmNN:
-		smallNN(g)
-	case gemmTN:
-		smallTN(g)
-	default:
-		smallNT(g)
-	}
-}
-
-// smallNN is out += a@b: row-pair outer, k-pair middle, shared b row loads.
-func smallNN(g *gemmJob) {
-	n := g.b.Cols
-	kTot := g.a.Cols
-	bd := g.b.Data
-	i := 0
-	for ; i+2 <= g.a.Rows; i += 2 {
-		ar0, ar1 := g.a.Row(i), g.a.Row(i+1)
-		or0, or1 := g.out.Row(i), g.out.Row(i+1)
-		kk := 0
-		for ; kk+2 <= kTot; kk += 2 {
-			a00, a01 := ar0[kk], ar0[kk+1]
-			a10, a11 := ar1[kk], ar1[kk+1]
-			b0 := bd[kk*n : kk*n+n]
-			b1 := bd[(kk+1)*n:][:len(b0)]
-			o0 := or0[:len(b0)]
-			o1 := or1[:len(b0)]
-			for j, bv0 := range b0 {
-				bv1 := b1[j]
-				o0[j] = fmadd(a01, bv1, fmadd(a00, bv0, o0[j]))
-				o1[j] = fmadd(a11, bv1, fmadd(a10, bv0, o1[j]))
-			}
-		}
-		if kk < kTot {
-			av0, av1 := ar0[kk], ar1[kk]
-			b0 := bd[kk*n : kk*n+n]
-			o0 := or0[:len(b0)]
-			o1 := or1[:len(b0)]
-			for j, bv := range b0 {
-				o0[j] = fmadd(av0, bv, o0[j])
-				o1[j] = fmadd(av1, bv, o1[j])
-			}
-		}
-	}
-	if i < g.a.Rows {
-		ar := g.a.Row(i)
-		or := g.out.Row(i)
-		kk := 0
-		for ; kk+2 <= kTot; kk += 2 {
-			a0, a1 := ar[kk], ar[kk+1]
-			b0 := bd[kk*n : kk*n+n]
-			b1 := bd[(kk+1)*n:][:len(b0)]
-			o := or[:len(b0)]
-			for j, bv0 := range b0 {
-				o[j] = fmadd(a1, b1[j], fmadd(a0, bv0, o[j]))
-			}
-		}
-		if kk < kTot {
-			av := ar[kk]
-			b0 := bd[kk*n : kk*n+n]
-			o := or[:len(b0)]
-			for j, bv := range b0 {
-				o[j] = fmadd(av, bv, o[j])
-			}
-		}
-	}
-}
-
-// smallTN is out += aᵀ@b: k (= a row) pairs outer, output-row pairs middle.
-func smallTN(g *gemmJob) {
-	n := g.b.Cols
-	od := g.out.Data
-	kk := 0
-	for ; kk+2 <= g.a.Rows; kk += 2 {
-		ar0, ar1 := g.a.Row(kk), g.a.Row(kk+1)
-		br0, br1 := g.b.Row(kk), g.b.Row(kk+1)
-		i := 0
-		for ; i+2 <= len(ar0); i += 2 {
-			a00, a10 := ar0[i], ar1[i]
-			a01, a11 := ar0[i+1], ar1[i+1]
-			o0 := od[i*n : i*n+n][:len(br0)]
-			o1 := od[(i+1)*n : (i+1)*n+n][:len(br0)]
-			b1 := br1[:len(br0)]
-			for j, bv0 := range br0 {
-				bv1 := b1[j]
-				o0[j] = fmadd(a10, bv1, fmadd(a00, bv0, o0[j]))
-				o1[j] = fmadd(a11, bv1, fmadd(a01, bv0, o1[j]))
-			}
-		}
-		if i < len(ar0) {
-			a0, a1 := ar0[i], ar1[i]
-			o := od[i*n : i*n+n][:len(br0)]
-			b1 := br1[:len(br0)]
-			for j, bv0 := range br0 {
-				o[j] = fmadd(a1, b1[j], fmadd(a0, bv0, o[j]))
-			}
-		}
-	}
-	if kk < g.a.Rows {
-		ar := g.a.Row(kk)
-		br := g.b.Row(kk)
-		for i, av := range ar {
-			o := od[i*n : i*n+n][:len(br)]
-			for j, bv := range br {
-				o[j] = fmadd(av, bv, o[j])
-			}
-		}
-	}
-}
-
-// smallNT is out += a@bᵀ: 2x2 blocks of dot products, four independent
-// in-order accumulator chains per block.
-func smallNT(g *gemmJob) {
-	i := 0
-	for ; i+2 <= g.a.Rows; i += 2 {
-		ar0, ar1 := g.a.Row(i), g.a.Row(i+1)
-		or0, or1 := g.out.Row(i), g.out.Row(i+1)
-		a1 := ar1[:len(ar0)]
-		j := 0
-		for ; j+2 <= g.b.Rows; j += 2 {
-			br0 := g.b.Row(j)[:len(ar0)]
-			br1 := g.b.Row(j + 1)[:len(ar0)]
-			s00, s01 := or0[j], or0[j+1]
-			s10, s11 := or1[j], or1[j+1]
-			for k, av0 := range ar0 {
-				av1 := a1[k]
-				bv0, bv1 := br0[k], br1[k]
-				s00 = fmadd(av0, bv0, s00)
-				s01 = fmadd(av0, bv1, s01)
-				s10 = fmadd(av1, bv0, s10)
-				s11 = fmadd(av1, bv1, s11)
-			}
-			or0[j], or0[j+1] = s00, s01
-			or1[j], or1[j+1] = s10, s11
-		}
-		if j < g.b.Rows {
-			br := g.b.Row(j)[:len(ar0)]
-			s0, s1 := or0[j], or1[j]
-			for k, av0 := range ar0 {
-				bv := br[k]
-				s0 = fmadd(av0, bv, s0)
-				s1 = fmadd(a1[k], bv, s1)
-			}
-			or0[j], or1[j] = s0, s1
-		}
-	}
-	if i < g.a.Rows {
-		ar := g.a.Row(i)
-		or := g.out.Row(i)
-		j := 0
-		for ; j+2 <= g.b.Rows; j += 2 {
-			br0 := g.b.Row(j)[:len(ar)]
-			br1 := g.b.Row(j + 1)[:len(ar)]
-			s0, s1 := or[j], or[j+1]
-			for k, av := range ar {
-				s0 = fmadd(av, br0[k], s0)
-				s1 = fmadd(av, br1[k], s1)
-			}
-			or[j], or[j+1] = s0, s1
-		}
-		if j < g.b.Rows {
-			br := g.b.Row(j)[:len(ar)]
-			s := or[j]
-			for k, av := range ar {
-				s = fmadd(av, br[k], s)
-			}
-			or[j] = s
+			atomic.OrUint64(&mask[word], bits)
 		}
 	}
 }

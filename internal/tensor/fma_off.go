@@ -12,3 +12,6 @@ package tensor
 // contract the kernels rely on; they just differ in rounding, so the two
 // build flavors are not bit-comparable with each other.
 func fmadd(a, b, acc float64) float64 { return acc + a*b }
+
+// fusedFMA reports which fmadd flavour this build uses (see KernelName).
+const fusedFMA = false

@@ -14,3 +14,6 @@ import "math"
 // different fmadd definitions (v1 vs v3) legitimately differ in the last
 // bits; all in-repo tolerances compare like against like.
 func fmadd(a, b, acc float64) float64 { return math.FMA(a, b, acc) }
+
+// fusedFMA reports which fmadd flavour this build uses (see KernelName).
+const fusedFMA = true

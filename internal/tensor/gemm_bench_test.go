@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The BenchmarkGEMM family backs BENCH_kernels.json and the CI bench smoke:
-// the blocked core on all three kinds, worker-count scaling, the retained
-// legacy scalar loop (the pre-blocked `mulBand` shape: ikj with a zero-skip
-// branch), and the fused Dense-forward epilogues.
+// The BenchmarkGEMM family is the kernel layer's development benchmark: all
+// three kinds at the 512-cube and at the shapes the benchmark/ workloads run,
+// worker-count scaling, and the fused Dense-forward epilogues. Claims rest on
+// benchmark/ (tensor.gemm_* probes); these rows are for working on a kernel.
 
 const benchDim = 512
 
@@ -38,9 +38,37 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMWorkers sweeps the shared-pool worker count at 512^3 NN — the
-// scaling record for BENCH_kernels.json (near-linear only on multi-core
-// hosts; a 1-core container serializes the helpers).
+// BenchmarkGEMMShapes times the three products of a Dense layer (forward NN,
+// weight-gradient TN, input-gradient NT) at the rows x in x out the training
+// workloads spend their time in — pipe_compute's 64x128x128, session_tcp's
+// 256x64x64 and hybrid_allreduce's 8x512x512, where NT's pack of the 512x512
+// weight has only 8 rows to amortise over — and reports GFLOP/s.
+func BenchmarkGEMMShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range []struct{ rows, in, out int }{{64, 128, 128}, {256, 64, 64}, {8, 512, 512}} {
+		x, w, dy := randMat(rng, l.rows, l.in), randMat(rng, l.in, l.out), randMat(rng, l.rows, l.out)
+		y, dw, dx := New(l.rows, l.out), New(l.in, l.out), New(l.rows, l.in)
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"NN", func() { MatMulInto(y, x, w) }},
+			{"TN", func() { MatMulATBAddInto(dw, x, dy) }},
+			{"NT", func() { MatMulABTInto(dx, dy, w) }},
+		} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", l.rows, l.in, l.out, tc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					tc.run()
+				}
+				b.ReportMetric(2*float64(l.rows*l.in*l.out)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// BenchmarkGEMMWorkers sweeps the shared-pool worker count at 512^3 NN
+// (near-linear only on multi-core hosts; a 1-core container serializes the
+// helpers).
 func BenchmarkGEMMWorkers(b *testing.B) {
 	x, y, out := benchMats(benchDim)
 	for _, w := range []int{1, 2, 4, 8} {
@@ -52,41 +80,6 @@ func BenchmarkGEMMWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkGEMMScalarLegacy times the retained legacy scalar loop at 512^3 on
-// dense input — the pre-blocked `mulBand` baseline the >=2x acceptance bar in
-// BENCH_kernels.json is measured against. On dense data its zero-skip branch
-// never fires, so this is exactly the old dense hot path.
-func BenchmarkGEMMScalarLegacy(b *testing.B) {
-	x, y, out := benchMats(benchDim)
-	for i := 0; i < b.N; i++ {
-		MatMulZeroSkipInto(out, x, y)
-	}
-}
-
-// BenchmarkGEMMZeroSkip records the zero-skip delta both ways: on dense input
-// the branch is pure overhead versus the blocked kernel; on 90%-zero input
-// the skip pays — which is why it lives behind an explicit sparse-aware entry
-// point instead of pessimizing every dense matmul.
-func BenchmarkGEMMZeroSkip(b *testing.B) {
-	x, y, out := benchMats(benchDim)
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulZeroSkipInto(out, x, y)
-		}
-	})
-	rng := rand.New(rand.NewSource(2))
-	for i := range x.Data {
-		if rng.Intn(10) != 0 {
-			x.Data[i] = 0
-		}
-	}
-	b.Run("sparse90", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MatMulZeroSkipInto(out, x, y)
-		}
-	})
 }
 
 // BenchmarkGEMMFusedForward compares the Dense(+ReLU) forward as three

@@ -6,11 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the persistent shared worker pool the blocked GEMM
-// core fans out over. The previous runtime spawned a goroutine fan-out per
-// large matmul call, which cost a spawn+join per call and leaked allocations
-// past the pooled steady state; here a fixed set of helper goroutines lives
-// for the process and every dispatch structure is recycled, so a warm
+// This file implements the persistent shared worker pool the GEMM core fans
+// out over: a fixed set of helper goroutines lives for the process and every
+// dispatch structure is recycled through an owned free list, so a warm
 // parallel kernel performs zero heap allocations.
 //
 // Dispatch protocol (lock-free, join-on-receive):
@@ -31,7 +29,7 @@ import (
 // disjoint output tiles whose accumulation order is fixed (see ref.go), so
 // results are bit-identical for any worker count, including zero helpers.
 
-// parRun is one parallel kernel dispatch, recycled through runPool.
+// parRun is one parallel kernel dispatch, recycled through runFree.
 type parRun struct {
 	job         gemmJob
 	ntasks      int32
@@ -46,9 +44,10 @@ var (
 	// entries are rejected at join time.
 	workCh = make(chan *parRun, 128)
 
-	runPool = sync.Pool{New: func() any {
-		return &parRun{done: make(chan struct{}, 1)}
-	}}
+	// runFree recycles dispatch records. One is live per parallel call in
+	// flight; 32 covers every concurrent caller on the hosts this runs on,
+	// and a burst beyond it only costs the surplus calls an allocation each.
+	runFree = make(freeList[*parRun], 32)
 
 	poolMu      sync.Mutex
 	poolStop    chan struct{}
@@ -70,11 +69,17 @@ func Workers() int {
 // CPU; it exists for benchmarks, tests, and embedders that cap kernel
 // parallelism below GOMAXPROCS.
 func SetWorkers(n int) int {
+	poolMu.Lock()
+	defer poolMu.Unlock()
+	return setWorkersLocked(n)
+}
+
+// setWorkersLocked starts a fresh helper generation of n-1 goroutines and
+// retires the previous one. poolMu must be held.
+func setWorkersLocked(n int) int {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
 	prev := int(poolTarget.Load())
 	if poolStop != nil {
 		close(poolStop)
@@ -88,16 +93,18 @@ func SetWorkers(n int) int {
 	return prev
 }
 
-// ensurePool lazily sizes the pool to GOMAXPROCS on first use.
+// ensurePool lazily sizes the pool to GOMAXPROCS on first use. The check and
+// the start share one critical section, so concurrent first kernels start one
+// helper generation and an explicit SetWorkers is never overridden by the
+// lazy default.
 func ensurePool() {
 	if poolStarted.Load() {
 		return
 	}
 	poolMu.Lock()
-	started := poolStarted.Load()
-	poolMu.Unlock()
-	if !started {
-		SetWorkers(runtime.GOMAXPROCS(0))
+	defer poolMu.Unlock()
+	if !poolStarted.Load() {
+		setWorkersLocked(0)
 	}
 }
 
@@ -143,8 +150,8 @@ func (r *parRun) work() {
 }
 
 // parallelTiles runs the job's ntiles disjoint tile tasks across the shared
-// pool, with the caller participating. Zero heap allocations once runPool
-// and the pack-buffer pool are warm.
+// pool, with the caller participating. Zero heap allocations once runFree
+// and the pack-panel free list are warm.
 func parallelTiles(job *gemmJob, ntiles int) {
 	ensurePool()
 	helpers := int(poolTarget.Load()) - 1
@@ -157,7 +164,10 @@ func parallelTiles(job *gemmJob, ntiles int) {
 		}
 		return
 	}
-	r := runPool.Get().(*parRun)
+	r, ok := runFree.get()
+	if !ok {
+		r = &parRun{done: make(chan struct{}, 1)}
+	}
 	r.job = *job
 	r.ntasks = int32(ntiles)
 	r.next.Store(0)
@@ -184,6 +194,6 @@ offer:
 			}
 		}
 	}
-	r.job = gemmJob{} // drop matrix references before pooling
-	runPool.Put(r)
+	r.job = gemmJob{} // drop matrix references before recycling
+	runFree.put(r)
 }

@@ -3,7 +3,7 @@ package tensor
 // This file holds the retained scalar reference kernels: the executable
 // specification of what every GEMM variant computes, down to the bit.
 //
-// The contract all fast paths (small unrolled kernels, the blocked core,
+// The contract every kernel (the AVX2 micro-kernel, the portable kernel,
 // pool-parallel tiles) must honor is simple:
 //
 //	each output element is produced by ONE accumulation chain that adds
@@ -63,42 +63,6 @@ func refGemm(kind gemmKind, out, a, b *Matrix, accumulate bool) {
 				acc = fmadd(av, bv, acc)
 			}
 			or[j] = acc
-		}
-	}
-}
-
-// MatMulZeroSkipInto computes out = a @ b with the legacy sparse-aware inner
-// loop: rows of b whose matching a element is exactly zero are skipped
-// entirely. For inputs where a is substantially sparse (e.g. activations
-// behind a ReLU) this trades a branch per a element for skipping whole
-// row-updates; for dense inputs the branch only pessimizes the hot loop,
-// which is why the dense kernels no longer carry it (BenchmarkGEMMZeroSkip
-// records the delta both ways).
-//
-// The skip makes results bit-different from the dense path in edge cases
-// (signed zeros, a zero times an infinity or NaN), so this entry point is
-// opt-in for callers that know a is sparse and finite — it is not used by
-// the training runtime.
-func MatMulZeroSkipInto(out, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(shapeErr("matmul", a, b))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(shapeErr("matmul out", out, &Matrix{Rows: a.Rows, Cols: b.Cols}))
-	}
-	out.Zero()
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		or := out.Row(i)
-		ar := a.Row(i)
-		for k, av := range ar {
-			if av == 0 {
-				continue
-			}
-			br := b.Data[k*n : (k+1)*n]
-			for j, bv := range br {
-				or[j] = fmadd(av, bv, or[j])
-			}
 		}
 	}
 }

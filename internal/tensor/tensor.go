@@ -1,11 +1,12 @@
 // Package tensor implements the dense float64 matrix math the real training
 // runtime (package train) executes. All GEMM variants (plain, aᵀ@b, a@bᵀ,
-// and their into/fused-accumulate forms) route through one cache-blocked,
-// register-tiled core (block.go) that fans large products out over a
-// persistent shared worker pool (parallel.go). Work is partitioned by
+// and their into/fused-accumulate forms) and all sizes route through one
+// tiled core (block.go) around one micro-kernel — AVX2 assembly on amd64
+// hosts that have it, portable Go elsewhere — that fans large products out
+// over a persistent shared worker pool (parallel.go). Work is partitioned by
 // disjoint output tiles with a fixed k-accumulation order, so results are
-// bit-identical for any worker count — the repo's determinism tests depend
-// on that.
+// bit-identical for any worker count and either kernel — the repo's
+// determinism tests depend on that.
 //
 // float64 is deliberate: the runtime's purpose is to prove schedule
 // equivalence (DAPPLE's pipelined gradients match sequential execution), and
