@@ -3,8 +3,9 @@ package dapple
 // One benchmark per table and figure of the paper's evaluation (§VI), each
 // regenerating the experiment through the same generators cmd/dapple-bench
 // uses (Quick mode trims the sweep sizes, not the logic), plus component
-// micro-benchmarks for the planner, the discrete-event engine, the real ring
-// all-reduce and the real pipelined runtime.
+// micro-benchmarks for the planner, the latency model, the discrete-event
+// engine and the GEMM kernel (BenchmarkExecutePlan in internal/train and
+// BenchmarkRingAllReduceChunked in internal/transport cover the runtime).
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkTable6 -v
@@ -19,12 +20,10 @@ import (
 	"dapple/internal/experiments"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
-	"dapple/internal/nn"
 	"dapple/internal/planner"
 	"dapple/internal/schedule"
 	"dapple/internal/sim"
 	"dapple/internal/tensor"
-	"dapple/internal/train"
 )
 
 // runExperiment drives one generator and records its row count.
@@ -254,21 +253,6 @@ func BenchmarkSweeperResim(b *testing.B) {
 	}
 }
 
-// BenchmarkRingAllReduce measures the real channel-based ring all-reduce
-// across 8 goroutine participants on 1M floats.
-func BenchmarkRingAllReduce(b *testing.B) {
-	const n, size = 8, 1 << 20
-	bufs := make([][]float64, n)
-	for i := range bufs {
-		bufs[i] = make([]float64, size)
-	}
-	b.SetBytes(int64(n * size * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		train.RingAllReduce(bufs)
-	}
-}
-
 // BenchmarkMatMul measures the cache-blocked, pool-parallel matmul (see the
 // BenchmarkGEMM family in internal/tensor for the full kernel suite).
 func BenchmarkMatMul(b *testing.B) {
@@ -281,36 +265,6 @@ func BenchmarkMatMul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tensor.MatMul(x, y)
-	}
-}
-
-// BenchmarkRealPipelineStep measures one iteration of the real goroutine
-// pipeline (3 stages, 8 micro-batches) including gradient sync.
-func BenchmarkRealPipelineStep(b *testing.B) {
-	master := nn.MLP([]int{64, 128, 128, 64, 8}, 1)
-	pipe, err := train.NewPipeline(master, train.PipelineConfig{
-		Cuts:   []int{3, 5, 7},
-		Policy: train.DappleSchedule,
-	}, func() nn.Optimizer { return nn.SGD{LR: 1e-3} })
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	micros := make([]train.Batch, 8)
-	for i := range micros {
-		x := tensor.New(16, 64)
-		x.Randomize(rng, 1)
-		y := make([]int, 16)
-		for j := range y {
-			y[j] = rng.Intn(8)
-		}
-		micros[i] = train.Batch{X: x, Y: y}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipe.Step(micros); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -19,11 +19,33 @@ import (
 	"dapple/internal/train"
 )
 
+// straightPlan hand-builds a validated one-device-per-stage plan over net,
+// cuts being exclusive layer end indices, the way benchmark/fixtures.go
+// builds the plans it executes.
+func straightPlan(t *testing.T, net *nn.Network, inDim, rows, m int, cuts []int) *core.Plan {
+	t.Helper()
+	mod, err := train.ProfileNetwork("integration", net, inDim, rows, rows*m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := make([]core.Stage, len(cuts))
+	lo := 0
+	for i, hi := range cuts {
+		stages[i] = core.Stage{Lo: lo, Hi: hi, Devices: []hardware.DeviceID{hardware.DeviceID(i)}}
+		lo = hi
+	}
+	p := &core.Plan{Model: mod, Cluster: hardware.ConfigB(len(cuts)), Stages: stages, GBS: rows * m, MicroBatch: rows}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestWarmupDepthMatchesRealRuntime: the simulated DAPPLE schedule's warmup
-// depth K_i and the real pipeline's peak activation stash must agree — both
+// depth K_i and the real executor's peak activation stash must agree — both
 // implement K_i = S - i early-backward scheduling.
 func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
-	const stages, m = 3, 9
+	const stages, m, rows = 3, 9, 4
 
 	// Simulated side: uniform 6-layer model, 3-stage straight pipeline.
 	mod := model.Synthetic(6, 1e-3, 1<<20, 4<<20, 1<<20)
@@ -35,21 +57,15 @@ func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 
 	// Real side: a 9-layer MLP (Dense/ReLU alternation) in 3 equal stages.
 	master := nn.MLP([]int{8, 16, 16, 16, 16, 4}, 7)
-	pipe, err := train.NewPipeline(master, train.PipelineConfig{
-		Cuts:   []int{3, 6, 9},
-		Policy: train.DappleSchedule,
-	}, func() nn.Optimizer { return nn.SGD{LR: 0} })
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	micros := make([]train.Batch, m)
 	for i := range micros {
-		x := tensor.New(4, 8)
+		x := tensor.New(rows, 8)
 		x.Randomize(rng, 1)
 		micros[i] = train.Batch{X: x, Y: []int{0, 1, 2, 3}}
 	}
-	st, err := pipe.Step(micros)
+	execRes, err := train.ExecutePlan(context.Background(), straightPlan(t, master, 8, rows, m, []int{3, 6, 9}),
+		master, micros, func() nn.Optimizer { return nn.SGD{LR: 0} }, ExecOptions{Policy: DapplePA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +74,7 @@ func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 		if got, want := res.PerStage[i].Warmup, stages-i; got != want {
 			t.Fatalf("sim stage %d warmup %d, want %d", i, got, want)
 		}
-		if got, want := st.MaxStash[i], stages-i; got != want {
+		if got, want := execRes.MaxStash[i], stages-i; got != want {
 			t.Fatalf("real stage %d stash %d, want %d", i, got, want)
 		}
 	}
@@ -202,19 +218,19 @@ func TestRecomputeEquivalenceEndToEnd(t *testing.T) {
 		x.Randomize(rng, 1)
 		micros[i] = train.Batch{X: x, Y: []int{0, 1, 2}}
 	}
+	p := straightPlan(t, master, 6, 3, len(micros), []int{2, 5})
 	run := func(recompute bool) []float64 {
-		pipe, err := train.NewPipeline(master, train.PipelineConfig{
-			Cuts: []int{2, 5}, Policy: train.DappleSchedule, Recompute: recompute,
-		}, func() nn.Optimizer { return nn.SGD{LR: 0.1} })
+		ex, err := train.NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.1} },
+			ExecOptions{Policy: DapplePA, Recompute: recompute})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.Step(micros); err != nil {
+		if _, err := ex.Step(micros); err != nil {
 			t.Fatal(err)
 		}
 		var ps []float64
-		for s := 0; s < pipe.NumStages(); s++ {
-			for _, p := range pipe.StageParams(s, 0) {
+		for s := 0; s < ex.NumStages(); s++ {
+			for _, p := range ex.StageParams(s, 0) {
 				ps = append(ps, p.W.Data...)
 			}
 		}

@@ -7,19 +7,14 @@ import (
 	"dapple/internal/tensor"
 )
 
-// SoftmaxCrossEntropy returns the mean cross-entropy of logits against the
-// integer labels, and the logits gradient scaled by 1/rows (so summing
-// per-micro-batch gradients then dividing by the micro-batch count reproduces
-// the global-batch mean — the gradient-accumulation identity the paper's
-// equivalence argument relies on).
-func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int) (float64, *tensor.Matrix) {
-	grad := tensor.New(logits.Rows, logits.Cols)
-	return SoftmaxCrossEntropyInto(grad, logits, labels), grad
-}
-
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the logits gradient
-// into the preallocated grad (same shape as logits, contents overwritten) —
-// the allocation-free form the steady-state runtime uses with pooled buffers.
+// SoftmaxCrossEntropyInto returns the mean cross-entropy of logits against
+// the integer labels and writes the logits gradient, scaled by 1/rows, into
+// the preallocated grad (same shape as logits, contents overwritten). The
+// 1/rows scale means summing per-micro-batch gradients then dividing by the
+// micro-batch count reproduces the global-batch mean — the
+// gradient-accumulation identity the paper's equivalence argument relies on.
+// Labels must lie in [0, logits.Cols); package train rejects batches that
+// break this before any layer runs.
 func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int) float64 {
 	rows := logits.Rows
 	if grad.Rows != rows || grad.Cols != logits.Cols {
@@ -50,18 +45,4 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int) float64 
 	}
 	grad.Scale(1 / float64(rows))
 	return loss / float64(rows)
-}
-
-// MSE returns the mean squared error between pred and target and the
-// prediction gradient.
-func MSE(pred, target *tensor.Matrix) (float64, *tensor.Matrix) {
-	grad := pred.Clone()
-	var loss float64
-	n := float64(len(pred.Data))
-	for i := range grad.Data {
-		d := pred.Data[i] - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return loss / n, grad
 }

@@ -1,8 +1,9 @@
-// Package nn is the small neural-network layer library executed by the real
-// concurrent runtime (package train). Layers are reentrant: Forward returns
-// an opaque context instead of mutating layer state, so many micro-batches
-// can be in flight through one layer simultaneously — exactly the property a
-// pipelined schedule needs.
+// Package nn is the small neural-network layer library the training runtime
+// (package train) executes. Every layer has one execution path: ForwardWS
+// computes its output into a Workspace buffer and returns an opaque context
+// instead of mutating layer state, so many micro-batches can be in flight
+// through one layer at once — exactly the property a pipelined schedule
+// needs — and a warm training step allocates nothing.
 package nn
 
 import (
@@ -19,20 +20,29 @@ type Param struct {
 	G *tensor.Matrix
 }
 
-// Ctx is the per-invocation activation context a layer returns from Forward
-// and consumes in Backward.
+// Ctx is the per-invocation activation context a layer returns from
+// ForwardWS and consumes in BackwardWS.
 type Ctx any
 
-// Layer is one differentiable block.
+// Layer is one differentiable block. Its passes run on a Workspace under an
+// ownership contract the pipelined executor upholds:
+//
+//   - ForwardWS may retain x (as a view, without cloning) inside the returned
+//     context; the caller keeps x unmodified until the matching BackwardWS
+//     (or a discard) completes.
+//   - The returned output is leased from ws and owned by the caller.
+//   - BackwardWS may mutate dy in place and return it as the input gradient;
+//     callers must treat dy as consumed. Contexts holding workspace-leased
+//     state (masks) are released by BackwardWS itself.
 type Layer interface {
-	// Forward computes the layer output for x, returning the stash Backward
-	// will need. Implementations must not retain or mutate x beyond the
-	// returned context.
-	Forward(x *tensor.Matrix) (*tensor.Matrix, Ctx)
+	// ForwardWS computes the layer output into a workspace buffer, returning
+	// the backward stash (which may reference x).
+	ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx)
 
-	// Backward consumes a context and the output gradient, accumulates
-	// parameter gradients, and returns the input gradient.
-	Backward(ctx Ctx, dy *tensor.Matrix) *tensor.Matrix
+	// BackwardWS consumes a ForwardWS context and the output gradient
+	// (possibly in place), accumulates parameter gradients, and returns the
+	// input gradient.
+	BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix
 
 	// Params returns the layer's trainable parameters (empty for
 	// activations).
@@ -53,14 +63,6 @@ func StashBytes(c Ctx) int64 {
 		return int64(len(v.Data)) * 8
 	case *ReLUMask:
 		return int64(len(v.Bits)) * 8
-	case []*tensor.Matrix:
-		var n int64
-		for _, m := range v {
-			if m != nil {
-				n += int64(len(m.Data)) * 8
-			}
-		}
-		return n
 	default:
 		return 0
 	}
@@ -84,24 +86,6 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	return d
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix) (*tensor.Matrix, Ctx) {
-	y := tensor.MatMul(x, d.W)
-	y.AddRowVec(d.B.Data)
-	return y, x.Clone()
-}
-
-// Backward implements Layer.
-func (d *Dense) Backward(ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
-	x := ctx.(*tensor.Matrix)
-	d.GW.Add(tensor.MatMulATB(x, dy))
-	gb := dy.SumRows()
-	for j, v := range gb {
-		d.GB.Data[j] += v
-	}
-	return tensor.MatMulABT(dy, d.W)
-}
-
 // Params implements Layer.
 func (d *Dense) Params() []Param {
 	return []Param{{d.W, d.GW}, {d.B, d.GB}}
@@ -120,25 +104,6 @@ func (d *Dense) Clone() Layer {
 // ReLU is the rectified linear activation.
 type ReLU struct{}
 
-// Forward implements Layer. The stash is a ReLUMask — one bit per element —
-// rather than a full copy of the output: backward only needs to know WHICH
-// elements passed, so cloning the activation was a 64x over-stash (and a
-// second full allocation per forward).
-func (ReLU) Forward(x *tensor.Matrix) (*tensor.Matrix, Ctx) {
-	y := x.Clone()
-	mask := NewReLUMask(len(y.Data))
-	mask.forward(y)
-	return y, mask
-}
-
-// Backward implements Layer.
-func (ReLU) Backward(ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
-	mask := ctx.(*ReLUMask)
-	dx := dy.Clone()
-	mask.Apply(dx)
-	return dx
-}
-
 // Params implements Layer.
 func (ReLU) Params() []Param { return nil }
 
@@ -147,25 +112,6 @@ func (ReLU) Clone() Layer { return ReLU{} }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct{}
-
-// Forward implements Layer.
-func (Tanh) Forward(x *tensor.Matrix) (*tensor.Matrix, Ctx) {
-	y := x.Clone()
-	for i, v := range y.Data {
-		y.Data[i] = math.Tanh(v)
-	}
-	return y, y.Clone()
-}
-
-// Backward implements Layer.
-func (Tanh) Backward(ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
-	y := ctx.(*tensor.Matrix)
-	dx := dy.Clone()
-	for i, v := range y.Data {
-		dx.Data[i] *= 1 - v*v
-	}
-	return dx
-}
 
 // Params implements Layer.
 func (Tanh) Params() []Param { return nil }
@@ -193,23 +139,6 @@ func MLP(dims []int, seed int64) *Network {
 		}
 	}
 	return &Network{Layers: layers}
-}
-
-// Forward runs every layer, returning the output and per-layer contexts.
-func (n *Network) Forward(x *tensor.Matrix) (*tensor.Matrix, []Ctx) {
-	ctxs := make([]Ctx, len(n.Layers))
-	for i, l := range n.Layers {
-		x, ctxs[i] = l.Forward(x)
-	}
-	return x, ctxs
-}
-
-// Backward consumes the contexts from Forward in reverse.
-func (n *Network) Backward(ctxs []Ctx, dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(ctxs[i], dy)
-	}
-	return dy
 }
 
 // Params returns all trainable parameters in layer order.

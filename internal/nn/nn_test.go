@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,83 +10,137 @@ import (
 	"dapple/internal/tensor"
 )
 
-// numericGrad estimates dLoss/dW[i] by central differences.
-func numericGrad(net *Network, x *tensor.Matrix, y []int, p Param, idx int) float64 {
+// wsLoss returns the mean cross-entropy of one workspace forward pass,
+// releasing everything the pass leased.
+func wsLoss(net *Network, ws *Workspace, x *tensor.Matrix, y []int) float64 {
+	var run WSRun
+	out := net.ForwardWS(ws, x, &run)
+	g := ws.Get(out.Rows, out.Cols)
+	l := SoftmaxCrossEntropyInto(g, out, y)
+	ws.Put(g)
+	net.DiscardWS(ws, &run)
+	return l
+}
+
+// backward consumes run with the output gradient dy (left unmodified),
+// accumulating parameter gradients, and returns a copy of the input gradient.
+func backward(net *Network, ws *Workspace, run *WSRun, dy *tensor.Matrix) *tensor.Matrix {
+	g := ws.Get(dy.Rows, dy.Cols)
+	copy(g.Data, dy.Data)
+	dx := net.BackwardWS(ws, run, g)
+	out := dx.Clone()
+	if dx != g {
+		ws.Put(dx)
+	}
+	ws.Put(g)
+	return out
+}
+
+// trainPass runs forward, loss and backward for one batch, accumulating
+// parameter gradients, and returns the loss.
+func trainPass(net *Network, ws *Workspace, x *tensor.Matrix, y []int) float64 {
+	var run WSRun
+	out := net.ForwardWS(ws, x, &run)
+	g := ws.Get(out.Rows, out.Cols)
+	l := SoftmaxCrossEntropyInto(g, out, y)
+	if dx := net.BackwardWS(ws, &run, g); dx != g {
+		ws.Put(dx)
+	}
+	ws.Put(g)
+	return l
+}
+
+// numericGrad estimates dLoss/dv[idx] by central differences.
+func numericGrad(net *Network, ws *Workspace, x *tensor.Matrix, y []int, v []float64, idx int) float64 {
 	const h = 1e-6
-	orig := p.W.Data[idx]
-	p.W.Data[idx] = orig + h
-	out, _ := net.Forward(x)
-	lp, _ := SoftmaxCrossEntropy(out, y)
-	p.W.Data[idx] = orig - h
-	out, _ = net.Forward(x)
-	lm, _ := SoftmaxCrossEntropy(out, y)
-	p.W.Data[idx] = orig
+	orig := v[idx]
+	v[idx] = orig + h
+	lp := wsLoss(net, ws, x, y)
+	v[idx] = orig - h
+	lm := wsLoss(net, ws, x, y)
+	v[idx] = orig
 	return (lp - lm) / (2 * h)
 }
 
-// TestBackpropMatchesNumericGradient is the foundational check: analytic
-// gradients agree with finite differences on an MLP.
+// TestBackpropMatchesNumericGradient is the layer library's independent
+// oracle: on a stack holding every layer kind (Dense, the fused Dense+ReLU
+// pair, Tanh), analytic parameter and input gradients from the workspace
+// path agree with finite differences of its loss.
 func TestBackpropMatchesNumericGradient(t *testing.T) {
-	net := MLP([]int{5, 7, 4}, 42)
+	net := tanhMLP(42)
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.New(6, 5)
 	x.Randomize(rng, 1)
-	y := []int{0, 1, 2, 3, 0, 1}
+	y := []int{0, 1, 2, 0, 1, 2}
 
-	out, ctxs := net.Forward(x)
-	_, dy := SoftmaxCrossEntropy(out, y)
-	net.Backward(ctxs, dy)
+	ws := NewWorkspace()
+	var run WSRun
+	out := net.ForwardWS(ws, x, &run)
+	g := ws.Get(out.Rows, out.Cols)
+	SoftmaxCrossEntropyInto(g, out, y)
+	dx := net.BackwardWS(ws, &run, g).Clone()
 
-	for pi, p := range net.Params() {
-		for _, idx := range []int{0, len(p.W.Data) / 2, len(p.W.Data) - 1} {
-			want := numericGrad(net, x, y, p, idx)
-			got := p.G.Data[idx]
-			if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
-				t.Fatalf("param %d[%d]: analytic %g vs numeric %g", pi, idx, got, want)
+	check := func(what string, v, grad []float64) {
+		t.Helper()
+		for _, idx := range []int{0, len(v) / 3, len(v) / 2, len(v) - 1} {
+			want := numericGrad(net, ws, x, y, v, idx)
+			if got := grad[idx]; math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+				t.Fatalf("%s[%d]: analytic %g vs numeric %g", what, idx, got, want)
 			}
 		}
 	}
+	for pi, p := range net.Params() {
+		check(fmt.Sprintf("param %d", pi), p.W.Data, p.G.Data)
+	}
+	check("input", x.Data, dx.Data)
 }
 
+// TestForwardIsReentrant: two micro-batches in flight through the same
+// layers at once — the property pipelining depends on — must not interfere,
+// in either backward order.
 func TestForwardIsReentrant(t *testing.T) {
-	// Two interleaved micro-batches through the same layers must not
-	// interfere — the property pipelining depends on.
 	net := MLP([]int{4, 8, 3}, 1)
+	ws := NewWorkspace()
 	rng := rand.New(rand.NewSource(2))
 	x1, x2 := tensor.New(3, 4), tensor.New(3, 4)
 	x1.Randomize(rng, 1)
 	x2.Randomize(rng, 1)
+	dy := tensor.New(3, 3)
+	dy.Randomize(rng, 1)
 
-	o1a, _ := net.Forward(x1)
-	o1b, ctx1 := net.Forward(x1)
-	_, ctx2 := net.Forward(x2)
-	if d := tensor.MaxAbsDiff(o1a, o1b); d != 0 {
-		t.Fatalf("same input gives different outputs: %g", d)
+	var r1, r2 WSRun
+	o1 := net.ForwardWS(ws, x1, &r1).Clone()
+	net.DiscardWS(ws, &r1)
+	live := net.ForwardWS(ws, x1, &r1)
+	net.ForwardWS(ws, x2, &r2) // while r1 is still in flight
+	if d := tensor.MaxAbsDiff(o1, live); d != 0 {
+		t.Fatalf("same input gives different outputs, or the second forward overwrote the first: %g", d)
 	}
 
 	// Backward in the opposite order of forward.
-	dy := tensor.New(3, 3)
-	dy.Randomize(rng, 1)
-	net.Backward(ctx2, dy)
+	backward(net, ws, &r2, dy)
 	g2 := GradSnapshot(net)
 	net.ZeroGrads()
-	net.Backward(ctx1, dy)
+	backward(net, ws, &r1, dy)
 	g1 := GradSnapshot(net)
 
 	// Now recompute sequentially for reference.
 	net.ZeroGrads()
-	_, c1 := net.Forward(x1)
-	net.Backward(c1, dy)
-	r1 := GradSnapshot(net)
+	net.ForwardWS(ws, x1, &r1)
+	backward(net, ws, &r1, dy)
+	s1 := GradSnapshot(net)
 	net.ZeroGrads()
-	_, c2 := net.Forward(x2)
-	net.Backward(c2, dy)
-	r2 := GradSnapshot(net)
+	net.ForwardWS(ws, x2, &r1)
+	backward(net, ws, &r1, dy)
+	s2 := GradSnapshot(net)
 
 	for i := range g1 {
-		if math.Abs(g1[i]-r1[i]) > 1e-12 || math.Abs(g2[i]-r2[i]) > 1e-12 {
+		if math.Abs(g1[i]-s1[i]) > 1e-12 || math.Abs(g2[i]-s2[i]) > 1e-12 {
 			t.Fatal("interleaved backward differs from sequential")
 		}
+	}
+	if ws.Pool.Leased() != 0 {
+		t.Fatalf("leaked %d buffers", ws.Pool.Leased())
 	}
 }
 
@@ -100,9 +155,7 @@ func GradSnapshot(n *Network) []float64 {
 
 func TestCloneIsDeepAndZeroGrad(t *testing.T) {
 	net := MLP([]int{3, 4, 2}, 5)
-	out, ctxs := net.Forward(tensor.New(2, 3))
-	_, dy := SoftmaxCrossEntropy(out, []int{0, 1})
-	net.Backward(ctxs, dy)
+	trainPass(net, NewWorkspace(), tensor.New(2, 3), []int{0, 1})
 
 	c := net.Clone()
 	for _, p := range c.Params() {
@@ -124,7 +177,8 @@ func TestSoftmaxCrossEntropyGradientSumsToZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	logits := tensor.New(4, 6)
 	logits.Randomize(rng, 3)
-	_, g := SoftmaxCrossEntropy(logits, []int{1, 5, 0, 2})
+	g := tensor.New(4, 6)
+	SoftmaxCrossEntropyInto(g, logits, []int{1, 5, 0, 2})
 	for r := 0; r < 4; r++ {
 		var s float64
 		for _, v := range g.Row(r) {
@@ -139,21 +193,9 @@ func TestSoftmaxCrossEntropyGradientSumsToZero(t *testing.T) {
 func TestSoftmaxCrossEntropyLoss(t *testing.T) {
 	// Uniform logits give log(C) loss.
 	logits := tensor.New(2, 4)
-	l, _ := SoftmaxCrossEntropy(logits, []int{0, 3})
+	l := SoftmaxCrossEntropyInto(tensor.New(2, 4), logits, []int{0, 3})
 	if math.Abs(l-math.Log(4)) > 1e-12 {
 		t.Fatalf("uniform loss %g, want %g", l, math.Log(4))
-	}
-}
-
-func TestMSE(t *testing.T) {
-	pred := tensor.FromSlice(1, 2, []float64{1, 2})
-	target := tensor.FromSlice(1, 2, []float64{0, 4})
-	l, g := MSE(pred, target)
-	if math.Abs(l-2.5) > 1e-12 { // mean of squared diffs: (1+4)/2
-		t.Fatalf("mse loss %g, want 2.5", l)
-	}
-	if g.Data[0] != 1 || g.Data[1] != -2 { // 2*d/n
-		t.Fatalf("mse grad %v", g.Data)
 	}
 }
 
@@ -179,10 +221,9 @@ func TestAdamDeterministic(t *testing.T) {
 		x := tensor.New(4, 3)
 		x.Randomize(rng, 1)
 		y := []int{0, 1, 0, 1}
+		ws := NewWorkspace()
 		for i := 0; i < 5; i++ {
-			out, ctxs := net.Forward(x)
-			_, dy := SoftmaxCrossEntropy(out, y)
-			net.Backward(ctxs, dy)
+			trainPass(net, ws, x, y)
 			opt.Step(net.Params())
 		}
 		var ps []float64
@@ -214,11 +255,10 @@ func TestTrainingReducesLoss(t *testing.T) {
 			y[i] = 1
 		}
 	}
+	ws := NewWorkspace()
 	var first, last float64
 	for i := 0; i < 200; i++ {
-		out, ctxs := net.Forward(x)
-		l, dy := SoftmaxCrossEntropy(out, y)
-		net.Backward(ctxs, dy)
+		l := trainPass(net, ws, x, y)
 		opt.Step(net.Params())
 		if i == 0 {
 			first = l
@@ -230,34 +270,35 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-// Property: gradient accumulation is linear — grad(b1) + grad(b2) equals
-// accumulating both batches before reading.
+// Property: gradient accumulation is linear — two micro-batches in flight at
+// once and backpropagated into one accumulator give grad(b1) + grad(b2).
 func TestGradAccumulationLinearity(t *testing.T) {
 	f := func(seed int64) bool {
 		net := MLP([]int{3, 5, 2}, 77)
+		ws := NewWorkspace()
 		rng := rand.New(rand.NewSource(seed))
 		x1, x2 := tensor.New(2, 3), tensor.New(2, 3)
 		x1.Randomize(rng, 1)
 		x2.Randomize(rng, 1)
 		y := []int{0, 1}
+		grad := func(out *tensor.Matrix) *tensor.Matrix {
+			g := tensor.New(out.Rows, out.Cols)
+			SoftmaxCrossEntropyInto(g, out, y)
+			return g
+		}
 
-		out, c := net.Forward(x1)
-		_, dy := SoftmaxCrossEntropy(out, y)
-		net.Backward(c, dy)
-		out, c = net.Forward(x2)
-		_, dy = SoftmaxCrossEntropy(out, y)
-		net.Backward(c, dy)
+		var r1, r2 WSRun
+		dy1 := grad(net.ForwardWS(ws, x1, &r1))
+		dy2 := grad(net.ForwardWS(ws, x2, &r2))
+		backward(net, ws, &r1, dy1)
+		backward(net, ws, &r2, dy2)
 		both := GradSnapshot(net)
 
 		net.ZeroGrads()
-		out, c = net.Forward(x1)
-		_, dy = SoftmaxCrossEntropy(out, y)
-		net.Backward(c, dy)
+		trainPass(net, ws, x1, y)
 		g1 := GradSnapshot(net)
 		net.ZeroGrads()
-		out, c = net.Forward(x2)
-		_, dy = SoftmaxCrossEntropy(out, y)
-		net.Backward(c, dy)
+		trainPass(net, ws, x2, y)
 		g2 := GradSnapshot(net)
 
 		for i := range both {
@@ -265,7 +306,7 @@ func TestGradAccumulationLinearity(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return ws.Pool.Leased() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -288,8 +329,5 @@ func TestStashBytes(t *testing.T) {
 	}
 	if StashBytes(nil) != 0 {
 		t.Fatal("StashBytes(nil) != 0")
-	}
-	if StashBytes([]*tensor.Matrix{m, m}) != 96 {
-		t.Fatal("StashBytes slice wrong")
 	}
 }

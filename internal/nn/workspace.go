@@ -9,8 +9,7 @@ import (
 
 // ReLUMask records which elements a ReLU let through, packed one bit per
 // element. It is the stash a ReLU keeps between forward and backward — 64x
-// smaller than the activation clone it replaces, and poolable through a
-// Workspace.
+// smaller than a copy of the activation, and poolable through a Workspace.
 type ReLUMask struct {
 	// N is the element count the mask covers.
 	N int
@@ -123,43 +122,17 @@ func (w *Workspace) PutMask(mk *ReLUMask) {
 	}
 }
 
-// WorkspaceLayer is the buffer-reuse execution path a Layer may additionally
-// implement. It trades the reference API's defensive copies for an ownership
-// contract the pipelined executor upholds:
-//
-//   - ForwardWS may retain x (as a view, without cloning) inside the returned
-//     context; the caller guarantees x stays unmodified until the matching
-//     BackwardWS (or a discard) completes.
-//   - The returned output is leased from ws and owned by the caller.
-//   - BackwardWS may mutate dy in place and return it as the input gradient;
-//     callers must treat dy as consumed. Contexts holding workspace-leased
-//     state (masks) are released by BackwardWS itself.
-//
-// The reference Forward/Backward methods remain the safe, allocating API;
-// both paths compute the same math (workspace results differ only by the
-// float rounding of fused accumulation).
-type WorkspaceLayer interface {
-	// ForwardWS computes the layer output into a workspace buffer, returning
-	// the backward stash (which may reference x).
-	ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx)
-
-	// BackwardWS consumes a ForwardWS context and the output gradient
-	// (possibly in place), accumulates parameter gradients, and returns the
-	// input gradient.
-	BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix
-}
-
-// ForwardWS implements WorkspaceLayer: one fused matmul+bias kernel into a
-// pooled buffer (the bias rides the matmul's output pass), stashing x itself
-// instead of a clone.
+// ForwardWS implements Layer: one fused matmul+bias kernel into a pooled
+// buffer (the bias rides the matmul's output pass), stashing x itself instead
+// of a clone.
 func (d *Dense) ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx) {
 	y := ws.Get(x.Rows, d.W.Cols)
 	tensor.MatMulAddRowVecInto(y, x, d.W, d.B.Data)
 	return y, x
 }
 
-// BackwardWS implements WorkspaceLayer: weight and bias gradients accumulate
-// in place (fused kernels), the input gradient lands in a pooled buffer.
+// BackwardWS implements Layer: weight and bias gradients accumulate in place
+// (fused kernels), the input gradient lands in a pooled buffer.
 func (d *Dense) BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
 	x := ctx.(*tensor.Matrix)
 	tensor.MatMulATBAddInto(d.GW, x, dy)
@@ -169,8 +142,9 @@ func (d *Dense) BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Ma
 	return dx
 }
 
-// ForwardWS implements WorkspaceLayer: output in a pooled buffer, stash a
-// pooled bit mask.
+// ForwardWS implements Layer: output in a pooled buffer, stash a pooled
+// ReLUMask — one bit per element rather than a copy of the activation, since
+// backward only needs to know WHICH elements passed.
 func (ReLU) ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx) {
 	y := ws.Get(x.Rows, x.Cols)
 	copy(y.Data, x.Data)
@@ -179,8 +153,7 @@ func (ReLU) ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx) {
 	return y, mask
 }
 
-// BackwardWS implements WorkspaceLayer: gates dy in place and releases the
-// mask.
+// BackwardWS implements Layer: gates dy in place and releases the mask.
 func (ReLU) BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
 	mask := ctx.(*ReLUMask)
 	mask.Apply(dy)
@@ -188,9 +161,9 @@ func (ReLU) BackwardWS(ws *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix
 	return dy
 }
 
-// ForwardWS implements WorkspaceLayer. The stash is the output buffer itself
-// (tanh' needs the output values); it stays valid because the run that owns
-// it keeps every layer output alive until backward.
+// ForwardWS implements Layer. The stash is the output buffer itself (tanh'
+// needs the output values); it stays valid because the run that owns it
+// keeps every layer output alive until backward.
 func (Tanh) ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx) {
 	y := ws.Get(x.Rows, x.Cols)
 	for i, v := range x.Data {
@@ -199,7 +172,7 @@ func (Tanh) ForwardWS(ws *Workspace, x *tensor.Matrix) (*tensor.Matrix, Ctx) {
 	return y, y
 }
 
-// BackwardWS implements WorkspaceLayer: scales dy in place by 1 - y².
+// BackwardWS implements Layer: scales dy in place by 1 - y².
 func (Tanh) BackwardWS(_ *Workspace, ctx Ctx, dy *tensor.Matrix) *tensor.Matrix {
 	y := ctx.(*tensor.Matrix)
 	for i, v := range y.Data {
@@ -256,8 +229,7 @@ func (r *WSRun) reset() {
 	r.owned = r.owned[:0]
 }
 
-// ForwardWS runs every layer through the workspace path (falling back to the
-// reference Forward for layers without one), filling run with the backward
+// ForwardWS runs every layer's ForwardWS, filling run with the backward
 // state. The returned output is owned by run — it stays valid until
 // BackwardWS or DiscardWS releases the run, and callers must not release it
 // separately. x must stay unmodified for the same window.
@@ -283,13 +255,7 @@ func (n *Network) ForwardWS(ws *Workspace, x *tensor.Matrix, run *WSRun) *tensor
 				continue
 			}
 		}
-		var y *tensor.Matrix
-		var c Ctx
-		if wl, ok := l.(WorkspaceLayer); ok {
-			y, c = wl.ForwardWS(ws, x)
-		} else {
-			y, c = l.Forward(x)
-		}
+		y, c := l.ForwardWS(ws, x)
 		run.ctxs = append(run.ctxs, c)
 		run.owned = append(run.owned, y)
 		x = y
@@ -320,13 +286,7 @@ func (n *Network) BackwardWS(ws *Workspace, run *WSRun, dy *tensor.Matrix) *tens
 func (n *Network) BackwardWSLayers(ws *Workspace, run *WSRun, dy *tensor.Matrix, onLayer func(layer int)) *tensor.Matrix {
 	orig := dy
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
-		var dx *tensor.Matrix
-		if wl, ok := l.(WorkspaceLayer); ok {
-			dx = wl.BackwardWS(ws, run.ctxs[i], dy)
-		} else {
-			dx = l.Backward(run.ctxs[i], dy)
-		}
+		dx := n.Layers[i].BackwardWS(ws, run.ctxs[i], dy)
 		if dx != dy && dy != orig {
 			ws.Put(dy)
 		}

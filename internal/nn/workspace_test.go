@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 // tanhMLP builds a mixed-activation stack (Dense, ReLU, Dense, Tanh, Dense)
-// so the workspace tests cover every WorkspaceLayer implementation.
+// so the tests cover every Layer implementation.
 func tanhMLP(seed int64) *Network {
 	rng := rand.New(rand.NewSource(seed))
 	return &Network{Layers: []Layer{
@@ -19,37 +20,33 @@ func tanhMLP(seed int64) *Network {
 }
 
 // TestWorkspacePathMatchesReference runs the same batch through the
-// allocating reference path and the workspace path on identical clones and
-// demands matching outputs, input gradients, and parameter gradients.
+// workspace path and through refPass, a plain-loop transcription of the
+// layer definitions, and demands matching outputs, input gradients and
+// parameter gradients.
 func TestWorkspacePathMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
-		ref := tanhMLP(seed)
-		wsNet := ref.Clone()
+		net := tanhMLP(seed)
 		rng := rand.New(rand.NewSource(seed + 1))
 		x := tensor.New(6, 5)
 		x.Randomize(rng, 1)
 		y := []int{0, 1, 2, 0, 1, 2}
 
-		out, ctxs := ref.Forward(x)
-		_, dy := SoftmaxCrossEntropy(out, y)
-		dx := ref.Backward(ctxs, dy)
+		out, dx, grads := refPass(net, x, y)
 
 		ws := NewWorkspace()
 		var run WSRun
-		wout := wsNet.ForwardWS(ws, x, &run)
-		wg := ws.Get(wout.Rows, wout.Cols)
-		SoftmaxCrossEntropyInto(wg, wout, y)
-		wdx := wsNet.BackwardWS(ws, &run, wg)
-
+		wout := net.ForwardWS(ws, x, &run)
 		if tensor.MaxAbsDiff(out, wout) > 1e-12 {
 			return false
 		}
+		wg := ws.Get(wout.Rows, wout.Cols)
+		SoftmaxCrossEntropyInto(wg, wout, y)
+		wdx := net.BackwardWS(ws, &run, wg)
 		if tensor.MaxAbsDiff(dx, wdx) > 1e-12 {
 			return false
 		}
-		rp, wp := ref.Params(), wsNet.Params()
-		for i := range rp {
-			if tensor.MaxAbsDiff(rp[i].G, wp[i].G) > 1e-12 {
+		for i, p := range net.Params() {
+			if tensor.MaxAbsDiff(grads[i], p.G) > 1e-12 {
 				return false
 			}
 		}
@@ -62,6 +59,101 @@ func TestWorkspacePathMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refPass is the reference forward, mean softmax cross-entropy and backward
+// of net on (x, y), written as plain loops straight from each layer's
+// definition: it returns the logits, the input gradient and one gradient per
+// parameter in Params order, and leaves net untouched.
+func refPass(net *Network, x *tensor.Matrix, y []int) (out, dx *tensor.Matrix, grads []*tensor.Matrix) {
+	acts := []*tensor.Matrix{x.Clone()}
+	for _, l := range net.Layers {
+		in := acts[len(acts)-1]
+		var o *tensor.Matrix
+		switch l := l.(type) {
+		case *Dense:
+			o = tensor.New(in.Rows, l.W.Cols)
+			for r := 0; r < in.Rows; r++ {
+				for c := 0; c < l.W.Cols; c++ {
+					s := l.B.At(0, c)
+					for k := 0; k < in.Cols; k++ {
+						s += in.At(r, k) * l.W.At(k, c)
+					}
+					o.Set(r, c, s)
+				}
+			}
+		case ReLU:
+			o = in.Clone()
+			for i, v := range o.Data {
+				if !(v > 0) {
+					o.Data[i] = 0
+				}
+			}
+		case Tanh:
+			o = in.Clone()
+			for i, v := range o.Data {
+				o.Data[i] = math.Tanh(v)
+			}
+		default:
+			panic(fmt.Sprintf("refPass: no reference for %T", l))
+		}
+		acts = append(acts, o)
+	}
+	out = acts[len(acts)-1]
+
+	// d(mean cross-entropy)/d(logits) = (softmax - onehot) / rows.
+	g := tensor.New(out.Rows, out.Cols)
+	for r := 0; r < out.Rows; r++ {
+		var z float64
+		for c := 0; c < out.Cols; c++ {
+			z += math.Exp(out.At(r, c))
+		}
+		for c := 0; c < out.Cols; c++ {
+			p := math.Exp(out.At(r, c)) / z
+			if c == y[r] {
+				p--
+			}
+			g.Set(r, c, p/float64(out.Rows))
+		}
+	}
+
+	perLayer := make([][]*tensor.Matrix, len(net.Layers))
+	for li := len(net.Layers) - 1; li >= 0; li-- {
+		in, o := acts[li], acts[li+1]
+		var gin *tensor.Matrix
+		switch l := net.Layers[li].(type) {
+		case *Dense:
+			gw, gb := tensor.New(l.W.Rows, l.W.Cols), tensor.New(1, l.W.Cols)
+			gin = tensor.New(in.Rows, in.Cols)
+			for r := 0; r < in.Rows; r++ {
+				for c := 0; c < l.W.Cols; c++ {
+					gb.Data[c] += g.At(r, c)
+					for k := 0; k < in.Cols; k++ {
+						gw.Set(k, c, gw.At(k, c)+in.At(r, k)*g.At(r, c))
+						gin.Set(r, k, gin.At(r, k)+g.At(r, c)*l.W.At(k, c))
+					}
+				}
+			}
+			perLayer[li] = []*tensor.Matrix{gw, gb}
+		case ReLU:
+			gin = g.Clone()
+			for i, v := range in.Data {
+				if !(v > 0) {
+					gin.Data[i] = 0
+				}
+			}
+		case Tanh:
+			gin = g.Clone()
+			for i, v := range o.Data {
+				gin.Data[i] *= 1 - v*v
+			}
+		}
+		g = gin
+	}
+	for _, ls := range perLayer {
+		grads = append(grads, ls...)
+	}
+	return out, g, grads
 }
 
 // TestWorkspaceSteadyStateZeroAlloc is the layer-library half of the
@@ -128,8 +220,9 @@ func TestDiscardWSReleasesEverything(t *testing.T) {
 // exactly where the input was strictly positive, and the stash accounting
 // reports the packed size.
 func TestReLUMaskSemantics(t *testing.T) {
+	ws := NewWorkspace()
 	x := tensor.FromSlice(1, 5, []float64{-1, 0, 2, -3, 4})
-	y, ctx := ReLU{}.Forward(x)
+	y, ctx := ReLU{}.ForwardWS(ws, x)
 	wantY := []float64{0, 0, 2, 0, 4}
 	for i, w := range wantY {
 		if y.Data[i] != w {
@@ -137,7 +230,7 @@ func TestReLUMaskSemantics(t *testing.T) {
 		}
 	}
 	dy := tensor.FromSlice(1, 5, []float64{10, 20, 30, 40, 50})
-	dx := ReLU{}.Backward(ctx, dy)
+	dx := ReLU{}.BackwardWS(ws, ctx, dy)
 	wantDx := []float64{0, 0, 30, 0, 50}
 	for i, w := range wantDx {
 		if dx.Data[i] != w {
@@ -226,18 +319,20 @@ func TestWorkspaceMaskReuseResizes(t *testing.T) {
 	}
 }
 
-// TestSoftmaxCrossEntropyIntoMatches checks the pooled loss kernel equals the
-// allocating one, overwriting stale grad contents.
+// TestSoftmaxCrossEntropyIntoMatches checks the loss kernel overwrites its
+// destination: stale grad contents give bit-for-bit the loss and gradient of
+// a zeroed destination.
 func TestSoftmaxCrossEntropyIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	logits := tensor.New(4, 6)
 	logits.Randomize(rng, 2)
 	labels := []int{1, 5, 0, 2}
-	wantLoss, wantGrad := SoftmaxCrossEntropy(logits, labels)
+	wantGrad := tensor.New(4, 6)
+	wantLoss := SoftmaxCrossEntropyInto(wantGrad, logits, labels)
 	grad := tensor.New(4, 6)
 	grad.Randomize(rng, 1) // stale contents
 	loss := SoftmaxCrossEntropyInto(grad, logits, labels)
-	if math.Abs(loss-wantLoss) > 1e-15 {
+	if loss != wantLoss {
 		t.Fatalf("loss %g vs %g", loss, wantLoss)
 	}
 	if d := tensor.MaxAbsDiff(grad, wantGrad); d != 0 {

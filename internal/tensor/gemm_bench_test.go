@@ -105,7 +105,12 @@ func BenchmarkGEMMFusedForward(b *testing.B) {
 	b.Run("unfused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MatMulInto(out, x, y)
-			AddRowVecInto(out, out, bias)
+			for r := 0; r < out.Rows; r++ {
+				row := out.Row(r)
+				for j, v := range bias {
+					row[j] += v
+				}
+			}
 			relu(out)
 		}
 	})

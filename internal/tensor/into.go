@@ -5,10 +5,7 @@ import "fmt"
 // This file holds the allocation-free "into" kernel variants the steady-state
 // training runtime executes: every kernel writes into a caller-provided
 // destination (typically leased from a Pool), so a warm training iteration
-// performs zero heap allocations in its compute hot path. Each kernel computes
-// exactly what its allocating counterpart computes, streaming elements in the
-// same order, so results differ from the reference path only by the float
-// rounding of fused accumulation.
+// performs zero heap allocations in its compute hot path.
 
 // MatMulInto computes out = a @ b into the preallocated out, overwriting its
 // contents. Shapes must satisfy out = (a.Rows x b.Cols), a.Cols = b.Rows.
@@ -23,8 +20,7 @@ func MatMulInto(out, a, b *Matrix) {
 }
 
 // MatMulATBAddInto accumulates out += aᵀ @ b — the weight-gradient kernel
-// fused with gradient accumulation, replacing the allocating
-// out.Add(MatMulATB(a, b)) pattern. Shapes: out = (a.Cols x b.Cols),
+// fused with gradient accumulation. Shapes: out = (a.Cols x b.Cols),
 // a.Rows = b.Rows.
 func MatMulATBAddInto(out, a, b *Matrix) {
 	if a.Rows != b.Rows {
@@ -50,10 +46,9 @@ func MatMulABTInto(out, a, b *Matrix) {
 }
 
 // MatMulAddRowVecInto computes out = a @ b with bias (len b.Cols) added to
-// every row, fused into the kernel's output pass — the Dense-forward kernel,
-// replacing the two-pass MatMulInto + AddRowVecInto sequence. The bias add
-// happens once per element after its full k accumulation, so the result is
-// bit-identical to the unfused sequence.
+// every row, fused into the kernel's output pass — the Dense-forward kernel.
+// The bias add happens once per element after its full k accumulation, so
+// the result is bit-identical to a matmul followed by a separate bias pass.
 func MatMulAddRowVecInto(out, a, b *Matrix, bias []float64) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -90,25 +85,9 @@ func MatMulBiasReLUInto(out, a, b *Matrix, bias []float64, maskBits []uint64) {
 	gemm(gemmNN, out, a, b, false, bias, maskBits)
 }
 
-// AddRowVecInto computes dst = src with vector v (len Cols) added to every
-// row. dst and src may alias (dst == src adds in place); shapes must match.
-func AddRowVecInto(dst, src *Matrix, v []float64) {
-	dst.mustSameShape(src)
-	if len(v) != src.Cols {
-		panic(fmt.Sprintf("tensor: row vec %d for %d cols", len(v), src.Cols))
-	}
-	for r := 0; r < src.Rows; r++ {
-		sr := src.Row(r)
-		dr := dst.Row(r)
-		for j, x := range v {
-			dr[j] = sr[j] + x
-		}
-	}
-}
-
 // SumRowsInto accumulates the column-wise sums of m into dst (len Cols) —
-// the bias-gradient kernel fused with gradient accumulation, replacing the
-// allocating SumRows-then-add pattern. dst is NOT zeroed first.
+// the bias-gradient kernel fused with gradient accumulation. dst is NOT
+// zeroed first.
 func SumRowsInto(dst []float64, m *Matrix) {
 	if len(dst) != m.Cols {
 		panic(fmt.Sprintf("tensor: sum-rows dst %d for %d cols", len(dst), m.Cols))
@@ -118,26 +97,6 @@ func SumRowsInto(dst []float64, m *Matrix) {
 		for j, x := range row {
 			dst[j] += x
 		}
-	}
-}
-
-// ConcatRowsInto stacks the given matrices vertically into the preallocated
-// dst, whose shape must equal the concatenation's.
-func ConcatRowsInto(dst *Matrix, parts ...*Matrix) {
-	rows := 0
-	for _, p := range parts {
-		if p.Cols != dst.Cols {
-			panic(fmt.Sprintf("tensor: concat cols %d vs %d", p.Cols, dst.Cols))
-		}
-		rows += p.Rows
-	}
-	if rows != dst.Rows {
-		panic(fmt.Sprintf("tensor: concat of %d rows into %d", rows, dst.Rows))
-	}
-	at := 0
-	for _, p := range parts {
-		copy(dst.Data[at:], p.Data)
-		at += len(p.Data)
 	}
 }
 

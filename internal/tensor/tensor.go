@@ -1,12 +1,12 @@
 // Package tensor implements the dense float64 matrix math the real training
-// runtime (package train) executes. All GEMM variants (plain, aᵀ@b, a@bᵀ,
-// and their into/fused-accumulate forms) and all sizes route through one
-// tiled core (block.go) around one micro-kernel — AVX2 assembly on amd64
-// hosts that have it, portable Go elsewhere — that fans large products out
-// over a persistent shared worker pool (parallel.go). Work is partitioned by
-// disjoint output tiles with a fixed k-accumulation order, so results are
-// bit-identical for any worker count and either kernel — the repo's
-// determinism tests depend on that.
+// runtime (package train) executes. All GEMM variants (a@b, aᵀ@b, a@bᵀ,
+// with their fused accumulate, bias and ReLU epilogues) and all sizes route
+// through one tiled core (block.go) around one micro-kernel — AVX2 assembly
+// on amd64 hosts that have it, portable Go elsewhere — that fans large
+// products out over a persistent shared worker pool (parallel.go). Work is
+// partitioned by disjoint output tiles with a fixed k-accumulation order, so
+// results are bit-identical for any worker count and either kernel — the
+// repo's determinism tests depend on that.
 //
 // float64 is deliberate: the runtime's purpose is to prove schedule
 // equivalence (DAPPLE's pipelined gradients match sequential execution), and
@@ -63,60 +63,12 @@ func (m *Matrix) Zero() {
 	}
 }
 
-// CopyFrom copies src's contents; shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	m.mustSameShape(src)
-	copy(m.Data, src.Data)
-}
-
 // RowSlice returns rows [lo, hi) as a view sharing storage.
 func (m *Matrix) RowSlice(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: row slice [%d,%d) of %d rows", lo, hi, m.Rows))
 	}
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
-}
-
-// ConcatRows stacks the given matrices vertically into a new matrix.
-func ConcatRows(parts ...*Matrix) *Matrix {
-	if len(parts) == 0 {
-		return New(0, 0)
-	}
-	cols := parts[0].Cols
-	rows := 0
-	for _, p := range parts {
-		if p.Cols != cols {
-			panic(fmt.Sprintf("tensor: concat cols %d vs %d", p.Cols, cols))
-		}
-		rows += p.Rows
-	}
-	out := New(rows, cols)
-	at := 0
-	for _, p := range parts {
-		copy(out.Data[at:], p.Data)
-		at += len(p.Data)
-	}
-	return out
-}
-
-// SplitRows partitions m into n near-equal row blocks (first blocks one row
-// larger when rows do not divide evenly). Blocks are views.
-func (m *Matrix) SplitRows(n int) []*Matrix {
-	if n <= 0 {
-		panic("tensor: split into non-positive parts")
-	}
-	out := make([]*Matrix, 0, n)
-	base, extra := m.Rows/n, m.Rows%n
-	lo := 0
-	for i := 0; i < n; i++ {
-		sz := base
-		if i < extra {
-			sz++
-		}
-		out = append(out, m.RowSlice(lo, lo+sz))
-		lo += sz
-	}
-	return out
 }
 
 func (m *Matrix) mustSameShape(o *Matrix) {
@@ -146,31 +98,6 @@ func (m *Matrix) Scale(a float64) {
 	}
 }
 
-// AddRowVec adds vector v (len Cols) to every row.
-func (m *Matrix) AddRowVec(v []float64) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: row vec %d for %d cols", len(v), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for j, x := range v {
-			row[j] += x
-		}
-	}
-}
-
-// SumRows returns the column-wise sums of m as a length-Cols slice.
-func (m *Matrix) SumRows() []float64 {
-	out := make([]float64, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for j, x := range row {
-			out[j] += x
-		}
-	}
-	return out
-}
-
 // Randomize fills m with uniform values in [-scale, scale] from rng.
 func (m *Matrix) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
@@ -185,26 +112,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	}
 	out := New(a.Rows, b.Cols)
 	gemm(gemmNN, out, a, b, false, nil, nil)
-	return out
-}
-
-// MatMulATB returns aᵀ @ b (used for weight gradients).
-func MatMulATB(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: matmulATB %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Cols, b.Cols)
-	gemm(gemmTN, out, a, b, false, nil, nil)
-	return out
-}
-
-// MatMulABT returns a @ bᵀ (used for input gradients).
-func MatMulABT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: matmulABT %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Rows)
-	gemm(gemmNT, out, a, b, false, nil, nil)
 	return out
 }
 

@@ -95,41 +95,43 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Set(j, i, m.At(i, j))
+		}
+	}
+	return t
+}
+
+// TestMatMulATB checks the weight-gradient kernel against MatMul of an
+// explicit transpose, accumulating into a zeroed destination.
 func TestMatMulATB(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := New(13, 7)
 	b := New(13, 5)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
-	got := MatMulATB(a, b)
-	// aᵀ@b via explicit transpose.
-	at := New(7, 13)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	want := MatMul(at, b)
-	if d := MaxAbsDiff(got, want); d > 1e-9 {
+	got := New(7, 5)
+	MatMulATBAddInto(got, a, b)
+	if d := MaxAbsDiff(got, MatMul(transpose(a), b)); d > 1e-9 {
 		t.Fatalf("ATB differs by %g", d)
 	}
 }
 
+// TestMatMulABT checks the input-gradient kernel against MatMul of an
+// explicit transpose.
 func TestMatMulABT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := New(9, 6)
 	b := New(11, 6)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
-	got := MatMulABT(a, b)
-	bt := New(6, 11)
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			bt.Set(j, i, b.At(i, j))
-		}
-	}
-	want := MatMul(a, bt)
-	if d := MaxAbsDiff(got, want); d > 1e-9 {
+	got := New(9, 11)
+	MatMulABTInto(got, a, b)
+	if d := MaxAbsDiff(got, MatMul(a, transpose(b))); d > 1e-9 {
 		t.Fatalf("ABT differs by %g", d)
 	}
 }
@@ -151,56 +153,23 @@ func TestAddAXPYScale(t *testing.T) {
 	}
 }
 
+// TestAddRowVecSumRows checks the Dense layer's two bias kernels on hand
+// values: the bias epilogue adds the row vector to every row (through an
+// identity weight), and SumRowsInto accumulates column sums onto dst.
 func TestAddRowVecSumRows(t *testing.T) {
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	m.AddRowVec([]float64{10, 20})
+	got := New(2, 2)
+	MatMulAddRowVecInto(got, m, FromSlice(2, 2, []float64{1, 0, 0, 1}), []float64{10, 20})
 	want := []float64{11, 22, 13, 24}
 	for i, w := range want {
-		if m.Data[i] != w {
-			t.Fatalf("AddRowVec: %v", m.Data)
+		if got.Data[i] != w {
+			t.Fatalf("bias epilogue: %v", got.Data)
 		}
 	}
-	s := m.SumRows()
-	if s[0] != 24 || s[1] != 46 {
-		t.Fatalf("SumRows: %v", s)
-	}
-}
-
-func TestSplitConcatRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := New(11, 3)
-	m.Randomize(rng, 1)
-	parts := m.SplitRows(4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	rows := 0
-	for _, p := range parts {
-		rows += p.Rows
-	}
-	if rows != 11 {
-		t.Fatalf("parts cover %d rows", rows)
-	}
-	back := ConcatRows(parts...)
-	if d := MaxAbsDiff(m, back); d != 0 {
-		t.Fatalf("round trip differs by %g", d)
-	}
-}
-
-// Property: split/concat round-trips for arbitrary shapes and part counts.
-func TestSplitConcatProperty(t *testing.T) {
-	f := func(rows8, cols8, n8 uint8) bool {
-		rows := int(rows8%40) + 1
-		cols := int(cols8%8) + 1
-		n := int(n8%uint8(rows)) + 1
-		rng := rand.New(rand.NewSource(int64(rows*100 + cols*10 + n)))
-		m := New(rows, cols)
-		m.Randomize(rng, 1)
-		back := ConcatRows(m.SplitRows(n)...)
-		return MaxAbsDiff(m, back) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	s := []float64{100, 200}
+	SumRowsInto(s, got)
+	if s[0] != 124 || s[1] != 246 {
+		t.Fatalf("SumRowsInto: %v", s)
 	}
 }
 

@@ -23,10 +23,21 @@ func TestAbortLeavesStaleGradients(t *testing.T) {
 	}
 	micros := makeMicros(6, 6, 6, 3, 19)
 
+	// Spread the deadlines across one measured step so they land mid-step
+	// on fast and slow hosts alike. The calibration steps commit, leaving
+	// zeroed gradients behind.
+	full := time.Hour
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		if _, err := ex.Step(micros); err != nil {
+			t.Fatal(err)
+		}
+		full = min(full, time.Since(t0))
+	}
 	sawStale := false
 	for trial := 0; trial < 200 && !sawStale; trial++ {
 		ctx, cancel := context.WithTimeout(context.Background(),
-			time.Duration(trial%8)*100*time.Microsecond)
+			full*time.Duration(trial%8+1)/9)
 		_, stepErr := ex.StepContext(ctx, micros)
 		cancel()
 		if stepErr == nil {

@@ -1,10 +1,11 @@
-// Package train is the real concurrent training runtime: goroutines are
-// devices, channels are interconnects, and with the TCP transport backend
-// worker processes are servers. It executes the same schedules the
-// simulator models — sequential accumulation, data parallelism with a real
-// ring all-reduce, and GPipe/DAPPLE pipelines with split/concat stage
-// replication — on genuine gradient math (packages tensor, nn), which is how
-// this reproduction *proves* the paper's claim that DAPPLE scheduling yields
+// Package train is the real concurrent training runtime. Its one runtime,
+// Executor, runs a planner core.Plan on genuine gradient math (packages
+// tensor, nn): goroutines are devices, channel links or TCP connections are
+// interconnects, and replicated stages synchronize gradients with bucketed
+// ring or hierarchical all-reduce. Coordinator and Worker drive executors in
+// worker processes as a fault-tolerant, elastic session. SequentialStep is
+// the single-device oracle every executed schedule must match, which is how
+// this reproduction proves the paper's claim that DAPPLE scheduling yields
 // gradients equivalent to sequential execution.
 package train
 
@@ -17,28 +18,6 @@ import (
 	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
-
-// RingAllReduce sums the participants' equal-length vectors in place using
-// the standard ring algorithm: n-1 reduce-scatter steps followed by n-1
-// all-gather steps, each participant running as its own goroutine and
-// exchanging chunks over channels. On return every buffer holds the
-// element-wise sum.
-func RingAllReduce(bufs [][]float64) {
-	n := len(bufs)
-	if n <= 1 {
-		return
-	}
-	size := len(bufs[0])
-	for _, b := range bufs[1:] {
-		if len(b) != size {
-			panic("train: ring all-reduce buffers differ in length")
-		}
-	}
-	if size == 0 {
-		return
-	}
-	transport.NewRing(n, size).AllReduce(bufs)
-}
 
 // serverGroups maps a replica group's devices onto the cluster topology:
 // the replica indices grouped by hosting server, in replica order. It

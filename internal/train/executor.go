@@ -187,6 +187,11 @@ type Executor struct {
 	plan *core.Plan
 	opts ExecOptions
 
+	// inDim and classes are the master network's input width and class
+	// count, against which every micro-batch is checked before it reaches a
+	// device goroutine.
+	inDim, classes int
+
 	stages []*estage
 
 	// Construction-time persistent state.
@@ -306,6 +311,7 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 		}
 	}
 	e := &Executor{plan: p, opts: opts, inproc: transport.NewInproc(), stages: make([]*estage, 0, len(p.Stages))}
+	e.inDim, e.classes = netShape(master)
 	for si, s := range p.Stages {
 		st := &estage{lo: s.Lo, hi: s.Hi, repl: s.Replicas(), devs: s.Devices}
 		st.nets = make([]*nn.Network, st.repl)
@@ -676,7 +682,7 @@ func (e *Executor) StepContext(ctx context.Context, micros []Batch) (*ExecResult
 		return nil, fmt.Errorf("train: no micro-batches")
 	}
 	for _, b := range micros {
-		if err := b.Validate(); err != nil {
+		if err := b.check(e.inDim, e.classes); err != nil {
 			return nil, err
 		}
 		if b.X.Rows != micros[0].X.Rows {
@@ -1152,6 +1158,15 @@ func gradVectorInto(buf []float64, params []nn.Param) {
 	}
 	if at != len(buf) {
 		panic("train: gradient buffer length mismatch")
+	}
+}
+
+// setGradVector scatters a flat vector back into the gradient tensors.
+func setGradVector(params []nn.Param, v []float64) {
+	at := 0
+	for _, p := range params {
+		copy(p.G.Data, v[at:at+len(p.G.Data)])
+		at += len(p.G.Data)
 	}
 }
 

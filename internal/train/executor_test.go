@@ -71,6 +71,14 @@ func checkAgainstSequential(t *testing.T, master *nn.Network, p *core.Plan, micr
 	if math.Abs(res.Loss-seqLoss) > 1e-9 {
 		t.Fatalf("loss: sequential %g vs executed plan %g", seqLoss, res.Loss)
 	}
+	requireStagesMatch(t, ex, p, seq)
+	return res
+}
+
+// requireStagesMatch asserts every stage replica's parameters equal the
+// matching layer slice of the sequentially trained network to 1e-9.
+func requireStagesMatch(t *testing.T, ex *Executor, p *core.Plan, seq *nn.Network) {
+	t.Helper()
 	for si, s := range p.Stages {
 		want := seq.Slice(s.Lo, s.Hi).Params()
 		for r := 0; r < s.Replicas(); r++ {
@@ -85,7 +93,6 @@ func checkAgainstSequential(t *testing.T, master *nn.Network, p *core.Plan, micr
 			}
 		}
 	}
-	return res
 }
 
 // TestExecutorMatchesSequential is the plan-driven form of the paper's §VI-A
@@ -473,7 +480,13 @@ func TestExecutorConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(31))
+	requireConverges(t, ex, separableMicros(31))
+}
+
+// separableMicros returns four 16-row micro-batches of points in [-1,1)^2
+// labelled by the sign of x*y, which no linear model separates.
+func separableMicros(seed int64) []Batch {
+	rng := rand.New(rand.NewSource(seed))
 	micros := make([]Batch, 4)
 	for i := range micros {
 		x := tensor.New(16, 2)
@@ -488,6 +501,13 @@ func TestExecutorConvergence(t *testing.T) {
 		}
 		micros[i] = Batch{X: x, Y: y}
 	}
+	return micros
+}
+
+// requireConverges trains ex for 100 steps on micros and fails unless the
+// loss at least halves.
+func requireConverges(t *testing.T, ex *Executor, micros []Batch) {
+	t.Helper()
 	var first, last float64
 	for it := 0; it < 100; it++ {
 		st, err := ex.Step(micros)
@@ -504,6 +524,27 @@ func TestExecutorConvergence(t *testing.T) {
 	}
 }
 
+// stepStraight runs one SGD step of a fresh executor over a straight
+// (unreplicated) plan of master with the given cuts, under pol.
+func stepStraight(t *testing.T, master *nn.Network, micros []Batch, cuts []int, pol schedule.Policy) *ExecResult {
+	t.Helper()
+	reps := make([]int, len(cuts))
+	for i := range reps {
+		reps[i] = 1
+	}
+	p := mkPlan(t, master.Clone(), micros[0].X.Cols, micros[0].X.Rows, len(micros), cuts, reps)
+	ex, err := NewExecutor(p, master.Clone(), func() nn.Optimizer { return nn.SGD{LR: 0.1} },
+		ExecOptions{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Step(micros)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestExecutorMemoryBound checks the Fig. 3(c) claim on the plan-driven
 // runtime: GPipe stashes all M micro-batches on the first stage while
 // DAPPLE's peak stays at its warmup depth.
@@ -511,24 +552,11 @@ func TestExecutorMemoryBound(t *testing.T) {
 	master := nn.MLP([]int{4, 8, 8, 2}, 3) // 5 layers
 	micros := makeMicros(12, 4, 4, 2, 5)
 
-	run := func(pol schedule.Policy) *ExecResult {
-		p := mkPlan(t, master.Clone(), 4, 4, 12, []int{3, 5}, []int{1, 1})
-		ex, err := NewExecutor(p, master.Clone(), func() nn.Optimizer { return nn.SGD{LR: 0.1} },
-			ExecOptions{Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ex.Step(micros)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	gs := run(schedule.GPipe)
+	gs := stepStraight(t, master, micros, []int{3, 5}, schedule.GPipe)
 	if gs.MaxStash[0] != len(micros) {
 		t.Fatalf("GPipe stage0 stash %d, want %d", gs.MaxStash[0], len(micros))
 	}
-	ds := run(schedule.DapplePA)
+	ds := stepStraight(t, master, micros, []int{3, 5}, schedule.DapplePA)
 	if ds.MaxStash[0] > ds.Warmup[0] {
 		t.Fatalf("DAPPLE stage0 stash %d above warmup %d", ds.MaxStash[0], ds.Warmup[0])
 	}

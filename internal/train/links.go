@@ -9,8 +9,7 @@ import (
 )
 
 // partition returns the k+1 row offsets of splitting rows across k parts,
-// first parts one row larger on uneven splits — the same layout
-// tensor.SplitRows produces — so part i covers global rows
+// first parts one row larger on uneven splits, so part i covers global rows
 // [offs[i], offs[i+1]).
 func partition(rows, k int) []int {
 	offs := make([]int, k+1)

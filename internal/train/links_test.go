@@ -7,8 +7,8 @@ import (
 
 // TestPartitionProperties checks the row-partition invariants over a sweep
 // of geometries: offsets are monotone, start at 0, end at rows, never carve
-// an empty part when rows >= k, and match tensor.SplitRows' layout (first
-// parts one row larger on uneven splits).
+// an empty part when rows >= k, and make the first parts one row larger on
+// uneven splits.
 func TestPartitionProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 2000; trial++ {

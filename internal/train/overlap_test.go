@@ -18,8 +18,8 @@ import (
 // TestBucketChunkWorkerMatrixMatchesOracle pins the determinism foundation
 // of communication overlap: reducing a gradient vector bucket by bucket,
 // with any pipeline chunk count and any kernel worker count, produces a
-// result bit-identical to the retained monolithic RingAllReduce oracle on
-// the whole vector. The canonical rank-order accumulation makes every
+// result bit-identical to the monolithic ring all-reduce oracle on the
+// whole vector. The canonical rank-order accumulation makes every
 // sub-range sum a pure function of the inputs, so bucket boundaries cannot
 // perturb training results.
 func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
@@ -27,7 +27,6 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		prev := tensor.SetWorkers(workers)
 		for _, size := range []int{33, 1024, 5000} {
-			rng := rand.New(rand.NewSource(int64(workers*10000 + size)))
 			mk := func() [][]float64 {
 				r := rand.New(rand.NewSource(int64(size)))
 				bufs := make([][]float64, n)
@@ -39,9 +38,8 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 				}
 				return bufs
 			}
-			_ = rng
 			oracle := mk()
-			RingAllReduce(oracle) // the monolithic whole-vector oracle
+			transport.NewRing(n, size).AllReduce(oracle) // the monolithic whole-vector oracle
 			for _, chunks := range []int{1, 3, 8} {
 				for _, bucketElems := range []int{7, 64, 1024, size} {
 					bufs := mk()

@@ -22,10 +22,11 @@ const synthFLOPS = 1e9
 // ProfileNetwork derives a planner-ready profiled model from a real network:
 // one model layer per network layer, analytic compute times from each
 // layer's parameter and activation shapes, and exact activation/parameter
-// byte counts measured by one probe forward pass at profileBatch rows of
-// inDim features. This is the bridge that closes the planner→runtime loop:
-// the returned model's layer indices map one-to-one onto the network's
-// layers, so any core.Plan produced for it is executable by an Executor.
+// byte counts measured by one probe forward pass (the executor's workspace
+// layer path) at profileBatch rows of inDim features. This is the bridge that
+// closes the planner→runtime loop: the returned model's layer indices map
+// one-to-one onto the network's layers, so any core.Plan produced for it is
+// executable by an Executor.
 func ProfileNetwork(name string, net *nn.Network, inDim, profileBatch, defaultGBS int) (*model.Model, error) {
 	if net == nil || net.NumLayers() == 0 {
 		return nil, fmt.Errorf("train: profile of an empty network")
@@ -33,10 +34,11 @@ func ProfileNetwork(name string, net *nn.Network, inDim, profileBatch, defaultGB
 	if inDim < 1 || profileBatch < 1 || defaultGBS < 1 {
 		return nil, fmt.Errorf("train: profile geometry inDim=%d batch=%d gbs=%d", inDim, profileBatch, defaultGBS)
 	}
+	ws := nn.NewWorkspace()
 	x := tensor.New(profileBatch, inDim)
 	layers := make([]model.Layer, 0, net.NumLayers())
 	for i, l := range net.Layers {
-		y, ctx := l.Forward(x)
+		y, ctx := l.ForwardWS(ws, x)
 		var params int64
 		for _, p := range l.Params() {
 			params += int64(len(p.W.Data))
@@ -155,13 +157,7 @@ func ProfileNetworkMeasuredTrace(ctx context.Context, name string, net *nn.Netwo
 		x := x0
 		for i, l := range cal.Layers {
 			t0 := rec.Now()
-			var y *tensor.Matrix
-			var c nn.Ctx
-			if wl, ok := l.(nn.WorkspaceLayer); ok {
-				y, c = wl.ForwardWS(ws, x)
-			} else {
-				y, c = l.Forward(x)
-			}
+			y, c := l.ForwardWS(ws, x)
 			if record {
 				rec.Record(layerRes[i], fwdNames[i], "fwd", t0, rec.Now())
 			}
@@ -176,14 +172,8 @@ func ProfileNetworkMeasuredTrace(ctx context.Context, name string, net *nn.Netwo
 		}
 		dy := orig
 		for i := nL - 1; i >= 0; i-- {
-			l := cal.Layers[i]
 			t0 := rec.Now()
-			var dx *tensor.Matrix
-			if wl, ok := l.(nn.WorkspaceLayer); ok {
-				dx = wl.BackwardWS(ws, ctxs[i], dy)
-			} else {
-				dx = l.Backward(ctxs[i], dy)
-			}
+			dx := cal.Layers[i].BackwardWS(ws, ctxs[i], dy)
 			if record {
 				rec.Record(layerRes[i], bwdNames[i], "bwd", t0, rec.Now())
 			}

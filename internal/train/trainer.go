@@ -21,6 +21,42 @@ func (b Batch) Validate() error {
 	return nil
 }
 
+// check is Validate plus the checks against the network the batch feeds: the
+// feature width must be the network's input width and every label a class
+// index in [0, classes). A zero in or classes skips that check. Failing here
+// turns what would be a kernel shape panic or an out-of-range label index —
+// on a device goroutine, fatal to the whole process — into an error.
+func (b Batch) check(in, classes int) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	if in > 0 && b.X.Cols != in {
+		return fmt.Errorf("train: batch has %d features, network takes %d", b.X.Cols, in)
+	}
+	if classes > 0 {
+		for i, y := range b.Y {
+			if y < 0 || y >= classes {
+				return fmt.Errorf("train: label %d of row %d outside [0, %d)", y, i, classes)
+			}
+		}
+	}
+	return nil
+}
+
+// netShape returns the input width and class count a network's Dense layers
+// fix (activations keep their input's width); 0 where no Dense constrains it.
+func netShape(net *nn.Network) (in, classes int) {
+	for _, l := range net.Layers {
+		if d, ok := l.(*nn.Dense); ok {
+			if in == 0 {
+				in = d.W.Rows
+			}
+			classes = d.W.Cols
+		}
+	}
+	return in, classes
+}
+
 func rowsOf(m *tensor.Matrix) int {
 	if m == nil {
 		return 0
@@ -33,40 +69,40 @@ func rowsOf(m *tensor.Matrix) int {
 // average by the micro-batch count, and apply — the paper's single-device
 // baseline and the ground truth all parallel schedules must match.
 func SequentialStep(net *nn.Network, micros []Batch, opt nn.Optimizer) (float64, error) {
-	if len(micros) == 0 {
-		return 0, fmt.Errorf("train: no micro-batches")
+	loss, err := AccumulateGrads(net, micros)
+	if err != nil {
+		return 0, err
 	}
-	var loss float64
-	for _, b := range micros {
-		if err := b.Validate(); err != nil {
-			return 0, err
-		}
-		out, ctxs := net.Forward(b.X)
-		l, dy := nn.SoftmaxCrossEntropy(out, b.Y)
-		loss += l
-		net.Backward(ctxs, dy)
-	}
-	scaleGrads(net.Params(), 1/float64(len(micros)))
 	opt.Step(net.Params())
-	return loss / float64(len(micros)), nil
+	return loss, nil
 }
 
 // AccumulateGrads runs forward+backward over the micro-batches without
 // applying an update, leaving the micro-batch-averaged gradients in the
-// network — the probe used by gradient-equivalence tests.
+// network. It runs the same workspace layer path and kernels as the Executor,
+// on a call-local workspace. Every batch is checked before any gradient is
+// touched.
 func AccumulateGrads(net *nn.Network, micros []Batch) (float64, error) {
 	if len(micros) == 0 {
 		return 0, fmt.Errorf("train: no micro-batches")
 	}
-	var loss float64
+	in, classes := netShape(net)
 	for _, b := range micros {
-		if err := b.Validate(); err != nil {
+		if err := b.check(in, classes); err != nil {
 			return 0, err
 		}
-		out, ctxs := net.Forward(b.X)
-		l, dy := nn.SoftmaxCrossEntropy(out, b.Y)
-		loss += l
-		net.Backward(ctxs, dy)
+	}
+	ws := nn.NewWorkspace()
+	var run nn.WSRun
+	var loss float64
+	for _, b := range micros {
+		out := net.ForwardWS(ws, b.X, &run)
+		dy := ws.Get(out.Rows, out.Cols)
+		loss += nn.SoftmaxCrossEntropyInto(dy, out, b.Y)
+		if dx := net.BackwardWS(ws, &run, dy); dx != dy {
+			ws.Put(dx)
+		}
+		ws.Put(dy)
 	}
 	scaleGrads(net.Params(), 1/float64(len(micros)))
 	return loss / float64(len(micros)), nil
@@ -76,126 +112,4 @@ func scaleGrads(params []nn.Param, s float64) {
 	for _, p := range params {
 		p.G.Scale(s)
 	}
-}
-
-// GradVector flattens the parameters' gradients into one vector.
-func GradVector(params []nn.Param) []float64 {
-	var n int
-	for _, p := range params {
-		n += len(p.G.Data)
-	}
-	out := make([]float64, 0, n)
-	for _, p := range params {
-		out = append(out, p.G.Data...)
-	}
-	return out
-}
-
-// setGradVector scatters a flat vector back into the gradient tensors.
-func setGradVector(params []nn.Param, v []float64) {
-	at := 0
-	for _, p := range params {
-		copy(p.G.Data, v[at:at+len(p.G.Data)])
-		at += len(p.G.Data)
-	}
-}
-
-// DataParallel trains replicas of one network across worker goroutines with a
-// real ring all-reduce, mirroring the paper's DP baseline.
-type DataParallel struct {
-	Replicas []*nn.Network
-	opts     []nn.Optimizer
-}
-
-// NewDataParallel clones master across n workers. optFactory builds one
-// optimizer per replica (identical hyperparameters keep replicas in
-// lockstep).
-func NewDataParallel(master *nn.Network, n int, optFactory func() nn.Optimizer) *DataParallel {
-	if n < 1 {
-		panic("train: data parallel needs at least one replica")
-	}
-	dp := &DataParallel{}
-	for i := 0; i < n; i++ {
-		dp.Replicas = append(dp.Replicas, master.Clone())
-		dp.opts = append(dp.opts, optFactory())
-	}
-	return dp
-}
-
-// Step shards the micro-batches round-robin across replicas, accumulates
-// local gradients concurrently, ring-all-reduces, averages by the global
-// micro-batch count, and applies identical updates on every replica. It
-// returns the mean loss.
-func (dp *DataParallel) Step(micros []Batch) (float64, error) {
-	n := len(dp.Replicas)
-	if len(micros) == 0 {
-		return 0, fmt.Errorf("train: no micro-batches")
-	}
-	type res struct {
-		loss float64
-		err  error
-	}
-	results := make([]res, n)
-	done := make(chan int, n)
-	for w := 0; w < n; w++ {
-		go func(w int) {
-			net := dp.Replicas[w]
-			var loss float64
-			for m := w; m < len(micros); m += n {
-				b := micros[m]
-				if err := b.Validate(); err != nil {
-					results[w] = res{err: err}
-					done <- w
-					return
-				}
-				out, ctxs := net.Forward(b.X)
-				l, dy := nn.SoftmaxCrossEntropy(out, b.Y)
-				loss += l
-				net.Backward(ctxs, dy)
-			}
-			results[w] = res{loss: loss}
-			done <- w
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	var loss float64
-	for _, r := range results {
-		if r.err != nil {
-			return 0, r.err
-		}
-		loss += r.loss
-	}
-
-	bufs := make([][]float64, n)
-	for w, net := range dp.Replicas {
-		bufs[w] = GradVector(net.Params())
-	}
-	RingAllReduce(bufs)
-	inv := 1 / float64(len(micros))
-	for w, net := range dp.Replicas {
-		for i := range bufs[w] {
-			bufs[w][i] *= inv
-		}
-		setGradVector(net.Params(), bufs[w])
-		dp.opts[w].Step(net.Params())
-	}
-	return loss / float64(len(micros)), nil
-}
-
-// MaxParamDivergence returns the largest parameter difference between any
-// replica and replica 0 — zero when replicas remain in lockstep.
-func (dp *DataParallel) MaxParamDivergence() float64 {
-	base := dp.Replicas[0].Params()
-	var worst float64
-	for _, rep := range dp.Replicas[1:] {
-		ps := rep.Params()
-		for i, p := range ps {
-			if d := tensor.MaxAbsDiff(base[i].W, p.W); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
