@@ -5,7 +5,7 @@ package dapple
 // uses (Quick mode trims the sweep sizes, not the logic), plus component
 // micro-benchmarks for the planner, the latency model, the discrete-event
 // engine and the GEMM kernel (BenchmarkExecutePlan in internal/train and
-// BenchmarkRingAllReduceChunked in internal/transport cover the runtime).
+// BenchmarkRingAllReduce in internal/transport cover the runtime).
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkTable6 -v

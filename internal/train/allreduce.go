@@ -15,7 +15,6 @@ import (
 
 	"dapple/internal/hardware"
 	"dapple/internal/nn"
-	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
 
@@ -66,14 +65,14 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 // abandon, so done always closes. The group is reset — not reallocated —
 // every step.
 //
-// The collective is chosen from the plan's topology: a flat in-process ring
-// when the replicas sit on one server (or one per server, where the
-// hierarchy degenerates); the paper §III hierarchical algorithm —
-// intra-server reduce, cross-server exchange, intra-server broadcast — when
-// the group spans servers with co-located replicas; and for stages spanning
-// worker processes, a local member-order reduction followed by a
-// cross-process exchange (transport.Group) and local broadcast, which is
-// the same hierarchy with the process boundary as the server boundary.
+// The server groups of the collective are chosen once from the plan's
+// topology: one group — a flat ring — when the replicas sit on one server
+// (or one per server, where the hierarchy degenerates); one group per server
+// — the paper §III hierarchical algorithm — when the group spans servers
+// with co-located replicas; and for stages spanning worker processes, one
+// group of the local replicas whose lead is exchanged across processes
+// (transport.Group), which is the same hierarchy with the process boundary
+// as the server boundary.
 type arGroup struct {
 	mu      sync.Mutex
 	bufs    [][]float64
@@ -82,11 +81,9 @@ type arGroup struct {
 	commit  bool
 	done    chan struct{}
 
-	ring *transport.Ring
-	hier *transport.Hier
-	dist transport.Group
-	acc  []float64 // dist: local member-order reduction scratch
-	algo string
+	groups [][]int         // local replica indices per server; nil: no collective
+	coll   *transport.Ring // monolithic collective; nil when bucketed or none
+	algo   string
 
 	// Bucketed backward-time overlap state (empty in monolithic mode or when
 	// the stage needs no collective). Buckets are layer-aligned sub-ranges of
@@ -123,38 +120,46 @@ type arBucket struct {
 	failed  bool
 	commit  bool // written by runComm before close(commDone), read after it
 
-	ring *transport.Ring
-	hier *transport.Hier
-	dist transport.Group
-	acc  []float64
+	coll *transport.Ring
 }
 
 // newARGroup returns a reusable barrier for n locally hosted replicas of
-// size-element gradient vectors. devs are the local replicas' devices (used
-// with the cluster topology to pick the collective); dist is the
-// cross-process exchange group for stages spanning workers, nil otherwise.
-func newARGroup(n, size int, c hardware.Cluster, devs []hardware.DeviceID, dist transport.Group) *arGroup {
+// size-element gradient vectors and picks its server groups: devs are the
+// local replicas' devices (placed by the cluster topology), spansProcs
+// reports that the stage's replica group spans worker processes. The
+// caller then attaches the collective with open (monolithic) or initBuckets.
+func newARGroup(n, size int, c hardware.Cluster, devs []hardware.DeviceID, spansProcs bool) *arGroup {
 	g := &arGroup{bufs: make([][]float64, n), done: make(chan struct{}), algo: "none"}
-	if size == 0 {
+	switch {
+	case size == 0:
 		// Parameter-free stage: nothing to sum, locally or remotely.
-		return g
-	}
-	if dist != nil {
-		g.dist = dist
-		g.acc = make([]float64, size)
-		g.algo = "hierarchical"
-		return g
-	}
-	if n > 1 {
-		if groups := serverGroups(c, devs); groups != nil {
-			g.hier = transport.NewHier(groups, size)
+	case spansProcs:
+		g.groups, g.algo = oneGroup(n), "hierarchical"
+	case n > 1:
+		if g.groups = serverGroups(c, devs); g.groups != nil {
 			g.algo = "hierarchical"
 		} else {
-			g.ring = transport.NewRing(n, size)
-			g.algo = "ring"
+			g.groups, g.algo = oneGroup(n), "ring"
 		}
 	}
 	return g
+}
+
+// oneGroup is the single server group of n replicas, in replica order.
+func oneGroup(n int) [][]int {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
+	}
+	return [][]int{g}
+}
+
+// open attaches the monolithic collective; dist is the stage's cross-process
+// exchange group, nil when the stage is local to this process.
+func (g *arGroup) open(dist transport.Group) {
+	if g.groups != nil {
+		g.coll = transport.NewHier(g.groups, dist)
+	}
 }
 
 // defaultBucketBytes is the target flattened size of one overlap bucket when
@@ -239,15 +244,12 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 }
 
 // initBuckets arms the group's backward-time overlap path: one barrier and
-// collective per spec, each picked from the same topology rules as the
-// monolithic path (openDist non-nil when the stage spans worker processes;
-// it opens the cross-process exchange group of one bucket). nlayers is the
-// stage's layer count. Must be called once, right after newARGroup, before
-// any step runs.
-func (g *arGroup) initBuckets(n int, c hardware.Cluster, devs []hardware.DeviceID, nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) error {
-	if len(specs) == 0 {
-		return nil
-	}
+// collective per spec over the group's server groups (openDist non-nil when
+// the stage spans worker processes; it opens the cross-process exchange
+// group of one bucket). nlayers is the stage's layer count. Must be called
+// once, right after newARGroup, before any step runs.
+func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) error {
+	n := len(g.bufs)
 	g.buckets = make([]arBucket, len(specs))
 	g.layerBucket = make([]int, nlayers)
 	for i := range g.layerBucket {
@@ -255,30 +257,23 @@ func (g *arGroup) initBuckets(n int, c hardware.Cluster, devs []hardware.DeviceI
 	}
 	g.reduceQ = make(chan int, len(specs))
 	g.commDone = make(chan struct{})
-	groups := serverGroups(c, devs)
 	for b, sp := range specs {
 		bk := &g.buckets[b]
 		bk.spec = sp
 		bk.bufs = make([][]float64, n)
 		bk.seen = make([]bool, n)
 		g.layerBucket[sp.LayerLo] = b
-		size := sp.End - sp.Off
-		if openDist != nil {
-			grp, err := openDist(b, size)
-			if err != nil {
-				return err
-			}
-			bk.dist = grp
-			bk.acc = make([]float64, size)
+		if g.groups == nil {
 			continue
 		}
-		if n > 1 {
-			if groups != nil {
-				bk.hier = transport.NewHier(groups, size)
-			} else {
-				bk.ring = transport.NewRing(n, size)
+		var dist transport.Group
+		if openDist != nil {
+			var err error
+			if dist, err = openDist(b, sp.End-sp.Off); err != nil {
+				return err
 			}
 		}
+		bk.coll = transport.NewHier(g.groups, dist)
 	}
 	return nil
 }
@@ -402,7 +397,7 @@ func (g *arGroup) runComm(abort <-chan struct{}) {
 		bk.mu.Unlock()
 		if !failed {
 			t0 := time.Now()
-			if reduceBufs(bk.bufs, bk.ring, bk.hier, bk.dist, bk.acc, abort) {
+			if reduceBufs(bk.coll, bk.bufs, abort) {
 				bk.commit = true
 			}
 			g.commNanos += time.Since(t0).Nanoseconds()
@@ -417,7 +412,7 @@ func (g *arGroup) runComm(abort <-chan struct{}) {
 // worker processes too, when the stage spans them).
 func (g *arGroup) arrive(r int, buf []float64, abort <-chan struct{}) bool {
 	n := len(g.bufs)
-	if n == 1 && g.dist == nil {
+	if n == 1 && g.coll == nil {
 		return true
 	}
 	g.mu.Lock()
@@ -430,7 +425,7 @@ func (g *arGroup) arrive(r int, buf []float64, abort <-chan struct{}) bool {
 	if last {
 		if !failed {
 			t0 := time.Now()
-			if reduceBufs(g.bufs, g.ring, g.hier, g.dist, g.acc, abort) {
+			if reduceBufs(g.coll, g.bufs, abort) {
 				g.commit = true // written before close(done), read after it
 			}
 			g.commNanos = time.Since(t0).Nanoseconds()
@@ -443,30 +438,10 @@ func (g *arGroup) arrive(r int, buf []float64, abort <-chan struct{}) bool {
 }
 
 // reduceBufs runs one collective over the arrived buffers — the shared body
-// of the monolithic and per-bucket paths — reporting whether it completed.
-// With dist, it is a local reduce in member order, cross-process exchange,
-// local broadcast: hierarchical with the process boundary as the server
-// boundary. The exchange sums worker contributions in rank order on every
-// rank, so the broadcast total is bit-identical everywhere. All local sums
-// go through tensor.VecAddInto — the same audited accumulation kernel the
-// in-process and TCP collectives use.
-func reduceBufs(bufs [][]float64, ring *transport.Ring, hier *transport.Hier, dist transport.Group, acc []float64, abort <-chan struct{}) bool {
-	switch {
-	case dist != nil:
-		copy(acc, bufs[0])
-		for _, b := range bufs[1:] {
-			tensor.VecAddInto(acc, b)
-		}
-		if err := dist.AllReduce(acc, abort); err != nil {
-			return false
-		}
-		for _, b := range bufs {
-			copy(b, acc)
-		}
-	case hier != nil:
-		hier.AllReduce(bufs)
-	case ring != nil:
-		ring.AllReduce(bufs)
-	}
-	return true
+// of the monolithic and per-bucket paths — reporting whether it completed. A
+// nil coll (nothing to sum) completes trivially. A failed cross-process
+// exchange leaves partial sums in the replicas' gradient buffers; the step
+// then aborts without applying them, and the next step overwrites them.
+func reduceBufs(coll *transport.Ring, bufs [][]float64, abort <-chan struct{}) bool {
+	return coll == nil || coll.AllReduceAbort(bufs, abort) == nil
 }

@@ -374,22 +374,13 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 			if !opts.MonolithicAllReduce && size > 0 && st.repl > 1 {
 				specs = bucketLayout(hostedNet, opts.BucketBytes)
 			}
+			st.ar = newARGroup(nlocal, size, p.Cluster, localDevs, ranks != nil)
 			if len(specs) > 0 {
 				// Bucketed backward-time overlap: one barrier and collective
 				// per bucket, no monolithic collective. Cross-process bucket
 				// groups get their own deterministic gid encoding, disjoint
 				// from the monolithic per-stage ids, so every rank hosting
 				// the stage opens the same groups.
-				st.ar = &arGroup{bufs: make([][]float64, nlocal), done: make(chan struct{}), algo: "none"}
-				if ranks != nil {
-					st.ar.algo = "hierarchical"
-				} else if nlocal > 1 {
-					if serverGroups(p.Cluster, localDevs) != nil {
-						st.ar.algo = "hierarchical"
-					} else {
-						st.ar.algo = "ring"
-					}
-				}
 				var openDist func(b, sz int) (transport.Group, error)
 				if ranks != nil {
 					si, ranks := si, ranks
@@ -397,7 +388,7 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 						return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
 					}
 				}
-				if err := st.ar.initBuckets(nlocal, p.Cluster, localDevs, len(hostedNet.Layers), specs, openDist); err != nil {
+				if err := st.ar.initBuckets(len(hostedNet.Layers), specs, openDist); err != nil {
 					return nil, err
 				}
 				for r := range st.nets {
@@ -425,7 +416,7 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 						return nil, err
 					}
 				}
-				st.ar = newARGroup(nlocal, size, p.Cluster, localDevs, grp)
+				st.ar.open(grp)
 			}
 		}
 		e.stages = append(e.stages, st)

@@ -102,7 +102,8 @@ func groupAllReduce(bufs [][]float64) string {
 	for i := range devs {
 		devs[i] = hardware.DeviceID(i)
 	}
-	g := newARGroup(n, len(bufs[0]), hardware.ConfigB(n), devs, nil)
+	g := newARGroup(n, len(bufs[0]), hardware.ConfigB(n), devs, false)
+	g.open(nil)
 	var wg sync.WaitGroup
 	for r := range bufs {
 		wg.Add(1)

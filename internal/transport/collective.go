@@ -1,278 +1,92 @@
 package transport
 
-import (
-	"sync"
+import "dapple/internal/tensor"
 
-	"dapple/internal/tensor"
-)
+// sweepSpan is the element count the all-reduce sweep folds and copies out
+// before it moves on: small enough that the span of every participant's
+// buffer stays cache-resident between the fold and the copy-out.
+const sweepSpan = 4096
 
-// This file implements the in-process collectives of the replica
-// synchronization path. Both algorithms accumulate every element in one
-// canonical participant order — rank 0, 1, ..., n-1 for Ring; member order
-// then group order for Hier — through the shared tensor.VecAddInto kernel,
-// so a sum over any sub-range of the gradient vector is bit-identical to the
-// same sub-range of a whole-vector reduction. That invariant is what lets
-// the executor bucket gradients and the collectives chunk transfers freely
-// without perturbing training results.
-
-// ringChunkTarget is the element count one pipeline chunk aims for when the
-// caller does not fix a chunk count: small enough that reduce of chunk k
-// overlaps broadcast of chunk k-1, big enough to amortize the channel hops.
-const ringChunkTarget = 4096
-
-// ringMaxChunks bounds the auto-picked pipeline depth (and the scratch a
-// Ring retains).
-const ringMaxChunks = 8
-
-// Ring is the reusable scratch of one in-process all-reduce group, organized
-// as a pipelined chain: each chunk of the vector travels rank 0 → 1 → ... →
-// n-1 accumulating every rank's contribution in rank order, then travels
-// back broadcasting the total. Chunks pipeline — while chunk k is still
-// reducing up the chain, chunk k-1 is already broadcasting down — so all
-// ranks stay busy, and per-rank traffic matches the classic rotating ring
-// (every rank sends and receives the full vector once per phase). Unlike the
-// rotating ring, whose per-chunk accumulation order depends on which rank a
-// chunk starts at, the chain order is the same for every chunk, making
-// results independent of the chunk count and bit-identical across ranks.
+// Ring is the in-process all-reduce of one replica group. Its participants
+// form server groups — one group for a flat ring (NewRing), one per server
+// for the hierarchical algorithm (NewHier). AllReduce walks the vector in
+// spans of sweepSpan elements and, per span, folds each group's members in
+// member order into the group's first buffer, folds the group leads in group
+// order into the first lead, and copies the total out to every other buffer.
+// Every add goes through tensor.VecAddInto, so each element is summed in one
+// fixed order — rank 0, 1, ..., n-1 for a flat ring; member order then group
+// order for a hierarchical one — and the sum over any sub-range of the
+// vector is bit-identical to the same sub-range of a whole-vector reduction.
+// That invariant lets the executor bucket gradients without perturbing
+// training results. The sweep runs on the calling goroutine and keeps no
+// scratch, so one Ring serves any number of consecutive calls.
 type Ring struct {
-	n, size, chunks int
-	fwd             []chan []float64 // fwd[i]: reduce traffic rank i → i+1
-	bwd             []chan []float64 // bwd[i]: broadcast traffic rank i+1 → i
-	free            chan []float64   // recycled chunk scratch, cap chunks
+	groups [][]int // participant indices per server, in member order
+	dist   Group   // nil, or the cross-process exchange of the first lead
 }
 
-// NewRing builds scratch for n participants with size-element vectors,
-// auto-picking the pipeline chunk count from the vector size.
-func NewRing(n, size int) *Ring { return NewRingChunks(n, size, 0) }
-
-// NewRingChunks is NewRing with an explicit pipeline chunk count; chunks
-// < 1 auto-picks from the vector size. The result of AllReduce is
-// bit-identical for every chunk count.
-func NewRingChunks(n, size, chunks int) *Ring {
-	if chunks < 1 {
-		chunks = size / ringChunkTarget
-		if chunks < 1 {
-			chunks = 1
-		}
-		if chunks > ringMaxChunks {
-			chunks = ringMaxChunks
-		}
+// NewRing returns the flat all-reduce of n participants, summed in rank
+// order. size, the vector length, is unused: the sweep needs no scratch.
+func NewRing(n, size int) *Ring {
+	g := make([]int, n)
+	for i := range g {
+		g[i] = i
 	}
-	if chunks > size && size > 0 {
-		chunks = size
-	}
-	r := &Ring{
-		n: n, size: size, chunks: chunks,
-		fwd:  make([]chan []float64, n-1),
-		bwd:  make([]chan []float64, n-1),
-		free: make(chan []float64, chunks),
-	}
-	for i := 0; i < n-1; i++ {
-		r.fwd[i] = make(chan []float64, 1)
-		r.bwd[i] = make(chan []float64, 1)
-	}
-	maxChunk := (size + chunks - 1) / chunks
-	for i := 0; i < chunks; i++ {
-		r.free <- make([]float64, maxChunk)
-	}
-	return r
+	return &Ring{groups: [][]int{g}}
 }
 
-// chunk returns the [lo, hi) bounds of pipeline chunk c.
-func (r *Ring) chunk(c int) (int, int) {
-	base, extra := r.size/r.chunks, r.size%r.chunks
-	lo := c*base + min(c, extra)
-	sz := base
-	if c < extra {
-		sz++
+// NewHier returns the hierarchical all-reduce of paper §III over groups, each
+// server's participant indices in member order: a server's members reduce
+// onto its first member, so the cross-server step carries one vector per
+// server instead of one per replica. A non-nil dist extends the group across
+// worker processes — the process boundary standing in for the server one:
+// after the local fold, dist sums the first lead over every process before
+// it is copied out.
+func NewHier(groups [][]int, dist Group) *Ring { return &Ring{groups: groups, dist: dist} }
+
+// AllReduce sums bufs (one equal-length vector per participant) in place;
+// every buffer ends holding the bit-identical total. It serves in-process
+// groups, which cannot fail; a group spanning processes uses AllReduceAbort.
+func (r *Ring) AllReduce(bufs [][]float64) { r.sweep(bufs, true, true) }
+
+// AllReduceAbort is AllReduce for a group that may span processes, returning
+// the cross-process exchange's error (ErrAborted once abort closes). A failed
+// exchange leaves partial sums in the local buffers.
+func (r *Ring) AllReduceAbort(bufs [][]float64, abort <-chan struct{}) error {
+	if r.dist == nil {
+		r.AllReduce(bufs)
+		return nil
 	}
-	return lo, lo + sz
+	r.sweep(bufs, true, false)
+	if err := r.dist.AllReduce(bufs[r.groups[0][0]], abort); err != nil {
+		return err
+	}
+	r.sweep(bufs, false, true)
+	return nil
 }
 
-// AllReduce sums bufs (len n, each size elements) in place. Every buffer
-// ends holding the element-wise sum accumulated in canonical rank order
-// (((buf0 + buf1) + buf2) + ...), bit-identical across ranks, chunk counts
-// and kernel worker counts. The channels and scratch drain on return, so
-// consecutive calls may share one Ring; concurrent calls may not.
-func (r *Ring) AllReduce(bufs [][]float64) {
-	n := r.n
-	if n <= 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	// Rank 0 feeder: seed each chunk with rank 0's values.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := 0; c < r.chunks; c++ {
-			lo, hi := r.chunk(c)
-			acc := (<-r.free)[:hi-lo]
-			copy(acc, bufs[0][lo:hi])
-			r.fwd[0] <- acc
-		}
-	}()
-	// Middle ranks: fold their contribution into each passing chunk.
-	for rank := 1; rank < n-1; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for c := 0; c < r.chunks; c++ {
-				lo, hi := r.chunk(c)
-				acc := <-r.fwd[rank-1]
-				tensor.VecAddInto(acc, bufs[rank][lo:hi])
-				r.fwd[rank] <- acc
-			}
-		}(rank)
-	}
-	// Turn rank n-1: final fold, keep the total, start the broadcast.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		last := n - 1
-		for c := 0; c < r.chunks; c++ {
-			lo, hi := r.chunk(c)
-			acc := <-r.fwd[last-1]
-			tensor.VecAddInto(acc, bufs[last][lo:hi])
-			copy(bufs[last][lo:hi], acc)
-			r.bwd[last-1] <- acc
-		}
-	}()
-	// Broadcast ranks n-2 .. 0: copy the total out, pass it on; rank 0
-	// recycles the scratch.
-	for rank := 0; rank < n-1; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for c := 0; c < r.chunks; c++ {
-				lo, hi := r.chunk(c)
-				acc := <-r.bwd[rank]
-				copy(bufs[rank][lo:hi], acc)
-				if rank > 0 {
-					r.bwd[rank-1] <- acc
-				} else {
-					r.free <- acc
-				}
-			}
-		}(rank)
-	}
-	wg.Wait()
-}
-
-// Hier is the in-process hierarchical all-reduce of paper §III for replica
-// groups that span servers with more than one member per server: each
-// server's members are reduced locally onto a leader, the leaders' partial
-// sums are exchanged and summed across servers, and the total is broadcast
-// back within each server — so the slow cross-server links carry one
-// vector per server instead of one per replica. Sums are taken in a fixed
-// member-then-group order, so every participant ends bit-identical; the
-// three phases pipeline per chunk, so the cross-server exchange of chunk k
-// overlaps the intra-server reduce of chunk k+1 and the broadcast of chunk
-// k-1.
-type Hier struct {
-	groups [][]int // participant indices per server, in replica order
-	size   int
-	chunks int
-	total  []float64       // cross-server accumulation scratch
-	intra  []chan struct{} // per group: intra-reduce of next chunk done
-	bcast  []chan struct{} // per group: total of next chunk ready
-}
-
-// NewHier builds a hierarchical group over size-element vectors; groups
-// lists each server's participant indices.
-func NewHier(groups [][]int, size int) *Hier {
-	chunks := size / ringChunkTarget
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > ringMaxChunks {
-		chunks = ringMaxChunks
-	}
-	if chunks > size && size > 0 {
-		chunks = size
-	}
-	h := &Hier{
-		groups: groups, size: size, chunks: chunks,
-		total: make([]float64, size),
-		intra: make([]chan struct{}, len(groups)),
-		bcast: make([]chan struct{}, len(groups)),
-	}
-	for i := range groups {
-		h.intra[i] = make(chan struct{}, chunks)
-		h.bcast[i] = make(chan struct{}, chunks)
-	}
-	return h
-}
-
-// chunk returns the [lo, hi) bounds of pipeline chunk c.
-func (h *Hier) chunk(c int) (int, int) {
-	base, extra := h.size/h.chunks, h.size%h.chunks
-	lo := c*base + min(c, extra)
-	sz := base
-	if c < extra {
-		sz++
-	}
-	return lo, lo + sz
-}
-
-// AllReduce sums bufs in place: per chunk, intra-server reduce onto each
-// group's first member, cross-server exchange into the total scratch,
-// intra-server broadcast. Every buffer ends holding the bit-identical sum;
-// the channels drain on return, so consecutive calls may share one Hier.
-func (h *Hier) AllReduce(bufs [][]float64) {
-	var wg sync.WaitGroup
-	// Intra-server reduce, one goroutine per multi-member server; singleton
-	// servers have nothing to fold, so their chunks are pre-signalled.
-	for gi, g := range h.groups {
-		if len(g) < 2 {
-			for c := 0; c < h.chunks; c++ {
-				h.intra[gi] <- struct{}{}
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(gi int, g []int) {
-			defer wg.Done()
-			lead := bufs[g[0]]
-			for c := 0; c < h.chunks; c++ {
-				lo, hi := h.chunk(c)
+// sweep runs the fold, the copy-out or both over every span of the vector.
+func (r *Ring) sweep(bufs [][]float64, fold, out bool) {
+	first := r.groups[0][0]
+	total := bufs[first]
+	for lo := 0; lo < len(total); lo += sweepSpan {
+		hi := min(lo+sweepSpan, len(total))
+		if fold {
+			for _, g := range r.groups {
 				for _, i := range g[1:] {
-					tensor.VecAddInto(lead[lo:hi], bufs[i][lo:hi])
+					tensor.VecAddInto(bufs[g[0]][lo:hi], bufs[i][lo:hi])
 				}
-				h.intra[gi] <- struct{}{}
 			}
-		}(gi, g)
-	}
-	// Cross-server exchange in group order.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for c := 0; c < h.chunks; c++ {
-			lo, hi := h.chunk(c)
-			for gi := range h.groups {
-				<-h.intra[gi]
-			}
-			copy(h.total[lo:hi], bufs[h.groups[0][0]][lo:hi])
-			for _, g := range h.groups[1:] {
-				tensor.VecAddInto(h.total[lo:hi], bufs[g[0]][lo:hi])
-			}
-			for gi := range h.groups {
-				h.bcast[gi] <- struct{}{}
+			for _, g := range r.groups[1:] {
+				tensor.VecAddInto(total[lo:hi], bufs[g[0]][lo:hi])
 			}
 		}
-	}()
-	// Intra-server broadcast, one goroutine per server.
-	for gi, g := range h.groups {
-		wg.Add(1)
-		go func(gi int, g []int) {
-			defer wg.Done()
-			for c := 0; c < h.chunks; c++ {
-				lo, hi := h.chunk(c)
-				<-h.bcast[gi]
-				for _, i := range g {
-					copy(bufs[i][lo:hi], h.total[lo:hi])
+		if out {
+			for i, b := range bufs {
+				if i != first {
+					copy(b[lo:hi], total[lo:hi])
 				}
 			}
-		}(gi, g)
+		}
 	}
-	wg.Wait()
 }

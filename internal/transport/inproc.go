@@ -12,7 +12,7 @@ import (
 // allocation at steady state. OpenEdge returns a fresh shared edge each
 // call; the caller hands the same Edge to both endpoint goroutines (peer is
 // ignored). In-process gradient collectives run directly in shared memory
-// (Ring, Hier), so OpenGroup is unsupported.
+// (Ring), so OpenGroup is unsupported.
 type Inproc struct{}
 
 // NewInproc returns the in-process transport.

@@ -344,7 +344,7 @@ func TestGroupReopen(t *testing.T) {
 		groups[r] = g
 	}
 	bufs := randBufs(2, size, 77)
-	want := naiveSum(bufs)
+	want := rankOrderSum(bufs)
 	errs := make(chan error, 2)
 	for r := 0; r < 2; r++ {
 		go func(r int) { errs <- groups[r].AllReduce(bufs[r], make(chan struct{})) }(r)

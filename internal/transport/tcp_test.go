@@ -208,7 +208,7 @@ func TestTCPGroupAllReduce(t *testing.T) {
 	abort := make(chan struct{})
 	for round := 0; round < 4; round++ {
 		bufs := randBufs(n, size, int64(round+100))
-		want := naiveSum(bufs)
+		want := rankOrderSum(bufs)
 		var wg sync.WaitGroup
 		errs := make([]error, n)
 		for r := 0; r < n; r++ {
