@@ -51,19 +51,26 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 	return groups
 }
 
-// arGroup synchronizes one stage's replica gradients at iteration end.
-// Every locally hosted replica worker reports to the group exactly once per
-// step — arrive with its flattened gradients on success, abandon on any
-// failure — and the last local report decides the stage's fate atomically:
-// if all arrived, the last one runs the collective and commits; if any
-// replica abandoned, nobody local commits. Because the decision is taken
-// once, with complete information, an aborted step can never apply a weight
-// update on some local replicas but not others. (Across worker processes
-// the commit is fail-stop instead: a step aborted mid-exchange ends the
-// session, so torn cross-process commits are never trained on.) Waiters
-// block on done alone (no abort select): every peer's error path leads to
-// abandon, so done always closes. The group is reset — not reallocated —
-// every step.
+// arGroup synchronizes one replicated stage's gradients, bucket by bucket,
+// during backward. The flattened gradient vector is cut into layer-aligned
+// buckets, each with its own barrier and collective instance. Every locally
+// hosted replica worker reports each bucket exactly once per step —
+// arriveBucket as the bucket's layers finish their final backward, abandon
+// on any failure — and the last local report of a bucket hands it to the
+// step's comm goroutine (runComm), which runs the bucket's collective in
+// arrival order while replicas keep computing. Because every collective
+// accumulates in canonical participant order per element, the concatenation
+// of per-bucket sums is bit-identical to one whole-vector reduction: the
+// one-bucket layout is the oracle every other layout is pinned against.
+//
+// Each replica withholds the head bucket (the last to complete during
+// backward) until its whole compute phase is done, so the head bucket is the
+// stage's all-or-nothing gate: waitBuckets commits only if every bucket did,
+// and every local replica observes the same answer, so an aborted step can
+// never apply a weight update on some local replicas but not others. (Across
+// worker processes the commit is fail-stop instead: a step aborted
+// mid-exchange ends the session, so torn cross-process commits are never
+// trained on.) The group is reset — not reallocated — every step.
 //
 // The server groups of the collective are chosen once from the plan's
 // topology: one group — a flat ring — when the replicas sit on one server
@@ -74,25 +81,10 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 // (transport.Group), which is the same hierarchy with the process boundary
 // as the server boundary.
 type arGroup struct {
-	mu      sync.Mutex
-	bufs    [][]float64
-	arrived int
-	failed  bool
-	commit  bool
-	done    chan struct{}
+	n      int     // locally hosted replicas
+	groups [][]int // local replica indices per server
+	algo   string  // "ring" or "hierarchical"
 
-	groups [][]int         // local replica indices per server; nil: no collective
-	coll   *transport.Ring // monolithic collective; nil when bucketed or none
-	algo   string
-
-	// Bucketed backward-time overlap state (empty in monolithic mode or when
-	// the stage needs no collective). Buckets are layer-aligned sub-ranges of
-	// the flattened gradient, each with its own collective instance; because
-	// every collective accumulates in canonical participant order per
-	// element, the concatenation of per-bucket sums is bit-identical to one
-	// whole-vector reduction. Bucket collectives run on a per-step comm
-	// goroutine (runComm) in arrival order, overlapping the replicas' still-
-	// running backward compute; workers block only at the step-end waitBuckets.
 	buckets     []arBucket
 	layerBucket []int         // stage-local layer -> bucket whose range starts there, else -1
 	reduceQ     chan int      // completed-bucket indices, cap len(buckets)
@@ -123,24 +115,17 @@ type arBucket struct {
 	coll *transport.Ring
 }
 
-// newARGroup returns a reusable barrier for n locally hosted replicas of
-// size-element gradient vectors and picks its server groups: devs are the
-// local replicas' devices (placed by the cluster topology), spansProcs
-// reports that the stage's replica group spans worker processes. The
-// caller then attaches the collective with open (monolithic) or initBuckets.
-func newARGroup(n, size int, c hardware.Cluster, devs []hardware.DeviceID, spansProcs bool) *arGroup {
-	g := &arGroup{bufs: make([][]float64, n), done: make(chan struct{}), algo: "none"}
-	switch {
-	case size == 0:
-		// Parameter-free stage: nothing to sum, locally or remotely.
-	case spansProcs:
-		g.groups, g.algo = oneGroup(n), "hierarchical"
-	case n > 1:
-		if g.groups = serverGroups(c, devs); g.groups != nil {
-			g.algo = "hierarchical"
-		} else {
-			g.groups, g.algo = oneGroup(n), "ring"
-		}
+// newARGroup returns the gradient-sync group of a replicated stage with
+// parameters, hosting n of its replicas here, and picks its server groups:
+// devs are the local replicas' devices (placed by the cluster topology),
+// spansProcs reports that the stage's replica group spans worker processes.
+// The caller then arms the buckets with initBuckets.
+func newARGroup(n int, c hardware.Cluster, devs []hardware.DeviceID, spansProcs bool) *arGroup {
+	g := &arGroup{n: n, algo: "hierarchical"}
+	if spansProcs {
+		g.groups = oneGroup(n)
+	} else if g.groups = serverGroups(c, devs); g.groups == nil {
+		g.groups, g.algo = oneGroup(n), "ring"
 	}
 	return g
 }
@@ -154,24 +139,15 @@ func oneGroup(n int) [][]int {
 	return [][]int{g}
 }
 
-// open attaches the monolithic collective; dist is the stage's cross-process
-// exchange group, nil when the stage is local to this process.
-func (g *arGroup) open(dist transport.Group) {
-	if g.groups != nil {
-		g.coll = transport.NewHier(g.groups, dist)
-	}
-}
-
-// defaultBucketBytes is the target flattened size of one overlap bucket when
-// ExecOptions.BucketBytes is zero — small enough that several buckets exist
-// even on modest stages (so tail-layer gradients start synchronizing while
-// head layers still compute), large enough to amortize per-bucket collective
-// setup.
+// defaultBucketBytes is the target flattened size of one gradient bucket —
+// small enough that several buckets exist even on modest stages (so
+// tail-layer gradients start synchronizing while head layers still
+// compute), large enough to amortize per-bucket collective setup.
 const defaultBucketBytes = 16 << 10
 
 // maxBuckets bounds the per-stage bucket count so huge stages with tiny
-// BucketBytes settings cannot explode the number of collective instances
-// (and, across worker processes, transport groups).
+// bucket sizes cannot explode the number of collective instances (and,
+// across worker processes, transport groups).
 const maxBuckets = 64
 
 // bucketLayout partitions a stage network's gradient vector into layer-
@@ -243,13 +219,12 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 	return specs
 }
 
-// initBuckets arms the group's backward-time overlap path: one barrier and
-// collective per spec over the group's server groups (openDist non-nil when
-// the stage spans worker processes; it opens the cross-process exchange
-// group of one bucket). nlayers is the stage's layer count. Must be called
-// once, right after newARGroup, before any step runs.
+// initBuckets arms the group: one barrier and collective per spec over the
+// group's server groups (openDist non-nil when the stage spans worker
+// processes; it opens the cross-process exchange group of one bucket).
+// nlayers is the stage's layer count. Must be called once, right after
+// newARGroup, before any step runs.
 func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) error {
-	n := len(g.bufs)
 	g.buckets = make([]arBucket, len(specs))
 	g.layerBucket = make([]int, nlayers)
 	for i := range g.layerBucket {
@@ -260,12 +235,9 @@ func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, 
 	for b, sp := range specs {
 		bk := &g.buckets[b]
 		bk.spec = sp
-		bk.bufs = make([][]float64, n)
-		bk.seen = make([]bool, n)
+		bk.bufs = make([][]float64, g.n)
+		bk.seen = make([]bool, g.n)
 		g.layerBucket[sp.LayerLo] = b
-		if g.groups == nil {
-			continue
-		}
 		var dist transport.Group
 		if openDist != nil {
 			var err error
@@ -278,26 +250,10 @@ func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, 
 	return nil
 }
 
-// bucketed reports whether the group synchronizes through the overlap path.
-func (g *arGroup) bucketed() bool { return len(g.buckets) > 0 }
-
-// algorithm names the collective the group selected ("none", "ring" or
-// "hierarchical").
-func (g *arGroup) algorithm() string { return g.algo }
-
-// reset re-arms the barrier for the next step.
+// reset re-arms every bucket barrier for the next step.
 func (g *arGroup) reset() {
-	g.arrived = 0
-	g.failed = false
-	g.commit = false
-	g.done = make(chan struct{})
-	for i := range g.bufs {
-		g.bufs[i] = nil
-	}
 	g.commNanos = 0
-	if g.bucketed() {
-		g.commDone = make(chan struct{})
-	}
+	g.commDone = make(chan struct{})
 	for b := range g.buckets {
 		bk := &g.buckets[b]
 		bk.arrived = 0
@@ -311,38 +267,25 @@ func (g *arGroup) reset() {
 }
 
 // abandon is failed local replica r's report: it counts as the replica's
-// arrival and vetoes the stage's commit, releasing any waiting peers. In
-// bucketed mode the veto lands on every bucket the replica has not yet
+// arrival and vetoes the commit of every bucket the replica has not yet
 // reported — including the head bucket it withholds until the sync point —
 // so peers' waitBuckets can never see a full commit once any local replica
 // failed.
 func (g *arGroup) abandon(r int) {
-	if g.bucketed() {
-		for b := range g.buckets {
-			bk := &g.buckets[b]
-			bk.mu.Lock()
-			enq := false
-			if !bk.seen[r] {
-				bk.seen[r] = true
-				bk.arrived++
-				bk.failed = true
-				enq = bk.arrived == len(bk.bufs)
-			}
-			bk.mu.Unlock()
-			if enq {
-				g.reduceQ <- b
-			}
+	for b := range g.buckets {
+		bk := &g.buckets[b]
+		bk.mu.Lock()
+		enq := false
+		if !bk.seen[r] {
+			bk.seen[r] = true
+			bk.arrived++
+			bk.failed = true
+			enq = bk.arrived == len(bk.bufs)
 		}
-		return
-	}
-	g.mu.Lock()
-	g.arrived++
-	g.failed = true
-	last := g.arrived == len(g.bufs)
-	done := g.done
-	g.mu.Unlock()
-	if last {
-		close(done)
+		bk.mu.Unlock()
+		if enq {
+			g.reduceQ <- b
+		}
 	}
 }
 
@@ -367,9 +310,10 @@ func (g *arGroup) arriveBucket(r, b int, buf []float64) {
 }
 
 // waitBuckets blocks until every bucket's collective resolved, reporting
-// whether ALL buckets committed — the bucketed form of arrive's return
-// value. All local replicas observe the same answer, so weight updates stay
-// all-or-nothing per stage.
+// whether ALL buckets committed. All local replicas observe the same
+// answer, so weight updates stay all-or-nothing per stage. On commit, every
+// replica's gradient buffer holds the bit-identical all-reduced sum (across
+// worker processes too, when the stage spans them).
 func (g *arGroup) waitBuckets() bool {
 	<-g.commDone
 	ok := true
@@ -381,13 +325,15 @@ func (g *arGroup) waitBuckets() bool {
 	return ok
 }
 
-// runComm is the per-step collective driver of a bucketed group: it runs
-// each completed bucket's collective in arrival order — concurrently with
-// the replicas' remaining backward compute — and resolves the bucket's
-// commit. It processes every bucket exactly once per step (abandon
-// completes the buckets of failed replicas), so it always terminates, the
-// step's WaitGroup can join it, and the single commDone close releases
-// every replica blocked in waitBuckets.
+// runComm is the per-step collective driver: it runs each completed
+// bucket's collective in arrival order — concurrently with the replicas'
+// remaining backward compute — and resolves the bucket's commit. It
+// processes every bucket exactly once per step (abandon completes the
+// buckets of failed replicas), so it always terminates, the step's
+// WaitGroup can join it, and the single commDone close releases every
+// replica blocked in waitBuckets. A failed cross-process exchange leaves
+// partial sums in the replicas' gradient buffers; the step then aborts
+// without applying them, and the next step overwrites them.
 func (g *arGroup) runComm(abort <-chan struct{}) {
 	for range g.buckets {
 		b := <-g.reduceQ
@@ -397,51 +343,11 @@ func (g *arGroup) runComm(abort <-chan struct{}) {
 		bk.mu.Unlock()
 		if !failed {
 			t0 := time.Now()
-			if reduceBufs(bk.coll, bk.bufs, abort) {
+			if bk.coll.AllReduceAbort(bk.bufs, abort) == nil {
 				bk.commit = true
 			}
 			g.commNanos += time.Since(t0).Nanoseconds()
 		}
 	}
 	close(g.commDone)
-}
-
-// arrive contributes local replica r's buf and blocks until every local
-// replica has reported, returning whether the stage committed. On commit,
-// every replica's buf holds the bit-identical all-reduced sum (across
-// worker processes too, when the stage spans them).
-func (g *arGroup) arrive(r int, buf []float64, abort <-chan struct{}) bool {
-	n := len(g.bufs)
-	if n == 1 && g.coll == nil {
-		return true
-	}
-	g.mu.Lock()
-	g.bufs[r] = buf
-	g.arrived++
-	last := g.arrived == n
-	failed := g.failed
-	done := g.done
-	g.mu.Unlock()
-	if last {
-		if !failed {
-			t0 := time.Now()
-			if reduceBufs(g.coll, g.bufs, abort) {
-				g.commit = true // written before close(done), read after it
-			}
-			g.commNanos = time.Since(t0).Nanoseconds()
-		}
-		close(done)
-	} else {
-		<-done
-	}
-	return g.commit
-}
-
-// reduceBufs runs one collective over the arrived buffers — the shared body
-// of the monolithic and per-bucket paths — reporting whether it completed. A
-// nil coll (nothing to sum) completes trivially. A failed cross-process
-// exchange leaves partial sums in the replicas' gradient buffers; the step
-// then aborts without applying them, and the next step overwrites them.
-func reduceBufs(coll *transport.Ring, bufs [][]float64, abort <-chan struct{}) bool {
-	return coll == nil || coll.AllReduceAbort(bufs, abort) == nil
 }

@@ -132,11 +132,6 @@ type Manifest struct {
 	// Policy and Recompute mirror ExecOptions.
 	Policy    int  `json:"policy"`
 	Recompute bool `json:"recompute"`
-	// BucketBytes and MonolithicAR mirror the gradient-sync ExecOptions so
-	// every rank derives the same bucket layout (and thus the same
-	// bucket-group ids) for the cross-process all-reduce groups.
-	BucketBytes  int  `json:"bucketBytes,omitempty"`
-	MonolithicAR bool `json:"monolithicAR,omitempty"`
 	// Net is the network skeleton; Opt the shared optimizer.
 	Net []LayerSpec `json:"net"`
 	Opt OptSpec     `json:"opt"`
@@ -189,25 +184,11 @@ type envelope struct {
 	// OptStep rides on weights-done and snap-ack: the optimizer's update
 	// counter belonging to the broadcast or gathered state.
 	OptStep int `json:"optStep,omitempty"`
-	// CommS and WaitS ride on step-done: the rank's gradient-sync seconds
-	// and the portion its compute workers spent blocked on it, feeding the
-	// coordinator's overlap-efficiency aggregate.
-	CommS float64 `json:"commS,omitempty"`
-	WaitS float64 `json:"waitS,omitempty"`
 	// CkptBytes rides on a reconfig toward a freshly joined rank: the exact
 	// byte length of the checkpoint stream (tensCkpt frames) that follows
 	// instead of the per-parameter state broadcast. Zero selects the
 	// broadcast format.
 	CkptBytes int64 `json:"ckptBytes,omitempty"`
-}
-
-// sum totals a per-stage seconds slice for a step-done report.
-func sum(xs []float64) float64 {
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }
 
 // NetSpec extracts the structural skeleton of a network for the manifest.
@@ -465,8 +446,6 @@ type Coordinator struct {
 	addrs     map[int]string // listen address per live or joining rank
 	manHash   string         // invariant-manifest hash joiners must match
 
-	commS, waitS float64 // gradient-sync seconds aggregated from step-done reports
-
 	yfree chan *tensor.Matrix // recycled per-micro label staging buffers
 }
 
@@ -568,7 +547,6 @@ func (c *Coordinator) manifest() (*Manifest, error) {
 		Model: *c.plan.Model, Cluster: c.plan.Cluster,
 		GBS: c.plan.GBS, MicroBatch: c.plan.MicroBatch,
 		Policy: int(c.eo.Policy), Recompute: c.eo.Recompute,
-		BucketBytes: c.eo.BucketBytes, MonolithicAR: c.eo.MonolithicAllReduce,
 		Net: net, Opt: c.opt, DeviceRanks: c.deviceRanks,
 		Workers:    c.coord,
 		Ranks:      append([]int(nil), c.alive...),
@@ -584,23 +562,6 @@ func (c *Coordinator) manifest() (*Manifest, error) {
 		man.Stages = append(man.Stages, ss)
 	}
 	return man, nil
-}
-
-// OverlapEfficiency reports the fraction of gradient-sync time the session
-// hid behind backward compute, aggregated over every worker's step reports:
-// 1 - wait/comm, clamped to [0, 1]. Zero until a step has communicated.
-func (c *Coordinator) OverlapEfficiency() float64 {
-	if c.commS <= 0 {
-		return 0
-	}
-	eff := 1 - c.waitS/c.commS
-	if eff < 0 {
-		return 0
-	}
-	if eff > 1 {
-		return 1
-	}
-	return eff
 }
 
 // floor is the transport epoch floor of the current session generation.
@@ -788,8 +749,6 @@ func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, err
 				if pending[cm.Peer] {
 					delete(pending, cm.Peer)
 					loss += env.Loss
-					c.commS += env.CommS
-					c.waitS += env.WaitS
 				}
 			case ctrlAbort:
 				if err := c.noteAbort(cm.Peer, env); err != nil {
@@ -1408,7 +1367,6 @@ func (w *Worker) buildExecutor(man *Manifest, net *nn.Network) (*Executor, error
 	}
 	return NewExecutor(p, net, factory, ExecOptions{
 		Policy: schedule.Policy(man.Policy), Recompute: man.Recompute, NoTrace: true,
-		BucketBytes: man.BucketBytes, MonolithicAllReduce: man.MonolithicAR,
 		Dist: &DistConfig{Transport: w.dataTransport(), Rank: w.rank, DeviceRanks: man.DeviceRanks},
 	})
 }
@@ -1614,10 +1572,7 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 		if out.err != nil {
 			return nil, w.stepFailed(env.Step, out.err)
 		}
-		return nil, sendEnvelope(w.t, coord, envelope{
-			Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss,
-			CommS: sum(out.res.CommSeconds), WaitS: sum(out.res.CommWaitSeconds),
-		})
+		return nil, sendEnvelope(w.t, coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
 	case cm := <-w.t.Ctrl():
 		// The coordinator interrupted the step: a relayed abort, a recovery
 		// reconfig, or something unexpected (equally fatal). Cancel the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,46 +59,32 @@ type ExecOptions struct {
 	// during backward (§III re-computation).
 	Recompute bool
 
-	// MemLimit bounds the per-device retained state used to derive warmup
-	// depths (0 = the plan cluster's device memory, negative = unlimited),
-	// mirroring schedule.Options.MemLimit so real warmup matches simulated.
-	MemLimit int64
-
-	// PrefetchDepth bounds how many forward inputs each worker's receive
-	// prefetcher may assemble ahead of compute (0 = default 2, classic
-	// double-buffering). Depth only changes overlap, never event order: the
-	// recorded compute spans still follow the schedule exactly. Prefetched
-	// but not-yet-consumed inputs are transfer-side state OUTSIDE the stash
-	// memory model: they are not charged to MaxStash/MaxStashBytes (which
-	// mirror the simulator's stashed-for-backward accounting) nor bounded by
-	// MemLimit, so real resident bytes can exceed MaxStashBytes by up to
-	// depth+1 in-flight micro-batch inputs per device (depth buffered ready
-	// plus one assembled in the prefetcher's hand).
-	PrefetchDepth int
-
 	// NoTrace skips span recording, for benchmarks measuring pure execution.
 	NoTrace bool
-
-	// BucketBytes caps the flattened size of one gradient bucket of the
-	// overlapped backward-time all-reduce (0 = default 16 KiB). Replicated
-	// stages partition their gradient vector into layer-aligned buckets and
-	// launch each bucket's collective as soon as its layers' backward
-	// completes on every local replica, hiding synchronization behind the
-	// remaining backward compute. Results are bit-identical to the
-	// monolithic path for every bucket size.
-	BucketBytes int
-
-	// MonolithicAllReduce disables backward-time bucketing, retaining the
-	// single post-backward collective as the oracle path the bucketed
-	// results are pinned against.
-	MonolithicAllReduce bool
 
 	// Dist, when non-nil, runs this executor as one rank of a multi-process
 	// session: only replicas placed on Dist.Rank are hosted and cross-rank
 	// traffic uses Dist.Transport. Nil (the default) hosts every replica
 	// in-process.
 	Dist *DistConfig
+
+	// bucketBytes overrides defaultBucketBytes as the flattened size of one
+	// gradient bucket (0 = default), so tests can pin every bucket layout
+	// against the one-bucket oracle.
+	bucketBytes int
 }
+
+// prefetchDepth bounds how many forward inputs each worker's receive
+// prefetcher may assemble ahead of compute — classic double-buffering. Depth
+// only changes overlap, never event order: the recorded compute spans still
+// follow the schedule exactly. Prefetched but not-yet-consumed inputs are
+// transfer-side state OUTSIDE the stash memory model: they are not charged
+// to MaxStash/MaxStashBytes (which mirror the simulator's
+// stashed-for-backward accounting), so real resident bytes can exceed
+// MaxStashBytes by up to prefetchDepth+1 in-flight micro-batch inputs per
+// device (prefetchDepth buffered ready plus one assembled in the
+// prefetcher's hand).
+const prefetchDepth = 2
 
 // ExecResult reports one really-executed training iteration of a plan.
 type ExecResult struct {
@@ -115,18 +102,18 @@ type ExecResult struct {
 	// MaxStashBytes is the peak stashed activation volume on any single
 	// device of each stage — the simulator's stashed-for-backward memory
 	// model. Transfer-side state (prefetched inputs, recycled link buffers)
-	// is excluded; see ExecOptions.PrefetchDepth.
+	// is excluded; see prefetchDepth.
 	MaxStashBytes []int64
 	// WallTime is the wall-clock duration of the step in seconds.
 	WallTime float64
 	// CommSeconds is the per-stage busy time of the gradient collectives
-	// (the time the step's comm driver, or the monolithic last arriver,
-	// spent inside reduce), in seconds of wall clock.
+	// (the time the step's comm driver spent inside bucket all-reduces), in
+	// seconds of wall clock. Zero for stages that sync nothing.
 	CommSeconds []float64
 	// CommWaitSeconds is the per-stage exposed synchronization time: the
 	// max over local replicas of wall clock spent blocked at the step-end
-	// gradient sync after compute finished. With bucketing, collectives
-	// launched during backward have already run by then, so the gap between
+	// gradient sync after compute finished. Bucket collectives launched
+	// during backward have already run by then, so the gap between
 	// CommSeconds and CommWaitSeconds is the communication hidden behind
 	// compute.
 	CommWaitSeconds []float64
@@ -167,9 +154,10 @@ func (r *ExecResult) OverlapEfficiency() float64 {
 // every stage becomes one worker goroutine executing the plan's layer range
 // on its row slice of each micro-batch, stage boundaries are channel links
 // with split/concat row redistribution (§V-B2), replicated stages synchronize
-// gradients with a real ring all-reduce, and the whole step is recorded as a
-// span trace comparable to the simulator's. It is the runtime half of the
-// paper's workflow: the planner's output is executed, not only simulated.
+// gradients with a real bucketed all-reduce that overlaps backward compute,
+// and the whole step is recorded as a span trace comparable to the
+// simulator's. It is the runtime half of the paper's workflow: the planner's
+// output is executed, not only simulated.
 //
 // The executor is allocation-free at steady state: every buffer a step
 // touches — layer activations and gradients (per-worker tensor.Pool
@@ -177,8 +165,8 @@ func (r *ExecResult) OverlapEfficiency() float64 {
 // span names, trace buffers — is owned by the Executor and reused across
 // Steps, so after one warm-up iteration with a given micro-batch geometry
 // the hot path spends its time in compute, not the allocator. Forward
-// receives are prefetched by a per-worker goroutine (double-buffered by
-// default) so cross-stage transfers overlap compute.
+// receives are prefetched by a per-worker goroutine (double-buffered) so
+// cross-stage transfers overlap compute.
 //
 // An Executor is not safe for concurrent Steps (it reuses per-step state);
 // gradients from any executed plan match SequentialStep on the unpartitioned
@@ -232,7 +220,7 @@ type estage struct {
 	nets   []*nn.Network       // indexed by replica; nil when not hosted
 	opts   []nn.Optimizer
 	work   []*workerState
-	ar     *arGroup // nil when no replica is hosted here
+	ar     *arGroup // nil unless hosted replicas have gradients to sum
 
 	// Rebuilt by ensureRuntime per (rows, m) geometry.
 	offs     []int         // replica row offsets, len(nets)+1
@@ -244,14 +232,15 @@ type estage struct {
 }
 
 // workerState is one replica worker's persistent runtime: its workspace
-// arena, cached parameter list, gradient flattening buffer, per-micro-batch
-// stash slots, and (stages > 0) its receive prefetcher.
+// arena, cached parameter list, gradient flattening buffer (stages with an
+// arGroup), per-micro-batch stash slots, and (stages > 0) its receive
+// prefetcher.
 type workerState struct {
 	ws      *nn.Workspace
 	params  []nn.Param
 	gradBuf []float64
 
-	// bwHook, set on bucketed stages, fires per layer during the final
+	// bwHook, set on stages with an arGroup, fires per layer during the final
 	// backward pass: it flattens the completed bucket's gradients into
 	// gradBuf and (except for the head bucket, withheld until the sync
 	// point as the all-or-nothing gate) reports them to the all-reduce
@@ -319,7 +308,6 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 		st.work = make([]*workerState, st.repl)
 		st.hosted = make([]bool, st.repl)
 		st.local = make([]int, st.repl)
-		nlocal := 0
 		var localDevs []hardware.DeviceID
 		for r := 0; r < st.repl; r++ {
 			st.local[r] = -1
@@ -327,96 +315,16 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 				continue
 			}
 			st.hosted[r] = true
-			st.local[r] = nlocal
-			nlocal++
+			st.local[r] = len(localDevs)
 			localDevs = append(localDevs, s.Devices[r])
 			net := master.SliceClone(s.Lo, s.Hi)
 			st.nets[r] = net
 			st.opts[r] = optFactory()
 			st.work[r] = &workerState{ws: nn.NewWorkspace(), params: net.Params()}
 		}
-		if nlocal > 0 {
-			var size int
-			for r := range st.work {
-				if st.work[r] == nil {
-					continue
-				}
-				for _, pr := range st.work[r].params {
-					size += len(pr.G.Data)
-				}
-				break
-			}
-			if st.repl > 1 {
-				for _, w := range st.work {
-					if w != nil {
-						w.gradBuf = make([]float64, size)
-					}
-				}
-			}
-			// A stage whose replica group spans worker processes exchanges
-			// gradients over the mesh; the member ranks are every rank
-			// hosting one of the stage's devices.
-			var ranks []int
-			if dist != nil && size > 0 {
-				ranks = stageRanks(dist, s.Devices)
-				if len(ranks) < 2 {
-					ranks = nil
-				}
-			}
-			var specs []bucketSpec
-			var hostedNet *nn.Network
-			for r := range st.nets {
-				if st.nets[r] != nil {
-					hostedNet = st.nets[r]
-					break
-				}
-			}
-			if !opts.MonolithicAllReduce && size > 0 && st.repl > 1 {
-				specs = bucketLayout(hostedNet, opts.BucketBytes)
-			}
-			st.ar = newARGroup(nlocal, size, p.Cluster, localDevs, ranks != nil)
-			if len(specs) > 0 {
-				// Bucketed backward-time overlap: one barrier and collective
-				// per bucket, no monolithic collective. Cross-process bucket
-				// groups get their own deterministic gid encoding, disjoint
-				// from the monolithic per-stage ids, so every rank hosting
-				// the stage opens the same groups.
-				var openDist func(b, sz int) (transport.Group, error)
-				if ranks != nil {
-					si, ranks := si, ranks
-					openDist = func(b, sz int) (transport.Group, error) {
-						return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
-					}
-				}
-				if err := st.ar.initBuckets(len(hostedNet.Layers), specs, openDist); err != nil {
-					return nil, err
-				}
-				for r := range st.nets {
-					if st.work[r] == nil {
-						continue
-					}
-					w, lr, g := st.work[r], st.local[r], st.ar
-					w.bwHook = func(li int) {
-						b := g.layerBucket[li]
-						if b < 0 {
-							return
-						}
-						sp := &g.buckets[b].spec
-						flattenParamGrads(w.gradBuf[sp.Off:sp.End], w.params, sp.PLo, sp.PHi)
-						if b > 0 {
-							g.arriveBucket(lr, b, w.gradBuf[sp.Off:sp.End])
-						}
-					}
-				}
-			} else {
-				var grp transport.Group
-				if ranks != nil {
-					var err error
-					if grp, err = dist.Transport.OpenGroup(si, ranks, size); err != nil {
-						return nil, err
-					}
-				}
-				st.ar.open(grp)
+		if len(localDevs) > 0 && st.repl > 1 {
+			if err := st.initSync(si, p.Cluster, localDevs, dist, opts.bucketBytes); err != nil {
+				return nil, err
 			}
 		}
 		e.stages = append(e.stages, st)
@@ -463,6 +371,61 @@ func stageRanks(dist *DistConfig, devs []hardware.DeviceID) []int {
 	return ranks
 }
 
+// initSync gives replicated stage si its gradient-sync group when the stage
+// has gradients to sum: a bucketed arGroup over the hosted network's bucket
+// layout, and per hosted worker the gradient buffer plus the backward hook
+// that reports each completed bucket. A parameter-free stage keeps st.ar nil
+// and syncs nothing.
+func (st *estage) initSync(si int, c hardware.Cluster, localDevs []hardware.DeviceID, dist *DistConfig, bucketBytes int) error {
+	var net *nn.Network
+	for _, n := range st.nets {
+		if n != nil {
+			net = n
+			break
+		}
+	}
+	specs := bucketLayout(net, bucketBytes)
+	if specs == nil {
+		return nil
+	}
+	// A stage whose replica group spans worker processes exchanges
+	// gradients over the mesh; the member ranks are every rank hosting one
+	// of the stage's devices, and each opens the same groups by bucketGID.
+	var openDist func(b, sz int) (transport.Group, error)
+	if dist != nil {
+		if ranks := stageRanks(dist, st.devs); len(ranks) > 1 {
+			openDist = func(b, sz int) (transport.Group, error) {
+				return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
+			}
+		}
+	}
+	g := newARGroup(len(localDevs), c, localDevs, openDist != nil)
+	if err := g.initBuckets(len(net.Layers), specs, openDist); err != nil {
+		return err
+	}
+	st.ar = g
+	size := specs[len(specs)-1].End
+	for r, w := range st.work {
+		if w == nil {
+			continue
+		}
+		w.gradBuf = make([]float64, size)
+		lr := st.local[r]
+		w.bwHook = func(li int) {
+			b := g.layerBucket[li]
+			if b < 0 {
+				return
+			}
+			sp := &g.buckets[b].spec
+			flattenParamGrads(w.gradBuf[sp.Off:sp.End], w.params, sp.PLo, sp.PHi)
+			if b > 0 {
+				g.arriveBucket(lr, b, w.gradBuf[sp.Off:sp.End])
+			}
+		}
+	}
+	return nil
+}
+
 // ExecutePlan carves master by p, executes one training iteration over the
 // micro-batches under ctx, and applies synchronized updates — the one-shot
 // form of NewExecutor followed by StepContext.
@@ -503,10 +466,14 @@ func (e *Executor) HostsReplica(i, r int) bool { return e.stages[i].hosted[r] }
 // server-spanning groups with co-located replicas and for groups spanning
 // worker processes. Stages with no locally hosted replica return "".
 func (e *Executor) AllReduceAlgo(i int) string {
-	if e.stages[i].ar == nil {
-		return ""
+	st := e.stages[i]
+	switch {
+	case st.ar != nil:
+		return st.ar.algo
+	case slices.Contains(st.hosted, true):
+		return "none"
 	}
-	return e.stages[i].ar.algorithm()
+	return ""
 }
 
 // stepAbort is one step's abort latch. It is allocated per step (not reused)
@@ -560,7 +527,7 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 		return nil
 	}
 	warmup, err := schedule.WarmupDepths(e.plan, schedule.Options{
-		Policy: e.opts.Policy, Recompute: e.opts.Recompute, M: m, MemLimit: e.opts.MemLimit,
+		Policy: e.opts.Policy, Recompute: e.opts.Recompute, M: m,
 	})
 	if err != nil {
 		return err
@@ -573,10 +540,6 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 		if e.bounds[i], err = e.buildBoundary(i, rows, m); err != nil {
 			return err
 		}
-	}
-	depth := e.opts.PrefetchDepth
-	if depth <= 0 {
-		depth = 2
 	}
 	for i, st := range e.stages {
 		st.offs = partition(rows, st.repl)
@@ -611,7 +574,7 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 					bound: e.bounds[i-1],
 					q:     r,
 					rows:  st.offs[r+1] - st.offs[r],
-					ready: make(chan prefetched, depth),
+					ready: make(chan prefetched, prefetchDepth),
 					free:  make(chan *tensor.Matrix, m),
 					parts: make([]transport.Msg, 0, e.stages[i-1].repl),
 				}
@@ -662,7 +625,7 @@ func (e *Executor) Step(micros []Batch) (*ExecResult, error) {
 // StepContext is Step under a context: all worker goroutines unblock and the
 // step returns ctx.Err() once ctx is cancelled or past its deadline. An
 // aborted step applies each stage's weight update all-or-nothing (see
-// arGroup.arrive/abandon), so replicas within a stage stay identical and the
+// arGroup.waitBuckets/abandon), so replicas within a stage stay identical and the
 // executor remains usable; different stages may however land on different
 // iterations (some updated, some not), like any training step torn by
 // cancellation.
@@ -732,7 +695,7 @@ func (e *Executor) StepContext(ctx context.Context, micros []Batch) (*ExecResult
 	wallStart := time.Now()
 	var wg sync.WaitGroup
 	for _, st := range e.stages {
-		if st.ar != nil && st.ar.bucketed() {
+		if st.ar != nil {
 			// The stage's per-step comm driver: runs bucket collectives in
 			// arrival order while replicas keep computing. It always drains
 			// exactly len(buckets) buckets (abandon resolves the buckets of
@@ -891,9 +854,12 @@ func (pf *prefetcher) run(fwdOrder []int, abort <-chan struct{}) {
 func (e *Executor) runWorker(ss *stepState, i, r int) error {
 	st := e.stages[i]
 	w := st.work[r]
+	g := st.ar
 	loss, err := e.workerCompute(ss, i, r)
 	if err != nil {
-		st.ar.abandon(st.local[r])
+		if g != nil {
+			g.abandon(st.local[r])
+		}
 		return err
 	}
 
@@ -903,14 +869,13 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 	// replica. The sync decides commit-or-abort atomically for the whole
 	// stage, so an aborted step can never leave local replicas divergent.
 	start := e.now()
-	t0 := time.Now()
-	if st.ar.bucketed() {
+	if g != nil {
 		// Buckets 1.. were reported layer by layer during the final backward
 		// and their collectives have been overlapping compute; contribute the
 		// withheld head bucket — the all-clear that this replica finished the
 		// whole compute phase — and wait out whatever communication is still
 		// exposed.
-		g := st.ar
+		t0 := time.Now()
 		hb := &g.buckets[0]
 		g.arriveBucket(st.local[r], 0, w.gradBuf[hb.spec.Off:hb.spec.End])
 		commit := g.waitBuckets()
@@ -919,18 +884,6 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 			return errAborted
 		}
 		setGradVector(w.params, w.gradBuf)
-	} else {
-		if st.repl > 1 {
-			gradVectorInto(w.gradBuf, w.params)
-		}
-		ok := st.ar.arrive(st.local[r], w.gradBuf, ss.abort)
-		w.commWait = time.Since(t0).Nanoseconds()
-		if !ok {
-			return errAborted
-		}
-		if st.repl > 1 {
-			setGradVector(w.params, w.gradBuf)
-		}
 	}
 	scaleGrads(w.params, 1/float64(ss.m))
 	st.opts[r].Step(w.params)
@@ -1139,19 +1092,6 @@ func spanSequence(r *sim.Result, res int) []string {
 	return out
 }
 
-// gradVectorInto flattens the parameters' gradients into buf, which must
-// have exactly the total gradient length.
-func gradVectorInto(buf []float64, params []nn.Param) {
-	at := 0
-	for _, p := range params {
-		copy(buf[at:], p.G.Data)
-		at += len(p.G.Data)
-	}
-	if at != len(buf) {
-		panic("train: gradient buffer length mismatch")
-	}
-}
-
 // setGradVector scatters a flat vector back into the gradient tensors.
 func setGradVector(params []nn.Param, v []float64) {
 	at := 0
@@ -1161,9 +1101,9 @@ func setGradVector(params []nn.Param, v []float64) {
 	}
 }
 
-// flattenParamGrads flattens the gradients of params[pLo:pHi] into dst,
-// which must have exactly their total length — the per-bucket slice of
-// gradVectorInto.
+// flattenParamGrads flattens the gradients of params[pLo:pHi] — one
+// bucket's parameters — into dst, which must have exactly their total
+// length.
 func flattenParamGrads(dst []float64, params []nn.Param, pLo, pHi int) {
 	at := 0
 	for _, p := range params[pLo:pHi] {
@@ -1176,7 +1116,6 @@ func flattenParamGrads(dst []float64, params []nn.Param, pLo, pHi int) {
 }
 
 // bucketGID deterministically encodes the transport group id of stage si's
-// bucket b, disjoint from the monolithic per-stage ids (gid = si) so every
-// rank hosting the stage opens the same groups. Stage counts are far below
-// 1024 and bucket counts are capped at maxBuckets.
+// bucket b, so every rank hosting the stage opens the same groups. Stage
+// counts are far below 1024 and bucket counts are capped at maxBuckets.
 func bucketGID(si, b int) int { return (si+1)*1024 + b }

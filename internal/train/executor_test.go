@@ -115,6 +115,9 @@ func TestExecutorMatchesSequential(t *testing.T) {
 		{"unequal-boundary", []int{3, 5}, []int{3, 2}, ExecOptions{Policy: schedule.DapplePA}},
 		{"hybrid-recompute", []int{2, 4, 5}, []int{2, 3, 2}, ExecOptions{Policy: schedule.DapplePB, Recompute: true}},
 		{"dp-single-stage", []int{5}, []int{4}, ExecOptions{Policy: schedule.DapplePA}},
+		// Stage 1 is a lone ReLU on 2 replicas: replicated but with no
+		// gradients to sum, so it runs no collective.
+		{"replicated-param-free", []int{1, 2, 5}, []int{1, 2, 1}, ExecOptions{Policy: schedule.DapplePA}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +129,15 @@ func TestExecutorMatchesSequential(t *testing.T) {
 				t.Fatal("expected a real-execution trace")
 			}
 		})
+	}
+	master := nn.MLP([]int{6, 12, 10, 3}, 2024)
+	p := mkPlan(t, master, 6, 6, 6, []int{1, 2, 5}, []int{1, 2, 1})
+	ex, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.05} }, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if algo := ex.AllReduceAlgo(1); algo != "none" {
+		t.Fatalf("parameter-free replicated stage synchronized by %q, want none", algo)
 	}
 }
 

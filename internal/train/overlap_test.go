@@ -17,8 +17,8 @@ import (
 
 // TestBucketChunkWorkerMatrixMatchesOracle pins the determinism foundation
 // of communication overlap: reducing a gradient vector bucket by bucket, at
-// any kernel worker count, produces a result bit-identical to the
-// monolithic ring all-reduce oracle on the whole vector. The canonical
+// any kernel worker count, produces a result bit-identical to one ring
+// all-reduce of the whole vector, the oracle. The canonical
 // rank-order accumulation makes every sub-range sum a pure function of the
 // inputs, so bucket boundaries cannot perturb training results.
 func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
@@ -38,7 +38,7 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 				return bufs
 			}
 			oracle := mk()
-			transport.NewRing(n, size).AllReduce(oracle) // the monolithic whole-vector oracle
+			transport.NewRing(n, size).AllReduce(oracle) // the whole-vector oracle
 			for _, bucketElems := range []int{7, 64, 1024, size} {
 				bufs := mk()
 				for lo := 0; lo < size; lo += bucketElems {
@@ -65,28 +65,33 @@ func TestBucketChunkWorkerMatrixMatchesOracle(t *testing.T) {
 
 // TestBucketedExecutorMatchesMonolithic is the executor-level property test:
 // a step with backward-time bucketed gradient sync (any bucket size) leaves
-// every stage replica's parameters bit-identical to the same step under the
-// retained monolithic all-reduce, across kernel worker counts.
+// every stage replica's parameters bit-identical to the same step synced as
+// one whole-stage bucket — a single post-backward collective, the oracle —
+// across kernel worker counts.
 func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
+	const oneBucket = 1 << 30
 	for _, workers := range []int{1, 2, 8} {
 		prev := tensor.SetWorkers(workers)
-		// BucketBytes 1 forces the max bucket count; 1<<30 forces a single
-		// bucket; the middle values cut mid-network.
-		for _, bb := range []int{1, 2 << 10, 16 << 10, 1 << 30} {
+		// bucketBytes 1 forces the max bucket count; the middle values cut
+		// mid-network; oneBucket checks that the oracle repeats itself.
+		for _, bb := range []int{1, 2 << 10, 16 << 10, oneBucket} {
 			t.Run(fmt.Sprintf("workers=%d/bucketBytes=%d", workers, bb), func(t *testing.T) {
 				master := nn.MLP([]int{6, 12, 10, 3}, 2024)
 				p := mkPlan(t, master, 6, 6, 6, []int{3, 5}, []int{2, 2})
 				micros := makeMicros(6, 6, 6, 3, 11)
 				mono := master.Clone()
 				exB, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.05} },
-					ExecOptions{Policy: schedule.DapplePA, BucketBytes: bb})
+					ExecOptions{Policy: schedule.DapplePA, bucketBytes: bb})
 				if err != nil {
 					t.Fatal(err)
 				}
 				exM, err := NewExecutor(p, mono, func() nn.Optimizer { return nn.SGD{LR: 0.05} },
-					ExecOptions{Policy: schedule.DapplePA, MonolithicAllReduce: true})
+					ExecOptions{Policy: schedule.DapplePA, bucketBytes: oneBucket})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n := len(exM.stages[0].ar.buckets); n != 1 {
+					t.Fatalf("oracle executor cut stage 0 into %d buckets, want 1", n)
 				}
 				for step := 0; step < 3; step++ {
 					rb, err := exB.Step(micros)
@@ -98,14 +103,14 @@ func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
 						t.Fatal(err)
 					}
 					if rb.Loss != rm.Loss {
-						t.Fatalf("step %d: bucketed loss %g != monolithic %g", step, rb.Loss, rm.Loss)
+						t.Fatalf("step %d: bucketed loss %g != one-bucket %g", step, rb.Loss, rm.Loss)
 					}
 					for si, s := range p.Stages {
 						for r := 0; r < s.Replicas(); r++ {
 							got, want := exB.StageParams(si, r), exM.StageParams(si, r)
 							for i := range got {
 								if d := tensor.MaxAbsDiff(got[i].W, want[i].W); d != 0 {
-									t.Fatalf("step %d stage %d replica %d param %d: bucketed differs from monolithic by %g",
+									t.Fatalf("step %d stage %d replica %d param %d: bucketed differs from one-bucket by %g",
 										step, si, r, i, d)
 								}
 							}

@@ -93,27 +93,36 @@ func TestRingAllReduceProperty(t *testing.T) {
 	}
 }
 
-// groupAllReduce sums bufs in place through one step of an arGroup whose
-// replicas sit one per ConfigB server, one goroutine per replica, and
-// returns the collective the group chose.
+// groupAllReduce sums bufs in place through one step of a one-bucket
+// arGroup whose replicas sit one per ConfigB server, one goroutine per
+// replica, and returns the collective the group chose.
 func groupAllReduce(bufs [][]float64) string {
 	n := len(bufs)
 	devs := make([]hardware.DeviceID, n)
 	for i := range devs {
 		devs[i] = hardware.DeviceID(i)
 	}
-	g := newARGroup(n, len(bufs[0]), hardware.ConfigB(n), devs, false)
-	g.open(nil)
+	g := newARGroup(n, hardware.ConfigB(n), devs, false)
+	spec := bucketSpec{LayerLo: 0, LayerHi: 1, Off: 0, End: len(bufs[0])}
+	if err := g.initBuckets(1, []bucketSpec{spec}, nil); err != nil {
+		panic(err)
+	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		g.runComm(nil)
+	}()
 	for r := range bufs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.arrive(r, bufs[r], nil)
+			g.arriveBucket(r, 0, bufs[r])
+			g.waitBuckets()
 		}()
 	}
 	wg.Wait()
-	return g.algorithm()
+	return g.algo
 }
 
 // TestDataParallelMatchesSequential is the DP half of the paper's convergence
