@@ -43,53 +43,75 @@ const splitConcatOverhead = 20e-6 // seconds
 // analysis is about — so the exchange is bounded by the busiest NIC
 // direction; intra-server slices ride NVLink. Split/concat node overhead
 // applies when replication degrees differ (§V-B2).
+//
+// Every per-server sum runs in ascending server order, so the result is a
+// pure function of its arguments, and the call does not allocate on clusters
+// of up to maxStackServers servers.
 func CrossStageTime(c hardware.Cluster, src, dst []hardware.DeviceID, bytes int64) float64 {
 	if bytes <= 0 || len(src) == 0 || len(dst) == 0 {
 		return 0
 	}
-	srcCnt := map[int]int{}
-	dstCnt := map[int]int{}
-	for _, d := range src {
-		srcCnt[c.Server(d)]++
-	}
-	for _, d := range dst {
-		dstCnt[c.Server(d)]++
-	}
-	out := map[int]float64{}
-	in := map[int]float64{}
-	intra := map[int]float64{}
-	for x, sx := range srcCnt {
-		fx := float64(sx) / float64(len(src))
-		for y, dy := range dstCnt {
-			v := float64(bytes) * fx * float64(dy) / float64(len(dst))
-			if x == y {
-				intra[x] += v
+	var buf [2 * maxStackServers]load
+	xs := loads(c, src, buf[:0:maxStackServers])
+	ys := loads(c, dst, buf[maxStackServers:maxStackServers])
+	// One pass over the server pairs: a server's outgoing traffic sums over
+	// destinations in ascending order, and in[k] sums what ys[k] receives
+	// over sources in ascending order. A server uses its NIC when it
+	// exchanges with any server but itself.
+	var inBuf [maxStackServers]float64
+	in := append(inBuf[:0], make([]float64, len(ys))...)
+	var t float64
+	for _, x := range xs {
+		fx := float64(x.n) / float64(len(src))
+		var out float64
+		for k, y := range ys {
+			v := float64(bytes) * fx * float64(y.n) / float64(len(dst))
+			if x.srv == y.srv {
+				t = max(t, v/c.IntraBW+c.IntraLatency)
 			} else {
-				out[x] += v
-				in[y] += v
+				out += v
+				in[k] += v
 			}
 		}
-	}
-	var t float64
-	for _, v := range out {
-		if tt := v/c.InterBW + c.InterLatency; tt > t {
-			t = tt
+		if len(ys) > 1 || ys[0].srv != x.srv {
+			t = max(t, out/c.InterBW+c.InterLatency)
 		}
 	}
-	for _, v := range in {
-		if tt := v/c.InterBW + c.InterLatency; tt > t {
-			t = tt
-		}
-	}
-	for _, v := range intra {
-		if tt := v/c.IntraBW + c.IntraLatency; tt > t {
-			t = tt
+	for k, y := range ys {
+		if len(xs) > 1 || xs[0].srv != y.srv {
+			t = max(t, in[k]/c.InterBW+c.InterLatency)
 		}
 	}
 	if len(src) != len(dst) {
 		t += splitConcatOverhead
 	}
 	return t
+}
+
+// maxStackServers is the largest cluster whose per-server device tallies
+// live on the stack; larger clusters tally on the heap.
+const maxStackServers = 64
+
+// load is the number of a device group's devices on one server.
+type load struct{ srv, n int }
+
+// loads appends the servers hosting devs to out in ascending order, each
+// with its device count.
+func loads(c hardware.Cluster, devs []hardware.DeviceID, out []load) []load {
+	var buf [maxStackServers]int
+	cnt := buf[:min(c.Servers, len(buf))]
+	if c.Servers > len(buf) {
+		cnt = make([]int, c.Servers)
+	}
+	for _, d := range devs {
+		cnt[c.Server(d)]++
+	}
+	for srv, n := range cnt {
+		if n > 0 {
+			out = append(out, load{srv, n})
+		}
+	}
+	return out
 }
 
 // AllReduceTime returns the time for a synchronous ring all-reduce of bytes
@@ -105,16 +127,11 @@ func AllReduceTime(c hardware.Cluster, devs []hardware.DeviceID, bytes int64) fl
 	if !c.SpansServers(devs) {
 		return ringTime(n, bytes, c.IntraBW, c.IntraLatency)
 	}
-	servers := c.ServersUsed(devs)
-	perServer := map[int]int{}
-	for _, d := range devs {
-		perServer[c.Server(d)]++
-	}
+	var buf [maxStackServers]load
+	servers := loads(c, devs, buf[:0])
 	maxLocal := 0
-	for _, k := range perServer {
-		if k > maxLocal {
-			maxLocal = k
-		}
+	for _, l := range servers {
+		maxLocal = max(maxLocal, l.n)
 	}
 	var t float64
 	if maxLocal > 1 {

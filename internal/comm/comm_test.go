@@ -156,3 +156,61 @@ func TestARSecPerByte(t *testing.T) {
 		t.Fatalf("per-byte rate drifts: direct %g vs approx %g", direct, approx)
 	}
 }
+
+// CrossStageTime once summed per-server traffic in map order, so one
+// boundary could come back one ULP apart between calls. Every sum now runs
+// in ascending server order: repeated calls agree bit for bit with a
+// hand-written ascending sum.
+func TestCrossStageTimeDeterministic(t *testing.T) {
+	c := hardware.ConfigA(4)
+	// 11 devices spread 3/2/1/5 over the four servers, sending to 11 devices
+	// spread 2/3/5/1.
+	src := []hardware.DeviceID{0, 1, 2, 8, 9, 16, 24, 25, 26, 27, 28}
+	dst := []hardware.DeviceID{3, 4, 10, 11, 12, 17, 18, 19, 20, 21, 29}
+	srcCnt, dstCnt := []int{3, 2, 1, 5}, []int{2, 3, 5, 1}
+	const bytes = int64(123456789)
+
+	share := func(x, y int) float64 {
+		fx := float64(srcCnt[x]) / float64(len(src))
+		return float64(bytes) * fx * float64(dstCnt[y]) / float64(len(dst))
+	}
+	var want float64
+	for x := range srcCnt {
+		var out, in float64
+		for y := range dstCnt {
+			if y != x {
+				out += share(x, y)
+				in += share(y, x)
+			}
+		}
+		want = max(want, out/c.InterBW+c.InterLatency, in/c.InterBW+c.InterLatency,
+			share(x, x)/c.IntraBW+c.IntraLatency)
+	}
+
+	for i := 0; i < 10000; i++ {
+		if got := CrossStageTime(c, src, dst, bytes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: CrossStageTime = %x, want %x (ascending-server sum)",
+				i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// The planner calls CrossStageTime and AllReduceTime for every candidate it
+// scores, so neither may allocate on the paper's clusters.
+func TestCommAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by the race detector")
+	}
+	for _, c := range []hardware.Cluster{hardware.ConfigA(2), hardware.ConfigB(16)} {
+		devs := c.Devices()
+		src, dst := devs[:5], devs[5:]
+		for name, f := range map[string]func(){
+			"CrossStageTime": func() { CrossStageTime(c, src, dst, 1<<20) },
+			"AllReduceTime":  func() { AllReduceTime(c, dst, 1<<20) },
+		} {
+			if n := testing.AllocsPerRun(100, f); n != 0 {
+				t.Errorf("%s on %s(%d): %v allocations per call, want 0", name, c.Name, c.Servers, n)
+			}
+		}
+	}
+}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package comm
+
+// raceEnabled reports whether the race detector instruments this build; the
+// allocation gates skip under it (instrumentation skews counts).
+const raceEnabled = false

@@ -132,7 +132,11 @@ func (p *Plan) Validate() error {
 		return fmt.Errorf("core: plan has no stages")
 	}
 	want := 0
-	used := map[hardware.DeviceID]bool{}
+	var buf [256]bool // clusters of up to 256 devices validate without allocating
+	used := buf[:]
+	if n := p.Cluster.NumDevices(); n > len(buf) {
+		used = make([]bool, n)
+	}
 	for i, s := range p.Stages {
 		if s.Lo != want {
 			return fmt.Errorf("core: stage %d starts at layer %d, want %d", i, s.Lo, want)
@@ -144,11 +148,11 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("core: stage %d has no devices", i)
 		}
 		for _, d := range s.Devices {
-			if used[d] {
-				return fmt.Errorf("core: device %d assigned twice", d)
-			}
 			if int(d) >= p.Cluster.NumDevices() || d < 0 {
 				return fmt.Errorf("core: device %d out of range", d)
+			}
+			if used[d] {
+				return fmt.Errorf("core: device %d assigned twice", d)
 			}
 			used[d] = true
 		}

@@ -118,9 +118,9 @@ func TestSampleConservation(t *testing.T) {
 func TestPivotSelection(t *testing.T) {
 	// The unit with the largest F+B dominates the steady phase.
 	units := []Unit{
-		{Name: "s0", F: 1, B: 2},
-		{Name: "comm", F: 0.1, B: 0.1, Comm: true},
-		{Name: "s1", F: 3, B: 6},
+		{F: 1, B: 2},
+		{F: 0.1, B: 0.1, Comm: true},
+		{F: 3, B: 6},
 	}
 	if q := PivotStage(units, 8); q != 2 {
 		t.Fatalf("pivot %d, want 2", q)
@@ -244,5 +244,30 @@ func TestUnitsStructure(t *testing.T) {
 	}
 	if units[1].AR != 0 {
 		t.Fatal("comm units have no all-reduce")
+	}
+}
+
+// The planner scores every candidate with Latency after Validate, so
+// neither may allocate.
+func TestPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by the race detector")
+	}
+	c := hardware.ConfigA(2)
+	p := &Plan{Model: model.Synthetic(16, 10e-3, 1<<20, 4<<20, 8<<20), Cluster: c, GBS: 64, MicroBatch: 4,
+		Stages: []Stage{
+			{Lo: 0, Hi: 4, Devices: devs(0, 1, 2)},
+			{Lo: 4, Hi: 8, Devices: devs(3, 4, 5, 6, 7, 8)},
+			{Lo: 8, Hi: 12, Devices: devs(9, 10)},
+			{Lo: 12, Hi: 16, Devices: devs(11, 12, 13, 14, 15)},
+		}}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Latency() }); n != 0 {
+		t.Errorf("Latency: %v allocations per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.Validate() }); n != 0 {
+		t.Errorf("Validate: %v allocations per call, want 0", n)
 	}
 }

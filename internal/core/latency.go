@@ -1,12 +1,10 @@
 package core
 
-import "fmt"
-
 // Unit is one pipeline unit of the analytic latency model. The paper models
 // cross-stage communication as first-class pipeline stages interleaved with
-// computation stages (§IV-A), so S in the formulas counts both kinds.
+// computation stages (§IV-A), so S in the formulas counts both kinds. Unit
+// 2i is stage i and unit 2i+1 the boundary after it.
 type Unit struct {
-	Name string
 	F    float64 // forward time of one micro-batch through this unit
 	B    float64 // backward time of one micro-batch through this unit
 	AR   float64 // gradient all-reduce time at iteration end (0 for comm units)
@@ -27,18 +25,20 @@ func (p Phases) Latency() float64 { return p.Warmup + p.Steady + p.Ending }
 // Units expands a plan into its interleaved computation and communication
 // units, the input of the latency model.
 func (p *Plan) Units() []Unit {
-	units := make([]Unit, 0, 2*len(p.Stages)-1)
+	return p.appendUnits(make([]Unit, 0, 2*len(p.Stages)-1))
+}
+
+// appendUnits appends the plan's units to units.
+func (p *Plan) appendUnits(units []Unit) []Unit {
 	for i := range p.Stages {
 		units = append(units, Unit{
-			Name: fmt.Sprintf("stage%d", i),
-			F:    p.StageFwdTime(i),
-			B:    p.StageBwdTime(i),
-			AR:   p.StageAllReduceTime(i),
+			F:  p.StageFwdTime(i),
+			B:  p.StageBwdTime(i),
+			AR: p.StageAllReduceTime(i),
 		})
 		if i < len(p.Stages)-1 {
 			t := p.CrossStageTime(i)
 			units = append(units, Unit{
-				Name: fmt.Sprintf("comm%d-%d", i, i+1),
 				F:    t,
 				B:    t, // boundary gradient volume equals activation volume
 				Comm: true,
@@ -110,9 +110,11 @@ func PipelineLatency(units []Unit, m int) Phases {
 }
 
 // Latency returns the analytic pipeline latency of the plan: Eq. (2) over
-// the plan's units with its micro-batch count.
+// the plan's units with its micro-batch count. Plans of up to 16 stages are
+// scored without allocating.
 func (p *Plan) Latency() float64 {
-	return PipelineLatency(p.Units(), p.M()).Latency()
+	var buf [31]Unit
+	return PipelineLatency(p.appendUnits(buf[:0]), p.M()).Latency()
 }
 
 // Speedup returns the paper's training speedup metric for this plan: the

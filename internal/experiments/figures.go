@@ -65,8 +65,12 @@ func Fig4(ctx context.Context, opts Options) *Report {
 	units := pr.Plan.Units()
 	ph := core.PipelineLatency(units, pr.Plan.M())
 	r.Header = []string{"Unit", "F(ms)", "B(ms)", "AR(ms)", "steady(ms)"}
-	for _, u := range units {
-		r.Add(u.Name,
+	for k, u := range units {
+		name := fmt.Sprintf("stage%d", k/2)
+		if u.Comm {
+			name = fmt.Sprintf("comm%d-%d", k/2, k/2+1)
+		}
+		r.Add(name,
 			fmt.Sprintf("%.2f", u.F*1e3),
 			fmt.Sprintf("%.2f", u.B*1e3),
 			fmt.Sprintf("%.2f", u.AR*1e3),

@@ -7,10 +7,7 @@
 // they compose directly with task durations in the simulator.
 package hardware
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DeviceID identifies a single accelerator in a cluster. Devices are numbered
 // row-major: device d lives on server d/GPUsPerServer.
@@ -87,30 +84,6 @@ func (c Cluster) Latency(a, b DeviceID) float64 {
 	return c.InterLatency
 }
 
-// GroupBandwidth returns the narrowest point-to-point bandwidth inside a
-// device group, i.e. the bandwidth a ring collective over the group is
-// limited by.
-func (c Cluster) GroupBandwidth(devs []DeviceID) float64 {
-	if len(devs) <= 1 {
-		return c.IntraBW
-	}
-	if c.SpansServers(devs) {
-		return c.InterBW
-	}
-	return c.IntraBW
-}
-
-// GroupLatency returns the per-hop latency for a collective over devs.
-func (c Cluster) GroupLatency(devs []DeviceID) float64 {
-	if len(devs) <= 1 {
-		return 0
-	}
-	if c.SpansServers(devs) {
-		return c.InterLatency
-	}
-	return c.IntraLatency
-}
-
 // SpansServers reports whether the group uses more than one server.
 func (c Cluster) SpansServers(devs []DeviceID) bool {
 	if len(devs) == 0 {
@@ -123,20 +96,6 @@ func (c Cluster) SpansServers(devs []DeviceID) bool {
 		}
 	}
 	return false
-}
-
-// ServersUsed returns the sorted list of distinct servers hosting devs.
-func (c Cluster) ServersUsed(devs []DeviceID) []int {
-	seen := map[int]bool{}
-	for _, d := range devs {
-		seen[c.Server(d)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Validate checks internal consistency, returning a descriptive error for

@@ -43,10 +43,11 @@ func (s *search) rootTasks(used alloc) []rootTask {
 	n := s.m.NumLayers()
 	free := s.freeTotal(used)
 	var tasks []rootTask
+	var buf [3]alloc
 	for j2 := 1; j2 < n; j2++ {
 		for r := 1; r < free; r++ {
-			for _, take := range s.placements(used, r) {
-				tasks = append(tasks, rootTask{j2: j2, take: take})
+			for _, take := range s.placements(used, r, &buf) {
+				tasks = append(tasks, rootTask{j2: j2, take: take.clone()})
 			}
 		}
 	}

@@ -1,58 +1,45 @@
 package planner
 
-import "sort"
+import "slices"
 
 // placements enumerates per-server take vectors for a stage of r devices
-// using the three policies of §IV-B, deduplicated. On flat clusters (one GPU
-// per server) all policies coincide, collapsing the placement space.
-func (s *search) placements(used alloc, r int) []alloc {
+// using the three policies of §IV-B, deduplicated, into buf. On flat
+// clusters (one GPU per server) all policies coincide, collapsing the
+// placement space. The vectors live on the search's scratch stack.
+func (s *search) placements(used alloc, r int, buf *[3]alloc) []alloc {
 	if r <= 0 || r > s.freeTotal(used) {
 		return nil
 	}
-	cands := []alloc{
+	out := buf[:0]
+	for _, t := range [...]alloc{
 		s.freshFirst(used, r),
 		s.appendFirst(used, r),
 		s.scatterFirst(used, r),
-	}
-	var out []alloc
-	seen := map[string]bool{}
-	for _, t := range cands {
-		if t == nil {
-			continue
+	} {
+		if t != nil && !slices.ContainsFunc(out, func(o alloc) bool { return slices.Equal(o, t) }) {
+			out = append(out, t)
 		}
-		k := t.key(0)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, t)
 	}
 	return out
 }
 
-// serverOrder returns server indices sorted by the policy's preference.
+// serverOrder returns server indices in the policy's preference: fresh
+// (unused) servers first or last, ascending index within each group.
 func (s *search) serverOrder(used alloc, preferFresh bool) []int {
-	order := make([]int, s.c.Servers)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ua, ub := used[order[a]], used[order[b]]
-		fa, fb := ua == 0, ub == 0
-		if fa != fb {
-			if preferFresh {
-				return fa
+	order := s.push(len(used))[:0]
+	for _, fresh := range [...]bool{preferFresh, !preferFresh} {
+		for srv, u := range used {
+			if (u == 0) == fresh {
+				order = append(order, srv)
 			}
-			return fb
 		}
-		return order[a] < order[b]
-	})
+	}
 	return order
 }
 
 // greedyTake fills servers in the given order.
 func (s *search) greedyTake(used alloc, r int, order []int) alloc {
-	take := make(alloc, s.c.Servers)
+	take := s.push(s.c.Servers)
 	for _, srv := range order {
 		if r == 0 {
 			break
@@ -87,7 +74,7 @@ func (s *search) appendFirst(used alloc, r int) alloc {
 // scatterFirst spreads the stage evenly across machines with free devices:
 // one device per machine round-robin.
 func (s *search) scatterFirst(used alloc, r int) alloc {
-	take := make(alloc, s.c.Servers)
+	take := s.push(s.c.Servers)
 	remaining := r
 	for remaining > 0 {
 		progress := false

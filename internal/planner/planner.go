@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -154,6 +155,17 @@ type search struct {
 	seq      uint64 // next candidate sequence number
 	memo     map[string]float64
 	cands    map[string]candidate
+
+	// Scratch of the depth-first walk, reused for every candidate so that
+	// scoring one allocates nothing: path holds the stages of the plan being
+	// scored; devs and ints are stacks of stage devices and per-server
+	// vectors that extend pops after every transition; key is the memo key
+	// or candidate signature being looked up. A candidate entering cands is
+	// cloned off the scratch.
+	path []core.Stage
+	devs []hardware.DeviceID
+	ints []int
+	key  []byte
 }
 
 // precompute derives the per-search constants of the lower bound: the
@@ -188,17 +200,23 @@ func (s *search) cancelled() bool {
 // alloc tracks GPUs already claimed per server.
 type alloc []int
 
-func (a alloc) key(j int) string {
-	b := make([]byte, 0, 3*len(a)+8)
+// appendKey appends the memo key of state (j, a) to b.
+func (a alloc) appendKey(b []byte, j int) []byte {
 	b = strconv.AppendInt(b, int64(j), 10)
 	for _, v := range a {
 		b = append(b, ';')
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return string(b)
+	return b
 }
 
 func (a alloc) clone() alloc { return append(alloc(nil), a...) }
+
+// push reserves a zeroed n-vector on the scratch stack.
+func (s *search) push(n int) alloc {
+	s.ints = append(s.ints, make([]int, n)...)
+	return s.ints[len(s.ints)-n : len(s.ints) : len(s.ints)]
+}
 
 func (s *search) freeTotal(a alloc) int {
 	free := 0
@@ -297,9 +315,15 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 					continue
 				}
 			}
-			for _, take := range s.placements(used, r) {
+			var buf [3]alloc
+			mark := len(s.ints)
+			takes := s.placements(used, r, &buf)
+			devs, ints := len(s.devs), len(s.ints)
+			for _, take := range takes {
 				s.step(j, j2, used, prefix, take, maxUnit)
+				s.devs, s.ints = s.devs[:devs], s.ints[:ints]
 			}
+			s.ints = s.ints[:mark]
 		}
 	}
 }
@@ -310,11 +334,12 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 // the subtree.
 func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, maxUnit float64) {
 	stage := s.materialize(j, j2, used, take)
-	newUsed := used.clone()
+	newUsed := s.push(len(used))
 	for i := range take {
-		newUsed[i] += take[i]
+		newUsed[i] = used[i] + take[i]
 	}
-	stages := append(append([]core.Stage(nil), prefix...), stage)
+	s.path = append(append(s.path[:0], prefix...), stage)
+	stages := s.path
 	l := s.candidate(stages, j2, newUsed)
 	if math.IsInf(l, 1) {
 		return
@@ -331,11 +356,11 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 		}
 	}
 	if s.prune {
-		key := newUsed.key(j2)
-		if old, ok := s.memo[key]; ok && l >= old {
+		s.key = newUsed.appendKey(s.key[:0], j2)
+		if old, ok := s.memo[string(s.key)]; ok && l >= old {
 			return
 		}
-		s.memo[key] = l
+		s.memo[string(s.key)] = l
 		if l > s.best*s.slack {
 			return
 		}
@@ -364,20 +389,20 @@ func (s *search) lowerBound(j int, used alloc, maxUnit float64) float64 {
 // stage holding layers [j, N) on every unused device, records it, and returns
 // its analytic latency (Inf when invalid).
 func (s *search) candidate(prefix []core.Stage, j int, used alloc) float64 {
-	take := make(alloc, len(used))
+	take := s.push(len(used))
 	for i, u := range used {
 		take[i] = s.c.GPUsPerServer - u
 	}
 	suffix := s.materialize(j, s.m.NumLayers(), used, take)
-	stages := append(append([]core.Stage(nil), prefix...), suffix)
-	return s.evaluate(stages)
+	s.path = append(append(s.path[:0], prefix...), suffix)
+	return s.evaluate(s.path)
 }
 
 // evaluate scores a complete stage list, recording it as a finalist when it
-// fits memory (directly or with re-computation).
+// fits memory (directly or with re-computation). The stages may be scratch:
+// a recorded finalist gets its own copy.
 func (s *search) evaluate(stages []core.Stage) float64 {
-	p := &core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs}
-	p.MicroBatch = s.mb
+	p := core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs, MicroBatch: s.mb}
 	if p.Validate() != nil {
 		return math.Inf(1)
 	}
@@ -390,23 +415,61 @@ func (s *search) evaluate(stages []core.Stage) float64 {
 	recompute := false
 	if s.memCheck {
 		switch {
-		case FitsMemory(p, false):
-		case FitsMemory(p, true):
+		case FitsMemory(&p, false):
+		case FitsMemory(&p, true):
 			recompute = true
 		default:
 			return l // prunable but not a feasible finalist
 		}
 	}
-	c := candidate{plan: p, analytic: l, recompute: recompute, seq: s.seq}
+	c := candidate{analytic: l, recompute: recompute, seq: s.seq}
 	s.seq++
-	sig := p.SplitString() + "|" + p.ReplicaString() + "|" + placementSig(p)
-	if old, ok := s.cands[sig]; !ok || betterCand(c, old) {
-		s.cands[sig] = c
+	s.key = s.signature(s.key[:0], stages)
+	if old, ok := s.cands[string(s.key)]; !ok || betterCand(c, old) {
+		q := p
+		q.Stages = slices.Clone(stages)
+		devs := make([]hardware.DeviceID, 0, s.c.NumDevices())
+		for i, st := range stages {
+			devs = append(devs, st.Devices...)
+			q.Stages[i].Devices = devs[len(devs)-len(st.Devices) : len(devs) : len(devs)]
+		}
+		c.plan = &q
+		s.cands[string(s.key)] = c
 		if len(s.cands) > maxCands {
 			s.compactCands()
 		}
 	}
 	return l
+}
+
+// signature appends the candidate-table key of a stage list to b: the layers
+// of each stage, then which servers each stage occupies with how many
+// devices, e.g. "9:7|0x8/1x8/". The device counts imply the replication
+// degrees, so equal signatures mean equal split, replication and placement.
+func (s *search) signature(b []byte, stages []core.Stage) []byte {
+	for i, st := range stages {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = strconv.AppendInt(b, int64(st.Layers()), 10)
+	}
+	b = append(b, '|')
+	cnt := s.push(s.c.Servers)
+	for _, st := range stages {
+		for _, d := range st.Devices {
+			cnt[s.c.Server(d)]++
+		}
+		for srv, k := range cnt {
+			if k > 0 {
+				b = strconv.AppendInt(b, int64(srv), 10)
+				b = append(b, 'x')
+				b = strconv.AppendInt(b, int64(k), 10)
+				cnt[srv] = 0
+			}
+		}
+		b = append(b, '/')
+	}
+	return b
 }
 
 // compactCands drops the worst half of recorded candidates to bound memory.
@@ -423,29 +486,6 @@ func (s *search) compactCands() {
 	for _, e := range all[len(all)/2:] {
 		delete(s.cands, e.k)
 	}
-}
-
-// placementSig fingerprints which servers each stage occupies.
-func placementSig(p *core.Plan) string {
-	b := make([]byte, 0, 16)
-	for _, st := range p.Stages {
-		seen := map[int]int{}
-		for _, d := range st.Devices {
-			seen[p.Cluster.Server(d)]++
-		}
-		srvs := make([]int, 0, len(seen))
-		for s := range seen {
-			srvs = append(srvs, s)
-		}
-		sort.Ints(srvs)
-		for _, s := range srvs {
-			b = strconv.AppendInt(b, int64(s), 10)
-			b = append(b, 'x')
-			b = strconv.AppendInt(b, int64(seen[s]), 10)
-		}
-		b = append(b, '/')
-	}
-	return string(b)
 }
 
 // finalize re-ranks the analytic finalists on the discrete-event scheduler.
@@ -647,14 +687,15 @@ func balancedPartition(m *model.Model, n, g int) []int {
 }
 
 // materialize turns a per-server take vector into a Stage, assigning the
-// lowest free device IDs within each server.
+// lowest free device IDs within each server. The devices live on the
+// scratch stack.
 func (s *search) materialize(lo, hi int, used, take alloc) core.Stage {
-	var devs []hardware.DeviceID
+	mark := len(s.devs)
 	for srv, k := range take {
 		base := srv * s.c.GPUsPerServer
 		for i := 0; i < k; i++ {
-			devs = append(devs, hardware.DeviceID(base+used[srv]+i))
+			s.devs = append(s.devs, hardware.DeviceID(base+used[srv]+i))
 		}
 	}
-	return core.Stage{Lo: lo, Hi: hi, Devices: devs}
+	return core.Stage{Lo: lo, Hi: hi, Devices: s.devs[mark:len(s.devs):len(s.devs)]}
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -133,7 +134,8 @@ func TestPlacementProperty(t *testing.T) {
 			return true
 		}
 		r := int(r8)%free + 1
-		for _, take := range s.placements(used, r) {
+		var buf [3]alloc
+		for _, take := range s.placements(used, r, &buf) {
 			sum := 0
 			for srv, k := range take {
 				if k < 0 || used[srv]+k > 8 {
@@ -268,5 +270,36 @@ func TestPlannerInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Scoring a candidate allocates only when it enters the candidate table:
+// re-scoring a recorded plan (same signature, later discovery, so not
+// better) must not allocate at all.
+func TestEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by the race detector")
+	}
+	for _, c := range []hardware.Cluster{hardware.ConfigA(2), hardware.ConfigB(16)} {
+		m := model.GNMT16()
+		s := &search{ctx: context.Background(), m: m, c: c, gbs: m.DefaultGBS, maxStages: 4,
+			memCheck: true, slack: 1.25, prune: true, best: math.Inf(1),
+			memo: map[string]float64{}, cands: map[string]candidate{}}
+		s.precompute()
+		used := make(alloc, c.Servers)
+		take := s.freshFirst(used, 5)
+		devs, ints := len(s.devs), len(s.ints)
+		score := func() {
+			s.step(0, 6, used, nil, take, 0)
+			s.devs, s.ints = s.devs[:devs], s.ints[:ints]
+		}
+		score()
+		if len(s.cands) == 0 {
+			t.Fatalf("%s: the warm-up recorded no candidate", c.Name)
+		}
+		s.maxStages = 2 // score the transition's completion without extending it
+		if n := testing.AllocsPerRun(100, score); n != 0 {
+			t.Errorf("%s(%d): %v allocations per re-scored candidate, want 0", c.Name, c.Servers, n)
+		}
 	}
 }
