@@ -1,7 +1,7 @@
 // Command dapple-trace renders schedule timelines for a planned model: an
 // ASCII Gantt chart per scheduling policy, the per-stage memory curves of
 // Fig. 3(c), and optional Chrome trace JSON. Planning runs through the
-// engine API, so -strategy selects any registered planner.
+// engine API, so -strategy selects any planning strategy.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Command dapple plans and simulates hybrid data/pipeline-parallel training
 // for the benchmark models on the paper's cluster configurations, and can
 // really execute the chosen plan on the concurrent mini-runtime. Planning
-// goes through the engine API, so any registered strategy — the DAPPLE
-// planner or one of the paper's baselines — runs through the same path.
+// goes through the engine API, so every strategy — the DAPPLE planner or one
+// of the paper's baselines — runs through the same path.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	dapple -model VGG-19 -config A -gantt -trace out.json
 //	dapple -execute -config B -servers 4 -gbs 128 -seed 7
 //	dapple -models              # list zoo models
-//	dapple -strategies          # list registered strategies
+//	dapple -strategies          # list planning strategies
 //
 // With -execute the command profiles a real synthetic MLP instead of a zoo
 // model (-model is ignored), plans it, simulates the plan, then really runs
@@ -65,7 +65,7 @@ func main() {
 		planOut    = flag.String("plan-out", "", "write the chosen plan as JSON to this file")
 		planIn     = flag.String("plan-in", "", "skip planning: load a plan JSON written by -plan-out")
 		listAll    = flag.Bool("models", false, "list zoo models and exit")
-		listStrats = flag.Bool("strategies", false, "list registered strategies and exit")
+		listStrats = flag.Bool("strategies", false, "list planning strategies and exit")
 		execute    = flag.Bool("execute", false, "really execute the plan on a synthetic MLP with the concurrent runtime (-model is ignored)")
 		execHidden = flag.Int("exec-hidden", 3, "hidden layers of the -execute MLP")
 		execWidth  = flag.Int("exec-width", 64, "hidden width of the -execute MLP")
@@ -100,7 +100,7 @@ func main() {
 	}
 	if *listStrats {
 		for _, s := range dapple.Strategies() {
-			fmt.Printf("%-10s %s\n", s.Name(), s.Describe())
+			fmt.Printf("%-10s %s\n", s.Name, s.Describe)
 		}
 		return
 	}
@@ -109,14 +109,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	engOpts := []dapple.EngineOption{
-		dapple.WithCluster(c),
-		dapple.WithStrategy(*strategy),
-	}
-	if *measured {
-		engOpts = append(engOpts, dapple.WithMeasuredProfile(dapple.MeasureOptions{Iters: *measIters}))
-	}
-	eng, err := dapple.NewEngine(engOpts...)
+	eng, err := dapple.NewEngine(dapple.WithCluster(c), dapple.WithStrategy(*strategy))
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -128,18 +121,23 @@ func main() {
 	var master *dapple.Network
 	if *execute {
 		// Plan-then-execute mode: the model is a real network, profiled
-		// through the engine's configured mode — analytic by default,
-		// measured (calibrated by warm real execution) with
-		// -measured-profile. The measured loop is the paper's profiler:
-		// calibrate, re-plan on measured costs, then really execute.
+		// analytically by default, or measured (calibrated by warm real
+		// execution) with -measured-profile. The measured loop is the
+		// paper's profiler: calibrate, re-plan on measured costs, then
+		// really execute.
 		dims := []int{execInDim}
 		for i := 0; i < *execHidden; i++ {
 			dims = append(dims, *execWidth)
 		}
 		dims = append(dims, execClasses)
 		master = dapple.NewMLP(dims, *seed)
-		m, err = eng.ProfileNetwork(ctx,
-			fmt.Sprintf("mlp-h%d-w%d", *execHidden, *execWidth), master, execInDim, 16, 128)
+		name := fmt.Sprintf("mlp-h%d-w%d", *execHidden, *execWidth)
+		if *measured {
+			m, err = dapple.ProfileNetworkMeasured(ctx, name, master, execInDim, 16, 128,
+				dapple.MeasureOptions{Iters: *measIters})
+		} else {
+			m, err = dapple.ProfileNetwork(name, master, execInDim, 16, 128)
+		}
 		if err != nil {
 			fatalf("profile network: %v", err)
 		}
@@ -338,7 +336,7 @@ type faultTolerance struct {
 	ckptDir     string
 	ckptEvery   int
 	ckptKeep    int
-	replan      dapple.ReplanFunc
+	replan      train.ReplanFunc
 	elastic     bool
 	coordListen string
 	minRanks    int

@@ -7,11 +7,10 @@
 // # Engine and strategies
 //
 // The Engine is the context-aware front door. It binds a cluster to one
-// planning Strategy — the DAPPLE planner or any of the paper's baselines
+// planning Strategy — the DAPPLE planner or one of the paper's baselines
 // (pure data parallelism, GPipe, PipeDream, the straight pipeline), all
-// implementing the same interface and returning the same PlanResult shape —
-// and caches plans by (model, cluster, batch geometry, strategy) so repeated
-// planning traffic runs each search once:
+// returning the same PlanResult shape — and caches plans by model and
+// search options so a repeated request runs its search once:
 //
 //	eng, err := dapple.NewEngine(
 //		dapple.WithCluster(dapple.ConfigA(2)),
@@ -22,9 +21,8 @@
 //
 // Plan and Simulate thread their context through the planner's
 // dynamic-program search and the discrete-event scheduler, so long searches
-// are cancellable and deadline-bounded. Strategies register by name
-// (Strategies lists them, RegisterStrategy adds custom ones); every
-// strategy's result carries the plan, its simulated latency and speedup, a
+// are cancellable and deadline-bounded. Strategies lists the strategies by
+// name; every result carries the plan, its simulated latency and speedup, a
 // recommended runtime policy, and whether activation re-computation is
 // needed, so alternatives compare apples-to-apples.
 //
@@ -32,11 +30,11 @@
 //
 // The DAPPLE planner fans its search out across first-stage split points on
 // a worker pool and prunes with an admissible branch-and-bound lower bound.
-// PlanOptions.Workers bounds the fan-out (0 = GOMAXPROCS, 1 = sequential;
-// WithPlannerWorkers sets it on an engine) and PlanOptions.NoPrune disables
-// pruning for soundness testing. The chosen plan is byte-identical for
-// every worker count: branches search isolated state and merge in
-// deterministic order. See ARCHITECTURE.md for the full walk-through.
+// PlanOptions.Workers bounds the fan-out (0 = GOMAXPROCS, 1 = sequential)
+// and PlanOptions.NoPrune disables pruning for soundness testing. The chosen
+// plan is byte-identical for every worker count: branches search isolated
+// state and merge in deterministic order. See ARCHITECTURE.md for the full
+// walk-through.
 //
 // The components mirror the paper's Fig. 1 workflow: the Profiler
 // (ProfileArch) turns an architecture into per-layer statistics; a Strategy
@@ -49,18 +47,16 @@
 //
 // Plans are executable, not only simulable. ProfileNetwork bridges a real
 // Network into a planner Model (one profiled layer per network layer), and
-// Engine.NewExecutor / Engine.Execute carve the planned stages into one
-// worker goroutine per device, move activations and gradients over channel
-// links with split/concat row redistribution at replication boundaries, and
-// synchronize replicated stages with a real ring all-reduce. Gradients of
+// NewExecutor carves the planned stages into one worker goroutine per
+// device, moves activations and gradients over channel links with
+// split/concat row redistribution at replication boundaries, and
+// synchronizes replicated stages with a real ring all-reduce. Gradients of
 // any executed plan match sequential training to float tolerance, and
 // VerifyExecution asserts the real per-device event order equals the
 // simulated schedule of the same plan; see examples/training.
 package dapple
 
 import (
-	"context"
-
 	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
@@ -137,27 +133,6 @@ func ModelByName(name string) *Model { return model.ByName(name) }
 // micro-batch size, producing a planner-ready Model (the DAPPLE Profiler).
 func ProfileArch(a Arch, batch int) (*Model, error) {
 	return profile.New(profile.V100()).Profile(a, batch)
-}
-
-// PlanModel searches for the latency-optimal hybrid plan of m on c (the
-// DAPPLE Planner). A zero Options value uses the model's default global
-// batch size.
-//
-// Deprecated: construct an Engine and call [Engine.Plan]; it accepts a
-// context, supports every registered strategy, and caches results. PlanModel
-// remains as a thin uncached wrapper over the "dapple" strategy.
-func PlanModel(m *Model, c Cluster, opts PlanOptions) (*PlanResult, error) {
-	return planner.PlanContext(context.Background(), m, c, opts)
-}
-
-// Simulate executes one training iteration of the plan on the discrete-event
-// runtime and reports iteration time, throughput, per-device peak memory and
-// OOM conditions.
-//
-// Deprecated: use [Engine.Simulate] (or [Engine.SimulatePlan]), which
-// accepts a context so long simulations are cancellable.
-func Simulate(p *Plan, opts ScheduleOptions) (*ScheduleResult, error) {
-	return schedule.Run(p, opts)
 }
 
 // Gantt renders a simulated iteration as an ASCII timeline, one row per

@@ -1,9 +1,11 @@
 package dapple
 
 import (
+	"context"
 	"testing"
 
 	"dapple/internal/core"
+	"dapple/internal/planner"
 	"dapple/internal/profile"
 )
 
@@ -14,15 +16,19 @@ func TestQuickstartFlow(t *testing.T) {
 	if m == nil {
 		t.Fatal("zoo missing BERT-48")
 	}
-	c := ConfigA(2)
-	pr, err := PlanModel(m, c, PlanOptions{PruneSlack: 1.2, Finalists: 6})
+	ctx := context.Background()
+	eng, err := NewEngine(WithCluster(ConfigA(2)), WithPlanOptions(PlanOptions{PruneSlack: 1.2, Finalists: 6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := eng.Plan(ctx, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.Plan.Kind() == core.KindDP {
 		t.Fatalf("BERT-48 on config A should pipeline, got %v", pr.Plan)
 	}
-	res, err := Simulate(pr.Plan, ScheduleOptions{Policy: DapplePA, Recompute: pr.NeedsRecompute})
+	res, err := eng.Simulate(ctx, pr.Plan, ScheduleOptions{Policy: DapplePA, Recompute: pr.NeedsRecompute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestProfileToPlan(t *testing.T) {
 	if m.NumLayers() != 13 {
 		t.Fatalf("profiled %d layers", m.NumLayers())
 	}
-	pr, err := PlanModel(m, ConfigB(4), PlanOptions{})
+	pr, err := planner.PlanContext(context.Background(), m, ConfigB(4), PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,16 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dapple/internal/schedule"
+	"dapple/internal/strategy"
 )
 
 // Engine is the context-aware front door to planning and simulation: one
-// cluster, one strategy, and a concurrency-safe plan cache keyed by
-// (model, cluster, batch geometry, strategy). It is safe for concurrent use;
-// identical in-flight Plan calls are coalesced so repeated planning traffic
-// runs each search once.
+// cluster, one strategy, and a concurrency-safe plan cache keyed by model
+// and normalized search options. It is safe for concurrent use.
 //
 // Construct it with functional options:
 //
@@ -25,40 +23,17 @@ import (
 //	pr, err := eng.Plan(ctx, dapple.ModelByName("BERT-48"))
 //	res, err := eng.SimulatePlan(ctx, pr)
 type Engine struct {
-	cluster    Cluster
-	hasCluster bool
-	strat      Strategy
-	policy     SchedulePolicy
-	hasPolicy  bool
-	progress   func(Progress)
-	planOpts   PlanOptions
-	cacheCap   int
-	measure    *MeasureOptions // non-nil: ProfileNetwork measures, not estimates
+	cluster  Cluster
+	strat    Strategy
+	planOpts PlanOptions
 
-	mu        sync.Mutex
-	cache     map[planKey]*PlanResult
-	order     []planKey // least-recently-used first
-	inflight  map[planKey]*planCall
-	hits      uint64
-	misses    uint64
-	coalesced uint64
+	mu    sync.Mutex
+	cache map[planKey]*PlanResult
 }
 
-// Progress is one engine lifecycle event, delivered to the WithProgress
-// callback: planning started/finished/failed, a cache hit, or a simulation
-// boundary. Callbacks run synchronously on the calling goroutine.
-type Progress struct {
-	// Phase is one of "plan.start", "plan.cache", "plan.coalesced",
-	// "plan.done", "plan.error", "sim.start", "sim.done", "sim.error",
-	// "exec.start", "exec.done", "exec.error".
-	Phase    string
-	Strategy string
-	Model    string
-	Cluster  string
-	GBS      int
-	Elapsed  time.Duration
-	Err      error
-}
+// cacheEntries bounds the plan cache; a full cache is cleared before the
+// next store.
+const cacheEntries = 128
 
 // EngineOption configures an Engine under construction.
 type EngineOption func(*Engine) error
@@ -70,49 +45,20 @@ func WithCluster(c Cluster) EngineOption {
 		if err := c.Validate(); err != nil {
 			return err
 		}
-		e.cluster, e.hasCluster = c, true
+		e.cluster = c
 		return nil
 	}
 }
 
-// WithStrategy selects the planning strategy by registry name (see
-// Strategies). The default is "dapple".
+// WithStrategy selects the planning strategy by name (see Strategies). The
+// default is "dapple".
 func WithStrategy(name string) EngineOption {
 	return func(e *Engine) error {
-		s, ok := StrategyByName(name)
+		s, ok := strategy.Lookup(name)
 		if !ok {
-			return fmt.Errorf("dapple: unknown strategy %q (have %v)", name, StrategyNames())
+			return fmt.Errorf("dapple: unknown strategy %q (have %v)", name, strategy.Names())
 		}
 		e.strat = s
-		return nil
-	}
-}
-
-// WithStrategyImpl plugs in a Strategy value directly, registered or not.
-func WithStrategyImpl(s Strategy) EngineOption {
-	return func(e *Engine) error {
-		if s == nil {
-			return errors.New("dapple: nil strategy")
-		}
-		e.strat = s
-		return nil
-	}
-}
-
-// WithPolicy overrides the strategy's recommended schedule policy in
-// SimulatePlan (e.g. force DapplePB everywhere).
-func WithPolicy(p SchedulePolicy) EngineOption {
-	return func(e *Engine) error {
-		e.policy, e.hasPolicy = p, true
-		return nil
-	}
-}
-
-// WithProgress installs a callback for engine lifecycle events. The callback
-// must be safe for concurrent use when the engine is shared.
-func WithProgress(fn func(Progress)) EngineOption {
-	return func(e *Engine) error {
-		e.progress = fn
 		return nil
 	}
 }
@@ -127,112 +73,32 @@ func WithPlanOptions(opts PlanOptions) EngineOption {
 	}
 }
 
-// WithPlannerWorkers bounds the goroutines the planner search fans out over
-// first-stage split points (0 = GOMAXPROCS, 1 = sequential). The chosen plan
-// is identical for every value; only wall-clock time changes. It edits the
-// engine's default plan options, so combine it with WithPlanOptions by
-// passing it afterwards.
-func WithPlannerWorkers(n int) EngineOption {
-	return func(e *Engine) error {
-		e.planOpts.Workers = n
-		return nil
-	}
-}
-
-// WithCacheSize bounds the plan cache to n entries (default 128); n <= 0
-// disables caching entirely.
-func WithCacheSize(n int) EngineOption {
-	return func(e *Engine) error {
-		e.cacheCap = n
-		return nil
-	}
-}
-
 // NewEngine builds an Engine. WithCluster is mandatory; the strategy
 // defaults to the DAPPLE planner.
 func NewEngine(opts ...EngineOption) (*Engine, error) {
-	e := &Engine{
-		cacheCap: 128,
-		cache:    map[planKey]*PlanResult{},
-		inflight: map[planKey]*planCall{},
-	}
+	e := &Engine{cache: map[planKey]*PlanResult{}}
+	e.strat, _ = strategy.Lookup("dapple")
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
 	}
-	if !e.hasCluster {
+	if e.cluster == (Cluster{}) {
 		return nil, errors.New("dapple: NewEngine requires WithCluster")
-	}
-	if e.strat == nil {
-		s, ok := StrategyByName("dapple")
-		if !ok {
-			return nil, errors.New("dapple: default strategy not registered")
-		}
-		e.strat = s
 	}
 	return e, nil
 }
 
-// Strategy returns the engine's planning strategy.
-func (e *Engine) Strategy() Strategy { return e.strat }
-
 // Cluster returns the engine's target cluster.
 func (e *Engine) Cluster() Cluster { return e.cluster }
 
-// planKey identifies one cacheable planning request. Cluster and PlanOptions
-// are flat comparable structs; the model contributes its profile fingerprint
-// so a re-profiled architecture with a reused name does not alias.
+// planKey identifies one cacheable planning request on an engine, whose
+// cluster and strategy are fixed. The model contributes its profile
+// fingerprint so a re-profiled architecture with a reused name does not
+// alias.
 type planKey struct {
-	strategy string
-	model    uint64
-	cluster  Cluster
-	opts     PlanOptions
-}
-
-// planCall coalesces concurrent identical Plan calls (singleflight).
-type planCall struct {
-	done chan struct{} // closed when res/err are set
-	res  *PlanResult
-	err  error
-}
-
-// CacheStats reports plan-cache effectiveness. Every Plan call that reaches
-// the cache and completes lands in exactly one counter: Hits (served from
-// cache), Misses (ran the search), or Coalesced (waited on an identical
-// in-flight search). Calls that abort before or without a cache outcome —
-// rejected input, an already-expired context, or a waiter whose own context
-// expires mid-wait — are not counted.
-type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Coalesced uint64
-	Entries   int
-}
-
-// CacheStats returns a snapshot of the plan cache counters.
-func (e *Engine) CacheStats() CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return CacheStats{Hits: e.hits, Misses: e.misses, Coalesced: e.coalesced, Entries: len(e.cache)}
-}
-
-// ClearCache drops every cached plan.
-func (e *Engine) ClearCache() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache = map[planKey]*PlanResult{}
-	e.order = nil
-}
-
-func (e *Engine) emit(p Progress) {
-	if e.progress != nil {
-		e.progress(p)
-	}
-}
-
-func (e *Engine) progressBase(phase string, gbs int) Progress {
-	return Progress{Phase: phase, Strategy: e.strat.Name(), Cluster: e.cluster.Name, GBS: gbs}
+	model uint64
+	opts  PlanOptions
 }
 
 // Plan searches for the engine strategy's plan of m on the engine's cluster
@@ -252,123 +118,29 @@ func (e *Engine) PlanWith(ctx context.Context, m *Model, opts PlanOptions) (*Pla
 		return nil, err
 	}
 	// Normalize so an implicitly-defaulted request and one spelling out the
-	// same defaults hit one cache key (and coalesce to one search).
+	// same defaults hit one key. Workers is dropped from the key: every
+	// worker count yields the identical plan.
 	opts = opts.Normalize(m.DefaultGBS)
-	key := planKey{strategy: e.strat.Name(), model: m.Fingerprint(), cluster: e.cluster, opts: opts}
+	key := planKey{model: m.Fingerprint(), opts: opts}
+	key.opts.Workers = 0
 
-	for {
-		e.mu.Lock()
-		if res, ok := e.cache[key]; ok {
-			e.hits++
-			e.touch(key)
-			e.mu.Unlock()
-			pe := e.progressBase("plan.cache", opts.GBS)
-			pe.Model = m.Name
-			e.emit(pe)
-			return res, nil
-		}
-		call, running := e.inflight[key]
-		if !running {
-			call = &planCall{done: make(chan struct{})}
-			e.inflight[key] = call
-			e.misses++
-			e.mu.Unlock()
-			return e.lead(ctx, m, opts, key, call)
-		}
-		e.mu.Unlock()
-
-		// Another goroutine is already running this exact search; wait for it.
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-call.done:
-		}
-		if call.err == nil {
-			e.mu.Lock()
-			e.coalesced++
-			e.mu.Unlock()
-			pe := e.progressBase("plan.coalesced", opts.GBS)
-			pe.Model = m.Name
-			e.emit(pe)
-			return call.res, nil
-		}
-		// The leader may have failed only because its own context expired;
-		// a waiter whose context is still live retries with a fresh search.
-		if errors.Is(call.err, context.Canceled) || errors.Is(call.err, context.DeadlineExceeded) {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			continue
-		}
-		e.mu.Lock()
-		e.coalesced++
-		e.mu.Unlock()
-		return nil, call.err
+	e.mu.Lock()
+	res, ok := e.cache[key]
+	e.mu.Unlock()
+	if ok {
+		return res, nil
 	}
-}
-
-// lead runs the strategy search on behalf of every coalesced caller. The
-// result is published from a deferred block so that even a panicking custom
-// strategy clears the inflight key and unblocks waiters instead of wedging
-// the engine for that key forever.
-func (e *Engine) lead(ctx context.Context, m *Model, opts PlanOptions, key planKey, call *planCall) (res *PlanResult, err error) {
-	start := time.Now()
-	pe := e.progressBase("plan.start", opts.GBS)
-	pe.Model = m.Name
-	e.emit(pe)
-
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("dapple: strategy %q panicked: %v", e.strat.Name(), r)
-		}
-		if err == nil && res == nil {
-			// A broken custom strategy returning (nil, nil) must surface here,
-			// not as a nil deref in the caller (and never enter the cache).
-			err = fmt.Errorf("dapple: strategy %q returned no result and no error", e.strat.Name())
-		}
-		e.mu.Lock()
-		delete(e.inflight, key)
-		if err == nil {
-			e.store(key, res)
-		}
-		e.mu.Unlock()
-		call.res, call.err = res, err
-		close(call.done)
-
-		pe.Elapsed = time.Since(start)
-		if err != nil {
-			pe.Phase, pe.Err = "plan.error", err
-		} else {
-			pe.Phase = "plan.done"
-		}
-		e.emit(pe)
-	}()
-	return e.strat.Plan(ctx, m, e.cluster, opts)
-}
-
-// store inserts under e.mu, evicting the least-recently-used entry at cap.
-func (e *Engine) store(key planKey, res *PlanResult) {
-	if e.cacheCap <= 0 {
-		return
+	res, err := e.strat.Plan(ctx, m, e.cluster, opts)
+	if err != nil {
+		return nil, err
 	}
-	if _, ok := e.cache[key]; !ok && len(e.cache) >= e.cacheCap {
-		oldest := e.order[0]
-		e.order = e.order[1:]
-		delete(e.cache, oldest)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.cache) >= cacheEntries {
+		clear(e.cache)
 	}
 	e.cache[key] = res
-	e.touch(key)
-}
-
-// touch marks key most-recently-used under e.mu.
-func (e *Engine) touch(key planKey) {
-	for i, k := range e.order {
-		if k == key {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-	e.order = append(e.order, key)
+	return res, nil
 }
 
 // Simulate executes one training iteration of the plan on the discrete-event
@@ -381,34 +153,14 @@ func (e *Engine) Simulate(ctx context.Context, p *Plan, opts ScheduleOptions) (*
 	if p.Model == nil {
 		return nil, errors.New("dapple: Simulate of a plan with no model")
 	}
-	start := time.Now()
-	pe := e.progressBase("sim.start", p.GBS)
-	pe.Model = p.Model.Name
-	// The plan carries its own cluster (it may have been loaded from JSON
-	// against different hardware); label the event with what actually runs.
-	pe.Cluster = p.Cluster.Name
-	e.emit(pe)
-	res, err := schedule.RunContext(ctx, p, opts)
-	pe.Elapsed = time.Since(start)
-	if err != nil {
-		pe.Phase, pe.Err = "sim.error", err
-	} else {
-		pe.Phase = "sim.done"
-	}
-	e.emit(pe)
-	return res, err
+	return schedule.RunContext(ctx, p, opts)
 }
 
 // SimulatePlan simulates a planning result under the strategy's recommended
-// schedule policy and re-computation setting, or the engine's WithPolicy
-// override when one is set.
+// schedule policy and re-computation setting.
 func (e *Engine) SimulatePlan(ctx context.Context, pr *PlanResult) (*ScheduleResult, error) {
 	if pr == nil {
 		return nil, errors.New("dapple: SimulatePlan of a nil result")
 	}
-	pol := pr.Policy
-	if e.hasPolicy {
-		pol = e.policy
-	}
-	return e.Simulate(ctx, pr.Plan, ScheduleOptions{Policy: pol, Recompute: pr.NeedsRecompute})
+	return e.Simulate(ctx, pr.Plan, ScheduleOptions{Policy: pr.Policy, Recompute: pr.NeedsRecompute})
 }

@@ -3,60 +3,35 @@ package dapple
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"dapple/internal/strategy"
 )
 
-// countingStrategy wraps another strategy and counts real searches, to
-// observe cache hits and singleflight coalescing.
-type countingStrategy struct {
-	Strategy
-	calls atomic.Int32
-}
-
-func (c *countingStrategy) Plan(ctx context.Context, m *Model, cl Cluster, opts PlanOptions) (*PlanResult, error) {
-	c.calls.Add(1)
-	return c.Strategy.Plan(ctx, m, cl, opts)
-}
-
-func newCounting(t *testing.T, name string) *countingStrategy {
-	t.Helper()
-	inner, ok := StrategyByName(name)
-	if !ok {
-		t.Fatalf("strategy %q not registered", name)
-	}
-	return &countingStrategy{Strategy: inner}
-}
-
-// TestStrategyRegistry: the registry exposes the DAPPLE planner and every
-// baseline by name.
+// TestStrategyRegistry pins the strategy table the engine exposes: the
+// DAPPLE planner and every baseline, sorted by name, each described; an
+// unknown name misses.
 func TestStrategyRegistry(t *testing.T) {
-	if n := len(Strategies()); n < 4 {
-		t.Fatalf("registry lists %d strategies, want >= 4", n)
-	}
-	for _, want := range []string{"dapple", "dp", "gpipe", "pipedream"} {
-		s, ok := StrategyByName(want)
-		if !ok {
-			t.Fatalf("strategy %q missing from registry (have %v)", want, StrategyNames())
-		}
-		if s.Name() != want {
-			t.Fatalf("strategy %q reports name %q", want, s.Name())
-		}
-		if s.Describe() == "" {
-			t.Errorf("strategy %q has no description", want)
+	var names []string
+	for _, s := range Strategies() {
+		names = append(names, s.Name)
+		if s.Describe == "" {
+			t.Errorf("strategy %q has no description", s.Name)
 		}
 	}
-	// Duplicate registration must fail loudly rather than shadow.
-	dup, _ := StrategyByName("gpipe")
-	if err := RegisterStrategy(dup); err == nil {
-		t.Fatal("duplicate RegisterStrategy succeeded")
+	if want := []string{"dapple", "dp", "gpipe", "pipedream", "straight"}; !slices.Equal(names, want) {
+		t.Fatalf("Strategies() = %v, want %v", names, want)
+	}
+	if _, ok := strategy.Lookup("no-such"); ok {
+		t.Fatal("Lookup of an unknown name succeeded")
 	}
 }
 
-// TestAllStrategiesShareTheEnginePath: every registered strategy plans and
+// TestAllStrategiesShareTheEnginePath: every strategy plans and
 // simulates GNMT-16 end-to-end through the same Engine.Plan/Engine.Simulate
 // path, returning the common result shape.
 func TestAllStrategiesShareTheEnginePath(t *testing.T) {
@@ -65,42 +40,41 @@ func TestAllStrategiesShareTheEnginePath(t *testing.T) {
 	for _, s := range Strategies() {
 		eng, err := NewEngine(
 			WithCluster(ConfigB(4)),
-			WithStrategy(s.Name()),
+			WithStrategy(s.Name),
 			WithPlanOptions(PlanOptions{PruneSlack: 1.2, Finalists: 4}),
 		)
 		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+			t.Fatalf("%s: %v", s.Name, err)
 		}
 		pr, err := eng.Plan(ctx, m)
 		if err != nil {
-			t.Fatalf("%s: plan: %v", s.Name(), err)
+			t.Fatalf("%s: plan: %v", s.Name, err)
 		}
-		if pr.Strategy != s.Name() {
-			t.Errorf("%s: result labeled %q", s.Name(), pr.Strategy)
+		if pr.Strategy != s.Name {
+			t.Errorf("%s: result labeled %q", s.Name, pr.Strategy)
 		}
 		if err := pr.Plan.Validate(); err != nil {
-			t.Errorf("%s: invalid plan: %v", s.Name(), err)
+			t.Errorf("%s: invalid plan: %v", s.Name, err)
 		}
 		if pr.Latency <= 0 || pr.Speedup <= 0 {
-			t.Errorf("%s: degenerate result %+v", s.Name(), pr)
+			t.Errorf("%s: degenerate result %+v", s.Name, pr)
 		}
 		res, err := eng.SimulatePlan(ctx, pr)
 		if err != nil {
-			t.Fatalf("%s: simulate: %v", s.Name(), err)
+			t.Fatalf("%s: simulate: %v", s.Name, err)
 		}
 		if res.IterTime <= 0 || res.Throughput() <= 0 {
-			t.Errorf("%s: degenerate simulation %+v", s.Name(), res)
+			t.Errorf("%s: degenerate simulation %+v", s.Name, res)
 		}
 	}
 }
 
-// TestEnginePlanCache: a repeated identical Plan is served from the cache
-// without re-running the search, and an explicit GBS equal to the model's
-// default hits the same key.
+// TestEnginePlanCache: a repeated identical Plan returns the cached result;
+// explicit defaults and a different worker count (which never changes the
+// plan) hit the same key, concurrently too; a different GBS is a new key.
 func TestEnginePlanCache(t *testing.T) {
 	ctx := context.Background()
-	cs := newCounting(t, "gpipe")
-	eng, err := NewEngine(WithCluster(ConfigB(4)), WithStrategyImpl(cs))
+	eng, err := NewEngine(WithCluster(ConfigB(4)), WithStrategy("gpipe"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,87 +96,54 @@ func TestEnginePlanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.calls.Load(); got != 1 {
-		t.Fatalf("search ran %d times, want 1", got)
-	}
 	if first != second || first != third {
 		t.Fatal("cache returned a different result value")
 	}
-	if st := eng.CacheStats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("cache stats %+v, want 2 hits / 1 miss / 1 entry", st)
-	}
 
-	// A different GBS is a different key.
-	if _, err := eng.PlanWith(ctx, m, PlanOptions{GBS: 2 * m.DefaultGBS}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.calls.Load(); got != 2 {
-		t.Fatalf("search ran %d times after new GBS, want 2", got)
-	}
-
-	eng.ClearCache()
-	if _, err := eng.Plan(ctx, m); err != nil {
-		t.Fatal(err)
-	}
-	if got := cs.calls.Load(); got != 3 {
-		t.Fatalf("search ran %d times after ClearCache, want 3", got)
-	}
-}
-
-// TestEngineSingleflight: concurrent identical Plan calls coalesce into one
-// search.
-func TestEngineSingleflight(t *testing.T) {
-	ctx := context.Background()
-	cs := newCounting(t, "pipedream")
-	eng, err := NewEngine(WithCluster(ConfigB(4)), WithStrategyImpl(cs))
+	w1, err := eng.PlanWith(ctx, m, PlanOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ModelByName("BERT-48")
-
-	const callers = 8
-	results := make([]*PlanResult, callers)
-	errs := make([]error, callers)
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
+	w4 := make([]*PlanResult, 8)
+	for i := range w4 {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Plan(ctx, m)
+			w4[i], _ = eng.PlanWith(ctx, m, PlanOptions{Workers: 4})
 		}(i)
 	}
 	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i] != results[0] {
-			t.Fatal("coalesced callers saw different results")
+	for _, r := range w4 {
+		if r != w1 || r != first {
+			t.Fatal("a different planner worker count missed the cache")
 		}
 	}
-	if got := cs.calls.Load(); got != 1 {
-		t.Fatalf("search ran %d times under %d concurrent callers, want 1", got, callers)
+
+	// A different GBS is a different key.
+	other, err := eng.PlanWith(ctx, m, PlanOptions{GBS: 2 * m.DefaultGBS})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every call lands in exactly one counter (waiters may instead arrive
-	// after the leader stored, becoming hits).
-	st := eng.CacheStats()
-	if st.Misses != 1 || st.Hits+st.Coalesced != callers-1 {
-		t.Fatalf("cache stats %+v do not account for %d calls", st, callers)
+	if other == first || other.Plan.GBS != 2*m.DefaultGBS {
+		t.Fatalf("new GBS served %v from the cache", other.Plan)
 	}
 }
 
 // TestEnginePlanCancelled: a Plan with an already-cancelled context returns
-// promptly with ctx.Err() and caches nothing.
+// promptly with ctx.Err() and caches nothing; a later live-context Plan
+// returns a fresh result.
 func TestEnginePlanCancelled(t *testing.T) {
-	eng, err := NewEngine(WithCluster(ConfigA(2)))
+	eng, err := NewEngine(WithCluster(ConfigA(2)), WithStrategy("gpipe"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
+	m := ModelByName("BERT-48")
 	start := time.Now()
-	_, err = eng.Plan(ctx, ModelByName("BERT-48"))
+	_, err = eng.Plan(ctx, m)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -211,8 +152,12 @@ func TestEnginePlanCancelled(t *testing.T) {
 	if el := time.Since(start); el > 500*time.Millisecond {
 		t.Fatalf("cancelled Plan took %v", el)
 	}
-	if st := eng.CacheStats(); st.Entries != 0 {
-		t.Fatalf("cancelled Plan cached an entry: %+v", st)
+	if n := len(eng.cache); n != 0 {
+		t.Fatalf("cancelled Plan cached %d entries", n)
+	}
+	pr, err := eng.Plan(context.Background(), m)
+	if err != nil || pr == nil || pr.Plan == nil {
+		t.Fatalf("live Plan after a cancelled one: %v, %v", pr, err)
 	}
 }
 
@@ -260,38 +205,6 @@ func TestEngineSimulateCancelled(t *testing.T) {
 	}
 }
 
-// panicStrategy always panics, standing in for a buggy custom strategy.
-type panicStrategy struct{}
-
-func (panicStrategy) Name() string     { return "panic-test" }
-func (panicStrategy) Describe() string { return "always panics" }
-func (panicStrategy) Plan(context.Context, *Model, Cluster, PlanOptions) (*PlanResult, error) {
-	panic("boom")
-}
-
-// TestEngineLeaderPanic: a panicking strategy surfaces as an error, clears
-// the singleflight key (later calls do not hang), and caches nothing.
-func TestEngineLeaderPanic(t *testing.T) {
-	eng, err := NewEngine(WithCluster(ConfigB(2)), WithStrategyImpl(panicStrategy{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ModelByName("GNMT-16")
-	if _, err := eng.Plan(context.Background(), m); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("got %v, want strategy-panicked error", err)
-	}
-	// The key must not be wedged: a bounded retry errors again instead of
-	// blocking on a never-closed inflight call.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := eng.Plan(ctx, m); err == nil || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want immediate strategy-panicked error", err)
-	}
-	if st := eng.CacheStats(); st.Entries != 0 {
-		t.Fatalf("panicked search cached an entry: %+v", st)
-	}
-}
-
 // TestEngineSimulateInvalidPlan: hand-built plans fail with errors, not
 // panics.
 func TestEngineSimulateInvalidPlan(t *testing.T) {
@@ -308,47 +221,17 @@ func TestEngineSimulateInvalidPlan(t *testing.T) {
 	}
 }
 
-// TestEngineOptions: constructor validation and the policy override.
+// TestEngineOptions: constructor validation; an unknown strategy name errors
+// and lists the valid names.
 func TestEngineOptions(t *testing.T) {
 	if _, err := NewEngine(); err == nil {
 		t.Fatal("NewEngine without WithCluster succeeded")
 	}
-	if _, err := NewEngine(WithCluster(ConfigB(2)), WithStrategy("no-such")); err == nil {
-		t.Fatal("WithStrategy with unknown name succeeded")
+	_, err := NewEngine(WithCluster(ConfigB(2)), WithStrategy("no-such"))
+	if err == nil || !strings.Contains(err.Error(), "[dapple dp gpipe pipedream straight]") {
+		t.Fatalf("WithStrategy with unknown name: %v, want an error listing the valid names", err)
 	}
 	if _, err := NewEngine(WithCluster(Cluster{})); err == nil {
 		t.Fatal("WithCluster with invalid cluster succeeded")
-	}
-
-	var events []string
-	eng, err := NewEngine(
-		WithCluster(ConfigB(4)),
-		WithStrategy("straight"),
-		WithPolicy(GPipeSchedule),
-		WithProgress(func(p Progress) { events = append(events, p.Phase) }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	pr, err := eng.Plan(ctx, ModelByName("GNMT-16"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.SimulatePlan(ctx, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Policy != GPipeSchedule {
-		t.Fatalf("WithPolicy override ignored: simulated under %v", res.Policy)
-	}
-	want := []string{"plan.start", "plan.done", "sim.start", "sim.done"}
-	if len(events) != len(want) {
-		t.Fatalf("progress events %v, want %v", events, want)
-	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("progress events %v, want %v", events, want)
-		}
 	}
 }

@@ -3,8 +3,8 @@
 // micro-batch counts and watch activation memory — GPipe's residency grows
 // O(M) until it overflows the 16 GB device, DAPPLE's stays flat at its
 // warmup depth, and re-computation trades ~20% backward time for the rest.
-// The pipeline comes from the registered "gpipe" strategy (even block
-// partition, one stage per device) via the Engine API.
+// The pipeline comes from the "gpipe" strategy (even block partition, one
+// stage per device) via the Engine API.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Quickstart: plan and simulate BERT-48 on the paper's hierarchical config A
 // (2 servers x 8 NVLink-connected V100s, 25 Gbps Ethernet) using the Engine
 // API — the Fig. 1 workflow in ~40 lines. The Engine binds the cluster to a
-// planning strategy, threads a context through the search, and caches plans.
+// planning strategy and threads a context through the search.
 package main
 
 import (
@@ -53,13 +53,6 @@ func main() {
 		res.IterTime*1e3, res.Throughput(), 100*res.BubbleFraction)
 	fmt.Printf("memory:    avg peak %.1f GiB across devices (OOM: %v)\n",
 		res.AvgPeakMem/(1<<30), res.OOM)
-
-	// A repeated identical Plan is served from the engine's cache.
-	if _, err := eng.Plan(ctx, m); err != nil {
-		log.Fatal(err)
-	}
-	cs := eng.CacheStats()
-	fmt.Printf("\nplan cache: %d hit(s), %d miss(es)\n", cs.Hits, cs.Misses)
 
 	fmt.Println("\nschedule timeline:")
 	fmt.Print(dapple.Gantt(res, 110))

@@ -61,7 +61,7 @@ func main() {
 	fmt.Printf("plan:    %v (policy %v, recompute %v)\n", pr.Plan, pr.Policy, pr.NeedsRecompute)
 
 	// Carve the real network into the plan's stages once; step it many times.
-	ex, err := eng.NewExecutor(pr, master, func() dapple.Optimizer { return dapple.AdamOptimizer(2e-3) })
+	ex, err := dapple.NewExecutor(pr, master, func() dapple.Optimizer { return dapple.AdamOptimizer(2e-3) })
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package dapple
 import (
 	"context"
 	"errors"
-	"time"
 
 	"dapple/internal/nn"
 	"dapple/internal/trace"
@@ -47,8 +46,8 @@ func AdamOptimizer(lr float64) Optimizer { return nn.NewAdam(lr) }
 // model layer per network layer, with analytic compute times and measured
 // activation/parameter bytes at profileBatch rows of inDim features. The
 // returned model's layer indices map one-to-one onto the network's layers,
-// so any Plan an Engine produces for it is executable — this is the bridge
-// that closes the paper's planner→runtime loop.
+// so any Plan an Engine produces for it is executable by NewExecutor — this
+// is the bridge that closes the paper's planner→runtime loop.
 func ProfileNetwork(name string, net *Network, inDim, profileBatch, defaultGBS int) (*Model, error) {
 	return train.ProfileNetwork(name, net, inDim, profileBatch, defaultGBS)
 }
@@ -69,76 +68,17 @@ func ProfileNetworkMeasured(ctx context.Context, name string, net *Network, inDi
 	return train.ProfileNetworkMeasured(ctx, name, net, inDim, profileBatch, defaultGBS, mo)
 }
 
-// WithMeasuredProfile makes the engine's ProfileNetwork method calibrate
-// per-layer times from real warm execution (ProfileNetworkMeasured) instead
-// of the analytic FLOP model — the calibrate→plan→execute loop the paper
-// drives its planner with.
-func WithMeasuredProfile(mo MeasureOptions) EngineOption {
-	return func(e *Engine) error {
-		e.measure = &mo
-		return nil
-	}
-}
-
-// ProfileNetwork profiles a real network through the engine's configured
-// profiling mode: analytic per-layer times by default, measured (calibrated
-// by real execution, ctx-bounded) when the engine was built
-// WithMeasuredProfile. Plans searched on the returned model are executable
-// by NewExecutor either way.
-func (e *Engine) ProfileNetwork(ctx context.Context, name string, net *Network, inDim, profileBatch, defaultGBS int) (*Model, error) {
-	if e.measure != nil {
-		return train.ProfileNetworkMeasured(ctx, name, net, inDim, profileBatch, defaultGBS, *e.measure)
-	}
-	return train.ProfileNetwork(name, net, inDim, profileBatch, defaultGBS)
-}
-
 // NewExecutor builds a plan-driven executor for a planning result: the
 // network is carved into the plan's stages (one replica per device) and the
 // strategy's recommended schedule policy and re-computation setting are
-// applied, or the engine's WithPolicy override when one is set. The executor
-// can then Step any number of training iterations.
-func (e *Engine) NewExecutor(pr *PlanResult, net *Network, optFactory func() Optimizer) (*Executor, error) {
+// applied. The executor can then Step any number of training iterations.
+func NewExecutor(pr *PlanResult, net *Network, optFactory func() Optimizer) (*Executor, error) {
 	if pr == nil {
 		return nil, errors.New("dapple: NewExecutor of a nil result")
 	}
-	pol := pr.Policy
-	if e.hasPolicy {
-		pol = e.policy
-	}
 	return train.NewExecutor(pr.Plan, net, optFactory, ExecOptions{
-		Policy: pol, Recompute: pr.NeedsRecompute,
+		Policy: pr.Policy, Recompute: pr.NeedsRecompute,
 	})
-}
-
-// Execute really executes one training iteration of the planning result on
-// net under ctx: plan-driven stage carving, concurrent pipeline workers,
-// gradient all-reduce, weight update. It is the one-shot form of NewExecutor
-// followed by StepContext; construct an Executor directly to amortize stage
-// carving over many iterations.
-func (e *Engine) Execute(ctx context.Context, pr *PlanResult, net *Network, micros []TrainBatch, optFactory func() Optimizer) (*ExecResult, error) {
-	if pr == nil {
-		return nil, errors.New("dapple: Execute of a nil result")
-	}
-	start := time.Now()
-	pe := e.progressBase("exec.start", pr.Plan.GBS)
-	if pr.Plan.Model != nil {
-		pe.Model = pr.Plan.Model.Name
-	}
-	pe.Cluster = pr.Plan.Cluster.Name
-	e.emit(pe)
-	ex, err := e.NewExecutor(pr, net, optFactory)
-	var res *ExecResult
-	if err == nil {
-		res, err = ex.StepContext(ctx, micros)
-	}
-	pe.Elapsed = time.Since(start)
-	if err != nil {
-		pe.Phase, pe.Err = "exec.error", err
-	} else {
-		pe.Phase = "exec.done"
-	}
-	e.emit(pe)
-	return res, err
 }
 
 // ExecGantt renders a really-executed iteration's span trace as an ASCII

@@ -42,7 +42,11 @@ func TestEngineExecute(t *testing.T) {
 		micros[i] = TrainBatch{X: x, Y: y}
 	}
 
-	res, err := eng.Execute(ctx, pr, master, micros, func() Optimizer { return SGDOptimizer(0.1) })
+	ex, err := NewExecutor(pr, master, func() Optimizer { return SGDOptimizer(0.1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.StepContext(ctx, micros)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,18 +67,14 @@ func TestEngineExecute(t *testing.T) {
 		t.Fatalf("ExecGantt missing device row:\n%s", g)
 	}
 
-	// A persistent executor steps repeatedly on the same carved stages.
-	ex, err := eng.NewExecutor(pr, master, func() Optimizer { return SGDOptimizer(0.1) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The executor steps repeatedly on the same carved stages.
 	for i := 0; i < 3; i++ {
 		if _, err := ex.Step(micros); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if _, err := eng.Execute(ctx, nil, master, micros, nil); err == nil {
+	if _, err := NewExecutor(nil, master, nil); err == nil {
 		t.Fatal("expected error: nil plan result")
 	}
 }

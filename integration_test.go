@@ -15,6 +15,8 @@ import (
 	"dapple/internal/hardware"
 	"dapple/internal/model"
 	"dapple/internal/nn"
+	"dapple/internal/planner"
+	"dapple/internal/schedule"
 	"dapple/internal/tensor"
 	"dapple/internal/train"
 )
@@ -50,7 +52,7 @@ func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 	// Simulated side: uniform 6-layer model, 3-stage straight pipeline.
 	mod := model.Synthetic(6, 1e-3, 1<<20, 4<<20, 1<<20)
 	plan := baselines.GPipePlan(mod, hardware.ConfigB(stages), m, stages)
-	res, err := Simulate(plan, ScheduleOptions{Policy: DapplePA, M: m, MemLimit: -1})
+	res, err := schedule.Run(plan, ScheduleOptions{Policy: DapplePA, M: m, MemLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestAnalyticTracksSimulation(t *testing.T) {
 	for _, m := range model.Zoo() {
 		c := hardware.ConfigB(2)
 		p := baselines.GPipePlan(m, c, m.DefaultGBS, 2)
-		res, err := Simulate(p, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
+		res, err := schedule.Run(p, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +110,7 @@ func TestSpeedupNeverSuperlinear(t *testing.T) {
 	}
 	for _, m := range model.Zoo() {
 		for _, c := range []Cluster{ConfigA(2), ConfigB(16), ConfigC(16)} {
-			pr, err := PlanModel(m, c, PlanOptions{PruneSlack: 1.2, Finalists: 4})
+			pr, err := planner.PlanContext(context.Background(), m, c, PlanOptions{PruneSlack: 1.2, Finalists: 4})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", m.Name, c.Name, err)
 			}
@@ -124,7 +126,7 @@ func TestSpeedupNeverSuperlinear(t *testing.T) {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	m := model.VGG19()
 	c := hardware.ConfigC(4)
-	pr, err := PlanModel(m, c, PlanOptions{PruneSlack: 1.2, Finalists: 4})
+	pr, err := planner.PlanContext(context.Background(), m, c, PlanOptions{PruneSlack: 1.2, Finalists: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +198,11 @@ func TestRecomputeEquivalenceEndToEnd(t *testing.T) {
 	// Simulated side.
 	m := model.XLNet36()
 	plan := baselines.GPipePlan(m, hardware.ConfigB(2), 16, 2)
-	plain, err := Simulate(plan, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
+	plain, err := schedule.Run(plan, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := Simulate(plan, ScheduleOptions{Policy: DapplePA, Recompute: true, MemLimit: -1})
+	rc, err := schedule.Run(plan, ScheduleOptions{Policy: DapplePA, Recompute: true, MemLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +253,11 @@ func TestScheduleCompare(t *testing.T) {
 	for _, name := range []string{"BERT-48", "XLNet-36", "GNMT-16"} {
 		m := model.ByName(name)
 		plan := baselines.GPipePlan(m, hardware.ConfigB(4), 16*m.ProfileBatch, 4)
-		gp, err := Simulate(plan, ScheduleOptions{Policy: GPipeSchedule, MemLimit: -1})
+		gp, err := schedule.Run(plan, ScheduleOptions{Policy: GPipeSchedule, MemLimit: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, err := Simulate(plan, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
+		da, err := schedule.Run(plan, ScheduleOptions{Policy: DapplePA, MemLimit: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

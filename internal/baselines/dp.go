@@ -83,23 +83,25 @@ func DPOverlap(m *model.Model, c hardware.Cluster, gbs int) DPResult {
 	}
 }
 
-// StraightPipeline builds the no-replication pipeline plan over all devices
-// using balanced layer partitioning — the "Straight Pipeline" series of
-// Fig. 14(a).
-func StraightPipeline(m *model.Model, c hardware.Cluster, gbs int) *core.Plan {
-	g := c.NumDevices()
-	n := m.NumLayers()
-	if n < g {
-		return nil
+// DPPlan builds the pure data-parallel plan: one stage holding the whole
+// model, replicated on every device (the Fig. 12 baseline as a Plan).
+func DPPlan(m *model.Model, c hardware.Cluster, gbs int) *core.Plan {
+	p := &core.Plan{
+		Model: m, Cluster: c, GBS: gbs,
+		Stages: []core.Stage{{Lo: 0, Hi: m.NumLayers(), Devices: c.Devices()}},
 	}
-	cuts := BalancedCuts(m, g)
-	stages := make([]core.Stage, g)
-	lo := 0
-	for i := range stages {
-		stages[i] = core.Stage{Lo: lo, Hi: cuts[i], Devices: []hardware.DeviceID{hardware.DeviceID(i)}}
-		lo = cuts[i]
-	}
-	p := &core.Plan{Model: m, Cluster: c, Stages: stages, GBS: gbs}
 	p.MicroBatch = core.ChooseMicroBatch(m, gbs)
 	return p
+}
+
+// StraightPipeline builds the no-replication pipeline plan over all devices
+// using balanced layer partitioning — the "Straight Pipeline" series of
+// Fig. 14(a), and the plan the gpipe strategy schedules. It returns nil when
+// the model has fewer layers than the cluster has devices.
+func StraightPipeline(m *model.Model, c hardware.Cluster, gbs int) *core.Plan {
+	g := c.NumDevices()
+	if m.NumLayers() < g {
+		return nil
+	}
+	return GPipePlan(m, c, gbs, g)
 }

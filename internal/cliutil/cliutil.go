@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"dapple/internal/hardware"
+	"dapple/internal/planner"
 	"dapple/internal/schedule"
-	"dapple/internal/strategy"
 )
 
 // PickConfig resolves a Table III hardware config name (A, B or C, case
@@ -87,8 +87,8 @@ func RegisterPlanFlags() *PlanFlags {
 	return pf
 }
 
-// Apply copies the parsed planner flags onto a strategy options value.
-func (pf *PlanFlags) Apply(o strategy.Options) strategy.Options {
+// Apply copies the parsed planner flags onto a search options value.
+func (pf *PlanFlags) Apply(o planner.Options) planner.Options {
 	o.Workers = pf.Workers
 	o.NoPrune = pf.NoPrune
 	return o

@@ -42,16 +42,7 @@ import (
 	"dapple/internal/hardware"
 	"dapple/internal/model"
 	"dapple/internal/schedule"
-	"dapple/internal/strategy"
 )
-
-// Options tune the search; the planner honors every knob of the shared
-// strategy options.
-type Options = strategy.Options
-
-// Result is the planner's output, in the shape every registered strategy
-// shares.
-type Result = strategy.Result
 
 // Plan searches for the latency-optimal hybrid plan.
 func Plan(m *model.Model, c hardware.Cluster, opts Options) (*Result, error) {
@@ -570,7 +561,7 @@ func (s *search) finalize(limit int) (*Result, error) {
 		if s.memCheck && r.OOM {
 			continue
 		}
-		rs = append(rs, ranked{c, r.IterTime, strategy.RecommendPolicy(c.plan)})
+		rs = append(rs, ranked{c, r.IterTime, RecommendPolicy(c.plan)})
 	}
 	if len(rs) == 0 {
 		return nil, fmt.Errorf("no feasible plan")
@@ -592,7 +583,7 @@ func (s *search) finalize(limit int) (*Result, error) {
 		}
 	}
 	return &Result{
-		Strategy:       StrategyName,
+		Strategy:       "dapple",
 		Plan:           pick.plan,
 		Latency:        pick.sim,
 		Analytic:       pick.analytic,

@@ -1,159 +1,96 @@
-// Package strategy defines the pluggable planning interface the engine is
-// built around: a Strategy turns (model, cluster, options) into a Result
-// under a context, and a process-wide registry makes strategies addressable
-// by name. The DAPPLE planner (internal/planner) and every baseline of the
-// paper's evaluation (internal/baselines: pure data parallelism, GPipe,
-// PipeDream, the straight pipeline) implement it, so all of them return the
-// same Result shape and compare apples-to-apples.
+// Package strategy is the table of planning strategies the engine can run:
+// the DAPPLE planner (internal/planner) and every baseline of the paper's
+// evaluation (internal/baselines: pure data parallelism, GPipe, PipeDream,
+// the straight pipeline). Each turns (model, cluster, options) into a
+// planner.Result under a context, so all of them return the same shape and
+// compare apples-to-apples.
 package strategy
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
+	"dapple/internal/baselines"
 	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
+	"dapple/internal/planner"
 	"dapple/internal/schedule"
 )
 
-// Options tune a strategy's plan search. Strategies ignore knobs that do not
-// apply to them (the baselines have no branch-and-bound to prune); GBS is
-// honored by all.
-type Options struct {
-	// GBS is the global batch size; 0 uses the model default.
-	GBS int
-
-	// MaxStages caps computation stages in the general search (0 = 4;
-	// straight pipelines with one stage per device are seeded separately).
-	MaxStages int
-
-	// SkipMemCheck accepts plans regardless of device memory.
-	SkipMemCheck bool
-
-	// PruneSlack widens branch-and-bound pruning: states whose candidate
-	// latency exceeds best*PruneSlack are not extended. 0 means 1.6.
-	PruneSlack float64
-
-	// Finalists bounds how many analytic-best candidates are re-ranked on
-	// the simulator. 0 means 24.
-	Finalists int
-
-	// Workers bounds the goroutines the planner fans out over first-stage
-	// split points (0 = GOMAXPROCS, 1 = fully sequential). The chosen plan
-	// is identical for every value: each branch searches isolated state and
-	// branch results merge in deterministic task order.
-	Workers int
-
-	// NoPrune disables the planner's branch-and-bound lower bound, the
-	// dominance memo and the slack cut, making the search exhaustive over
-	// the placement-policy space. Slow; meant for soundness testing.
-	NoPrune bool
-}
-
-// Canonical defaults substituted for zero-valued Options knobs.
-const (
-	DefaultMaxStages  = 4
-	DefaultPruneSlack = 1.6
-	DefaultFinalists  = 24
-)
-
-// DefaultWorkers is the worker count substituted for Options.Workers == 0:
-// one search goroutine per schedulable CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// Normalize returns o with zero values replaced by the canonical defaults
-// (and GBS by defaultGBS), so an implicitly-defaulted and an explicitly-
-// defaulted request compare equal — plan caches key on normalized Options.
-func (o Options) Normalize(defaultGBS int) Options {
-	if o.GBS <= 0 {
-		o.GBS = defaultGBS
-	}
-	if o.MaxStages <= 0 {
-		o.MaxStages = DefaultMaxStages
-	}
-	if !(o.PruneSlack > 0) { // also replaces NaN, which would poison map keys
-		o.PruneSlack = DefaultPruneSlack
-	}
-	if o.Finalists <= 0 {
-		o.Finalists = DefaultFinalists
-	}
-	if o.Workers <= 0 {
-		o.Workers = DefaultWorkers()
-	}
-	return o
-}
-
-// Result is the common output shape of every strategy: the chosen plan plus
-// its simulated latency, so DAPPLE and the baselines are directly comparable.
-type Result struct {
-	// Strategy is the registry name of the strategy that produced the result.
-	Strategy string
-
-	Plan    *core.Plan
-	Latency float64 // simulated pipeline latency of the chosen plan, seconds
-	Speedup float64 // vs single-device execution of the same global batch
-
-	// Analytic is the Eq. (1)-(2) latency estimate of the chosen plan; the
-	// DAPPLE search optimizes this, then re-ranks finalists on the
-	// discrete-event simulator, which also accounts for the non-pivot bubbles
-	// and link contention the analytic objective approximates away.
-	Analytic float64
-
-	// NeedsRecompute reports that the plan fits device memory only with
-	// activation re-computation enabled.
-	NeedsRecompute bool
-
-	// Policy is the recommended warmup policy for the runtime: PB when the
-	// plan's activation-communication ratio is notable (cross-stage traffic
-	// comparable to compute, §V-C / Table IV), PA otherwise. GPipe-style
-	// strategies recommend the GPipe flood schedule.
-	Policy schedule.Policy
-
-	// Explored counts complete candidate plans evaluated.
-	Explored int
-}
-
-// String implements fmt.Stringer.
-func (r *Result) String() string {
-	return fmt.Sprintf("%v  latency=%.1fms speedup=%.2fx acr=%.3f",
-		r.Plan, r.Latency*1e3, r.Speedup, r.Plan.ACR())
-}
-
-// Strategy plans one model on one cluster. Implementations must be safe for
-// concurrent use and must return promptly with ctx.Err() once ctx is
-// cancelled or past its deadline.
-type Strategy interface {
-	// Name is the registry key ("dapple", "dp", "gpipe", "pipedream", ...).
-	Name() string
+// Strategy is one named planner. Plan must be safe for concurrent use and
+// return promptly with ctx.Err() once ctx is cancelled or past its deadline.
+type Strategy struct {
+	// Name is the table key ("dapple", "dp", "gpipe", "pipedream", ...).
+	Name string
 	// Describe is a one-line human-readable summary for listings.
-	Describe() string
+	Describe string
 	// Plan searches for this strategy's plan of m on c.
-	Plan(ctx context.Context, m *model.Model, c hardware.Cluster, opts Options) (*Result, error)
+	Plan func(ctx context.Context, m *model.Model, c hardware.Cluster, opts planner.Options) (*planner.Result, error)
 }
 
-// PBACRThreshold is the activation-communication ratio above which the
-// deeper warmup of policy B pays off (Table IV: GNMT/VGG/AmoebaNet at
-// ACR >= ~0.1 benefit; BERT/XLNet below do not).
-const PBACRThreshold = 0.1
+// Table lists every strategy, sorted by name.
+var Table = []Strategy{
+	{"dapple", "DAPPLE planner: DP search over partitions, replication and placement, re-ranked on the simulator (§IV)",
+		planner.PlanContext},
+	{"dp", "pure data parallelism: the whole model replicated on every device, synchronous all-reduce (Fig. 12 baseline)",
+		fixed("dp", baselines.DPPlan, func(*core.Plan) schedule.Policy { return schedule.DapplePA })},
+	{"gpipe", "GPipe/torchgpipe: even block partition, one stage per device, flood-then-drain schedule",
+		fixed("gpipe", baselines.StraightPipeline, func(*core.Plan) schedule.Policy { return schedule.GPipe })},
+	{"pipedream", "PipeDream planner (hierarchical balanced partition + replication) re-evaluated under synchronous training (Table VII)",
+		fixed("pipedream", baselines.PipeDream, planner.RecommendPolicy)},
+	{"straight", "straight pipeline: balanced layer partition, one unreplicated stage per device (Fig. 14(a))",
+		fixed("straight", baselines.StraightPipeline, planner.RecommendPolicy)},
+}
 
-// RecommendPolicy picks the runtime warmup policy for a plan by its ACR.
-func RecommendPolicy(p *core.Plan) schedule.Policy {
-	if p.ACR() >= PBACRThreshold {
-		return schedule.DapplePB
+// Lookup returns the named strategy.
+func Lookup(name string) (Strategy, bool) {
+	for _, s := range Table {
+		if s.Name == name {
+			return s, true
+		}
 	}
-	return schedule.DapplePA
+	return Strategy{}, false
 }
 
-// Evaluate scores a fixed plan the way the registry expects strategies to:
-// simulate one iteration under pol, fall back to activation re-computation
-// when the plain schedule overflows device memory, and fill the common
-// Result shape. Baseline strategies, which construct a single plan rather
-// than search a space, share it.
-func Evaluate(ctx context.Context, name string, p *core.Plan, pol schedule.Policy, opts Options) (*Result, error) {
+// Names returns every strategy name, sorted.
+func Names() []string {
+	names := make([]string, len(Table))
+	for i, s := range Table {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// fixed turns a single-plan constructor into a strategy's Plan: build the
+// plan (nil when the shape is infeasible, e.g. fewer layers than pipeline
+// stages) and score it under the schedule policy picks.
+func fixed(name string, build func(*model.Model, hardware.Cluster, int) *core.Plan,
+	policy func(*core.Plan) schedule.Policy) func(context.Context, *model.Model, hardware.Cluster, planner.Options) (*planner.Result, error) {
+	return func(ctx context.Context, m *model.Model, c hardware.Cluster, opts planner.Options) (*planner.Result, error) {
+		if err := m.Validate(); err != nil {
+			return nil, err
+		}
+		if err := c.Validate(); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		opts = opts.Normalize(m.DefaultGBS)
+		p := build(m, c, opts.GBS)
+		if p == nil {
+			return nil, fmt.Errorf("strategy %s: no feasible plan for %s on %s (gbs %d)",
+				name, m.Name, c.Name, opts.GBS)
+		}
+		return Evaluate(ctx, name, p, policy(p), opts)
+	}
+}
+
+// Evaluate scores a fixed plan: simulate one iteration under pol, fall back
+// to activation re-computation when the plain schedule overflows device
+// memory, and fill the common Result shape.
+func Evaluate(ctx context.Context, name string, p *core.Plan, pol schedule.Policy, opts planner.Options) (*planner.Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("strategy %s: %w", name, err)
 	}
@@ -173,7 +110,7 @@ func Evaluate(ctx context.Context, name string, p *core.Plan, pol schedule.Polic
 		}
 		res, recompute = rc, true
 	}
-	return &Result{
+	return &planner.Result{
 		Strategy:       name,
 		Plan:           p,
 		Latency:        res.IterTime,
@@ -183,63 +120,4 @@ func Evaluate(ctx context.Context, name string, p *core.Plan, pol schedule.Polic
 		Policy:         pol,
 		Explored:       1,
 	}, nil
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Strategy{}
-)
-
-// Register adds a strategy to the process-wide registry. It fails on empty
-// or duplicate names so two packages cannot silently shadow one another.
-func Register(s Strategy) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("strategy: register with empty name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[s.Name()]; dup {
-		return fmt.Errorf("strategy: %q already registered", s.Name())
-	}
-	registry[s.Name()] = s
-	return nil
-}
-
-// MustRegister is Register for package init paths.
-func MustRegister(s Strategy) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the named strategy.
-func Lookup(name string) (Strategy, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// Names returns all registered strategy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All returns every registered strategy, sorted by name.
-func All() []Strategy {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Strategy, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
 }

@@ -2,13 +2,14 @@ package strategy
 
 import (
 	"context"
-	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
+	"dapple/internal/planner"
 	"dapple/internal/schedule"
 )
 
@@ -35,7 +36,7 @@ func twoStagePlan(mem int64) *core.Plan {
 func TestEvaluateRecomputeFallback(t *testing.T) {
 	ctx := context.Background()
 
-	plain, err := Evaluate(ctx, "test", twoStagePlan(1<<40), schedule.GPipe, Options{})
+	plain, err := Evaluate(ctx, "test", twoStagePlan(1<<40), schedule.GPipe, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestEvaluateRecomputeFallback(t *testing.T) {
 	// micro-batches — two, not one, because backward m rematerializes at the
 	// instant backward m+1 frees, and allocations count before frees at
 	// equal timestamps.
-	rc, err := Evaluate(ctx, "test", twoStagePlan(3<<30), schedule.GPipe, Options{})
+	rc, err := Evaluate(ctx, "test", twoStagePlan(3<<30), schedule.GPipe, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,81 +64,29 @@ func TestEvaluateRecomputeFallback(t *testing.T) {
 		t.Fatalf("re-computation did not cost time: %.6f vs %.6f", rc.Latency, plain.Latency)
 	}
 
-	if _, err := Evaluate(ctx, "test", twoStagePlan(1<<20), schedule.GPipe, Options{}); err == nil ||
+	if _, err := Evaluate(ctx, "test", twoStagePlan(1<<20), schedule.GPipe, planner.Options{}); err == nil ||
 		!strings.Contains(err.Error(), "overflows device memory") {
 		t.Fatalf("infeasible memory produced %v, want overflow error", err)
 	}
 }
 
-// TestRecommendPolicy: communication-heavy plans get the deeper PB warmup.
-func TestRecommendPolicy(t *testing.T) {
-	light := twoStagePlan(1 << 40) // 1 MiB boundaries vs ms-scale compute
-	if got := RecommendPolicy(light); got != schedule.DapplePA {
-		t.Fatalf("compute-bound plan recommended %v", got)
-	}
-	heavy := twoStagePlan(1 << 40)
-	for i := range heavy.Model.Layers {
-		heavy.Model.Layers[i].OutputBytes = 1 << 30
-	}
-	if got := RecommendPolicy(heavy); got != schedule.DapplePB {
-		t.Fatalf("communication-bound plan recommended %v", got)
-	}
-}
-
-// stubStrategy is a registerable no-op for registry tests; this package's
-// test binary does not link planner/baselines, so the registry starts empty.
-type stubStrategy string
-
-func (s stubStrategy) Name() string     { return string(s) }
-func (s stubStrategy) Describe() string { return "stub" }
-func (s stubStrategy) Plan(context.Context, *model.Model, hardware.Cluster, Options) (*Result, error) {
-	return nil, nil
-}
-
-// TestNormalize: zero and NaN knobs collapse to the canonical defaults, so
-// map keys built from Options stay well-behaved; set values pass through.
-func TestNormalize(t *testing.T) {
-	got := Options{PruneSlack: math.NaN()}.Normalize(64)
-	want := Options{GBS: 64, MaxStages: DefaultMaxStages, PruneSlack: DefaultPruneSlack,
-		Finalists: DefaultFinalists, Workers: DefaultWorkers()}
-	if got != want {
-		t.Fatalf("Normalize = %+v, want %+v", got, want)
-	}
-	set := Options{GBS: 8, MaxStages: 2, PruneSlack: 1.1, Finalists: 3, Workers: 5, NoPrune: true}
-	if got := set.Normalize(64); got != set {
-		t.Fatalf("Normalize changed explicit options: %+v", got)
-	}
-}
-
-// TestRegistry: registration, duplicate rejection, and sorted agreement of
-// Names and All.
+// TestRegistry pins the strategy table: exactly these names, sorted, each
+// with a description and a Plan; an unknown name misses.
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"stub-c", "stub-a", "stub-b"} {
-		if err := Register(stubStrategy(name)); err != nil {
-			t.Fatal(err)
+	want := []string{"dapple", "dp", "gpipe", "pipedream", "straight"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		s, ok := Lookup(name)
+		if !ok || s.Name != name {
+			t.Fatalf("Lookup(%q) = %q, %v", name, s.Name, ok)
+		}
+		if s.Describe == "" || s.Plan == nil {
+			t.Errorf("strategy %q has no description or no Plan", name)
 		}
 	}
-	if err := Register(stubStrategy("stub-a")); err == nil {
-		t.Fatal("duplicate registration succeeded")
-	}
-	if err := Register(stubStrategy("")); err == nil {
-		t.Fatal("empty-name registration succeeded")
-	}
-	if _, ok := Lookup("stub-b"); !ok {
-		t.Fatal("Lookup missed a registered strategy")
-	}
-
-	names := Names()
-	all := All()
-	if len(names) != len(all) || len(names) < 3 {
-		t.Fatalf("Names has %d entries, All has %d, want 3 matching", len(names), len(all))
-	}
-	for i, s := range all {
-		if s.Name() != names[i] {
-			t.Fatalf("ordering mismatch at %d: %q vs %q", i, s.Name(), names[i])
-		}
-		if i > 0 && names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
+	if _, ok := Lookup("no-such"); ok {
+		t.Fatal("Lookup of an unknown name succeeded")
 	}
 }

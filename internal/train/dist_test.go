@@ -267,3 +267,86 @@ func TestHierarchicalSelection(t *testing.T) {
 		})
 	}
 }
+
+// TestDistributedAPIRoundTrip drives the distributed surface end to end the
+// way cmd/dapple does: a one-worker session over TCP loopback must train to
+// the same losses as the single-process Executor on identical weights and
+// batches.
+func TestDistributedAPIRoundTrip(t *testing.T) {
+	master := nn.MLP([]int{8, 12, 12, 4}, 3) // 5 layers
+	const rows, m, inDim = 6, 2, 8
+	mod, err := ProfileNetwork("dist-api", master, inDim, rows, rows*m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &core.Plan{
+		Model:   mod,
+		Cluster: hardware.ConfigA(1),
+		Stages: []core.Stage{
+			{Lo: 0, Hi: 3, Devices: []hardware.DeviceID{0}},
+			{Lo: 3, Hi: 5, Devices: []hardware.DeviceID{1, 2}},
+		},
+		GBS: rows * m, MicroBatch: rows,
+	}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	micros := makeMicros(m, rows, inDim, 4, 1)
+
+	ref, err := NewExecutor(plan, master.Clone(),
+		func() nn.Optimizer { return nn.SGD{LR: 0.05} }, ExecOptions{NoTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, 3)
+	for k := range want {
+		res, err := ref.Step(micros)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = res.Loss
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	wt, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wt.Close()
+	wt.SetRank(0)
+	ct := transport.NewTCP()
+	defer ct.Close()
+	ct.SetRank(1)
+	if err := ct.Dial(ctx, 0, wt.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.WaitPeers(ctx, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(wt, 0).Serve(context.Background()) }()
+
+	coord, err := NewCoordinator(ctx, ct, plan, master,
+		OptSpec{Kind: "sgd", LR: 0.05}, ExecOptions{},
+		make([]int, plan.Cluster.NumDevices()), 1) // every device on rank 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		loss, err := coord.Step(ctx, micros)
+		if err != nil {
+			t.Fatalf("distributed step %d: %v", k, err)
+		}
+		if math.Abs(loss-want[k]) > 1e-6 {
+			t.Fatalf("step %d: distributed loss %.12f vs local %.12f", k, loss, want[k])
+		}
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker serve: %v", err)
+	}
+}

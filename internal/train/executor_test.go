@@ -8,11 +8,10 @@ import (
 	"testing/quick"
 	"time"
 
-	_ "dapple/internal/baselines" // register baseline strategies
 	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/nn"
-	_ "dapple/internal/planner" // register the DAPPLE planner strategy
+	"dapple/internal/planner"
 	"dapple/internal/schedule"
 	"dapple/internal/strategy"
 	"dapple/internal/tensor"
@@ -142,7 +141,7 @@ func TestExecutorMatchesSequential(t *testing.T) {
 }
 
 // TestPlannerPlansExecute closes the planner→runtime loop for every
-// registered strategy: profile a real network, plan it on a real cluster
+// strategy in the table: profile a real network, plan it on a real cluster
 // topology, execute the resulting plan, and demand sequential-equivalent
 // gradients.
 func TestPlannerPlansExecute(t *testing.T) {
@@ -153,13 +152,9 @@ func TestPlannerPlansExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := hardware.ConfigB(4)
-	for _, name := range strategy.Names() {
-		t.Run(name, func(t *testing.T) {
-			s, ok := strategy.Lookup(name)
-			if !ok {
-				t.Fatalf("strategy %q not registered", name)
-			}
-			pr, err := s.Plan(context.Background(), mod, c, strategy.Options{GBS: rows * m, Workers: 1})
+	for _, s := range strategy.Table {
+		t.Run(s.Name, func(t *testing.T) {
+			pr, err := s.Plan(context.Background(), mod, c, planner.Options{GBS: rows * m, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

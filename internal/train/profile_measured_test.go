@@ -7,6 +7,7 @@ import (
 
 	"dapple/internal/hardware"
 	"dapple/internal/nn"
+	"dapple/internal/planner"
 	"dapple/internal/strategy"
 )
 
@@ -106,9 +107,9 @@ func TestMeasuredProfilePlansExecute(t *testing.T) {
 	}
 	s, ok := strategy.Lookup("dapple")
 	if !ok {
-		t.Fatal("dapple strategy not registered")
+		t.Fatal("dapple strategy missing from the table")
 	}
-	pr, err := s.Plan(context.Background(), mod, hardware.ConfigB(2), strategy.Options{GBS: rows * m, Workers: 1})
+	pr, err := s.Plan(context.Background(), mod, hardware.ConfigB(2), planner.Options{GBS: rows * m, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

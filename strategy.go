@@ -1,21 +1,18 @@
 package dapple
 
 import (
+	"slices"
+
 	"dapple/internal/strategy"
 )
 
-// Strategy is a pluggable planner: it turns (model, cluster, options) into a
+// Strategy is one named planner: it turns (model, cluster, options) into a
 // PlanResult under a context. The DAPPLE planner and every baseline of the
-// paper's evaluation implement it, all returning the same PlanResult shape,
-// so strategies compare apples-to-apples through one Engine.
-//
-// Implementations must be safe for concurrent use and must return promptly
-// with ctx.Err() once the context is cancelled or past its deadline. Custom
-// strategies become addressable by name via RegisterStrategy.
+// paper's evaluation are strategies, all returning the same PlanResult
+// shape, so they compare apples-to-apples through one Engine.
 type Strategy = strategy.Strategy
 
-// Strategies returns every registered strategy, sorted by name. The built-in
-// set is:
+// Strategies returns every strategy WithStrategy accepts, sorted by name:
 //
 //	dapple     the paper's planner (§IV): DP search over partitions,
 //	           replication and placement, re-ranked on the simulator
@@ -23,15 +20,4 @@ type Strategy = strategy.Strategy
 //	gpipe      GPipe/torchgpipe even block partition, flood-then-drain
 //	pipedream  PipeDream's hierarchical planner under synchronous training
 //	straight   balanced one-stage-per-device pipeline (Fig. 14(a))
-func Strategies() []Strategy { return strategy.All() }
-
-// StrategyNames returns the sorted names of all registered strategies.
-func StrategyNames() []string { return strategy.Names() }
-
-// StrategyByName returns the named strategy from the registry.
-func StrategyByName(name string) (Strategy, bool) { return strategy.Lookup(name) }
-
-// RegisterStrategy adds a custom strategy to the process-wide registry,
-// making it available to WithStrategy and the -strategy command flags. It
-// fails on empty or duplicate names.
-func RegisterStrategy(s Strategy) error { return strategy.Register(s) }
+func Strategies() []Strategy { return slices.Clone(strategy.Table) }
