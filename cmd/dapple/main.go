@@ -9,7 +9,7 @@
 //	dapple -model BERT-48 -config A -servers 2
 //	dapple -model GNMT-16 -config B -strategy pipedream
 //	dapple -model GNMT-16 -config C -servers 16 -gbs 2048 -policy pb
-//	dapple -model VGG-19 -config A -gantt -trace out.json
+//	dapple -model VGG-19 -config A -gantt -trace out.json   # timeline, memory curves, Chrome trace
 //	dapple -execute -config B -servers 4 -gbs 128 -seed 7
 //	dapple -models              # list zoo models
 //	dapple -strategies          # list planning strategies
@@ -222,14 +222,18 @@ func main() {
 	if *gantt {
 		fmt.Println()
 		fmt.Print(trace.Gantt(res.Sim, 120))
+		for i := range plan.Stages {
+			curve, peak := trace.MemCurve(res.MemTrace(i), res.IterTime, 120)
+			fmt.Printf("stage%d mem (peak %9s) %s\n", i, stats.Bytes(peak), curve)
+		}
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fatalf("create trace: %v", err)
 		}
-		defer f.Close()
-		if err := trace.WriteChrome(f, res.Sim); err != nil {
+		werr := trace.WriteChrome(f, res.Sim)
+		if err := errors.Join(werr, f.Close()); err != nil {
 			fatalf("write trace: %v", err)
 		}
 		fmt.Printf("wrote Chrome trace to %s\n", *traceOut)

@@ -37,11 +37,12 @@
 // walk-through.
 //
 // The components mirror the paper's Fig. 1 workflow: the Profiler
-// (ProfileArch) turns an architecture into per-layer statistics; a Strategy
-// searches stage partitions, replication and topology-aware placement; the
-// Runtime (Engine.Simulate) executes GPipe or DAPPLE early-backward
-// schedules with byte-accurate memory accounting on a discrete-event cluster
-// simulator.
+// (ProfileNetwork, or ProfileNetworkMeasured, which times warm real
+// execution; Zoo holds the calibrated Table II models) turns a network into
+// per-layer statistics; a Strategy searches stage partitions, replication
+// and topology-aware placement; the Runtime (Engine.Simulate) executes GPipe
+// or DAPPLE early-backward schedules with byte-accurate memory accounting on
+// a discrete-event cluster simulator.
 //
 // # Real execution
 //
@@ -61,7 +62,6 @@ import (
 	"dapple/internal/hardware"
 	"dapple/internal/model"
 	"dapple/internal/planner"
-	"dapple/internal/profile"
 	"dapple/internal/schedule"
 	"dapple/internal/trace"
 )
@@ -93,10 +93,6 @@ type (
 	ScheduleOptions = schedule.Options
 	// ScheduleResult reports a simulated training iteration.
 	ScheduleResult = schedule.Result
-	// Arch is a profilable architecture description.
-	Arch = profile.Arch
-	// LayerSpec is one architecture layer kind.
-	LayerSpec = profile.LayerSpec
 )
 
 // Schedule policies.
@@ -128,12 +124,6 @@ func Zoo() []*Model { return model.Zoo() }
 
 // ModelByName returns a zoo model by its Table II name, or nil.
 func ModelByName(name string) *Model { return model.ByName(name) }
-
-// ProfileArch measures an architecture on a V100-class device at the given
-// micro-batch size, producing a planner-ready Model (the DAPPLE Profiler).
-func ProfileArch(a Arch, batch int) (*Model, error) {
-	return profile.New(profile.V100()).Profile(a, batch)
-}
 
 // Gantt renders a simulated iteration as an ASCII timeline, one row per
 // stage executor and link (the Fig. 3/4 schedule diagrams).

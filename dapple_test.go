@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"dapple/internal/core"
-	"dapple/internal/planner"
-	"dapple/internal/profile"
 )
 
 // TestQuickstartFlow exercises the public facade end to end: zoo model ->
@@ -37,36 +35,6 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if res.IterTime <= 0 || res.Throughput() <= 0 {
 		t.Fatalf("degenerate simulation: %+v", res)
-	}
-}
-
-// TestProfileToPlan profiles a custom architecture and plans it.
-func TestProfileToPlan(t *testing.T) {
-	arch := Arch{
-		Name: "custom-transformer",
-		Layers: []LayerSpec{
-			profile.Embedding{Name: "embed", Vocab: 32000, Hidden: 512, SeqLen: 128},
-		},
-		DefaultGBS: 64,
-	}
-	for i := 0; i < 12; i++ {
-		arch.Layers = append(arch.Layers, profile.Transformer{
-			Hidden: 512, Heads: 8, SeqLen: 128,
-		})
-	}
-	m, err := ProfileArch(arch, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumLayers() != 13 {
-		t.Fatalf("profiled %d layers", m.NumLayers())
-	}
-	pr, err := planner.PlanContext(context.Background(), m, ConfigB(4), PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Plan.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -29,7 +30,6 @@ var lintedPackages = []string{
 	"internal/hardware",
 	"internal/model",
 	"internal/planner",
-	"internal/profile",
 	"internal/schedule",
 	"internal/sim",
 	"internal/stats",
@@ -151,4 +151,69 @@ func receiverExported(d *ast.FuncDecl) bool {
 		return id.IsExported()
 	}
 	return true
+}
+
+// pathCheckedDocs are the documents whose backticked repo paths must exist.
+// benchmark/README.md is not listed yet: it still cites retired BENCH_*.json
+// records.
+var pathCheckedDocs = []string{"README.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"}
+
+var (
+	backticked = regexp.MustCompile("`([^`\n]+)`")
+	// rootDocName is a root-level document or record: a slash-free *.md or
+	// *.json name that makes up a whole backticked span.
+	rootDocName = regexp.MustCompile(`^[A-Za-z0-9_-]+\.(md|json)$`)
+	// lineSuffix is a trailing ":123" or ":12-34" line reference.
+	lineSuffix = regexp.MustCompile(`:[0-9][0-9–-]*$`)
+)
+
+// TestDocPathsExist fails when a document cites a repo path that does not
+// exist. A backticked token is a repo path when its first segment is a
+// top-level directory of the repo, or when the whole span is a root-level
+// *.md or *.json name.
+func TestDocPathsExist(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topDirs := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() && e.Name() != ".git" {
+			topDirs[e.Name()] = true
+		}
+	}
+	for _, doc := range pathCheckedDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range backticked.FindAllStringSubmatch(string(data), -1) {
+			span := strings.TrimSpace(m[1])
+			if rootDocName.MatchString(span) {
+				if _, err := os.Stat(span); err != nil {
+					t.Errorf("%s: `%s` does not exist", doc, span)
+				}
+				continue
+			}
+			for _, tok := range strings.Fields(span) {
+				p := docPath(tok)
+				first, _, nested := strings.Cut(p, "/")
+				if !nested || !topDirs[first] {
+					continue
+				}
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s: `%s` cites %s, which does not exist", doc, span, p)
+				}
+			}
+		}
+	}
+}
+
+// docPath strips a token down to the path it names: a leading "./", closing
+// punctuation (which also drops a Go package pattern's "...") and a line
+// reference.
+func docPath(tok string) string {
+	p := strings.TrimPrefix(tok, "./")
+	p = strings.TrimRight(p, ",;.)'\"")
+	return lineSuffix.ReplaceAllString(p, "")
 }

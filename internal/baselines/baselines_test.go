@@ -170,3 +170,12 @@ func TestPipeDreamValidityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkPipeDreamPlanner measures the baseline planner's DP.
+func BenchmarkPipeDreamPlanner(b *testing.B) {
+	m := model.BERT48()
+	c := hardware.ConfigA(2)
+	for i := 0; i < b.N; i++ {
+		_ = PipeDream(m, c, 128)
+	}
+}

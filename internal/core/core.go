@@ -270,25 +270,6 @@ func (p *Plan) String() string {
 	}
 }
 
-// Cuts returns the exclusive layer end index of every stage — the carving
-// boundaries a plan-driven runtime slices a real network by.
-func (p *Plan) Cuts() []int {
-	cuts := make([]int, len(p.Stages))
-	for i, s := range p.Stages {
-		cuts[i] = s.Hi
-	}
-	return cuts
-}
-
-// ReplicaCounts returns the per-stage replication degrees in stage order.
-func (p *Plan) ReplicaCounts() []int {
-	rs := make([]int, len(p.Stages))
-	for i, s := range p.Stages {
-		rs[i] = s.Replicas()
-	}
-	return rs
-}
-
 // CompatibleWithLayers checks that the plan's stage ranges carve a runtime
 // network of n layers exactly: the plan's profiled model must map one model
 // layer to one runtime layer for Stage.Lo/Hi to be meaningful cut points.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,62 @@ func TestTable6Shape(t *testing.T) {
 	}
 	if mems[1] != mems[2] {
 		t.Fatalf("DAPPLE steady-state memory varies with M: %v", mems)
+	}
+}
+
+func TestTable7OneRowPerPlanner(t *testing.T) {
+	r := Table7(context.Background(), quickOpts)
+	if r.Truncated() {
+		t.Fatalf("truncated: %v", r.Notes)
+	}
+	if len(r.Rows) != 8 {
+		t.Fatalf("%d rows, want DAPPLE and PipeDream for each of 4 models", len(r.Rows))
+	}
+	models := map[string]bool{}
+	for i := 0; i < len(r.Rows); i += 2 {
+		dapple, pd := r.Rows[i], r.Rows[i+1]
+		if dapple[1] != "DAPPLE" || pd[1] != "PipeDream" || pd[0] != "" {
+			t.Fatalf("rows %d-%d: %v / %v", i, i+1, dapple, pd)
+		}
+		if dapple[0] == "" || models[dapple[0]] {
+			t.Fatalf("row %d: model %q missing or repeated", i, dapple[0])
+		}
+		models[dapple[0]] = true
+		if dapple[2] == "" || pd[2] == "" {
+			t.Fatalf("rows %d-%d: empty strategy", i, i+1)
+		}
+	}
+}
+
+func TestFig4PhaseAnatomy(t *testing.T) {
+	r := Fig4(context.Background(), quickOpts)
+	if r.Truncated() {
+		t.Fatalf("truncated: %v", r.Notes)
+	}
+	// Units alternate stage, comm, stage, ..., stage: one row each.
+	if len(r.Rows)%2 != 1 {
+		t.Fatalf("%d rows, want stages interleaved with comm units", len(r.Rows))
+	}
+	for i, row := range r.Rows {
+		want := fmt.Sprintf("stage%d", i/2)
+		if i%2 == 1 {
+			want = fmt.Sprintf("comm%d-%d", i/2, i/2+1)
+		}
+		if row[0] != want {
+			t.Fatalf("row %d is %q, want %q", i, row[0], want)
+		}
+	}
+	if len(r.Sections) != 1 || !strings.Contains(r.Sections[0], "stage0") {
+		t.Fatalf("want one Gantt section, got %d", len(r.Sections))
+	}
+	found := false
+	for _, n := range r.Notes {
+		if strings.Contains(n, "Tw=") && strings.Contains(n, "(Eq. 1-2)") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("Eq. (1)-(2) latency note missing: %v", r.Notes)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VI): workload construction, parameter sweeps, baselines, and
 // row/series printers. Each generator returns a structured Report that
-// cmd/dapple-bench prints and bench_test.go exercises.
+// cmd/dapple-bench prints and this package's tests check.
 package experiments
 
 import (

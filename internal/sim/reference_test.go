@@ -9,11 +9,10 @@ import (
 // engine: every step linearly scans the runnable set for the task that can
 // start earliest (ties by priority, then task ID), and memory events replay
 // through an independent sort-then-scan pass rather than the engine's
-// merge, so the differential tests cover memory accounting too. It is
-// retained solely as the oracle for the event-driven engine — equivalence
-// tests assert byte-identical Results from both on randomized DAGs and on
-// every zoo-model schedule — and as the baseline of the simulator
-// microbenchmarks. New code should call Run or RunContext.
+// merge, so the differential tests cover memory accounting too. It is test
+// code: the oracle for the event-driven engine — equivalence tests assert
+// byte-identical Results from both on randomized DAGs and on every zoo-model
+// schedule — and the baseline of the simulator microbenchmarks.
 //
 // One deliberate deviation from the pre-rewrite binary: that engine ended by
 // cosmetically re-sorting Spans by (Start, Task ID), which this oracle does

@@ -13,8 +13,9 @@
 // The engine is event-driven: runnable tasks wait in an indexed min-heap
 // keyed by (earliest start, priority, task ID) with per-resource free-time
 // tracking, so each of n tasks costs O(log n) instead of a linear scan over
-// the runnable set. RunReference keeps the pre-rewrite O(n·|runnable|) engine
-// as the differential-testing oracle; both produce byte-identical Results.
+// the runnable set. The pre-rewrite O(n·|runnable|) engine survives only as
+// the test-only oracle RunReference (reference_test.go); both produce
+// byte-identical Results.
 package sim
 
 import (

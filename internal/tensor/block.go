@@ -26,10 +26,10 @@ import (
 //
 // Determinism: a tile owns its output elements exclusively and runs its k
 // panels in increasing order with increasing kk inside each panel, so every
-// output element is one in-order accumulation chain (the refGemm contract)
-// whichever kernel computes it and however many workers execute tiles. Fused
-// bias/ReLU epilogues run once per tile after its final panel, which
-// likewise touches each element exactly once.
+// output element is one in-order accumulation chain (the contract of the
+// test oracle refGemm, ref_test.go) whichever kernel computes it and however
+// many workers execute tiles. Fused bias/ReLU epilogues run once per tile
+// after its final panel, which likewise touches each element exactly once.
 
 // Cache block sizes: a tile is blockMC x blockNC outputs and a k panel is
 // blockKC deep, so the in-place (or packed) b block a tile sweeps is 192 KiB
@@ -47,6 +47,30 @@ const (
 	microM = 4
 	microN = 8
 )
+
+// gemmKind selects which of the three operand layouts a GEMM computes.
+type gemmKind uint8
+
+const (
+	// gemmNN computes out = a @ b.
+	gemmNN gemmKind = iota
+	// gemmTN computes out = aᵀ @ b (weight gradients).
+	gemmTN
+	// gemmNT computes out = a @ bᵀ (input gradients).
+	gemmNT
+)
+
+// gemmDims returns the logical (m, n, k) of a kind's product.
+func gemmDims(kind gemmKind, a, b *Matrix) (m, n, k int) {
+	switch kind {
+	case gemmNN:
+		return a.Rows, b.Cols, a.Cols
+	case gemmTN:
+		return a.Cols, b.Cols, a.Rows
+	default: // gemmNT
+		return a.Rows, b.Rows, a.Cols
+	}
+}
 
 // parGEMMFlops is the m*n*k product below which a multi-tile GEMM runs its
 // tiles on the calling goroutine instead of fanning out over the pool: a

@@ -26,7 +26,7 @@ import (
 //     runs from the channel, so a busy pool can never deadlock callers.
 //
 // Correctness does not depend on who executes which task: tasks are
-// disjoint output tiles whose accumulation order is fixed (see ref.go), so
+// disjoint output tiles whose accumulation order is fixed (see block.go), so
 // results are bit-identical for any worker count, including zero helpers.
 
 // parRun is one parallel kernel dispatch, recycled through runFree.

@@ -1,6 +1,6 @@
 package tensor
 
-// This file holds the retained scalar reference kernels: the executable
+// This file holds the scalar reference GEMM, the test oracle: the executable
 // specification of what every GEMM variant computes, down to the bit.
 //
 // The contract every kernel (the AVX2 micro-kernel, the portable kernel,
@@ -14,30 +14,6 @@ package tensor
 // any implementation that preserves that per-element chain — regardless of
 // tiling, packing, register blocking, or which worker runs which tile — is
 // bit-identical to these loops. Property tests in block_test.go pin that.
-
-// gemmKind selects which of the three operand layouts a GEMM computes.
-type gemmKind uint8
-
-const (
-	// gemmNN computes out = a @ b.
-	gemmNN gemmKind = iota
-	// gemmTN computes out = aᵀ @ b (weight gradients).
-	gemmTN
-	// gemmNT computes out = a @ bᵀ (input gradients).
-	gemmNT
-)
-
-// gemmDims returns the logical (m, n, k) of a kind's product.
-func gemmDims(kind gemmKind, a, b *Matrix) (m, n, k int) {
-	switch kind {
-	case gemmNN:
-		return a.Rows, b.Cols, a.Cols
-	case gemmTN:
-		return a.Cols, b.Cols, a.Rows
-	default: // gemmNT
-		return a.Rows, b.Rows, a.Cols
-	}
-}
 
 // refGemm is the scalar oracle: a plain ijk dot loop over the logical
 // operands, one in-order accumulation chain per output element.
