@@ -155,6 +155,13 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		}
 		return nil
 	}
+	// Every count is bounded by the bytes left before it sizes an
+	// allocation, so a corrupt header that passes the CRC fails as
+	// truncated instead of exhausting memory. A parameter takes at least
+	// 16 bytes (its shape plus one element).
+	if nparams > (len(body)-at)/16 {
+		return nil, fmt.Errorf("train: checkpoint announces %d params in %d bytes", nparams, len(body)-at)
+	}
 	readVec := func(n int) ([]float64, error) {
 		if err := need(8 * n); err != nil {
 			return nil, err
@@ -177,6 +184,9 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		if rows <= 0 || cols <= 0 {
 			return nil, fmt.Errorf("train: checkpoint param %d has shape %dx%d", i, rows, cols)
 		}
+		if cols > (len(body)-at)/8/rows { // rows*cols*8 bytes, never overflowing
+			return nil, fmt.Errorf("train: checkpoint param %d of shape %dx%d truncated at byte %d", i, rows, cols, at)
+		}
 		w := tensor.New(rows, cols)
 		vec, err := readVec(rows * cols)
 		if err != nil {
@@ -184,6 +194,17 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		}
 		copy(w.Data, vec)
 		c.Weights[i] = w
+	}
+	words := 0
+	for _, w := range c.Weights {
+		words += len(w.Data)
+	}
+	maxSlots := len(body) // slots over zero parameters take no bytes: cap them by the input size
+	if words > 0 {
+		maxSlots = (len(body) - at) / 8 / words
+	}
+	if nslots > maxSlots {
+		return nil, fmt.Errorf("train: checkpoint announces %d optimizer slots in %d bytes", nslots, len(body)-at)
 	}
 	c.Slots = make([][][]float64, nslots)
 	for s := 0; s < nslots; s++ {

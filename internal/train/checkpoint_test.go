@@ -1,6 +1,9 @@
 package train
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,6 +141,97 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
+}
+
+// resealCkpt overwrites buf's last 4 bytes with the CRC of the rest, so a
+// hand-built or fuzzed image passes the checksum and reaches the decoder.
+func resealCkpt(buf []byte) []byte {
+	body := buf[:len(buf)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// hostileCkpt is a 44-byte checkpoint with a valid CRC whose one parameter
+// announces a 32768x32768 shape: decoding it must fail as truncated, not
+// allocate the 8 GiB the shape asks for.
+func hostileCkpt() []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, ckptMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, 7)
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, 1) // nparams
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // nslots
+	buf = binary.LittleEndian.AppendUint32(buf, 32768)
+	buf = binary.LittleEndian.AppendUint32(buf, 32768)
+	return resealCkpt(append(buf, 0, 0, 0, 0))
+}
+
+// TestDecodeCheckpointBoundsCounts checks every header count is bounded by
+// the bytes that follow before anything is allocated — an oversized shape,
+// a huge parameter count, a huge slot count — and that LatestCheckpoint
+// falls back past such a file to the newest valid one.
+func TestDecodeCheckpointBoundsCounts(t *testing.T) {
+	net, err := BuildNet(ckptNetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := EncodeCheckpoint(CaptureCheckpoint(3, net, nn.NewAdam(0.01)))
+	hugeParams := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(hugeParams[24:], 0xFFFFFFFF)
+	hugeSlots := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(hugeSlots[28:], 0xFFFFFFFF)
+	for name, buf := range map[string][]byte{
+		"oversized shape": hostileCkpt(),
+		"huge nparams":    resealCkpt(hugeParams),
+		"huge nslots":     resealCkpt(hugeSlots),
+	} {
+		if _, err := DecodeCheckpoint(buf); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	dir := t.TempDir()
+	if _, err := SaveCheckpoint(dir, CaptureCheckpoint(3, net, nn.NewAdam(0.01))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckptName(7)), hostileCkpt(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, _, err := LatestCheckpoint(dir)
+	if err != nil || ck == nil || ck.Step != 3 {
+		t.Fatalf("LatestCheckpoint = %v, %v; want the valid step-3 checkpoint", ck, err)
+	}
+}
+
+// FuzzDecodeCheckpoint feeds DecodeCheckpoint arbitrary images resealed with
+// a valid CRC, so inputs reach past the checksum into the header counts and
+// shapes: it must fail cleanly on anything malformed, and whatever it
+// accepts must re-encode to exactly the same bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, spec := range ckptZoo {
+		net, err := BuildNet(ckptNetSpec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		factory, err := spec.Factory()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(EncodeCheckpoint(CaptureCheckpoint(2, net, factory())))
+	}
+	f.Add(hostileCkpt())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 4 {
+			return
+		}
+		buf := resealCkpt(raw)
+		c, err := DecodeCheckpoint(buf)
+		if err != nil {
+			return
+		}
+		if re := EncodeCheckpoint(c); !bytes.Equal(re, buf) {
+			t.Fatalf("accepted checkpoint did not re-encode identically (%d vs %d bytes)", len(re), len(buf))
+		}
+	})
 }
 
 // TestLatestCheckpointSkipsTorn writes three checkpoints, corrupts the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,7 +27,10 @@ import (
 // per-peer FIFO order makes every wait deterministic. The handshake is
 // manifest → weight and optimizer-state broadcast → weights-done → ready;
 // each step is step → micro-batch tensors → step-done, and the coordinator
-// gates step k+1 on every worker's step-k report.
+// gates step k+1 on every worker's step-k report. Every control and tensor
+// frame's header carries its sender's session generation (the transport
+// epoch floor), so each side drops a torn generation's leftovers with one
+// comparison: the coordinator in await, the worker in accept and nextTensor.
 //
 // Failure semantics are configurable. By default the session is fail-stop:
 // any failure anywhere ends it everywhere, and no torn cross-process update
@@ -59,7 +63,6 @@ const (
 	tensOptS   = 4 // optimizer-state broadcast, Index = slot*nparams + param
 	tensSnapW  = 5 // snapshot gather: weights toward the coordinator
 	tensSnapS  = 6 // snapshot gather: optimizer state toward the coordinator
-	tensFlush  = 7 // recovery flush marker: everything before it is stale
 	tensCkpt   = 8 // checkpoint stream to a joiner, Index = chunk number
 )
 
@@ -241,61 +244,6 @@ func sendEnvelope(t *transport.TCP, peer int, env envelope) error {
 	return t.SendControl(peer, raw)
 }
 
-// recvEnvelope blocks for the next control message, decoding it; it fails
-// when the transport dies, ctx ends, or any of the watched ranks goes down,
-// so protocol waits are never stranded by a dead peer.
-func recvEnvelope(ctx context.Context, t *transport.TCP, watch ...int) (int, envelope, error) {
-	for {
-		downs, dwait := t.PeerDowns()
-		for _, d := range downs {
-			for _, w := range watch {
-				if d == w {
-					return -1, envelope{}, fmt.Errorf("train: rank %d down: %w", d, t.DownErr(d))
-				}
-			}
-		}
-		select {
-		case cm := <-t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			t.RecycleCtrl(cm.Data)
-			if err != nil {
-				return cm.Peer, envelope{}, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
-			}
-			return cm.Peer, env, nil
-		case <-dwait:
-		case <-t.Done():
-			// Drain messages demuxed before the transport died: a shutdown
-			// that raced a peer's teardown must still be seen as a shutdown.
-			select {
-			case cm := <-t.Ctrl():
-				var env envelope
-				err := json.Unmarshal(cm.Data, &env)
-				t.RecycleCtrl(cm.Data)
-				if err == nil {
-					return cm.Peer, env, nil
-				}
-			default:
-			}
-			return -1, envelope{}, t.Err()
-		case <-ctx.Done():
-			return -1, envelope{}, ctx.Err()
-		}
-	}
-}
-
-// recvTensor blocks for the next out-of-band tensor frame.
-func recvTensor(ctx context.Context, t *transport.TCP) (transport.TensorMsg, error) {
-	select {
-	case tm := <-t.Tensors():
-		return tm, nil
-	case <-t.Done():
-		return transport.TensorMsg{}, t.Err()
-	case <-ctx.Done():
-		return transport.TensorMsg{}, ctx.Err()
-	}
-}
-
 // sessionConfig is the resolved set of session options.
 type sessionConfig struct {
 	hbInterval      time.Duration
@@ -436,9 +384,10 @@ type Coordinator struct {
 	ckpt        *Checkpoint
 	hb          *heartbeater
 	failed      error
+	rebuilding  bool // a recover or expand is in flight: waits are budgeted by peerWaitTimeout
 
-	// Elastic membership (all nil/zero unless WithElastic). Mutated only from
-	// the coordinator's protocol loops, so no locking.
+	// Elastic membership (all nil/zero unless WithElastic). Touched only by
+	// the goroutine driving the coordinator, so no locking.
 	nextRank  int            // next rank to grant; joiners never reuse dead ranks
 	joining   map[int]bool   // granted a rank, still meshing
 	joinReady []int          // meshed and admission-pending
@@ -595,41 +544,115 @@ func (c *Coordinator) sendState(w int) error {
 	return sendEnvelope(c.t, w, envelope{Kind: ctrlWeightsDone, OptStep: c.ckpt.OptStep})
 }
 
-// readyBarrier waits for every live worker's ready, skipping stale step
-// reports from before a recovery (per-connection FIFO guarantees a worker's
-// ready follows everything it sent earlier). A worker dying during the
-// barrier fails it — the caller decides between fail-stop and another
-// recovery round.
-func (c *Coordinator) readyBarrier(ctx context.Context) error {
+// A wait is one coordinator barrier: the ranks it still needs a report
+// from, what it does with each current-generation frame, and when it is over.
+type wait struct {
+	what    string        // names the wait in errors
+	pending map[int]bool  // ranks owing a report: one going down fails the wait
+	limit   time.Duration // budget (0: none); silent pending ranks are declared down when it runs out
+	done    func() bool   // the wait is over; nil means once pending is empty
+
+	// ctrl takes every envelope but join and abort, returning false for a
+	// kind the wait does not expect; tensor takes out-of-band tensors. Nil
+	// handlers drop their frames.
+	ctrl   func(peer int, env envelope) bool
+	tensor func(tm transport.TensorMsg) error
+}
+
+// await is the coordinator's one receive loop; every barrier of the session
+// protocol is a call to it. It decodes and recycles each frame, services
+// membership knocks and join announcements, applies abort death evidence,
+// drops frames stamped below the current floor (a torn round's leftovers)
+// and hands the rest to the wait's handlers. It fails when a pending rank
+// goes down, the budget runs out, the transport dies or ctx ends. While a
+// recover or expand is in flight the budget is at most peerWaitTimeout, the
+// bound workers put on the same rebuild's mesh wait.
+func (c *Coordinator) await(ctx context.Context, w wait) error {
+	done := w.done
+	if done == nil {
+		done = func() bool { return len(w.pending) == 0 }
+	}
+	limit := w.limit
+	if c.rebuilding && (limit == 0 || limit > peerWaitTimeout) {
+		limit = peerWaitTimeout
+	}
+	var expire <-chan time.Time
+	if limit > 0 {
+		tmr := time.NewTimer(limit)
+		defer tmr.Stop()
+		expire = tmr.C
+	}
+	for !done() {
+		downs, dwait := c.t.PeerDowns()
+		for _, r := range downs {
+			if w.pending[r] {
+				return fmt.Errorf("train: rank %d down in the %s wait at step %d: %w", r, w.what, c.step, c.t.DownErr(r))
+			}
+		}
+		select {
+		case cm := <-c.t.Ctrl():
+			var env envelope
+			err := json.Unmarshal(cm.Data, &env)
+			c.t.RecycleCtrl(cm.Data)
+			switch {
+			case err != nil:
+				return fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+			case env.Kind == ctrlJoin:
+				c.noteJoinReady(cm.Peer)
+			case env.Kind == ctrlAbort:
+				err = c.noteAbort(cm.Peer, env)
+			case cm.Epoch >= c.floor() && w.ctrl != nil && !w.ctrl(cm.Peer, env):
+				err = fmt.Errorf("train: rank %d sent %q in the %s wait: %s", cm.Peer, env.Kind, w.what, env.Err)
+			}
+			if err != nil {
+				return err
+			}
+		case tm := <-c.t.Tensors():
+			if tm.Epoch < c.floor() || w.tensor == nil {
+				c.t.RecycleTensor(tm.Data)
+			} else if err := w.tensor(tm); err != nil {
+				return err
+			}
+		case j := <-c.t.Joins():
+			c.serviceJoin(j)
+		case <-dwait:
+		case <-expire:
+			err := fmt.Errorf("train: %s wait at step %d timed out after %v", w.what, c.step, limit)
+			for r := range w.pending {
+				c.t.ClosePeer(r, err)
+			}
+			return err
+		case <-c.t.Done():
+			return c.t.Err()
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// members returns the live worker ranks as a wait's pending set.
+func (c *Coordinator) members() map[int]bool {
 	pending := make(map[int]bool, len(c.alive))
 	for _, w := range c.alive {
 		pending[w] = true
 	}
-	for len(pending) > 0 {
-		peer, env, err := recvEnvelope(ctx, c.t, c.alive...)
-		if err != nil {
-			return err
+	return pending
+}
+
+// readyBarrier waits for every live worker's ready. A worker dying during
+// the barrier fails it — the caller decides between fail-stop and another
+// recovery round.
+func (c *Coordinator) readyBarrier(ctx context.Context) error {
+	pending := c.members()
+	return c.await(ctx, wait{what: "handshake", pending: pending, ctrl: func(peer int, env envelope) bool {
+		if env.Kind != ctrlReady {
+			return false
 		}
-		switch env.Kind {
-		case ctrlReady:
-			if env.Step != int(c.floor()) {
-				continue // a ready from a torn rehandshake round; drop
-			}
-			delete(pending, peer)
-			delete(c.fresh, peer) // a built session means broadcasts fit from now on
-		case ctrlStepDone, ctrlSnapAck:
-			// Stale reports from the torn generation; drop.
-		case ctrlJoin:
-			c.noteJoinReady(peer)
-		case ctrlAbort:
-			if err := c.noteAbort(peer, env); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("train: rank %d sent %q during handshake: %s", peer, env.Kind, env.Err)
-		}
-	}
-	return nil
+		delete(pending, peer)
+		delete(c.fresh, peer) // a built session means broadcasts fit from now on
+		return true
+	}})
 }
 
 // noteAbort processes a worker's abort envelope. Fresh death evidence downs
@@ -677,7 +700,7 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 		return 0, c.failed
 	}
 	if c.cfg.elastic {
-		c.drainJoins()
+		c.drainJoins(ctx)
 		if js := c.takeReady(); len(js) > 0 {
 			return 0, c.admit(ctx, js)
 		}
@@ -709,74 +732,24 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 // plane: a pending rank going down, or the step timeout expiring with ranks
 // unreported, fails the step with death evidence instead of deadlocking.
 func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, error) {
-	step := c.step
 	for _, w := range c.alive {
-		if err := c.send(w, step, micros); err != nil {
+		if err := c.send(w, c.step, micros); err != nil {
 			return 0, err
 		}
 	}
-	pending := make(map[int]bool, len(c.alive))
-	for _, w := range c.alive {
-		pending[w] = true
-	}
-	var expire <-chan time.Time
-	if c.cfg.stepTimeout > 0 {
-		tmr := time.NewTimer(c.cfg.stepTimeout)
-		defer tmr.Stop()
-		expire = tmr.C
-	}
+	pending := c.members()
 	var loss float64
-	for len(pending) > 0 {
-		downs, dwait := c.t.PeerDowns()
-		for _, r := range downs {
-			if pending[r] {
-				return 0, fmt.Errorf("train: rank %d down during step %d: %w", r, step, c.t.DownErr(r))
-			}
+	err := c.await(ctx, wait{what: "step", pending: pending, limit: c.cfg.stepTimeout, ctrl: func(peer int, env envelope) bool {
+		if env.Kind != ctrlStepDone {
+			return false
 		}
-		select {
-		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
-			if err != nil {
-				return 0, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
-			}
-			switch env.Kind {
-			case ctrlStepDone:
-				if env.Step != step {
-					continue // stale report from a torn generation
-				}
-				if pending[cm.Peer] {
-					delete(pending, cm.Peer)
-					loss += env.Loss
-				}
-			case ctrlAbort:
-				if err := c.noteAbort(cm.Peer, env); err != nil {
-					return 0, err
-				}
-			case ctrlSnapAck, ctrlReady:
-				// Stale gather ack or torn-round ready; drop.
-			case ctrlJoin:
-				c.noteJoinReady(cm.Peer) // admission waits for the step boundary
-			default:
-				return 0, fmt.Errorf("train: rank %d sent %q during step %d", cm.Peer, env.Kind, step)
-			}
-		case j := <-c.t.Joins():
-			c.serviceJoin(j)
-		case <-dwait:
-		case <-expire:
-			err := fmt.Errorf("train: step %d timed out after %v", step, c.cfg.stepTimeout)
-			for r := range pending {
-				c.t.ClosePeer(r, err)
-			}
-			return 0, err
-		case <-c.t.Done():
-			return 0, c.t.Err()
-		case <-ctx.Done():
-			return 0, ctx.Err()
+		if pending[peer] {
+			delete(pending, peer)
+			loss += env.Loss
 		}
-	}
-	return loss, nil
+		return true
+	}})
+	return loss, err
 }
 
 // send ships one step announcement and its micro-batches to worker w. Labels
@@ -807,7 +780,7 @@ func (c *Coordinator) send(w, step int, micros []Batch) error {
 // stage identical, so one copy per stage reassembles the full master state.
 func (c *Coordinator) snapshot(ctx context.Context) error {
 	for _, w := range c.alive {
-		if err := sendEnvelope(c.t, w, envelope{Kind: ctrlSnapshot, Step: c.step}); err != nil {
+		if err := sendEnvelope(c.t, w, envelope{Kind: ctrlSnapshot}); err != nil {
 			return err
 		}
 	}
@@ -821,73 +794,40 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 	}
 	need := nparams * (1 + nslots)
 	got := 0
-	acks := make(map[int]bool, len(c.alive))
-	for _, w := range c.alive {
-		acks[w] = true
-	}
-	for got < need || len(acks) > 0 {
-		downs, dwait := c.t.PeerDowns()
-		for _, r := range downs {
-			if acks[r] {
-				return fmt.Errorf("train: rank %d down during snapshot at step %d: %w", r, c.step, c.t.DownErr(r))
+	acks := c.members()
+	err := c.await(ctx, wait{
+		what: "snapshot", pending: acks,
+		done: func() bool { return len(acks) == 0 && got == need },
+		ctrl: func(peer int, env envelope) bool {
+			if env.Kind != ctrlSnapAck {
+				return false
 			}
-		}
-		select {
-		case tm := <-c.t.Tensors():
+			delete(acks, peer)
+			ck.OptStep = max(ck.OptStep, env.OptStep)
+			return true
+		},
+		tensor: func(tm transport.TensorMsg) error {
 			switch tm.Class {
 			case tensSnapW:
 				if tm.Index < 0 || tm.Index >= nparams || ck.Weights[tm.Index] != nil {
 					return fmt.Errorf("train: snapshot weight %d unexpected", tm.Index)
 				}
 				ck.Weights[tm.Index] = tm.Data
-				got++
 			case tensSnapS:
 				s, i := tm.Index/nparams, tm.Index%nparams
 				if tm.Index < 0 || s >= nslots || ck.Slots[s][i] != nil {
 					return fmt.Errorf("train: snapshot state %d unexpected", tm.Index)
 				}
 				ck.Slots[s][i] = tm.Data.Data
-				got++
-			case tensFlush:
-				// A marker from an in-flight recovery; drop.
-				c.t.RecycleTensor(tm.Data)
 			default:
 				return fmt.Errorf("train: tensor class %d during snapshot", tm.Class)
 			}
-		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
-			if err != nil {
-				return fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
-			}
-			switch env.Kind {
-			case ctrlSnapAck:
-				if env.Step == c.step && acks[cm.Peer] {
-					delete(acks, cm.Peer)
-					if env.OptStep > ck.OptStep {
-						ck.OptStep = env.OptStep
-					}
-				}
-			case ctrlStepDone, ctrlReady:
-				// Stale report or torn-round ready; drop.
-			case ctrlJoin:
-				c.noteJoinReady(cm.Peer)
-			case ctrlAbort:
-				if err := c.noteAbort(cm.Peer, env); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("train: rank %d sent %q during snapshot", cm.Peer, env.Kind)
-			}
-		case j := <-c.t.Joins():
-			c.serviceJoin(j)
-		case <-dwait:
-		case <-c.t.Done():
-			return c.t.Err()
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+			got++
+			return nil
+		},
+	})
+	if err != nil {
+		return err
 	}
 	for i, w := range ck.Weights {
 		if w == nil || w.Rows != params[i].W.Rows || w.Cols != params[i].W.Cols {
@@ -914,11 +854,7 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 // mid-recovery starts the next round; recovery fails when no progress is
 // possible (no rank died, no survivors, or the re-plan itself fails).
 func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
-	// Ranks legitimately go quiet while they rebuild (retiring generations,
-	// restoring checkpoints): pause silence verdicts so recovery itself never
-	// manufactures new deaths. Conn-level failures still down ranks.
-	c.hb.Suspend()
-	defer c.hb.Resume()
+	defer c.rebuild()()
 	var lost []int
 	attempts := len(c.alive) + 1
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -976,6 +912,20 @@ func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
 	return nil, fmt.Errorf("train: recovery did not converge: %w", cause)
 }
 
+// rebuild marks a recover or expand in flight until the returned func runs.
+// Ranks legitimately go quiet while they rebuild (retiring generations,
+// restoring checkpoints), so silence verdicts pause and recovery never
+// manufactures new deaths; instead every wait is budgeted (see await), so a
+// rank that dies silently mid-rebuild still ends the wait.
+func (c *Coordinator) rebuild() (end func()) {
+	c.hb.Suspend()
+	c.rebuilding = true
+	return func() {
+		c.rebuilding = false
+		c.hb.Resume()
+	}
+}
+
 // validatePlacement checks the re-plan's device map lands only on survivors.
 func validatePlacement(p *core.Plan, deviceRanks []int, alive []int) error {
 	if n := p.Cluster.NumDevices(); len(deviceRanks) < n {
@@ -994,16 +944,16 @@ func validatePlacement(p *core.Plan, deviceRanks []int, alive []int) error {
 }
 
 // rehandshake re-runs the session handshake on the current membership:
-// reconfig (carrying the new manifest), a flush marker fencing off the torn
-// generation's in-flight tensors, then the training state — the restored
-// broadcast for ranks that have built a session before, a CRC-tailed
-// checkpoint stream for fresh joiners — then the ready barrier.
+// reconfig (carrying the new manifest), then the training state — the
+// restored broadcast for ranks that have built a session before, a
+// CRC-tailed checkpoint stream for fresh joiners — then the ready barrier.
+// Every frame carries the new generation's epoch in its header, which is all
+// a worker needs to tell it from the torn generation's leftovers.
 func (c *Coordinator) rehandshake(ctx context.Context) error {
 	man, err := c.manifest()
 	if err != nil {
 		return err
 	}
-	marker := tensor.New(1, 1)
 	var stream []byte // checkpoint wire image for fresh ranks, encoded once
 	for _, w := range c.alive {
 		env := envelope{Kind: ctrlReconfig, Manifest: man}
@@ -1014,9 +964,6 @@ func (c *Coordinator) rehandshake(ctx context.Context) error {
 			env.CkptBytes = int64(len(stream))
 		}
 		if err := sendEnvelope(c.t, w, env); err != nil {
-			return err
-		}
-		if err := c.t.SendTensor(w, tensFlush, int(man.Epoch), marker); err != nil {
 			return err
 		}
 		if c.fresh[w] {
@@ -1062,21 +1009,15 @@ func (c *Coordinator) Close() error {
 			return c.t.Close()
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.shutdownTimeout)
-	defer cancel()
-	pending := make(map[int]bool, len(c.alive))
-	for _, w := range c.alive {
-		pending[w] = true
-	}
-	for len(pending) > 0 {
-		peer, env, err := recvEnvelope(ctx, c.t)
-		if err != nil {
-			break // timeout, dead transport or downed rank: close anyway
-		}
+	pending := c.members()
+	ack := func(peer int, env envelope) bool {
 		if env.Kind == ctrlShutdownAck {
 			delete(pending, peer)
 		}
+		return true
 	}
+	// A timeout, dead transport or downed rank ends the barrier: close anyway.
+	c.await(context.Background(), wait{what: "shutdown", pending: pending, limit: c.cfg.shutdownTimeout, ctrl: ack}) //nolint:errcheck // see above
 	return c.t.Close()
 }
 
@@ -1093,10 +1034,12 @@ type Worker struct {
 	exec      *Executor
 	man       *Manifest
 	net       *nn.Network
+	coord     int                 // the coordinator's mesh rank; -1 until the manifest or grant names it
+	epoch     uint32              // generation of the session this worker last built
+	held      transport.TensorMsg // a newer generation's tensor that tore a step, kept for the next build
 	optStep   int                 // optimizer update counter of the last broadcast
 	data      transport.Transport // data-plane override (chaos tests); nil uses t
 	dieAtStep int                 // scripted death for fault tests; -1 disables
-	flushSeen int                 // highest recovery flush marker consumed
 	hb        *heartbeater
 	grant     *joinGrantMsg // non-nil on a worker admitted mid-session (JoinSession)
 
@@ -1107,7 +1050,7 @@ type Worker struct {
 // NewWorker wraps an already-connected mesh (rank set, peers dialed) as a
 // session worker.
 func NewWorker(t *transport.TCP, rank int) *Worker {
-	return &Worker{t: t, rank: rank, dieAtStep: -1, flushSeen: -1}
+	return &Worker{t: t, rank: rank, coord: -1, dieAtStep: -1}
 }
 
 // Executor returns the worker's executor, nil before the handshake.
@@ -1136,14 +1079,109 @@ func (w *Worker) dataTransport() transport.Transport {
 	return w.t
 }
 
-// coordRank is the coordinator's mesh rank (valid after the manifest).
-func (w *Worker) coordRank() int { return w.man.Workers }
+// pull is the worker's one blocking receive: the next frame on inbox (the
+// control or the tensor plane). It fails when the coordinator goes down or
+// the transport dies with nothing left queued — a frame demuxed first, such
+// as a shutdown that raced the teardown, still counts — or when ctx ends.
+func pull[T any](ctx context.Context, w *Worker, inbox <-chan T) (T, error) {
+	var none T
+	for {
+		downs, dwait := w.t.PeerDowns() // before the peek: a down is reported after its conn's last frame
+		select {
+		case m := <-inbox:
+			return m, nil
+		default:
+		}
+		if slices.Contains(downs, w.coord) {
+			return none, fmt.Errorf("train: coordinator rank %d down: %w", w.coord, w.t.DownErr(w.coord))
+		}
+		select {
+		case m := <-inbox:
+			return m, nil
+		case <-dwait:
+		case <-w.t.Done():
+			if len(inbox) == 0 {
+				return none, w.t.Err()
+			}
+		case <-ctx.Done():
+			return none, ctx.Err()
+		}
+	}
+}
+
+// accept decodes one control frame and applies the worker's generation
+// filter: an abort always counts, a reconfig only when it is newer than the
+// session this worker last built, anything else only when stamped at, the
+// epoch of the session at hand. The rest (say, the weights-done of an
+// expansion round this rank bailed out of) is a torn round's leftover.
+func (w *Worker) accept(cm transport.CtrlMsg, at uint32) (env envelope, ok bool, err error) {
+	err = json.Unmarshal(cm.Data, &env)
+	w.t.RecycleCtrl(cm.Data)
+	switch {
+	case err != nil:
+		return env, false, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+	case w.coord >= 0 && cm.Peer != w.coord:
+		return env, false, fmt.Errorf("train: control frame from non-coordinator rank %d", cm.Peer)
+	case env.Kind == ctrlAbort:
+		return env, true, nil
+	case env.Kind == ctrlReconfig:
+		return env, cm.Epoch > w.epoch, nil
+	}
+	return env, cm.Epoch == at, nil
+}
+
+// recv blocks for the coordinator's next envelope that accept lets through.
+func (w *Worker) recv(ctx context.Context, at uint32) (envelope, error) {
+	for {
+		cm, err := pull(ctx, w, w.t.Ctrl())
+		if err != nil {
+			return envelope{}, err
+		}
+		if env, ok, err := w.accept(cm, at); ok || err != nil {
+			return env, err
+		}
+	}
+}
+
+// nextTensor blocks for the next out-of-band tensor stamped at, recycling
+// older generations' leftovers. A tensor of a newer generation means the
+// coordinator moved on mid-transfer: it is held for the build that follows
+// and nextTensor returns the zero TensorMsg, which matches no tensor class.
+func (w *Worker) nextTensor(ctx context.Context, at uint32) (transport.TensorMsg, error) {
+	for {
+		tm := w.held
+		w.held = transport.TensorMsg{}
+		if tm.Data == nil {
+			var err error
+			if tm, err = pull(ctx, w, w.t.Tensors()); err != nil {
+				return tm, err
+			}
+		}
+		switch {
+		case tm.Epoch < at:
+			w.t.RecycleTensor(tm.Data)
+		case tm.Epoch > at:
+			w.held = tm
+			return transport.TensorMsg{}, nil
+		default:
+			return tm, nil
+		}
+	}
+}
 
 // Serve runs the worker side of the session protocol until shutdown (nil),
 // session failure, or ctx cancellation. It must be called once, after the
-// mesh is fully connected.
-func (w *Worker) Serve(ctx context.Context) error {
-	var err error
+// mesh is fully connected. It never fails silently: on any exit other than
+// shutdown it sends the coordinator a best-effort abort naming this rank as
+// down — a survivable coordinator shrinks around it at once — and closes the
+// coordinator connection, so no wait is left on a rank that stopped serving.
+func (w *Worker) Serve(ctx context.Context) (err error) {
+	defer func() {
+		if err != nil && w.coord >= 0 {
+			sendEnvelope(w.t, w.coord, envelope{Kind: ctrlAbort, Err: err.Error(), Down: []int{w.rank}}) //nolint:errcheck // best-effort on the way out
+			w.t.ClosePeer(w.coord, err)
+		}
+	}()
 	if w.grant != nil {
 		err = w.handshakeJoin(ctx)
 	} else {
@@ -1162,14 +1200,10 @@ func (w *Worker) Serve(ctx context.Context) error {
 		w.hb = startHeartbeater(w.t, w.man.Heartbeat, w.man.HeartbeatTimeout, nil)
 		defer w.hb.Stop()
 	}
-	coord := w.coordRank()
 	for {
-		peer, env, err := recvEnvelope(ctx, w.t, coord)
+		env, err := w.recv(ctx, w.epoch)
 		if err != nil {
 			return err
-		}
-		if peer != coord {
-			return fmt.Errorf("train: control frame from non-coordinator rank %d", peer)
 		}
 		switch env.Kind {
 		case ctrlStep:
@@ -1187,7 +1221,7 @@ func (w *Worker) Serve(ctx context.Context) error {
 				}
 			}
 		case ctrlSnapshot:
-			if err := w.sendSnapshot(env); err != nil {
+			if err := w.sendSnapshot(); err != nil {
 				return err
 			}
 		case ctrlReconfig:
@@ -1198,7 +1232,7 @@ func (w *Worker) Serve(ctx context.Context) error {
 			// Ack, then hold the mesh open until the coordinator — who has
 			// every worker's ack — tears it down: a worker closing early
 			// would EOF peers that are still draining their own shutdown.
-			sendEnvelope(w.t, coord, envelope{Kind: ctrlShutdownAck}) //nolint:errcheck // session is over either way
+			sendEnvelope(w.t, w.coord, envelope{Kind: ctrlShutdownAck}) //nolint:errcheck // session is over either way
 			w.awaitTeardown(ctx)
 			return nil
 		case ctrlAbort:
@@ -1213,25 +1247,14 @@ func (w *Worker) Serve(ctx context.Context) error {
 // down after a clean shutdown: under peer isolation its connection dropping
 // marks it down; under fail-stop semantics the whole transport dies.
 func (w *Worker) awaitTeardown(ctx context.Context) {
-	coord := w.coordRank()
-	deadline := time.NewTimer(30 * time.Second)
-	defer deadline.Stop()
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
 	for {
-		downs, dwait := w.t.PeerDowns()
-		for _, r := range downs {
-			if r == coord {
-				return
-			}
-		}
-		select {
-		case <-dwait:
-		case <-w.t.Done():
-			return
-		case <-ctx.Done():
-			return
-		case <-deadline.C:
+		cm, err := pull(ctx, w, w.t.Ctrl())
+		if err != nil {
 			return
 		}
+		w.t.RecycleCtrl(cm.Data)
 	}
 }
 
@@ -1239,7 +1262,7 @@ func (w *Worker) awaitTeardown(ctx context.Context) {
 // weights and optimizer state from the broadcast, constructs the executor
 // and reports ready.
 func (w *Worker) handshake(ctx context.Context) error {
-	_, env, err := recvEnvelope(ctx, w.t)
+	env, err := w.recv(ctx, 0)
 	if err != nil {
 		return err
 	}
@@ -1248,6 +1271,7 @@ func (w *Worker) handshake(ctx context.Context) error {
 	}
 	man := env.Manifest
 	w.man = man
+	w.coord = man.Workers
 	if man.Survivable {
 		w.t.SetPeerIsolation(true)
 	}
@@ -1283,7 +1307,6 @@ func (w *Worker) waitMesh(ctx context.Context, man *Manifest) error {
 // the manifest's plan — the shared tail of the initial handshake and every
 // recovery reconfig.
 func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
-	coord := man.Workers
 	if err := w.waitMesh(ctx, man); err != nil {
 		return err
 	}
@@ -1294,7 +1317,7 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 	params := net.Params()
 	nparams := len(params)
 	for i := range params {
-		tm, err := recvTensor(ctx, w.t)
+		tm, err := w.nextTensor(ctx, man.Epoch)
 		if err != nil {
 			return err
 		}
@@ -1313,7 +1336,7 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 	for s := 0; s < nslots; s++ {
 		slots[s] = make([][]float64, nparams)
 		for i := 0; i < nparams; i++ {
-			tm, err := recvTensor(ctx, w.t)
+			tm, err := w.nextTensor(ctx, man.Epoch)
 			if err != nil {
 				return err
 			}
@@ -1324,7 +1347,7 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 			slots[s][i] = tm.Data.Data
 		}
 	}
-	_, doneEnv, err := recvEnvelope(ctx, w.t)
+	doneEnv, err := w.recv(ctx, man.Epoch)
 	if err != nil {
 		return err
 	}
@@ -1337,16 +1360,16 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 		err = restoreExecState(exec, man, net, w.optStep, slots)
 	}
 	if err != nil {
-		if !(man.Survivable && errors.Is(err, transport.ErrPeerDown)) {
-			// A peer dying mid-rebuild is reported with death evidence by the
-			// reconfig path instead; anything else is this rank's own failure.
-			sendEnvelope(w.t, coord, envelope{Kind: ctrlAbort, Err: err.Error()}) //nolint:errcheck // best-effort before failing
-		}
 		return err
 	}
-	w.exec = exec
-	w.net = net
-	return sendEnvelope(w.t, coord, envelope{Kind: ctrlReady, Step: int(man.Epoch)})
+	return w.install(man, net, exec)
+}
+
+// install makes a freshly built executor this worker's session — the shared
+// end of the broadcast and checkpoint-stream builds — and reports ready.
+func (w *Worker) install(man *Manifest, net *nn.Network, exec *Executor) error {
+	w.exec, w.net, w.epoch = exec, net, man.Epoch
+	return sendEnvelope(w.t, w.coord, envelope{Kind: ctrlReady})
 }
 
 // buildExecutor constructs this rank's executor for the manifest's plan —
@@ -1416,8 +1439,8 @@ func layerParamOffsets(net *nn.Network) []int {
 // stage whose primary (lowest-hosting) rank this is, the stage's weights and
 // optimizer state from its first hosted replica, then the ack. Called only
 // between steps, so the state is a clean step boundary by construction.
-func (w *Worker) sendSnapshot(env envelope) error {
-	coord := w.coordRank()
+func (w *Worker) sendSnapshot() error {
+	coord := w.coord
 	offs := layerParamOffsets(w.net)
 	nparams := offs[len(offs)-1]
 	optStep := 0
@@ -1463,15 +1486,16 @@ func (w *Worker) sendSnapshot(env envelope) error {
 			}
 		}
 	}
-	return sendEnvelope(w.t, coord, envelope{Kind: ctrlSnapAck, Step: env.Step, OptStep: optStep})
+	return sendEnvelope(w.t, coord, envelope{Kind: ctrlSnapAck, OptStep: optStep})
 }
 
 // reconfig rebuilds the session onto a recovery manifest: retire the torn
-// transport generation, drain stale tensors up to the coordinator's flush
-// marker, then rebuild the executor — from the restored state broadcast, or
-// from the checkpoint stream when the reconfig announces one (this rank
-// joined mid-session and holds no prior state). Death verdicts pause for the
-// duration: peers rebuilding alongside are legitimately silent.
+// transport generation, then rebuild the executor — from the restored state
+// broadcast, or from the checkpoint stream when the reconfig announces one
+// (this rank joined mid-session and holds no prior state). The build reads
+// only frames stamped with the manifest's epoch; older ones are the torn
+// generation's leftovers. Death verdicts pause for the duration: peers
+// rebuilding alongside are legitimately silent.
 func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	if env.Manifest == nil {
 		return fmt.Errorf("train: reconfig without manifest")
@@ -1481,16 +1505,6 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	w.hb.Suspend()
 	defer w.hb.Resume()
 	w.t.Retire(man.Epoch)
-	for w.flushSeen < int(man.Epoch) {
-		tm, err := recvTensor(ctx, w.t)
-		if err != nil {
-			return err
-		}
-		if tm.Class == tensFlush {
-			w.flushSeen = tm.Index
-		}
-		w.t.RecycleTensor(tm.Data)
-	}
 	var err error
 	if env.CkptBytes > 0 {
 		err = w.buildSessionFromCkpt(ctx, man, env.CkptBytes)
@@ -1500,8 +1514,9 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	if err != nil && man.Survivable && errors.Is(err, transport.ErrPeerDown) {
 		// A manifest peer (a joiner, typically) died while this rank was
 		// rebuilding around it: report the evidence and stay alive — the
-		// coordinator's next round re-plans without the corpse.
-		return w.stepFailed(env.Step, err)
+		// coordinator's next round re-plans without the corpse, and this
+		// round's remaining frames carry an epoch this rank never built.
+		return w.stepFailed(err)
 	}
 	return err
 }
@@ -1514,31 +1529,20 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 // returned envelope, when non-nil, is a reconfig that interrupted the step
 // and must be processed next.
 func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
-	coord := w.coordRank()
 	micros := w.microBuf[:0]
 	for mb := 0; mb < env.M; mb++ {
-		x, err := recvTensor(ctx, w.t)
-		if err != nil {
+		// A zero tensor means a recovery tore the step while its tensors were
+		// in flight: abandon it; the reconfig envelope is already queued.
+		x, err := w.nextTensor(ctx, w.epoch)
+		if err != nil || x.Data == nil {
+			w.recycleMicros(micros)
 			return nil, err
 		}
-		if x.Class == tensFlush {
-			// A recovery started while this step's tensors were in flight:
-			// abandon the step; the reconfig envelope is already queued.
-			w.flushSeen = x.Index
+		y, err := w.nextTensor(ctx, w.epoch)
+		if err != nil || y.Data == nil {
 			w.t.RecycleTensor(x.Data)
 			w.recycleMicros(micros)
-			return nil, nil
-		}
-		y, err := recvTensor(ctx, w.t)
-		if err != nil {
 			return nil, err
-		}
-		if y.Class == tensFlush {
-			w.flushSeen = y.Index
-			w.t.RecycleTensor(x.Data)
-			w.t.RecycleTensor(y.Data)
-			w.recycleMicros(micros)
-			return nil, nil
 		}
 		if x.Class != tensX || y.Class != tensY || x.Index != mb || y.Index != mb {
 			return nil, fmt.Errorf("train: step %d micro %d arrived out of order", env.Step, mb)
@@ -1564,33 +1568,39 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 	}()
 	var aborted error
 	var next *envelope
-	select {
-	case out := <-done:
-		// The executor has returned; its input leases can go back to the
-		// reader pumps.
-		w.recycleMicros(micros)
-		if out.err != nil {
-			return nil, w.stepFailed(env.Step, out.err)
+	for next == nil && aborted == nil {
+		select {
+		case out := <-done:
+			// The executor has returned; its input leases can go back to the
+			// reader pumps.
+			w.recycleMicros(micros)
+			if out.err != nil {
+				return nil, w.stepFailed(out.err)
+			}
+			return nil, sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
+		case cm := <-w.t.Ctrl():
+			// The coordinator interrupted the step: a relayed abort, a
+			// recovery reconfig, or something unexpected (equally fatal).
+			// Cancel the local step so its workers unblock from
+			// cross-process receives.
+			e, ok, err := w.accept(cm, w.epoch)
+			switch {
+			case err != nil:
+				aborted = err
+			case !ok:
+				// A torn round's leftover; keep waiting.
+			case e.Kind == ctrlReconfig:
+				next = &e
+			case e.Kind == ctrlAbort:
+				aborted = fmt.Errorf("train: session aborted by coordinator: %s", e.Err)
+			default:
+				aborted = fmt.Errorf("train: unexpected %q from coordinator mid-step", e.Kind)
+			}
+		case <-w.t.Done():
+			aborted = w.t.Err()
+		case <-ctx.Done():
+			aborted = ctx.Err()
 		}
-		return nil, sendEnvelope(w.t, coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
-	case cm := <-w.t.Ctrl():
-		// The coordinator interrupted the step: a relayed abort, a recovery
-		// reconfig, or something unexpected (equally fatal). Cancel the
-		// local step so its workers unblock from cross-process receives.
-		var e envelope
-		err := json.Unmarshal(cm.Data, &e)
-		w.t.RecycleCtrl(cm.Data)
-		if err == nil && e.Kind == ctrlReconfig {
-			next = &e
-		} else if err == nil && e.Kind == ctrlAbort {
-			aborted = fmt.Errorf("train: session aborted by coordinator: %s", e.Err)
-		} else {
-			aborted = fmt.Errorf("train: unexpected control frame from rank %d mid-step", cm.Peer)
-		}
-	case <-w.t.Done():
-		aborted = w.t.Err()
-	case <-ctx.Done():
-		aborted = ctx.Err()
 	}
 	cancel()
 	<-done // the executor must be fully quiescent before moving on
@@ -1618,26 +1628,21 @@ func (w *Worker) recycleMicros(micros []Batch) {
 	}
 }
 
-// stepFailed reports an executor failure. In a survivable session the
-// report carries the ranks this worker saw die and the worker stays alive
-// for the coordinator's recovery; otherwise the failure ends the worker,
-// preserving fail-stop semantics.
-func (w *Worker) stepFailed(step int, cause error) error {
-	coord := w.coordRank()
+// stepFailed reports an executor or rebuild failure. In a survivable
+// session the report carries the ranks this worker saw die and the worker
+// stays alive for the coordinator's recovery; otherwise the failure ends the
+// worker (Serve's exit sends the abort), preserving fail-stop semantics.
+func (w *Worker) stepFailed(cause error) error {
 	if !w.man.Survivable {
-		sendEnvelope(w.t, coord, envelope{Kind: ctrlAbort, Step: step, Err: cause.Error()}) //nolint:errcheck // best-effort on a dying session
 		return cause
 	}
 	downs, _ := w.t.PeerDowns()
 	evidence := make([]int, 0, len(downs))
 	for _, r := range downs {
-		if r != coord {
+		if r != w.coord {
 			evidence = append(evidence, r)
 		}
 	}
-	err := sendEnvelope(w.t, coord, envelope{Kind: ctrlAbort, Step: step, Err: cause.Error(), Down: evidence})
-	if err != nil {
-		return err
-	}
-	return nil // await the coordinator's reconfig or abort
+	// A nil return awaits the coordinator's reconfig or abort.
+	return sendEnvelope(w.t, w.coord, envelope{Kind: ctrlAbort, Err: cause.Error(), Down: evidence})
 }

@@ -14,16 +14,17 @@ import (
 	"dapple/internal/hardware"
 	"dapple/internal/nn"
 	"dapple/internal/schedule"
+	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
 
-// TestShutdownAckBarrierTimesOut wedges a worker that completes the
-// handshake and then stops processing control messages entirely — the
-// hung-worker shape — and checks Close returns within the configured
-// shutdown timeout instead of blocking on the ack barrier forever.
-func TestShutdownAckBarrierTimesOut(t *testing.T) {
+// tinyPlan is the smallest session a hand-driven protocol test needs: a
+// three-layer MLP (8 -> 10 -> 4) as one stage on one device, micro-batches
+// of 4 rows, two per step.
+func tinyPlan(t *testing.T) (*core.Plan, *nn.Network) {
+	t.Helper()
 	master := nn.MLP([]int{8, 10, 4}, 5) // dense, relu, dense
-	mod, err := ProfileNetwork("mute-net", master, 8, 4, 8)
+	mod, err := ProfileNetwork("tiny-net", master, 8, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +38,122 @@ func TestShutdownAckBarrierTimesOut(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return p, master
+}
+
+// sequentialLosses is the uninterrupted reference for a session test: the
+// per-step losses of plain sequential training of a clone of master with the
+// momentum optimizer the session tests use.
+func sequentialLosses(t *testing.T, master *nn.Network, iters [][]Batch) []float64 {
+	t.Helper()
+	net, opt := master.Clone(), nn.NewMomentum(0.05, 0.9)
+	want := make([]float64, len(iters))
+	for k, micros := range iters {
+		var err error
+		if want[k], err = SequentialStep(net, micros, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// soloSession starts a one-worker survivable session on loopback TCP for a
+// test that drives the protocol by hand: worker rank 0 serving in the
+// background, the coordinator as rank 1, re-planning onto rank 0 alone.
+// Serve's result lands on exited, and a worker that stops serving cancels
+// ctx, so the test fails at once instead of at its deadline.
+func soloSession(t *testing.T, ctx context.Context, cancel context.CancelFunc, p *core.Plan, master *nn.Network) (coord *Coordinator, wt, ct *transport.TCP, exited chan error) {
+	t.Helper()
+	wt, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt.SetRank(0)
+	ct = transport.NewTCP()
+	ct.SetRank(1)
+	t.Cleanup(func() { wt.Close(); ct.Close() })
+	if err := ct.Dial(ctx, 0, wt.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	exited = make(chan error, 1)
+	go func() {
+		err := NewWorker(wt, 0).Serve(context.Background())
+		cancel()
+		exited <- err
+	}()
+	coord, err = NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9},
+		ExecOptions{Policy: schedule.DapplePA}, []int{0}, 1,
+		WithReplan(func(alive []int) (*core.Plan, []int, error) {
+			if !reflect.DeepEqual(alive, []int{0}) {
+				return nil, nil, fmt.Errorf("unexpected survivors %v", alive)
+			}
+			return p, []int{0}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coord, wt, ct, exited
+}
+
+// TestTornStepYieldsToRebuild tears a step while its micro-batches are in
+// flight: the worker has the step announcement and the first micro-batch
+// when the coordinator moves to a new generation. The next tensor it reads
+// is the new generation's first weight; the worker must abandon the step,
+// keep that tensor for the rebuild, and rebuild from it — and training
+// then continues on the uninterrupted trajectory.
+func TestTornStepYieldsToRebuild(t *testing.T) {
+	p, master := tinyPlan(t)
+	iters := [][]Batch{makeMicros(2, 4, 8, 4, 44), makeMicros(2, 4, 8, 4, 45)}
+	want := sequentialLosses(t, master, iters)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coord, _, ct, exited := soloSession(t, ctx, cancel, p, master)
+	got := make([]float64, len(iters))
+	var err error
+	if got[0], err = coord.Step(ctx, iters[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Step 1, torn after its first micro-batch.
+	if err := sendEnvelope(ct, 0, envelope{Kind: ctrlStep, Step: 1, M: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.SendTensor(0, tensX, 0, iters[1][0].X); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.SendTensor(0, tensY, 0, tensor.New(len(iters[1][0].Y), 1)); err != nil {
+		t.Fatal(err)
+	}
+	end := coord.rebuild()
+	coord.gen++
+	coord.t.Retire(coord.floor())
+	err = coord.rehandshake(ctx)
+	end()
+	if err != nil {
+		t.Fatalf("rebuild after a torn step: %v", err)
+	}
+	if got[1], err = coord.Step(ctx, iters[1]); err != nil {
+		t.Fatal(err)
+	}
+	for k := range iters {
+		if drift := math.Abs(got[k] - want[k]); drift > 1e-6 {
+			t.Fatalf("step %d: loss %.12f vs uninterrupted %.12f (drift %.3g)", k, got[k], want[k], drift)
+		}
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-exited; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
+// TestShutdownAckBarrierTimesOut wedges a worker that completes the
+// handshake and then stops processing control messages entirely — the
+// hung-worker shape — and checks Close returns within the configured
+// shutdown timeout instead of blocking on the ack barrier forever.
+func TestShutdownAckBarrierTimesOut(t *testing.T) {
+	p, master := tinyPlan(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -55,20 +172,21 @@ func TestShutdownAckBarrierTimesOut(t *testing.T) {
 	// The mute worker: a hand-rolled rank that runs the handshake honestly
 	// and then never reads another control message.
 	nparams := len(master.Params())
+	mute := NewWorker(wt, 0)
 	muted := make(chan error, 1)
 	go func() {
 		muted <- func() error {
-			if _, env, err := recvEnvelope(ctx, wt); err != nil {
+			if env, err := mute.recv(ctx, 0); err != nil {
 				return err
 			} else if env.Kind != ctrlManifest {
 				return fmt.Errorf("expected manifest, got %q", env.Kind)
 			}
 			for i := 0; i < nparams; i++ {
-				if _, err := recvTensor(ctx, wt); err != nil {
+				if _, err := mute.nextTensor(ctx, 0); err != nil {
 					return err
 				}
 			}
-			if _, env, err := recvEnvelope(ctx, wt); err != nil {
+			if env, err := mute.recv(ctx, 0); err != nil {
 				return err
 			} else if env.Kind != ctrlWeightsDone {
 				return fmt.Errorf("expected weights-done, got %q", env.Kind)
@@ -308,4 +426,93 @@ func TestSessionResumesFromCheckpointDir(t *testing.T) {
 	// Second life: a fresh mesh and fresh master weights — everything must
 	// come from the checkpoint directory, including momentum's velocity.
 	runSession(master.Clone(), 2, 3)
+}
+
+// TestRebuildBudgetShrinksAroundSilentRank checks the reconfig budget: a
+// rank that completes the handshake and then goes silent — connected, so
+// no connection error ever fires, and heartbeat verdicts are suspended
+// during a rebuild — must not strand the rebuild's ready barrier. The
+// barrier gives up after peerWaitTimeout, declares the silent rank down,
+// and the ordinary shrink path then re-plans onto the survivor.
+func TestRebuildBudgetShrinksAroundSilentRank(t *testing.T) {
+	defer func(d time.Duration) { peerWaitTimeout = d }(peerWaitTimeout)
+	peerWaitTimeout = 300 * time.Millisecond
+
+	p, master := tinyPlan(t)
+	w0t, w1t, ct := sessionMesh(t)
+
+	// Rank 1 hosts no device. It runs the handshake honestly, then never
+	// answers again.
+	nparams := len(master.Params())
+	mute := NewWorker(w1t, 1)
+	muted := make(chan error, 1)
+	go func() {
+		muted <- func() error {
+			if _, err := mute.recv(context.Background(), 0); err != nil {
+				return err
+			}
+			for i := 0; i < nparams; i++ {
+				if _, err := mute.nextTensor(context.Background(), 0); err != nil {
+					return err
+				}
+			}
+			if _, err := mute.recv(context.Background(), 0); err != nil {
+				return err
+			}
+			return sendEnvelope(w1t, 2, envelope{Kind: ctrlReady})
+		}()
+	}()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(w0t, 0).Serve(context.Background()) }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coord, err := NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "sgd", LR: 0.05},
+		ExecOptions{Policy: schedule.DapplePA}, []int{0}, 2,
+		WithReplan(func(alive []int) (*core.Plan, []int, error) {
+			if !reflect.DeepEqual(alive, []int{0}) {
+				return nil, nil, fmt.Errorf("unexpected survivors %v", alive)
+			}
+			return p, []int{0}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-muted; err != nil {
+		t.Fatalf("mute worker handshake: %v", err)
+	}
+
+	// A rebuild onto the same membership: rank 0 rebuilds and reports
+	// ready, rank 1 stays silent.
+	end := coord.rebuild()
+	coord.gen++
+	coord.t.Retire(coord.floor())
+	start := time.Now()
+	err = coord.rehandshake(ctx)
+	end()
+	if err == nil {
+		t.Fatal("a rebuild with a silent rank succeeded")
+	}
+	if elapsed := time.Since(start); elapsed < peerWaitTimeout || elapsed > 10*time.Second {
+		t.Fatalf("rebuild gave up after %v, want the %v budget", elapsed, peerWaitTimeout)
+	}
+	if ct.DownErr(1) == nil {
+		t.Fatalf("silent rank 1 not declared down when the budget ran out (%v)", err)
+	}
+	lost, err := coord.recover(ctx, err)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if !reflect.DeepEqual(lost, []int{1}) || !reflect.DeepEqual(coord.Alive(), []int{0}) {
+		t.Fatalf("recovery lost %v leaving %v, want lost [1] leaving [0]", lost, coord.Alive())
+	}
+	if _, err := coord.Step(ctx, makeMicros(2, 4, 8, 4, 43)); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker 0: %v", err)
+	}
 }

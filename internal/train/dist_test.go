@@ -140,20 +140,6 @@ func TestDistributedSessionMatchesSingleProcess(t *testing.T) {
 		}
 	}
 
-	// The spanning stage must have picked the cross-process hierarchical
-	// exchange on both ranks; unreplicated stages synchronize nothing.
-	for r, w := range workers {
-		if algo := w.Executor().AllReduceAlgo(1); algo != "hierarchical" {
-			t.Errorf("rank %d stage 1 all-reduce %q, want hierarchical", r, algo)
-		}
-	}
-	if algo := workers[0].Executor().AllReduceAlgo(0); algo != "none" {
-		t.Errorf("rank 0 stage 0 all-reduce %q, want none", algo)
-	}
-	if algo := workers[0].Executor().AllReduceAlgo(2); algo != "" {
-		t.Errorf("rank 0 stage 2 all-reduce %q, want \"\" (not hosted)", algo)
-	}
-
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +152,23 @@ func TestDistributedSessionMatchesSingleProcess(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("worker never shut down")
 		}
+	}
+
+	// The spanning stage must have picked the cross-process hierarchical
+	// exchange on both ranks; unreplicated stages synchronize nothing. Read
+	// only after Serve returned: the executors were built on the workers'
+	// goroutines, and the socket hop between them and this one is invisible
+	// to the race detector.
+	for r, w := range workers {
+		if algo := w.Executor().AllReduceAlgo(1); algo != "hierarchical" {
+			t.Errorf("rank %d stage 1 all-reduce %q, want hierarchical", r, algo)
+		}
+	}
+	if algo := workers[0].Executor().AllReduceAlgo(0); algo != "none" {
+		t.Errorf("rank 0 stage 0 all-reduce %q, want none", algo)
+	}
+	if algo := workers[0].Executor().AllReduceAlgo(2); algo != "" {
+		t.Errorf("rank 0 stage 2 all-reduce %q, want \"\" (not hosted)", algo)
 	}
 }
 

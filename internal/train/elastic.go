@@ -80,7 +80,7 @@ func sessionHash(m *Manifest) string {
 
 // serviceJoin answers one membership knock: version-check the request, grant
 // a fresh rank and the live peer map, and track the joiner until its mesh is
-// complete. Runs only on the coordinator's protocol loops.
+// complete. Runs only inside the coordinator's receive loop (await).
 func (c *Coordinator) serviceJoin(j *transport.JoinRequest) {
 	if c.joining == nil {
 		j.Reject("session is not elastic")
@@ -132,32 +132,14 @@ func (c *Coordinator) noteJoinReady(peer int) {
 	c.joinReady = append(c.joinReady, peer)
 }
 
-// drainJoins services every queued membership knock and join announcement
-// without blocking. Anything else on the control plane at a step boundary is
-// a stale leftover of a previous generation and is dropped (aborts still
-// record their death evidence).
-func (c *Coordinator) drainJoins() {
-	for {
-		select {
-		case j := <-c.t.Joins():
-			c.serviceJoin(j)
-		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
-			if err != nil {
-				continue
-			}
-			switch env.Kind {
-			case ctrlJoin:
-				c.noteJoinReady(cm.Peer)
-			case ctrlAbort:
-				c.noteAbort(cm.Peer, env) //nolint:errcheck // evidence lands via ClosePeer; the step barrier acts on it
-			}
-		default:
-			return
-		}
-	}
+// drainJoins is await's non-blocking form, run at a step boundary: it
+// services every queued membership knock, join announcement and abort, drops
+// everything else (stale leftovers of a previous generation) and returns as
+// soon as nothing is queued. Only the coordinator's goroutine drains these
+// inboxes, so one that is not empty never blocks the next receive.
+func (c *Coordinator) drainJoins(ctx context.Context) {
+	idle := func() bool { return len(c.t.Ctrl()) == 0 && len(c.t.Tensors()) == 0 && len(c.t.Joins()) == 0 }
+	c.await(ctx, wait{done: idle}) //nolint:errcheck // evidence lands via ClosePeer; the step barrier acts on it
 }
 
 // takeReady pops the admission-pending joiners that are still alive,
@@ -209,8 +191,9 @@ func (c *Coordinator) Alive() []int {
 // AwaitJoin blocks until a joiner is admission-pending — the next Step will
 // expand onto it — or until a session member dies (the next Step must run
 // the shrink recovery first), returning nil in both cases so the driver's
-// reaction is the same: keep stepping. It fails only when the session or ctx
-// ends. Only valid on an elastic session.
+// reaction is the same: keep stepping. It fails when the session or ctx
+// ends, or a worker aborts without death evidence. Only valid on an elastic
+// session.
 func (c *Coordinator) AwaitJoin(ctx context.Context) error {
 	if !c.cfg.elastic {
 		return fmt.Errorf("train: session is not elastic")
@@ -218,46 +201,24 @@ func (c *Coordinator) AwaitJoin(ctx context.Context) error {
 	if c.failed != nil {
 		return c.failed
 	}
-	for {
-		c.drainJoins()
+	done := func() bool {
 		for _, r := range c.joinReady {
 			if c.t.DownErr(r) == nil {
-				return nil
+				return true
 			}
-		}
-		downs, dwait := c.t.PeerDowns()
-		down := make(map[int]bool, len(downs))
-		for _, r := range downs {
-			down[r] = true
 		}
 		for _, r := range c.alive {
-			if down[r] {
-				return nil
+			if c.t.DownErr(r) != nil {
+				return true
 			}
 		}
-		select {
-		case j := <-c.t.Joins():
-			c.serviceJoin(j)
-		case cm := <-c.t.Ctrl():
-			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
-			if err != nil {
-				continue
-			}
-			switch env.Kind {
-			case ctrlJoin:
-				c.noteJoinReady(cm.Peer)
-			case ctrlAbort:
-				c.noteAbort(cm.Peer, env) //nolint:errcheck // evidence lands via ClosePeer; the death check above acts on it
-			}
-		case <-dwait:
-		case <-c.t.Done():
-			return c.t.Err()
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		return false
 	}
+	err := c.await(ctx, wait{done: done})
+	if err != nil && done() {
+		return nil // fresh death evidence ends the wait like the death itself
+	}
+	return err
 }
 
 // admit expands the session onto the admission-pending joiners and shapes
@@ -298,10 +259,10 @@ func (c *Coordinator) admit(ctx context.Context, js []int) error {
 // a stale checkpoint — then merge the joiners into the membership, re-plan
 // at unchanged global batch size, fence the old transport generation and
 // re-run the handshake (rehandshake streams fresh ranks the checkpoint).
-// Death verdicts pause throughout: ranks rebuilding are legitimately silent.
+// Death verdicts pause throughout, as in recover: ranks rebuilding are
+// legitimately silent, and the rebuild budget bounds every wait instead.
 func (c *Coordinator) expand(ctx context.Context, js []int) error {
-	c.hb.Suspend()
-	defer c.hb.Resume()
+	defer c.rebuild()()
 	if err := c.snapshot(ctx); err != nil {
 		return fmt.Errorf("train: pre-expansion snapshot: %w", err)
 	}
@@ -389,6 +350,7 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 		}
 	}
 	w := NewWorker(t, rank)
+	w.coord = grant.Coord
 	w.grant = &grant
 	if grant.Heartbeat > 0 {
 		// Send-only: prove this rank's liveness while admission is pending;
@@ -406,13 +368,9 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 // build the session from it (the reconfig announces a checkpoint stream,
 // since this rank is fresh).
 func (w *Worker) handshakeJoin(ctx context.Context) error {
-	coord := w.grant.Coord
-	peer, env, err := recvEnvelope(ctx, w.t, coord)
+	env, err := w.recv(ctx, 0)
 	if err != nil {
 		return err
-	}
-	if peer != coord {
-		return fmt.Errorf("train: joiner got control frame from non-coordinator rank %d", peer)
 	}
 	switch env.Kind {
 	case ctrlReconfig:
@@ -420,9 +378,7 @@ func (w *Worker) handshakeJoin(ctx context.Context) error {
 			return fmt.Errorf("train: reconfig without manifest")
 		}
 		if h := sessionHash(env.Manifest); h != w.grant.Hash {
-			err := fmt.Errorf("train: session manifest hash %.12s does not match granted %.12s", h, w.grant.Hash)
-			sendEnvelope(w.t, coord, envelope{Kind: ctrlAbort, Err: err.Error()}) //nolint:errcheck // best-effort before failing
-			return err
+			return fmt.Errorf("train: session manifest hash %.12s does not match granted %.12s", h, w.grant.Hash)
 		}
 		return w.reconfig(ctx, env)
 	case ctrlAbort:
@@ -436,17 +392,16 @@ func (w *Worker) handshakeJoin(ctx context.Context) error {
 // checkpoint stream a reconfig announced: reassemble the byte image, verify
 // it end-to-end through the checkpoint format's CRC tail, and construct the
 // executor from the decoded weights and optimizer state. A torn or corrupt
-// stream fails the worker without an abort — the dropping connection is the
-// coordinator's signal to shrink back.
+// stream fails the worker, and Serve's exit tells the coordinator to shrink
+// back.
 func (w *Worker) buildSessionFromCkpt(ctx context.Context, man *Manifest, nbytes int64) error {
-	coord := man.Workers
 	if err := w.waitMesh(ctx, man); err != nil {
 		return err
 	}
 	words := int((nbytes + 7) / 8)
 	raw := make([]byte, words*8)
 	for got := 0; got < words; {
-		tm, err := recvTensor(ctx, w.t)
+		tm, err := w.nextTensor(ctx, man.Epoch)
 		if err != nil {
 			return err
 		}
@@ -459,7 +414,7 @@ func (w *Worker) buildSessionFromCkpt(ctx context.Context, man *Manifest, nbytes
 		got += len(tm.Data.Data)
 		w.t.RecycleTensor(tm.Data)
 	}
-	_, doneEnv, err := recvEnvelope(ctx, w.t, coord)
+	doneEnv, err := w.recv(ctx, man.Epoch)
 	if err != nil {
 		return err
 	}
@@ -493,7 +448,5 @@ func (w *Worker) buildSessionFromCkpt(ctx context.Context, man *Manifest, nbytes
 	if err != nil {
 		return err
 	}
-	w.exec = exec
-	w.net = net
-	return sendEnvelope(w.t, coord, envelope{Kind: ctrlReady, Step: int(man.Epoch)})
+	return w.install(man, net, exec)
 }

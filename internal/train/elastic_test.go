@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -340,7 +341,7 @@ func TestSessionRejoinJoinerDiesMidSync(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, _, err := recvEnvelope(ctx, jt, w.grant.Coord); err != nil {
+			if _, err := w.recv(ctx, 0); err != nil {
 				return err
 			}
 			if w.hb != nil {
@@ -416,5 +417,99 @@ func TestSessionRejoinJoinerDiesMidSync(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("worker never exited")
 		}
+	}
+}
+
+// TestSessionRecoversFromTornExpansionRound replays, without sleeps, the
+// chain behind the rejoin hang: a veteran bails out of an expansion round
+// on death evidence (the joiner it should mesh with is already down), and
+// the round's remaining frames — the state broadcast and its weights-done —
+// then reach a worker that never built that round. They carry the torn
+// round's epoch, so the worker must drop them and rebuild from the recovery
+// round that follows; the session must recover and train on.
+func TestSessionRecoversFromTornExpansionRound(t *testing.T) {
+	p, master := tinyPlan(t)
+	iters := [][]Batch{makeMicros(2, 4, 8, 4, 41), makeMicros(2, 4, 8, 4, 42)}
+	want := sequentialLosses(t, master, iters)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	coord, wt, ct, exited := soloSession(t, ctx, cancel, p, master)
+	jt, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jt.SetRank(2)
+	t.Cleanup(func() { jt.Close() })
+	got := make([]float64, len(iters))
+	if got[0], err = coord.Step(ctx, iters[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The joiner meshes with both ranks and dies; both see it down (the
+	// session is survivable, so only that peer goes).
+	if err := jt.Dial(ctx, 0, wt.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.Dial(ctx, 2, jt.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.WaitPeers(ctx, []int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jt.WaitPeers(ctx, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	jt.Close()
+	for _, tr := range []*transport.TCP{wt, ct} {
+		for {
+			downs, downWait := tr.PeerDowns()
+			if slices.Contains(downs, 2) {
+				break
+			}
+			select {
+			case <-downWait:
+			case <-ctx.Done():
+				t.Fatal("the joiner's death was never seen")
+			}
+		}
+	}
+
+	// The torn expansion round: a new generation naming the dead joiner.
+	// The veteran's mesh wait fails on the evidence, it reports it, and the
+	// round's state broadcast and weights-done are left in flight to it.
+	coord.gen++
+	coord.t.Retire(coord.floor())
+	coord.alive = []int{0, 2}
+	if err := coord.rehandshake(ctx); err == nil {
+		t.Fatal("an expansion round onto a dead joiner succeeded")
+	}
+	lost, err := coord.recover(ctx, errors.New("joiner died mid-sync"))
+	if err != nil {
+		select {
+		case werr := <-exited:
+			t.Fatalf("recovery: %v; worker exited: %v", err, werr)
+		default:
+			t.Fatalf("recovery: %v", err)
+		}
+	}
+	if !reflect.DeepEqual(lost, []int{2}) {
+		t.Fatalf("recovery lost %v, want [2]", lost)
+	}
+	if coord.CompletedSteps() != 1 {
+		t.Fatalf("recovery resumes at step %d, want 1", coord.CompletedSteps())
+	}
+	if got[1], err = coord.Step(ctx, iters[1]); err != nil {
+		t.Fatal(err)
+	}
+	for k := range iters {
+		if drift := math.Abs(got[k] - want[k]); drift > 1e-6 {
+			t.Fatalf("step %d: loss %.12f vs uninterrupted %.12f (drift %.3g)", k, got[k], want[k], drift)
+		}
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-exited; err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 }

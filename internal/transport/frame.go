@@ -66,7 +66,9 @@ type Header struct {
 	B int32
 	// C is the third routing field (edge receiver replica).
 	C int32
-	// Epoch is the edge generation the frame belongs to.
+	// Epoch is the generation the frame belongs to: the edge or group
+	// generation of data and group frames, the sender's epoch floor on
+	// control and tensor frames.
 	Epoch uint32
 	// M is the micro-batch or tensor index.
 	M int32

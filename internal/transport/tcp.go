@@ -66,6 +66,8 @@ func dialSeed(rank, peer int, addr string) int64 {
 type CtrlMsg struct {
 	// Peer is the sender's rank.
 	Peer int
+	// Epoch is the sender's epoch floor when it sent the payload (see Retire).
+	Epoch uint32
 	// Data is the opaque control payload.
 	Data []byte
 }
@@ -79,6 +81,8 @@ type TensorMsg struct {
 	Class int
 	// Index is the tensor's index within its class.
 	Index int
+	// Epoch is the sender's epoch floor when it sent the tensor (see Retire).
+	Epoch uint32
 	// Data is the received tensor, leased from the transport's recycle
 	// pool: hand it back with RecycleTensor once consumed, or keep it
 	// (without recycling) when the payload is retained.
@@ -126,7 +130,7 @@ type TCP struct {
 	isolate     bool
 	downs       map[int]error
 	downWait    chan struct{} // closed and remade when the down set grows
-	epochFloor  uint32
+	epochFloor  atomic.Uint32 // see Retire; written under mu, read lock-free to stamp sends
 	acceptJoins bool
 
 	closed    chan struct{}
@@ -372,12 +376,14 @@ func (t *TCP) connFail(c *tcpConn, err error) {
 // floor are discarded on arrival instead of held. Survivor re-planning calls
 // Retire with the new session generation's epoch floor before rebuilding
 // executors, so in-flight traffic from the torn step can neither corrupt nor
-// deadlock the rebuilt pipeline; all ranks must use the same floor.
+// deadlock the rebuilt pipeline; all ranks must use the same floor. Control
+// and tensor frames carry the sender's floor in their header, so the session
+// layer tells a torn generation's leftovers from current traffic.
 func (t *TCP) Retire(floor uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if floor > t.epochFloor {
-		t.epochFloor = floor
+	if floor > t.epochFloor.Load() {
+		t.epochFloor.Store(floor)
 	}
 	// Waking every slot's opened latch (not just torn generations') matters:
 	// a reader pump can be parked in a head-of-stream hold on a slot that was
@@ -657,12 +663,19 @@ func (t *TCP) DialJoin(ctx context.Context, addr string, payload []byte) (rank, 
 
 // register adds a connection to the peer table and wakes WaitPeers. Ranks
 // already marked down are rejected: a failed rank cannot rejoin a session
-// (recovery re-plans around it instead).
+// (recovery re-plans around it instead). So is every connection once the
+// transport has shut down — an inbound HELLO read after Close began would
+// otherwise start pumps that Close never stops.
 func (t *TCP) register(c *tcpConn) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
 		return t.err
+	}
+	select {
+	case <-t.closed:
+		return ErrClosed
+	default:
 	}
 	if err, down := t.downs[c.peer]; down {
 		return fmt.Errorf("%w: rank %d cannot rejoin: %v", ErrPeerDown, c.peer, err)
@@ -745,34 +758,31 @@ func (t *TCP) enqueue(peer int, f outFrame) error {
 	}
 }
 
-// SendControl sends an opaque control payload to peer.
+// SendControl sends an opaque control payload to peer, stamped with the
+// current epoch floor.
 func (t *TCP) SendControl(peer int, payload []byte) error {
-	return t.enqueue(peer, outFrame{h: Header{Type: FrameControl}, payload: payload})
+	return t.enqueue(peer, outFrame{h: Header{Type: FrameControl, Epoch: t.epochFloor.Load()}, payload: payload})
 }
 
-// SendTensor sends an out-of-band tensor to peer under (class, index).
+// SendTensor sends an out-of-band tensor to peer under (class, index),
+// stamped with the current epoch floor. The matrix is serialized
+// asynchronously by the writer pump; control-plane senders must not mutate
+// it until the peer has acted on it (the coordinator protocol's step gating
+// guarantees this).
 func (t *TCP) SendTensor(peer, class, index int, m *tensor.Matrix) error {
-	return t.enqueue(peer, outFrame{
-		h: Header{
-			Type: FrameTensor, A: int32(class), M: int32(index),
-			Rows: int32(m.Rows), Cols: int32(m.Cols),
-		},
-		// The matrix is serialized asynchronously by the writer pump;
-		// control-plane senders must not mutate it until the peer has acted
-		// on it (the coordinator protocol's step gating guarantees this).
-		mat: m,
-	})
+	return t.SendTensorPooled(peer, class, index, m, nil)
 }
 
 // SendTensorPooled is SendTensor with a recycle destination: the writer pump
 // returns m to free as soon as its bytes are staged for the socket, so
 // steady-state senders (the coordinator's per-micro label staging) cycle a
 // small pool instead of allocating per send. The caller must lease m from
-// free (see LeaseBuf) and not touch it after this call.
+// free (see LeaseBuf) and not touch it after this call; a nil free is plain
+// SendTensor.
 func (t *TCP) SendTensorPooled(peer, class, index int, m *tensor.Matrix, free chan *tensor.Matrix) error {
 	return t.enqueue(peer, outFrame{
 		h: Header{
-			Type: FrameTensor, A: int32(class), M: int32(index),
+			Type: FrameTensor, A: int32(class), M: int32(index), Epoch: t.epochFloor.Load(),
 			Rows: int32(m.Rows), Cols: int32(m.Cols),
 		},
 		mat: m, free: free,
@@ -1017,7 +1027,7 @@ func (c *tcpConn) readLoop() {
 			payload := t.leaseCtrl(int(h.N))
 			if err = c.fr.ReadBytes(payload); err == nil {
 				select {
-				case t.ctrl <- CtrlMsg{Peer: c.peer, Data: payload}:
+				case t.ctrl <- CtrlMsg{Peer: c.peer, Epoch: h.Epoch, Data: payload}:
 				case <-t.closed:
 					return
 				}
@@ -1026,7 +1036,7 @@ func (c *tcpConn) readLoop() {
 			mat := LeaseBuf(t.tensFree, int(h.Rows), int(h.Cols))
 			if err = c.fr.ReadF64(mat.Data); err == nil {
 				select {
-				case t.tens <- TensorMsg{Peer: c.peer, Class: int(h.A), Index: int(h.M), Data: mat}:
+				case t.tens <- TensorMsg{Peer: c.peer, Class: int(h.A), Index: int(h.M), Epoch: h.Epoch, Data: mat}:
 				case <-t.closed:
 					return
 				}
@@ -1092,8 +1102,8 @@ func (t *TCP) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
 	sl := t.edgeSlotFor(id)
 	t.mu.Lock()
 	epoch := sl.last + 1
-	if epoch < t.epochFloor {
-		epoch = t.epochFloor
+	if floor := t.epochFloor.Load(); epoch < floor {
+		epoch = floor
 	}
 	sl.last = epoch
 	if sl.st != nil {
@@ -1125,7 +1135,7 @@ func (t *TCP) deliverData(fr *FrameReader, h Header) error {
 		t.mu.Lock()
 		st := sl.st
 		wait := sl.opened
-		floor := t.epochFloor
+		floor := t.epochFloor.Load()
 		t.mu.Unlock()
 		if h.Epoch < floor {
 			// A retired session generation's leftover: drop it even when no
@@ -1267,8 +1277,8 @@ func (t *TCP) OpenGroup(gid int, members []int, size int) (Group, error) {
 	sl := t.groupSlotFor(gid)
 	t.mu.Lock()
 	epoch := sl.last + 1
-	if epoch < t.epochFloor {
-		epoch = t.epochFloor
+	if floor := t.epochFloor.Load(); epoch < floor {
+		epoch = floor
 	}
 	sl.last = epoch
 	g.epoch = epoch
@@ -1294,7 +1304,7 @@ func (t *TCP) deliverGroup(fr *FrameReader, h Header) error {
 		t.mu.Lock()
 		g = sl.g
 		wait := sl.opened
-		floor := t.epochFloor
+		floor := t.epochFloor.Load()
 		t.mu.Unlock()
 		if h.Epoch < floor {
 			return fr.Discard(h.N)

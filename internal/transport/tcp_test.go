@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -193,6 +194,57 @@ func TestTCPControlAndTensors(t *testing.T) {
 	}
 }
 
+// TestTCPControlAndTensorsCarryEpochFloor checks the session generation
+// rides in the header of out-of-band traffic: control and tensor frames
+// (plain and pooled) arrive stamped with the sender's epoch floor — zero
+// before any Retire, f after Retire(f) — which is how the session layer
+// tells a torn generation's leftovers from current traffic.
+func TestTCPControlAndTensorsCarryEpochFloor(t *testing.T) {
+	ts := mesh(t, 2)
+	free := make(chan *tensor.Matrix, 1)
+	send := func() {
+		t.Helper()
+		if err := ts[0].SendControl(1, []byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ts[0].SendTensor(1, 1, 0, tensor.New(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ts[0].SendTensorPooled(1, 1, 1, LeaseBuf(free, 1, 2), free); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(epoch uint32) {
+		t.Helper()
+		select {
+		case cm := <-ts[1].Ctrl():
+			if cm.Epoch != epoch {
+				t.Fatalf("control frame stamped %d, want %d", cm.Epoch, epoch)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("control frame never arrived")
+		}
+		for i := 0; i < 2; i++ {
+			select {
+			case tm := <-ts[1].Tensors():
+				if tm.Epoch != epoch {
+					t.Fatalf("tensor frame %d stamped %d, want %d", tm.Index, tm.Epoch, epoch)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("tensor frame never arrived")
+			}
+		}
+	}
+	send()
+	expect(0)
+	ts[0].Retire(3 << 16)
+	send()
+	expect(3 << 16)
+	ts[0].Retire(1) // a lower floor never regresses the stamp
+	send()
+	expect(3 << 16)
+}
+
 func TestTCPGroupAllReduce(t *testing.T) {
 	const n, size = 3, 41
 	ts := mesh(t, n)
@@ -268,5 +320,23 @@ func TestTCPRecvAbort(t *testing.T) {
 	close(abort)
 	if _, err := recv.Recv(abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("recv returned %v, want ErrAborted", err)
+	}
+}
+
+// TestTCPRegisterAfterCloseRejected pins the shutdown race in which an
+// inbound HELLO is read only after Close began: the late connection must be
+// refused, or its pumps would start on a live socket and Close would wait
+// for them forever.
+func TestTCPRegisterAfterCloseRejected(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if err := tr.register(newTCPConn(tr, 1, a, nil)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("register after Close = %v, want ErrClosed", err)
 	}
 }
