@@ -108,7 +108,7 @@ func TestMultiProcessChaosRecoverySmoke(t *testing.T) {
 // two worker processes train a pipeline, one kills itself mid-run, the
 // session shrinks onto the survivor and parks (-min-ranks 2); a THIRD
 // process then joins the running session with -join, is granted a fresh
-// rank, receives the live state stream, and the session re-expands and
+// rank, receives the state broadcast, and the session re-expands and
 // finishes — every completed iteration within 1e-6 of the sequential
 // reference (the binary exits non-zero past that drift).
 func TestMultiProcessElasticSmoke(t *testing.T) {

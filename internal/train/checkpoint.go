@@ -12,6 +12,7 @@ import (
 
 	"dapple/internal/nn"
 	"dapple/internal/tensor"
+	"dapple/internal/transport"
 )
 
 // Checkpoint binary format (version 1, little-endian):
@@ -102,27 +103,40 @@ func EncodeCheckpoint(c *Checkpoint) []byte {
 		n += 8 + 8*len(w.Data)*(1+len(c.Slots))
 	}
 	buf := make([]byte, 0, n+4)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Step))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(c.OptStep))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Weights)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.Slots)))
-	for _, w := range c.Weights {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(w.Rows))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(w.Cols))
-		for _, v := range w.Data {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	encodeBody(c, func(p []byte) { buf = append(buf, p...) })
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// encodeBody hands emit c's version-1 image, CRC tail excluded, in pieces of
+// at most 4 KiB that emit must not retain.
+func encodeBody(c *Checkpoint, emit func([]byte)) {
+	var scratch [4096]byte
+	head := binary.LittleEndian.AppendUint32(scratch[:0], ckptMagic)
+	head = binary.LittleEndian.AppendUint32(head, ckptVersion)
+	head = binary.LittleEndian.AppendUint64(head, uint64(c.Step))
+	head = binary.LittleEndian.AppendUint64(head, uint64(c.OptStep))
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(c.Weights)))
+	emit(binary.LittleEndian.AppendUint32(head, uint32(len(c.Slots))))
+	vec := func(v []float64) {
+		for len(v) > 0 {
+			n := min(len(v), len(scratch)/8)
+			for i, x := range v[:n] {
+				binary.LittleEndian.PutUint64(scratch[8*i:], math.Float64bits(x))
+			}
+			emit(scratch[:8*n])
+			v = v[n:]
 		}
+	}
+	for _, w := range c.Weights {
+		shape := binary.LittleEndian.AppendUint32(scratch[:0], uint32(w.Rows))
+		emit(binary.LittleEndian.AppendUint32(shape, uint32(w.Cols)))
+		vec(w.Data)
 	}
 	for _, slot := range c.Slots {
-		for _, vec := range slot {
-			for _, v := range vec {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
+		for _, v := range slot {
+			vec(v)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // DecodeCheckpoint parses and validates a version-1 checkpoint: magic,
@@ -221,6 +235,89 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("train: checkpoint has %d trailing bytes", len(body)-at)
 	}
 	return c, nil
+}
+
+// checksum is the CRC-32 tail EncodeCheckpoint appends to c's image,
+// computed piecewise so that no image is allocated.
+func (c *Checkpoint) checksum() uint32 {
+	var sum uint32
+	encodeBody(c, func(p []byte) { sum = crc32.Update(sum, crc32.IEEETable, p) })
+	return sum
+}
+
+// Between processes a checkpoint travels as one tensor frame per vector, in
+// both directions: the coordinator's broadcast to every worker that builds a
+// session, and each primary rank's share of a snapshot gather. Weight i is a
+// tensWeight frame at index i, and slot s of parameter i is a tensOptS frame
+// at index s*nparams+i, shaped like weight i. sendState writes that form and
+// assembly.put reads it; the closing envelope carries the step counters.
+
+// sendState ships weights and their optimizer slot vectors to peer. A sender
+// holding only part of the network (one stage) passes that part: weights[j]
+// is global parameter base+j of nparams, and slots[s][j] its slot s.
+func sendState(t *transport.TCP, peer, base, nparams int, weights []*tensor.Matrix, slots [][][]float64) error {
+	for j, wt := range weights {
+		if err := t.SendTensor(peer, tensWeight, base+j, wt); err != nil {
+			return err
+		}
+	}
+	for s, slot := range slots {
+		for j, vec := range slot {
+			m := &tensor.Matrix{Rows: weights[j].Rows, Cols: weights[j].Cols, Data: vec}
+			if err := t.SendTensor(peer, tensOptS, s*nparams+base+j, m); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// An assembly collects a checkpoint's tensors as they land, in any order.
+type assembly struct {
+	ck     *Checkpoint
+	params []nn.Param // the network skeleton every tensor is checked against
+	left   int        // tensors still owed
+}
+
+// newAssembly expects every parameter of params and nslots optimizer slot
+// vectors per parameter.
+func newAssembly(params []nn.Param, nslots int) *assembly {
+	ck := &Checkpoint{Weights: make([]*tensor.Matrix, len(params)), Slots: make([][][]float64, nslots)}
+	for s := range ck.Slots {
+		ck.Slots[s] = make([][]float64, len(params))
+	}
+	return &assembly{ck: ck, params: params, left: len(params) * (1 + nslots)}
+}
+
+// put files one received state tensor into the checkpoint. It rejects a
+// class other than tensWeight and tensOptS, an index out of range or already
+// filled, and a tensor not shaped like its skeleton parameter.
+func (a *assembly) put(class, index int, m *tensor.Matrix) error {
+	n := len(a.params)
+	i, s := index, -1
+	switch {
+	case class == tensOptS && n > 0:
+		i, s = index%n, index/n
+	case class != tensWeight && class != tensOptS:
+		return fmt.Errorf("train: tensor class %d in a state transfer", class)
+	}
+	if index < 0 || i >= n || s >= len(a.ck.Slots) {
+		return fmt.Errorf("train: state tensor (class %d, index %d) out of range", class, index)
+	}
+	if p := a.params[i].W; m.Rows != p.Rows || m.Cols != p.Cols || len(m.Data) != p.Rows*p.Cols {
+		return fmt.Errorf("train: state tensor (class %d, index %d) is %dx%d with %d values, parameter %d is %dx%d",
+			class, index, m.Rows, m.Cols, len(m.Data), i, p.Rows, p.Cols)
+	}
+	switch {
+	case s < 0 && a.ck.Weights[i] == nil:
+		a.ck.Weights[i] = m
+	case s >= 0 && a.ck.Slots[s][i] == nil:
+		a.ck.Slots[s][i] = m.Data
+	default:
+		return fmt.Errorf("train: state tensor (class %d, index %d) arrived twice", class, index)
+	}
+	a.left--
+	return nil
 }
 
 // WriteCheckpoint writes c to path atomically: the bytes land in a temp file

@@ -2,14 +2,19 @@ package train
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"dapple/internal/nn"
+	"dapple/internal/tensor"
+	"dapple/internal/transport"
 )
 
 // ckptZoo lists one OptSpec per optimizer kind, covering the stateless and
@@ -165,10 +170,12 @@ func hostileCkpt() []byte {
 	return resealCkpt(append(buf, 0, 0, 0, 0))
 }
 
-// TestDecodeCheckpointBoundsCounts checks every header count is bounded by
-// the bytes that follow before anything is allocated — an oversized shape,
-// a huge parameter count, a huge slot count — and that LatestCheckpoint
-// falls back past such a file to the newest valid one.
+// TestDecodeCheckpointBoundsCounts checks every size a file or a manifest
+// announces is bounded before anything of that size is allocated — an
+// oversized shape, a huge parameter count, a huge slot count, a dense layer
+// whose weight cannot travel as one tensor frame (in a manifest, a master
+// network, or a coordinator's) — and that LatestCheckpoint falls back past
+// such a file to the newest valid one.
 func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	net, err := BuildNet(ckptNetSpec)
 	if err != nil {
@@ -179,12 +186,32 @@ func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	binary.LittleEndian.PutUint32(hugeParams[24:], 0xFFFFFFFF)
 	hugeSlots := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(hugeSlots[28:], 0xFFFFFFFF)
-	for name, buf := range map[string][]byte{
-		"oversized shape": hostileCkpt(),
-		"huge nparams":    resealCkpt(hugeParams),
-		"huge nslots":     resealCkpt(hugeSlots),
+	decode := func(buf []byte) func() error {
+		return func() error { _, err := DecodeCheckpoint(buf); return err }
+	}
+	// A header-only master: its weight announces 8 TiB and holds nothing.
+	hugeMaster := &nn.Network{Layers: []nn.Layer{&nn.Dense{W: &tensor.Matrix{Rows: 1 << 20, Cols: 1 << 20}}}}
+	plan, _ := tinyPlan(t)
+	for name, build := range map[string]func() error{
+		"oversized shape": decode(hostileCkpt()),
+		"huge nparams":    decode(resealCkpt(hugeParams)),
+		"huge nslots":     decode(resealCkpt(hugeSlots)),
+		"dense layer past one frame": func() error {
+			_, err := BuildNet([]LayerSpec{{Kind: "dense", In: 1 << 20, Out: 1 << 20}})
+			return err
+		},
+		"dense layer past int range": func() error {
+			_, err := BuildNet([]LayerSpec{{Kind: "dense", In: 1 << 62, Out: 1 << 62}})
+			return err
+		},
+		"master past one frame": func() error { _, err := NetSpec(hugeMaster); return err },
+		"coordinator over that master": func() error {
+			_, err := NewCoordinator(context.Background(), transport.NewTCP(), plan, hugeMaster,
+				OptSpec{Kind: "sgd", LR: 0.1}, ExecOptions{}, []int{0}, 1)
+			return err
+		},
 	} {
-		if _, err := DecodeCheckpoint(buf); err == nil {
+		if err := build(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -232,6 +259,147 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("accepted checkpoint did not re-encode identically (%d vs %d bytes)", len(re), len(buf))
 		}
 	})
+}
+
+// statePair wires a worker (rank 0) and a coordinator (rank 1) on loopback
+// TCP for a test that moves training state between them by hand.
+func statePair(t *testing.T) (w *Worker, c *Coordinator) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	wt, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt.SetRank(0)
+	ct := transport.NewTCP()
+	ct.SetRank(1)
+	t.Cleanup(func() { wt.Close(); ct.Close() })
+	if err := ct.Dial(ctx, 0, wt.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := wt.WaitPeers(ctx, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	w = NewWorker(wt, 0)
+	w.coord = 1
+	return w, &Coordinator{t: ct, coord: 1, alive: []int{0}}
+}
+
+// TestStateBroadcastRoundTrip moves a trained checkpoint of every optimizer
+// kind across a TCP pair through the one state sender and the one
+// assembler, both ways: the coordinator's broadcast into a worker's
+// receiveState, and a worker's share of a snapshot gather into the
+// coordinator's. Each side's result must encode to exactly the bytes of the
+// checkpoint that was sent, and the CRC weights-done carries must be the
+// one EncodeCheckpoint appends. The broadcast must refuse a weights-done whose
+// CRC does not match, the assembler a duplicate index, an index out of
+// range and a misshapen weight, and the gather a short slot vector.
+func TestStateBroadcastRoundTrip(t *testing.T) {
+	for _, spec := range ckptZoo {
+		t.Run(spec.Kind, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			factory, err := spec.Factory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := BuildNet(ckptNetSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := factory()
+			optSteps(t, net, opt, 17, 3)
+			ck := CaptureCheckpoint(4, net, opt)
+			want := EncodeCheckpoint(ck)
+			if tail := binary.LittleEndian.Uint32(want[len(want)-4:]); ck.checksum() != tail {
+				t.Fatalf("checksum %08x, EncodeCheckpoint's CRC tail %08x", ck.checksum(), tail)
+			}
+			params := net.Params()
+			n := len(params)
+			w, c := statePair(t)
+			c.master, c.opt, c.step = net, spec, ck.Step
+
+			man := &Manifest{Opt: spec}
+			for _, crc := range []uint32{ck.checksum(), ck.checksum() ^ 1} {
+				if err := sendState(c.t, 0, 0, n, ck.Weights, ck.Slots); err != nil {
+					t.Fatal(err)
+				}
+				done := envelope{Kind: ctrlWeightsDone, Step: ck.Step, OptStep: ck.OptStep, CRC: crc}
+				if err := sendEnvelope(c.t, 0, done); err != nil {
+					t.Fatal(err)
+				}
+				got, err := w.receiveState(ctx, man, params)
+				switch {
+				case crc != ck.checksum():
+					if err == nil || !strings.Contains(err.Error(), "CRC") {
+						t.Fatalf("weights-done with a wrong CRC: got %v, want a CRC mismatch", err)
+					}
+				case err != nil:
+					t.Fatal(err)
+				case !bytes.Equal(EncodeCheckpoint(got), want):
+					t.Fatal("broadcast state does not re-encode to the checkpoint that was sent")
+				}
+			}
+
+			// The gather: the worker sends in two parts, as two stages'
+			// primaries would, then acks; the snapshot must assemble it.
+			if err := sendState(w.t, 1, 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sendState(w.t, 1, 2, n, ck.Weights[2:], sliceSlots(ck.Slots, 2, n)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sendEnvelope(w.t, 1, envelope{Kind: ctrlSnapAck, OptStep: ck.OptStep}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.snapshot(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(EncodeCheckpoint(c.ckpt), want) {
+				t.Fatal("gathered snapshot does not encode to the checkpoint that was sent")
+			}
+
+			shaped := func(i int) *tensor.Matrix { return tensor.New(params[i].W.Rows, params[i].W.Cols) }
+			for name, put := range map[string]func(a *assembly) error{
+				"duplicate index": func(a *assembly) error {
+					if err := a.put(tensWeight, 1, shaped(1)); err != nil {
+						t.Fatalf("a well-formed weight was refused: %v", err)
+					}
+					return a.put(tensWeight, 1, shaped(1))
+				},
+				"index past the slots":  func(a *assembly) error { return a.put(tensOptS, (len(ck.Slots)+1)*n, shaped(0)) },
+				"index past the params": func(a *assembly) error { return a.put(tensWeight, n, shaped(0)) },
+				"negative index":        func(a *assembly) error { return a.put(tensWeight, -1, shaped(0)) },
+				"misshapen weight": func(a *assembly) error {
+					return a.put(tensWeight, 0, tensor.New(params[0].W.Cols, params[0].W.Rows))
+				},
+			} {
+				if err := put(newAssembly(params, len(ck.Slots))); err == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}
+			if len(ck.Slots) == 0 {
+				return
+			}
+			short := &tensor.Matrix{Rows: 1, Cols: len(ck.Slots[0][0]) - 1, Data: ck.Slots[0][0][1:]}
+			if err := w.t.SendTensor(1, tensOptS, 0, short); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.snapshot(ctx); err == nil {
+				t.Fatal("a snapshot gather accepted a short slot vector")
+			}
+		})
+	}
+}
+
+// sliceSlots returns every slot's vectors of parameters [lo, hi).
+func sliceSlots(slots [][][]float64, lo, hi int) [][][]float64 {
+	sub := make([][][]float64, len(slots))
+	for s := range slots {
+		sub[s] = slots[s][lo:hi]
+	}
+	return sub
 }
 
 // TestLatestCheckpointSkipsTorn writes three checkpoints, corrupts the

@@ -22,12 +22,15 @@ import (
 // The distributed session protocol: a coordinator process (mesh rank W for W
 // workers) drives worker processes (ranks 0..W-1) through a lockstep.
 // Control messages are JSON envelopes on the transport's control plane; bulk
-// data (initial weights, optimizer state, per-step micro-batches, snapshot
-// gathers) travels as out-of-band tensor frames on the same connections, so
-// per-peer FIFO order makes every wait deterministic. The handshake is
-// manifest → weight and optimizer-state broadcast → weights-done → ready;
-// each step is step → micro-batch tensors → step-done, and the coordinator
-// gates step k+1 on every worker's step-k report. Every control and tensor
+// data (training state and per-step micro-batches) travels as out-of-band
+// tensor frames on the same connections, so per-peer FIFO order makes every
+// wait deterministic. Training state has one wire form in both directions
+// (sendState and assembly in checkpoint.go): the coordinator broadcasts it to
+// every rank that builds a session, veteran or joiner, and primary ranks send
+// it back for snapshots. The handshake is manifest → state broadcast →
+// weights-done (step counters and the checkpoint CRC) → ready; each step is
+// step → micro-batch tensors → step-done, and the coordinator gates step k+1
+// on every worker's step-k report. Every control and tensor
 // frame's header carries its sender's session generation (the transport
 // epoch floor), so each side drops a torn generation's leftovers with one
 // comparison: the coordinator in await, the worker in accept and nextTensor.
@@ -56,14 +59,12 @@ const (
 )
 
 // Tensor classes multiplexed on the session mesh's out-of-band tensor plane.
+// Training state uses the first and last in both directions (see sendState).
 const (
-	tensWeight = 1 // weight broadcast, Index = position in Params()
+	tensWeight = 1 // one weight, Index = position in Params()
 	tensX      = 2 // one micro-batch's input rows, Index = micro-batch id
 	tensY      = 3 // one micro-batch's labels as a rows×1 matrix
-	tensOptS   = 4 // optimizer-state broadcast, Index = slot*nparams + param
-	tensSnapW  = 5 // snapshot gather: weights toward the coordinator
-	tensSnapS  = 6 // snapshot gather: optimizer state toward the coordinator
-	tensCkpt   = 8 // checkpoint stream to a joiner, Index = chunk number
+	tensOptS   = 4 // one optimizer slot vector, Index = slot*nparams + param
 )
 
 // LayerSpec describes one nn layer structurally, enough for a worker to
@@ -102,7 +103,7 @@ func (o OptSpec) Factory() (func() nn.Optimizer, error) {
 }
 
 // Slots returns how many per-parameter state vectors the named optimizer
-// keeps — the number of tensOptS/tensSnapS streams per parameter.
+// keeps — the number of tensOptS frames per parameter in a state transfer.
 func (o OptSpec) Slots() int {
 	switch o.Kind {
 	case "momentum":
@@ -187,11 +188,10 @@ type envelope struct {
 	// OptStep rides on weights-done and snap-ack: the optimizer's update
 	// counter belonging to the broadcast or gathered state.
 	OptStep int `json:"optStep,omitempty"`
-	// CkptBytes rides on a reconfig toward a freshly joined rank: the exact
-	// byte length of the checkpoint stream (tensCkpt frames) that follows
-	// instead of the per-parameter state broadcast. Zero selects the
-	// broadcast format.
-	CkptBytes int64 `json:"ckptBytes,omitempty"`
+	// CRC rides on weights-done with Step: the CRC-32 that EncodeCheckpoint
+	// appends to the broadcast checkpoint's image. The receiver re-encodes
+	// what it assembled and refuses to build on a mismatch.
+	CRC uint32 `json:"crc,omitempty"`
 }
 
 // NetSpec extracts the structural skeleton of a network for the manifest.
@@ -200,6 +200,9 @@ func NetSpec(n *nn.Network) ([]LayerSpec, error) {
 	for _, l := range n.Layers {
 		switch d := l.(type) {
 		case *nn.Dense:
+			if err := checkDense(d.W.Rows, d.W.Cols); err != nil {
+				return nil, err
+			}
 			spec = append(spec, LayerSpec{Kind: "dense", In: d.W.Rows, Out: d.W.Cols})
 		case nn.ReLU:
 			spec = append(spec, LayerSpec{Kind: "relu"})
@@ -212,6 +215,16 @@ func NetSpec(n *nn.Network) ([]LayerSpec, error) {
 	return spec, nil
 }
 
+// checkDense rejects a dense shape whose weight matrix cannot travel as one
+// tensor frame, before anything of that size is allocated.
+func checkDense(in, out int) error {
+	if in <= 0 || out <= 0 || out > transport.MaxFramePayload/8/in {
+		return fmt.Errorf("train: dense layer with shape %dx%d (a weight must fit one %d-byte tensor frame)",
+			in, out, transport.MaxFramePayload)
+	}
+	return nil
+}
+
 // BuildNet constructs the skeleton a spec describes. Dense weights are
 // placeholders until the coordinator's broadcast overwrites them.
 func BuildNet(spec []LayerSpec) (*nn.Network, error) {
@@ -220,8 +233,8 @@ func BuildNet(spec []LayerSpec) (*nn.Network, error) {
 	for _, ls := range spec {
 		switch ls.Kind {
 		case "dense":
-			if ls.In <= 0 || ls.Out <= 0 {
-				return nil, fmt.Errorf("train: dense layer with shape %dx%d", ls.In, ls.Out)
+			if err := checkDense(ls.In, ls.Out); err != nil {
+				return nil, err
 			}
 			net.Layers = append(net.Layers, nn.NewDense(ls.In, ls.Out, rng))
 		case "relu":
@@ -391,7 +404,6 @@ type Coordinator struct {
 	nextRank  int            // next rank to grant; joiners never reuse dead ranks
 	joining   map[int]bool   // granted a rank, still meshing
 	joinReady []int          // meshed and admission-pending
-	fresh     map[int]bool   // ranks that have never built a session: next reconfig streams them a checkpoint
 	addrs     map[int]string // listen address per live or joining rank
 	manHash   string         // invariant-manifest hash joiners must match
 
@@ -424,6 +436,10 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 	for r := 0; r < workers; r++ {
 		c.alive = append(c.alive, r)
 	}
+	man, err := c.manifest() // validates the skeleton before the checkpoint copies it
+	if err != nil {
+		return nil, err
+	}
 	c.snapEvery = cfg.ckptEvery
 	if c.snapEvery <= 0 && cfg.replan != nil {
 		c.snapEvery = 1 // recovery needs a recent consistent snapshot
@@ -446,10 +462,6 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 	if cfg.replan != nil {
 		t.SetPeerIsolation(true)
 	}
-	man, err := c.manifest()
-	if err != nil {
-		return nil, err
-	}
 	if cfg.elastic {
 		if cfg.replan == nil {
 			return nil, fmt.Errorf("train: WithElastic requires WithReplan")
@@ -464,20 +476,11 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 		}
 		c.nextRank = workers + 1
 		c.joining = map[int]bool{}
-		c.fresh = map[int]bool{}
 		c.addrs = cfg.addrs
 		c.manHash = sessionHash(man)
 		t.SetAcceptJoins(true)
 	}
-	for _, w := range c.alive {
-		if err := sendEnvelope(t, w, envelope{Kind: ctrlManifest, Manifest: man}); err != nil {
-			return nil, err
-		}
-		if err := c.sendState(w); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.readyBarrier(ctx); err != nil {
+	if err := c.handshake(ctx, ctrlManifest); err != nil {
 		return nil, err
 	}
 	if cfg.hbInterval > 0 {
@@ -523,25 +526,32 @@ func (c *Coordinator) floor() uint32 {
 	return uint32(c.gen) << 16
 }
 
-// sendState ships the session's authoritative training state — checkpoint
-// weights and optimizer state in Params() order — to worker w, closed by
-// weights-done carrying the optimizer step counter.
-func (c *Coordinator) sendState(w int) error {
-	for i, wt := range c.ckpt.Weights {
-		if err := c.t.SendTensor(w, tensWeight, i, wt); err != nil {
+// handshake runs the session handshake on the current membership: the
+// current manifest in an envelope of the given kind (ctrlManifest first,
+// ctrlReconfig on every re-plan), then the session's authoritative training
+// state — the checkpoint, sent alike to veterans and joiners — closed by a
+// weights-done carrying its step counters and CRC, then the ready barrier.
+// Every frame carries the generation's epoch in its header, which is all a
+// worker needs to tell it from a torn generation's leftovers.
+func (c *Coordinator) handshake(ctx context.Context, kind string) error {
+	man, err := c.manifest()
+	if err != nil {
+		return err
+	}
+	head := envelope{Kind: kind, Manifest: man}
+	done := envelope{Kind: ctrlWeightsDone, Step: c.ckpt.Step, OptStep: c.ckpt.OptStep, CRC: c.ckpt.checksum()}
+	for _, w := range c.alive {
+		if err := sendEnvelope(c.t, w, head); err != nil {
+			return err
+		}
+		if err := sendState(c.t, w, 0, len(c.ckpt.Weights), c.ckpt.Weights, c.ckpt.Slots); err != nil {
+			return err
+		}
+		if err := sendEnvelope(c.t, w, done); err != nil {
 			return err
 		}
 	}
-	nparams := len(c.ckpt.Weights)
-	for s, slot := range c.ckpt.Slots {
-		for i, vec := range slot {
-			m := &tensor.Matrix{Rows: c.ckpt.Weights[i].Rows, Cols: c.ckpt.Weights[i].Cols, Data: vec}
-			if err := c.t.SendTensor(w, tensOptS, s*nparams+i, m); err != nil {
-				return err
-			}
-		}
-	}
-	return sendEnvelope(c.t, w, envelope{Kind: ctrlWeightsDone, OptStep: c.ckpt.OptStep})
+	return c.readyBarrier(ctx)
 }
 
 // A wait is one coordinator barrier: the ranks it still needs a report
@@ -650,7 +660,6 @@ func (c *Coordinator) readyBarrier(ctx context.Context) error {
 			return false
 		}
 		delete(pending, peer)
-		delete(c.fresh, peer) // a built session means broadcasts fit from now on
 		return true
 	}})
 }
@@ -784,59 +793,28 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 			return err
 		}
 	}
-	params := c.master.Params()
-	nparams := len(params)
-	nslots := c.opt.Slots()
-	ck := &Checkpoint{Step: c.step, Weights: make([]*tensor.Matrix, nparams)}
-	ck.Slots = make([][][]float64, nslots)
-	for s := range ck.Slots {
-		ck.Slots[s] = make([][]float64, nparams)
-	}
-	need := nparams * (1 + nslots)
-	got := 0
+	a := newAssembly(c.master.Params(), c.opt.Slots())
+	a.ck.Step = c.step
 	acks := c.members()
 	err := c.await(ctx, wait{
 		what: "snapshot", pending: acks,
-		done: func() bool { return len(acks) == 0 && got == need },
+		done: func() bool { return len(acks) == 0 && a.left == 0 },
 		ctrl: func(peer int, env envelope) bool {
 			if env.Kind != ctrlSnapAck {
 				return false
 			}
 			delete(acks, peer)
-			ck.OptStep = max(ck.OptStep, env.OptStep)
+			a.ck.OptStep = max(a.ck.OptStep, env.OptStep)
 			return true
 		},
-		tensor: func(tm transport.TensorMsg) error {
-			switch tm.Class {
-			case tensSnapW:
-				if tm.Index < 0 || tm.Index >= nparams || ck.Weights[tm.Index] != nil {
-					return fmt.Errorf("train: snapshot weight %d unexpected", tm.Index)
-				}
-				ck.Weights[tm.Index] = tm.Data
-			case tensSnapS:
-				s, i := tm.Index/nparams, tm.Index%nparams
-				if tm.Index < 0 || s >= nslots || ck.Slots[s][i] != nil {
-					return fmt.Errorf("train: snapshot state %d unexpected", tm.Index)
-				}
-				ck.Slots[s][i] = tm.Data.Data
-			default:
-				return fmt.Errorf("train: tensor class %d during snapshot", tm.Class)
-			}
-			got++
-			return nil
-		},
+		tensor: func(tm transport.TensorMsg) error { return a.put(tm.Class, tm.Index, tm.Data) },
 	})
 	if err != nil {
 		return err
 	}
-	for i, w := range ck.Weights {
-		if w == nil || w.Rows != params[i].W.Rows || w.Cols != params[i].W.Cols {
-			return fmt.Errorf("train: snapshot weight %d missing or misshapen", i)
-		}
-	}
-	c.ckpt = ck
+	c.ckpt = a.ck
 	if c.cfg.ckptDir != "" {
-		if _, err := SaveCheckpoint(c.cfg.ckptDir, ck); err != nil {
+		if _, err := SaveCheckpoint(c.cfg.ckptDir, c.ckpt); err != nil {
 			return fmt.Errorf("train: checkpoint write: %w", err)
 		}
 		if c.cfg.ckptKeep > 0 {
@@ -900,7 +878,7 @@ func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
 		c.t.Retire(c.floor())
 		c.plan, c.deviceRanks, c.alive, c.ckpt = plan, deviceRanks, alive, ck
 		c.step = ck.Step
-		if err := c.rehandshake(ctx); err != nil {
+		if err := c.handshake(ctx, ctrlReconfig); err != nil {
 			if ctx.Err() != nil || c.t.Err() != nil {
 				return nil, err
 			}
@@ -941,41 +919,6 @@ func validatePlacement(p *core.Plan, deviceRanks []int, alive []int) error {
 		}
 	}
 	return nil
-}
-
-// rehandshake re-runs the session handshake on the current membership:
-// reconfig (carrying the new manifest), then the training state — the
-// restored broadcast for ranks that have built a session before, a
-// CRC-tailed checkpoint stream for fresh joiners — then the ready barrier.
-// Every frame carries the new generation's epoch in its header, which is all
-// a worker needs to tell it from the torn generation's leftovers.
-func (c *Coordinator) rehandshake(ctx context.Context) error {
-	man, err := c.manifest()
-	if err != nil {
-		return err
-	}
-	var stream []byte // checkpoint wire image for fresh ranks, encoded once
-	for _, w := range c.alive {
-		env := envelope{Kind: ctrlReconfig, Manifest: man}
-		if c.fresh[w] {
-			if stream == nil {
-				stream = EncodeCheckpoint(c.ckpt)
-			}
-			env.CkptBytes = int64(len(stream))
-		}
-		if err := sendEnvelope(c.t, w, env); err != nil {
-			return err
-		}
-		if c.fresh[w] {
-			err = c.sendCkptStream(w, stream)
-		} else {
-			err = c.sendState(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return c.readyBarrier(ctx)
 }
 
 // fail latches the session's first error, tells every worker to abort, and
@@ -1037,7 +980,6 @@ type Worker struct {
 	coord     int                 // the coordinator's mesh rank; -1 until the manifest or grant names it
 	epoch     uint32              // generation of the session this worker last built
 	held      transport.TensorMsg // a newer generation's tensor that tore a step, kept for the next build
-	optStep   int                 // optimizer update counter of the last broadcast
 	data      transport.Transport // data-plane override (chaos tests); nil uses t
 	dieAtStep int                 // scripted death for fault tests; -1 disables
 	hb        *heartbeater
@@ -1304,8 +1246,8 @@ func (w *Worker) waitMesh(ctx context.Context, man *Manifest) error {
 }
 
 // buildSession receives the state broadcast and constructs the executor for
-// the manifest's plan — the shared tail of the initial handshake and every
-// recovery reconfig.
+// the manifest's plan — the one build of the first handshake and of every
+// reconfig, for veterans and joiners alike.
 func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 	if err := w.waitMesh(ctx, man); err != nil {
 		return err
@@ -1314,66 +1256,55 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 	if err != nil {
 		return err
 	}
-	params := net.Params()
-	nparams := len(params)
-	for i := range params {
-		tm, err := w.nextTensor(ctx, man.Epoch)
-		if err != nil {
-			return err
-		}
-		if tm.Class != tensWeight || tm.Index != i {
-			return fmt.Errorf("train: weight broadcast out of order (class %d index %d, want %d)", tm.Class, tm.Index, i)
-		}
-		if tm.Data.Rows != params[i].W.Rows || tm.Data.Cols != params[i].W.Cols {
-			return fmt.Errorf("train: weight %d is %dx%d, skeleton wants %dx%d",
-				i, tm.Data.Rows, tm.Data.Cols, params[i].W.Rows, params[i].W.Cols)
-		}
-		copy(params[i].W.Data, tm.Data.Data)
-		w.t.RecycleTensor(tm.Data)
-	}
-	nslots := man.Opt.Slots()
-	slots := make([][][]float64, nslots)
-	for s := 0; s < nslots; s++ {
-		slots[s] = make([][]float64, nparams)
-		for i := 0; i < nparams; i++ {
-			tm, err := w.nextTensor(ctx, man.Epoch)
-			if err != nil {
-				return err
-			}
-			if tm.Class != tensOptS || tm.Index != s*nparams+i {
-				return fmt.Errorf("train: optimizer-state broadcast out of order (class %d index %d, want %d)",
-					tm.Class, tm.Index, s*nparams+i)
-			}
-			slots[s][i] = tm.Data.Data
-		}
-	}
-	doneEnv, err := w.recv(ctx, man.Epoch)
+	ck, err := w.receiveState(ctx, man, net.Params())
 	if err != nil {
 		return err
 	}
-	if doneEnv.Kind != ctrlWeightsDone {
-		return fmt.Errorf("train: worker expected weights-done, got %q", doneEnv.Kind)
+	for i, p := range net.Params() {
+		copy(p.W.Data, ck.Weights[i].Data)
+		w.t.RecycleTensor(ck.Weights[i])
 	}
-	w.optStep = doneEnv.OptStep
 	exec, err := w.buildExecutor(man, net)
-	if err == nil && nslots > 0 {
-		err = restoreExecState(exec, man, net, w.optStep, slots)
+	if err == nil && len(ck.Slots) > 0 {
+		err = restoreExecState(exec, man, net, ck.OptStep, ck.Slots)
 	}
 	if err != nil {
 		return err
 	}
-	return w.install(man, net, exec)
-}
-
-// install makes a freshly built executor this worker's session — the shared
-// end of the broadcast and checkpoint-stream builds — and reports ready.
-func (w *Worker) install(man *Manifest, net *nn.Network, exec *Executor) error {
 	w.exec, w.net, w.epoch = exec, net, man.Epoch
 	return sendEnvelope(w.t, w.coord, envelope{Kind: ctrlReady})
 }
 
-// buildExecutor constructs this rank's executor for the manifest's plan —
-// shared by the broadcast and checkpoint-stream session builds.
+// receiveState assembles the checkpoint the coordinator broadcasts for the
+// manifest's generation onto the skeleton params, and checks it against the
+// weights-done that closes it: the assembled state must re-encode to the CRC
+// the coordinator sent.
+func (w *Worker) receiveState(ctx context.Context, man *Manifest, params []nn.Param) (*Checkpoint, error) {
+	a := newAssembly(params, man.Opt.Slots())
+	for a.left > 0 {
+		tm, err := w.nextTensor(ctx, man.Epoch)
+		if err != nil {
+			return nil, err
+		}
+		if err := a.put(tm.Class, tm.Index, tm.Data); err != nil {
+			return nil, err
+		}
+	}
+	env, err := w.recv(ctx, man.Epoch)
+	if err != nil {
+		return nil, err
+	}
+	if env.Kind != ctrlWeightsDone {
+		return nil, fmt.Errorf("train: worker expected weights-done, got %q", env.Kind)
+	}
+	a.ck.Step, a.ck.OptStep = env.Step, env.OptStep
+	if sum := a.ck.checksum(); sum != env.CRC {
+		return nil, fmt.Errorf("train: rank %d assembled state with CRC %08x, coordinator sent %08x", w.rank, sum, env.CRC)
+	}
+	return a.ck, nil
+}
+
+// buildExecutor constructs this rank's executor for the manifest's plan.
 func (w *Worker) buildExecutor(man *Manifest, net *nn.Network) (*Executor, error) {
 	mdl := man.Model
 	p := &core.Plan{Model: &mdl, Cluster: man.Cluster, GBS: man.GBS, MicroBatch: man.MicroBatch}
@@ -1465,37 +1396,30 @@ func (w *Worker) sendSnapshot() error {
 			return fmt.Errorf("train: snapshot: stage %d has no hosted replica on primary rank %d", si, w.rank)
 		}
 		params := w.exec.StageParams(si, replica)
-		plo := offs[ss.Lo]
+		weights := make([]*tensor.Matrix, len(params))
 		for j, p := range params {
-			if err := w.t.SendTensor(coord, tensSnapW, plo+j, p.W); err != nil {
-				return err
-			}
+			weights[j] = p.W
 		}
+		var slots [][][]float64
 		if st, ok := w.exec.StageOptimizer(si, replica).(nn.Stateful); ok {
 			state := st.CaptureState(params)
-			if state.Step > optStep {
-				optStep = state.Step
-			}
-			for s, slot := range state.Slots {
-				for j, vec := range slot {
-					m := &tensor.Matrix{Rows: params[j].W.Rows, Cols: params[j].W.Cols, Data: vec}
-					if err := w.t.SendTensor(coord, tensSnapS, s*nparams+plo+j, m); err != nil {
-						return err
-					}
-				}
-			}
+			optStep = max(optStep, state.Step)
+			slots = state.Slots
+		}
+		if err := sendState(w.t, coord, offs[ss.Lo], nparams, weights, slots); err != nil {
+			return err
 		}
 	}
 	return sendEnvelope(w.t, coord, envelope{Kind: ctrlSnapAck, OptStep: optStep})
 }
 
-// reconfig rebuilds the session onto a recovery manifest: retire the torn
-// transport generation, then rebuild the executor — from the restored state
-// broadcast, or from the checkpoint stream when the reconfig announces one
-// (this rank joined mid-session and holds no prior state). The build reads
-// only frames stamped with the manifest's epoch; older ones are the torn
-// generation's leftovers. Death verdicts pause for the duration: peers
-// rebuilding alongside are legitimately silent.
+// reconfig rebuilds the session onto a recovery or expansion manifest:
+// retire the torn transport generation, then rebuild the executor from the
+// state broadcast — the same one whether this rank held state before or
+// joined mid-session. The build reads only frames stamped with the
+// manifest's epoch; older ones are the torn generation's leftovers. Death
+// verdicts pause for the duration: peers rebuilding alongside are
+// legitimately silent.
 func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	if env.Manifest == nil {
 		return fmt.Errorf("train: reconfig without manifest")
@@ -1505,12 +1429,7 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	w.hb.Suspend()
 	defer w.hb.Resume()
 	w.t.Retire(man.Epoch)
-	var err error
-	if env.CkptBytes > 0 {
-		err = w.buildSessionFromCkpt(ctx, man, env.CkptBytes)
-	} else {
-		err = w.buildSession(ctx, man)
-	}
+	err := w.buildSession(ctx, man)
 	if err != nil && man.Survivable && errors.Is(err, transport.ErrPeerDown) {
 		// A manifest peer (a joiner, typically) died while this rank was
 		// rebuilding around it: report the evidence and stay alive — the

@@ -127,7 +127,7 @@ func TestTornStepYieldsToRebuild(t *testing.T) {
 	end := coord.rebuild()
 	coord.gen++
 	coord.t.Retire(coord.floor())
-	err = coord.rehandshake(ctx)
+	err = coord.handshake(ctx, ctrlReconfig)
 	end()
 	if err != nil {
 		t.Fatalf("rebuild after a torn step: %v", err)
@@ -488,7 +488,7 @@ func TestRebuildBudgetShrinksAroundSilentRank(t *testing.T) {
 	coord.gen++
 	coord.t.Retire(coord.floor())
 	start := time.Now()
-	err = coord.rehandshake(ctx)
+	err = coord.handshake(ctx, ctrlReconfig)
 	end()
 	if err == nil {
 		t.Fatal("a rebuild with a silent rank succeeded")

@@ -3,15 +3,12 @@ package train
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
-	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
 
@@ -23,14 +20,14 @@ import (
 // coordinator gathers a snapshot from the live primary ranks, re-plans the
 // session at unchanged global batch size onto the grown rank set, fences the
 // old transport generation behind a bumped epoch floor, and re-runs the
-// handshake: survivors rebuild from the state broadcast, the joiner from a
-// CRC-tailed checkpoint stream (the checkpoint wire format chunked into
-// tensCkpt frames). The driver sees one *Recovered with Joined set and
-// rewinds exactly one step.
+// handshake. Survivors and the joiner rebuild from the same state broadcast:
+// DAPPLE trains synchronously, so a joiner needs exactly the state a
+// survivor gets. The driver sees one *Recovered with Joined set and rewinds
+// exactly one step.
 
 // sessionVersion is the membership-protocol revision; a joiner built against
 // a different revision is rejected at the door.
-const sessionVersion = 2
+const sessionVersion = 3
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {
@@ -118,7 +115,6 @@ func (c *Coordinator) serviceJoin(j *transport.JoinRequest) {
 	}
 	c.nextRank++
 	c.joining[rank] = true
-	c.fresh[rank] = true
 	c.addrs[rank] = req.Addr
 }
 
@@ -153,7 +149,6 @@ func (c *Coordinator) takeReady() []int {
 		if c.t.DownErr(r) == nil {
 			js = append(js, r)
 		} else {
-			delete(c.fresh, r)
 			delete(c.addrs, r)
 		}
 	}
@@ -169,7 +164,6 @@ func (c *Coordinator) dropDead(dead map[int]bool) {
 		return
 	}
 	for r := range dead {
-		delete(c.fresh, r)
 		delete(c.joining, r)
 		delete(c.addrs, r)
 	}
@@ -255,10 +249,10 @@ func (c *Coordinator) admit(ctx context.Context, js []int) error {
 }
 
 // expand grows the session at a step boundary: snapshot first — gathered
-// from the live primary ranks, so the streamed state is this boundary's, not
-// a stale checkpoint — then merge the joiners into the membership, re-plan
-// at unchanged global batch size, fence the old transport generation and
-// re-run the handshake (rehandshake streams fresh ranks the checkpoint).
+// from the live primary ranks, so the broadcast state is this boundary's,
+// not a stale checkpoint — then merge the joiners into the membership,
+// re-plan at unchanged global batch size, fence the old transport generation
+// and re-run the handshake.
 // Death verdicts pause throughout, as in recover: ranks rebuilding are
 // legitimately silent, and the rebuild budget bounds every wait instead.
 func (c *Coordinator) expand(ctx context.Context, js []int) error {
@@ -279,37 +273,7 @@ func (c *Coordinator) expand(ctx context.Context, js []int) error {
 	c.t.Retire(c.floor())
 	c.plan, c.deviceRanks, c.alive = plan, deviceRanks, merged
 	c.step = c.ckpt.Step
-	return c.rehandshake(ctx)
-}
-
-// ckptChunkWords is one tensCkpt frame's payload in float64 words (128 KiB),
-// packing the checkpoint's byte image 8 bytes per word.
-const ckptChunkWords = 16384
-
-// sendCkptStream ships the encoded checkpoint to a fresh rank as chunked
-// tensCkpt frames, closed by weights-done. The CRC tail inside the stream
-// lets the receiver verify the whole image end-to-end.
-func (c *Coordinator) sendCkptStream(w int, stream []byte) error {
-	words := (len(stream) + 7) / 8
-	padded := stream
-	if len(stream) != words*8 {
-		padded = make([]byte, words*8)
-		copy(padded, stream)
-	}
-	for lo := 0; lo < words; lo += ckptChunkWords {
-		hi := lo + ckptChunkWords
-		if hi > words {
-			hi = words
-		}
-		m := tensor.New(hi-lo, 1)
-		for j := range m.Data {
-			m.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(padded[(lo+j)*8:]))
-		}
-		if err := c.t.SendTensor(w, tensCkpt, lo/ckptChunkWords, m); err != nil {
-			return err
-		}
-	}
-	return sendEnvelope(c.t, w, envelope{Kind: ctrlWeightsDone, OptStep: c.ckpt.OptStep})
+	return c.handshake(ctx, ctrlReconfig)
 }
 
 // JoinSession runs the joiner's half of the membership handshake against a
@@ -365,8 +329,7 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 
 // handshakeJoin is the admitted joiner's session entry: wait for the
 // coordinator's reconfig, verify the manifest against the granted hash, and
-// build the session from it (the reconfig announces a checkpoint stream,
-// since this rank is fresh).
+// build the session from it like any veteran.
 func (w *Worker) handshakeJoin(ctx context.Context) error {
 	env, err := w.recv(ctx, 0)
 	if err != nil {
@@ -386,67 +349,4 @@ func (w *Worker) handshakeJoin(ctx context.Context) error {
 	default:
 		return fmt.Errorf("train: joiner expected reconfig, got %q", env.Kind)
 	}
-}
-
-// buildSessionFromCkpt rebuilds this fresh rank's session from the chunked
-// checkpoint stream a reconfig announced: reassemble the byte image, verify
-// it end-to-end through the checkpoint format's CRC tail, and construct the
-// executor from the decoded weights and optimizer state. A torn or corrupt
-// stream fails the worker, and Serve's exit tells the coordinator to shrink
-// back.
-func (w *Worker) buildSessionFromCkpt(ctx context.Context, man *Manifest, nbytes int64) error {
-	if err := w.waitMesh(ctx, man); err != nil {
-		return err
-	}
-	words := int((nbytes + 7) / 8)
-	raw := make([]byte, words*8)
-	for got := 0; got < words; {
-		tm, err := w.nextTensor(ctx, man.Epoch)
-		if err != nil {
-			return err
-		}
-		if tm.Class != tensCkpt || tm.Index*ckptChunkWords != got {
-			return fmt.Errorf("train: checkpoint stream out of order (class %d chunk %d at word %d)", tm.Class, tm.Index, got)
-		}
-		for j, v := range tm.Data.Data {
-			binary.LittleEndian.PutUint64(raw[(got+j)*8:], math.Float64bits(v))
-		}
-		got += len(tm.Data.Data)
-		w.t.RecycleTensor(tm.Data)
-	}
-	doneEnv, err := w.recv(ctx, man.Epoch)
-	if err != nil {
-		return err
-	}
-	if doneEnv.Kind != ctrlWeightsDone {
-		return fmt.Errorf("train: worker expected weights-done after checkpoint stream, got %q", doneEnv.Kind)
-	}
-	ck, err := DecodeCheckpoint(raw[:nbytes])
-	if err != nil {
-		return fmt.Errorf("train: rank %d checkpoint stream: %w", w.rank, err)
-	}
-	net, err := BuildNet(man.Net)
-	if err != nil {
-		return err
-	}
-	params := net.Params()
-	if len(ck.Weights) != len(params) {
-		return fmt.Errorf("train: checkpoint carries %d parameters, skeleton wants %d", len(ck.Weights), len(params))
-	}
-	for i, p := range params {
-		if ck.Weights[i].Rows != p.W.Rows || ck.Weights[i].Cols != p.W.Cols {
-			return fmt.Errorf("train: checkpoint weight %d is %dx%d, skeleton wants %dx%d",
-				i, ck.Weights[i].Rows, ck.Weights[i].Cols, p.W.Rows, p.W.Cols)
-		}
-		copy(p.W.Data, ck.Weights[i].Data)
-	}
-	w.optStep = ck.OptStep
-	exec, err := w.buildExecutor(man, net)
-	if err == nil && len(ck.Slots) > 0 {
-		err = restoreExecState(exec, man, net, ck.OptStep, ck.Slots)
-	}
-	if err != nil {
-		return err
-	}
-	return w.install(man, net, exec)
 }

@@ -100,11 +100,22 @@ func elasticReplan(t *testing.T, p *core.Plan) ReplanFunc {
 // elastic session loses worker 1 to a scripted death at step 2 and shrinks
 // onto rank 0; a replacement process then joins through the membership
 // handshake, is granted the fresh rank 3, receives the running session's
-// state as a checkpoint stream, and the session re-expands to two ranks —
-// exactly one shrink and one expand recovery, every completed step's loss
-// matching an uninterrupted sequential run to 1e-6, and the final weights
-// matching too.
+// state through the same broadcast as the survivor, and the session
+// re-expands to two ranks — exactly one shrink and one expand recovery,
+// every completed step's loss matching an uninterrupted sequential run to
+// 1e-6, and the final weights matching too. It runs once per stateful
+// optimizer: Adam's step counter rides on weights-done and snap-ack through
+// the broadcast, the gather and the join, so a lost count shows as drift.
 func TestSessionWorkerRejoin(t *testing.T) {
+	for _, opt := range []OptSpec{
+		{Kind: "momentum", LR: 0.05, Beta: 0.9},
+		{Kind: "adam", LR: 0.01},
+	} {
+		t.Run(opt.Kind, func(t *testing.T) { sessionWorkerRejoin(t, opt) })
+	}
+}
+
+func sessionWorkerRejoin(t *testing.T, opt OptSpec) {
 	p, master, deviceRanks, b0, b1, b2 := distFixture(t)
 	rng := rand.New(rand.NewSource(29))
 	proj := NewQuadrantProblem(rng, 16)
@@ -115,7 +126,11 @@ func TestSessionWorkerRejoin(t *testing.T) {
 
 	// Uninterrupted reference: plain sequential training on a clone.
 	refNet := master.Clone()
-	refOpt := nn.NewMomentum(0.05, 0.9)
+	factory, err := opt.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refOpt := factory()
 	want := make([]float64, len(iters))
 	for k, micros := range iters {
 		loss, err := SequentialStep(refNet, micros, refOpt)
@@ -134,7 +149,7 @@ func TestSessionWorkerRejoin(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	coord, err := NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9},
+	coord, err := NewCoordinator(ctx, ct, p, master, opt,
 		ExecOptions{Policy: schedule.DapplePA}, deviceRanks, 2,
 		WithReplan(elasticReplan(t, p)),
 		WithElastic(addrs),
@@ -243,8 +258,7 @@ func TestSessionWorkerRejoin(t *testing.T) {
 	}
 
 	// The final session state must match the uninterrupted run, proving the
-	// checkpoint stream delivered real training state, not just workable
-	// weights.
+	// broadcast delivered real training state, not just workable weights.
 	refParams := refNet.Params()
 	if coord.ckpt.Step != len(iters) {
 		t.Fatalf("final checkpoint at step %d, want %d", coord.ckpt.Step, len(iters))
@@ -328,7 +342,7 @@ func TestSessionRejoinJoinerDiesMidSync(t *testing.T) {
 
 	// The doomed joiner: it completes the membership handshake honestly,
 	// waits for its admission reconfig, and dies on the spot — mid-sync,
-	// before consuming the checkpoint stream.
+	// before consuming the state broadcast.
 	jt, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +494,7 @@ func TestSessionRecoversFromTornExpansionRound(t *testing.T) {
 	coord.gen++
 	coord.t.Retire(coord.floor())
 	coord.alive = []int{0, 2}
-	if err := coord.rehandshake(ctx); err == nil {
+	if err := coord.handshake(ctx, ctrlReconfig); err == nil {
 		t.Fatal("an expansion round onto a dead joiner succeeded")
 	}
 	lost, err := coord.recover(ctx, errors.New("joiner died mid-sync"))

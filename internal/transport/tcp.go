@@ -778,8 +778,16 @@ func (t *TCP) SendTensor(peer, class, index int, m *tensor.Matrix) error {
 // steady-state senders (the coordinator's per-micro label staging) cycle a
 // small pool instead of allocating per send. The caller must lease m from
 // free (see LeaseBuf) and not touch it after this call; a nil free is plain
-// SendTensor.
+// SendTensor. A matrix whose data disagrees with its shape, or that cannot
+// travel as one frame (more than MaxFramePayload bytes), is refused here
+// rather than by the receiver, which would drop the connection.
 func (t *TCP) SendTensorPooled(peer, class, index int, m *tensor.Matrix, free chan *tensor.Matrix) error {
+	if m.Rows < 0 || m.Cols < 0 || uint64(m.Rows)*uint64(m.Cols) > MaxFramePayload/8 {
+		return fmt.Errorf("transport: %dx%d tensor exceeds the %d-byte frame limit", m.Rows, m.Cols, MaxFramePayload)
+	}
+	if len(m.Data) != m.Rows*m.Cols {
+		return fmt.Errorf("transport: %dx%d tensor holds %d values", m.Rows, m.Cols, len(m.Data))
+	}
 	return t.enqueue(peer, outFrame{
 		h: Header{
 			Type: FrameTensor, A: int32(class), M: int32(index), Epoch: t.epochFloor.Load(),

@@ -194,6 +194,40 @@ func TestTCPControlAndTensors(t *testing.T) {
 	}
 }
 
+// TestSendTensorRefusesUnframeable checks the sender refuses a tensor that
+// cannot travel as one frame — past MaxFramePayload, past the 4 GiB a
+// header's byte count can hold, negatively shaped, or with data that
+// disagrees with its shape — and that the connection stays up. The large
+// matrices are headers only, so nothing of their size is allocated.
+func TestSendTensorRefusesUnframeable(t *testing.T) {
+	ts := mesh(t, 2)
+	free := make(chan *tensor.Matrix, 1)
+	for name, m := range map[string]*tensor.Matrix{
+		"past the frame limit": {Rows: 1 << 14, Cols: 1 << 14},
+		"byte count wraps":     {Rows: 1 << 16, Cols: 1 << 16},
+		"negative shape":       {Rows: -1, Cols: 4},
+		"short data":           {Rows: 2, Cols: 3, Data: make([]float64, 5)},
+	} {
+		if err := ts[0].SendTensor(1, 1, 0, m); err == nil {
+			t.Errorf("%s: SendTensor accepted a %dx%d matrix with %d values", name, m.Rows, m.Cols, len(m.Data))
+		}
+		if err := ts[0].SendTensorPooled(1, 1, 0, m, free); err == nil {
+			t.Errorf("%s: SendTensorPooled accepted a %dx%d matrix with %d values", name, m.Rows, m.Cols, len(m.Data))
+		}
+	}
+	if err := ts[0].SendTensor(1, 1, 7, tensor.New(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case tm := <-ts[1].Tensors():
+		if tm.Index != 7 {
+			t.Fatalf("received tensor %d, want 7: a refused send reached the wire", tm.Index)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection did not survive the refused sends")
+	}
+}
+
 // TestTCPControlAndTensorsCarryEpochFloor checks the session generation
 // rides in the header of out-of-band traffic: control and tensor frames
 // (plain and pooled) arrive stamped with the sender's epoch floor — zero
