@@ -31,21 +31,34 @@ func (p *Plan) Units() []Unit {
 // appendUnits appends the plan's units to units.
 func (p *Plan) appendUnits(units []Unit) []Unit {
 	for i := range p.Stages {
-		units = append(units, Unit{
-			F:  p.StageFwdTime(i),
-			B:  p.StageBwdTime(i),
-			AR: p.StageAllReduceTime(i),
-		})
-		if i < len(p.Stages)-1 {
-			t := p.CrossStageTime(i)
-			units = append(units, Unit{
-				F:    t,
-				B:    t, // boundary gradient volume equals activation volume
-				Comm: true,
-			})
+		if i > 0 {
+			units = append(units, p.BoundaryUnit(i-1))
 		}
+		units = append(units, p.StageUnit(i))
 	}
 	return units
+}
+
+// StageUnit returns the computation unit of stage i. A stage's unit depends
+// on that stage alone, so a search that extends a plan one stage at a time
+// can keep the units of the stages it has not changed.
+func (p *Plan) StageUnit(i int) Unit {
+	return Unit{
+		F:  p.StageFwdTime(i),
+		B:  p.StageBwdTime(i),
+		AR: p.StageAllReduceTime(i),
+	}
+}
+
+// BoundaryUnit returns the communication unit of the boundary after stage
+// i, which depends only on stages i and i+1.
+func (p *Plan) BoundaryUnit(i int) Unit {
+	t := p.CrossStageTime(i)
+	return Unit{
+		F:    t,
+		B:    t, // boundary gradient volume equals activation volume
+		Comm: true,
+	}
 }
 
 // PivotStage implements Eq. (3): starting from the last unit, walk toward the

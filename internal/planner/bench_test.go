@@ -63,3 +63,24 @@ func BenchmarkPlannerExhaustive(b *testing.B) { benchFlat8(b, true) }
 // BenchmarkPlannerPruned is BenchmarkPlannerExhaustive with pruning on: the
 // numerator of the branch-and-bound speedup.
 func BenchmarkPlannerPruned(b *testing.B) { benchFlat8(b, false) }
+
+// BenchmarkPlanZoo times what the benchmark's plan_zoo workload runs: one
+// cold round of the 12 zoo × {config-A(2), config-B(16)} plans with default
+// Options. Every other planner benchmark fixes PruneSlack and Finalists, so
+// this is the one that times the default search.
+func BenchmarkPlanZoo(b *testing.B) {
+	explored := 0
+	for i := 0; i < b.N; i++ {
+		explored = 0
+		for _, m := range model.Zoo() {
+			for _, c := range []hardware.Cluster{hardware.ConfigA(2), hardware.ConfigB(16)} {
+				r, err := Plan(m, c, Options{})
+				if err != nil {
+					b.Fatalf("%s on %s: %v", m.Name, c.Name, err)
+				}
+				explored += r.Explored
+			}
+		}
+	}
+	b.ReportMetric(float64(explored), "explored/op")
+}

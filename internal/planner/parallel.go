@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -14,17 +13,18 @@ import (
 // a bounded worker pool. Determinism is preserved by construction, not by
 // locking:
 //
-//   - every branch runs on fully isolated state (its own memo, candidate
+//   - every branch runs on fully isolated state (its own memo, finalist
 //     table and pruning incumbent, seeded with the best as of its chunk's
 //     start), so a branch's outcome is a pure function of its root task and
 //     the fixed-size chunk it belongs to;
 //   - every branch stamps its candidates from a disjoint sequence-number
-//     block ordered like the sequential visit order, and branches merge in
-//     ascending task order with the same better-candidate rule the
-//     sequential recorder uses.
+//     block ordered like the sequential visit order, and branch finalist
+//     tables merge into the root's through the same insert the branch's own
+//     candidates went through.
 //
-// The merged candidate table — and hence the chosen plan, the analytic
-// latency and the explored count — is therefore byte-identical for every
+// The finalist table is exact — it always holds the true top K plus every
+// non-hybrid candidate — so the merged table, and hence the chosen plan, the
+// analytic latency and the explored count, is byte-identical for every
 // Workers value and for every goroutine interleaving.
 
 // rootTask is one depth-0 transition: the first stage covers layers
@@ -76,35 +76,19 @@ func (s *search) branch(i int) *search {
 		best:      s.best,
 		seq:       (uint64(i) + 1) << 32,
 		memo:      map[string]float64{},
-		cands:     map[string]candidate{},
+		cands:     finalistTable{k: s.cands.k},
 	}
 }
 
-// merge folds a completed branch into the root search, visiting the branch's
-// candidates in discovery order and applying the same better-candidate rule
-// the sequential recorder uses, so the merged table is order-independent.
+// merge folds a completed branch into the root search. Its finalist table
+// goes through the same put the branch's own candidates did, and the table
+// does not depend on insertion order.
 func (s *search) merge(b *search) {
 	s.explored += b.explored
 	if b.best < s.best {
 		s.best = b.best
 	}
-	type kv struct {
-		k string
-		v candidate
-	}
-	list := make([]kv, 0, len(b.cands))
-	for k, v := range b.cands {
-		list = append(list, kv{k, v})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].v.seq < list[j].v.seq })
-	for _, e := range list {
-		if old, ok := s.cands[e.k]; !ok || betterCand(e.v, old) {
-			s.cands[e.k] = e.v
-		}
-	}
-	if len(s.cands) > maxCands {
-		s.compactCands()
-	}
+	s.cands.merge(&b.cands)
 }
 
 // fanoutChunk is the fixed number of root tasks processed between merges.

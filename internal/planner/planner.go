@@ -16,7 +16,14 @@
 // The search fans out across first-stage split points on a bounded worker
 // pool (Options.Workers) and cuts hopeless subtrees with an admissible
 // branch-and-bound lower bound; see parallel.go for why the result is
-// nevertheless identical for every worker count.
+// nevertheless identical for every worker count. The walk carries the
+// pipeline units of the stages it has fixed, so scoring a candidate computes
+// only the units of its new boundary and suffix stage.
+//
+// The search records only what the re-ranking reads (finalists.go): the best
+// Options.Finalists hybrid candidates, one per signature, and every
+// non-hybrid one. A hybrid candidate that cannot beat the K-th kept one is
+// dropped before its signature is built.
 //
 // The analytic objective of Eq. (1)-(2) drives the search, but — as the paper
 // notes — it approximates away non-pivot bubbles. The planner therefore
@@ -37,7 +44,6 @@ import (
 	"sync/atomic"
 
 	"dapple/internal/baselines"
-	"dapple/internal/comm"
 	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
@@ -65,24 +71,12 @@ func PlanContext(ctx context.Context, m *model.Model, c hardware.Cluster, opts O
 	opts = opts.Normalize(m.DefaultGBS)
 	gbs := opts.GBS
 
-	s := &search{
-		ctx: ctx,
-		m:   m, c: c, gbs: gbs,
-		maxStages: opts.MaxStages,
-		memCheck:  !opts.SkipMemCheck,
-		slack:     opts.PruneSlack,
-		workers:   opts.Workers,
-		prune:     !opts.NoPrune,
-		best:      math.Inf(1),
-		memo:      map[string]float64{},
-		cands:     map[string]candidate{},
-	}
-	s.precompute()
+	s := newSearch(ctx, m, c, opts)
 	s.run()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := s.finalize(opts.Finalists)
+	res, err := s.finalize()
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -94,15 +88,35 @@ func PlanContext(ctx context.Context, m *model.Model, c hardware.Cluster, opts O
 	return res, nil
 }
 
+// newSearch prepares the search of m on c under normalized options.
+func newSearch(ctx context.Context, m *model.Model, c hardware.Cluster, opts Options) *search {
+	s := &search{
+		ctx: ctx,
+		m:   m, c: c, gbs: opts.GBS,
+		maxStages: opts.MaxStages,
+		memCheck:  !opts.SkipMemCheck,
+		slack:     opts.PruneSlack,
+		workers:   opts.Workers,
+		prune:     !opts.NoPrune,
+		best:      math.Inf(1),
+		memo:      map[string]float64{},
+		cands:     finalistTable{k: opts.Finalists},
+	}
+	s.precompute()
+	return s
+}
+
 // candidate is one recorded finalist: a complete plan, its analytic latency,
-// and the deterministic sequence number of its discovery, which breaks every
-// tie so the chosen plan does not depend on map iteration order or on how
-// branch searches were scheduled across workers.
+// its signature (the candidate-table key), and the deterministic sequence
+// number of its discovery, which breaks every tie so the chosen plan does
+// not depend on map iteration order or on how branch searches were scheduled
+// across workers.
 type candidate struct {
 	plan      *core.Plan
 	analytic  float64
 	recompute bool
 	seq       uint64
+	sig       string
 }
 
 // betterCand orders candidates by analytic latency, breaking exact ties by
@@ -114,9 +128,6 @@ func betterCand(a, b candidate) bool {
 	}
 	return a.seq < b.seq
 }
-
-// maxCands bounds the candidate table; beyond it the worst half is dropped.
-const maxCands = 4096
 
 // boundSlack widens the branch-and-bound cut: a subtree is pruned only when
 // its latency lower bound exceeds best*boundSlack, keeping near-optimal
@@ -143,20 +154,23 @@ type search struct {
 	best     float64 // best analytic latency (pruning incumbent)
 	explored int
 	stopped  bool   // ctx expired; unwind the search without exploring further
-	seq      uint64 // next candidate sequence number
+	seq      uint64 // sequence number of the next explored candidate
 	memo     map[string]float64
-	cands    map[string]candidate
+	cands    finalistTable
 
 	// Scratch of the depth-first walk, reused for every candidate so that
 	// scoring one allocates nothing: path holds the stages of the plan being
-	// scored; devs and ints are stacks of stage devices and per-server
-	// vectors that extend pops after every transition; key is the memo key
-	// or candidate signature being looked up. A candidate entering cands is
+	// scored; units holds the pipeline units of the walk's fixed prefix
+	// stages (stage i is unit 2i, the boundary after it unit 2i+1); devs and
+	// ints are stacks of stage devices and per-server vectors; extend pops
+	// units, devs and ints after every transition. key is the memo key or
+	// candidate signature being looked up. A candidate entering cands is
 	// cloned off the scratch.
-	path []core.Stage
-	devs []hardware.DeviceID
-	ints []int
-	key  []byte
+	path  []core.Stage
+	units []core.Unit
+	devs  []hardware.DeviceID
+	ints  []int
+	key   []byte
 }
 
 // precompute derives the per-search constants of the lower bound: the
@@ -309,10 +323,10 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 			var buf [3]alloc
 			mark := len(s.ints)
 			takes := s.placements(used, r, &buf)
-			devs, ints := len(s.devs), len(s.ints)
+			units, devs, ints := len(s.units), len(s.devs), len(s.ints)
 			for _, take := range takes {
 				s.step(j, j2, used, prefix, take, maxUnit)
-				s.devs, s.ints = s.devs[:devs], s.ints[:ints]
+				s.units, s.devs, s.ints = s.units[:units], s.devs[:devs], s.ints[:ints]
 			}
 			s.ints = s.ints[:mark]
 		}
@@ -331,6 +345,8 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 	}
 	s.path = append(append(s.path[:0], prefix...), stage)
 	stages := s.path
+	p := s.plan(stages)
+	s.pushUnits(&p, len(prefix))
 	l := s.candidate(stages, j2, newUsed)
 	if math.IsInf(l, 1) {
 		return
@@ -341,9 +357,8 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 	if len(prefix) > 0 {
 		// The boundary into the new stage is a pipeline unit of any
 		// completion too (comm units count toward Eq. 3 pivot selection).
-		t := comm.CrossStageTime(s.c, prefix[len(prefix)-1].Devices, stage.Devices, s.m.OutputBytes(j-1, s.mb))
-		if 2*t > maxUnit {
-			maxUnit = 2 * t
+		if b := s.units[len(s.units)-2]; b.F+b.B > maxUnit {
+			maxUnit = b.F + b.B
 		}
 	}
 	if s.prune {
@@ -389,47 +404,71 @@ func (s *search) candidate(prefix []core.Stage, j int, used alloc) float64 {
 	return s.evaluate(s.path)
 }
 
+// plan wraps a stage list in this search's model, cluster and batch
+// geometry.
+func (s *search) plan(stages []core.Stage) core.Plan {
+	return core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs, MicroBatch: s.mb}
+}
+
+// pushUnits pushes the pipeline units of stage i of p, the boundary into it
+// and then the stage itself, onto the unit stack.
+func (s *search) pushUnits(p *core.Plan, i int) {
+	if i > 0 {
+		s.units = append(s.units, p.BoundaryUnit(i-1))
+	}
+	s.units = append(s.units, p.StageUnit(i))
+}
+
 // evaluate scores a complete stage list, recording it as a finalist when it
-// fits memory (directly or with re-computation). The stages may be scratch:
-// a recorded finalist gets its own copy.
+// fits memory (directly or with re-computation) and the candidate table
+// keeps it. The unit stack holds the units of the list's leading stages
+// that the walk has fixed; evaluate scores the rest and pops them again. The
+// stages may be scratch: a recorded finalist gets its own copy.
 func (s *search) evaluate(stages []core.Stage) float64 {
-	p := core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs, MicroBatch: s.mb}
+	p := s.plan(stages)
 	if p.Validate() != nil {
 		return math.Inf(1)
 	}
 	s.explored++
-	l := p.Latency()
+	mark := len(s.units)
+	for i := (mark + 1) / 2; i < len(stages); i++ {
+		s.pushUnits(&p, i)
+	}
+	l := core.PipelineLatency(s.units, p.M()).Latency()
+	s.units = s.units[:mark]
 	if l < s.best {
 		s.best = l
 	}
+	c := candidate{analytic: l, seq: s.seq}
+	s.seq++
+	hybrid := p.Kind() == core.KindHybrid
+	if hybrid && !s.cands.admits(c) {
+		return l
+	}
 
-	recompute := false
 	if s.memCheck {
 		switch {
 		case FitsMemory(&p, false):
 		case FitsMemory(&p, true):
-			recompute = true
+			c.recompute = true
 		default:
 			return l // prunable but not a feasible finalist
 		}
 	}
-	c := candidate{analytic: l, recompute: recompute, seq: s.seq}
-	s.seq++
 	s.key = s.signature(s.key[:0], stages)
-	if old, ok := s.cands[string(s.key)]; !ok || betterCand(c, old) {
-		q := p
-		q.Stages = slices.Clone(stages)
-		devs := make([]hardware.DeviceID, 0, s.c.NumDevices())
-		for i, st := range stages {
-			devs = append(devs, st.Devices...)
-			q.Stages[i].Devices = devs[len(devs)-len(st.Devices) : len(devs) : len(devs)]
-		}
-		c.plan = &q
-		s.cands[string(s.key)] = c
-		if len(s.cands) > maxCands {
-			s.compactCands()
-		}
+	if old, ok := s.cands.lookup(hybrid, s.key); ok && !betterCand(c, old) {
+		return l
 	}
+	q := p
+	q.Stages = slices.Clone(stages)
+	devs := make([]hardware.DeviceID, 0, s.c.NumDevices())
+	for i, st := range stages {
+		devs = append(devs, st.Devices...)
+		q.Stages[i].Devices = devs[len(devs)-len(st.Devices) : len(devs) : len(devs)]
+	}
+	c.plan = &q
+	c.sig = string(s.key)
+	s.cands.put(c, hybrid)
 	return l
 }
 
@@ -463,45 +502,33 @@ func (s *search) signature(b []byte, stages []core.Stage) []byte {
 	return b
 }
 
-// compactCands drops the worst half of recorded candidates to bound memory.
-func (s *search) compactCands() {
-	type kv struct {
-		k string
-		v candidate
-	}
-	all := make([]kv, 0, len(s.cands))
-	for k, v := range s.cands {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool { return betterCand(all[i].v, all[j].v) })
-	for _, e := range all[len(all)/2:] {
-		delete(s.cands, e.k)
-	}
-}
-
-// finalize re-ranks the analytic finalists on the discrete-event scheduler.
-// Near-ties (within 1%) resolve toward fewer stages, then less replication —
-// the paper's preference for simple plans.
-func (s *search) finalize(limit int) (*Result, error) {
-	if len(s.cands) == 0 {
-		return nil, fmt.Errorf("no feasible plan")
-	}
-	list := make([]candidate, 0, len(s.cands))
-	for _, c := range s.cands {
-		list = append(list, c)
-	}
+// finalists returns the candidates finalize simulates, best first: the best
+// Finalists candidates by betterCand, then every non-hybrid one beyond them.
+// The reference corners always get a simulator hearing: pure data
+// parallelism and the deepest straight pipeline may rank poorly analytically
+// yet win once real bubbles are accounted.
+func (s *search) finalists() []candidate {
+	list := s.cands.all()
 	sort.Slice(list, func(i, j int) bool { return betterCand(list[i], list[j]) })
-	if len(list) > limit {
+	if limit := s.cands.k; len(list) > limit {
 		kept := list[:limit:limit]
-		// The reference corners always get a simulator hearing: pure data
-		// parallelism and the deepest straight pipeline may rank poorly
-		// analytically yet win once real bubbles are accounted.
 		for _, c := range list[limit:] {
 			if c.plan.Kind() != core.KindHybrid {
 				kept = append(kept, c)
 			}
 		}
 		list = kept
+	}
+	return list
+}
+
+// finalize re-ranks the analytic finalists on the discrete-event scheduler.
+// Near-ties (within 1%) resolve toward fewer stages, then less replication —
+// the paper's preference for simple plans.
+func (s *search) finalize() (*Result, error) {
+	list := s.finalists()
+	if len(list) == 0 {
+		return nil, fmt.Errorf("no feasible plan")
 	}
 
 	// Re-ranking runs policy A uniformly — the paper's planner selects

@@ -273,33 +273,56 @@ func TestPlannerInvariantsProperty(t *testing.T) {
 	}
 }
 
-// Scoring a candidate allocates only when it enters the candidate table:
-// re-scoring a recorded plan (same signature, later discovery, so not
-// better) must not allocate at all.
+// Scoring a candidate allocates only when it enters the candidate table.
+// Two rejections must not allocate at all: a hybrid candidate that is not
+// better than the K-th kept one (dropped before its signature is built), and
+// a re-scored one whose signature is already kept with an earlier discovery.
 func TestEvaluateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by the race detector")
 	}
 	for _, c := range []hardware.Cluster{hardware.ConfigA(2), hardware.ConfigB(16)} {
-		m := model.GNMT16()
-		s := &search{ctx: context.Background(), m: m, c: c, gbs: m.DefaultGBS, maxStages: 4,
-			memCheck: true, slack: 1.25, prune: true, best: math.Inf(1),
-			memo: map[string]float64{}, cands: map[string]candidate{}}
-		s.precompute()
-		used := make(alloc, c.Servers)
-		take := s.freshFirst(used, 5)
-		devs, ints := len(s.devs), len(s.ints)
-		score := func() {
-			s.step(0, 6, used, nil, take, 0)
-			s.devs, s.ints = s.devs[:devs], s.ints[:ints]
+		for _, tc := range []struct {
+			name      string
+			finalists int
+		}{{"rejected by the K-th bound", 1}, {"re-scored", DefaultFinalists}} {
+			m := model.GNMT16()
+			opts := Options{MaxStages: 2, PruneSlack: 1.25, Finalists: tc.finalists}
+			s := newSearch(context.Background(), m, c, opts.Normalize(m.DefaultGBS))
+			used := make(alloc, c.Servers)
+			take := s.freshFirst(used, 5)
+			units, devs, ints := len(s.units), len(s.devs), len(s.ints)
+			score := func() {
+				s.step(0, 6, used, nil, take, 0)
+				s.units, s.devs, s.ints = s.units[:units], s.devs[:devs], s.ints[:ints]
+			}
+			score()
+			if len(s.cands.hybrid) != 1 {
+				t.Fatalf("%s: the warm-up recorded %d hybrid candidates, want 1", c.Name, len(s.cands.hybrid))
+			}
+			if n := testing.AllocsPerRun(100, score); n != 0 {
+				t.Errorf("%s(%d): %v allocations per candidate %s, want 0", c.Name, c.Servers, n, tc.name)
+			}
 		}
-		score()
-		if len(s.cands) == 0 {
-			t.Fatalf("%s: the warm-up recorded no candidate", c.Name)
+	}
+}
+
+// A whole default-options plan of the zoo's most expensive pair stays under
+// an allocation ceiling: candidates the finalist table rejects allocate
+// nothing, so what is left is the memo, the kept finalists and their
+// simulations (about 120k allocations on linux/amd64 with go1.24).
+func TestZooPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by the race detector")
+	}
+	const ceiling = 200_000
+	m, c := model.BERT48(), hardware.ConfigB(16)
+	n := testing.AllocsPerRun(1, func() {
+		if _, err := Plan(m, c, Options{}); err != nil {
+			t.Fatal(err)
 		}
-		s.maxStages = 2 // score the transition's completion without extending it
-		if n := testing.AllocsPerRun(100, score); n != 0 {
-			t.Errorf("%s(%d): %v allocations per re-scored candidate, want 0", c.Name, c.Servers, n)
-		}
+	})
+	if n > ceiling {
+		t.Errorf("%s on %s(%d): %v allocations per Plan, want at most %d", m.Name, c.Name, c.Servers, n, ceiling)
 	}
 }

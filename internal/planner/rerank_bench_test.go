@@ -2,7 +2,6 @@ package planner
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"dapple/internal/hardware"
@@ -19,23 +18,12 @@ func benchRerank(b *testing.B, workers int) {
 	b.Helper()
 	m := model.GNMT16()
 	c := hardware.ConfigA(2)
-	s := &search{
-		ctx: context.Background(),
-		m:   m, c: c, gbs: m.DefaultGBS,
-		maxStages: 4,
-		memCheck:  true,
-		slack:     1.3,
-		workers:   workers,
-		prune:     true,
-		best:      math.Inf(1),
-		memo:      map[string]float64{},
-		cands:     map[string]candidate{},
-	}
-	s.precompute()
+	opts := Options{PruneSlack: 1.3, Finalists: 8, Workers: workers}
+	s := newSearch(context.Background(), m, c, opts.Normalize(m.DefaultGBS))
 	s.run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.finalize(8); err != nil {
+		if _, err := s.finalize(); err != nil {
 			b.Fatal(err)
 		}
 	}
