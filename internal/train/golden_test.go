@@ -1,0 +1,282 @@
+package train
+
+import (
+	"context"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"dapple/internal/core"
+	"dapple/internal/hardware"
+	"dapple/internal/nn"
+	"dapple/internal/schedule"
+	"dapple/internal/tensor"
+	"dapple/internal/transport"
+)
+
+// goldenSteps is the trajectory length every golden row trains.
+const goldenSteps = 25
+
+// goldenRun is one row's pinned outcome on one kernel: the FNV-64a hash of
+// every step's loss bits followed by every hosted parameter bit after the
+// last step, and for socket rows the frames and bytes the step loop sends,
+// summed over all transports and divided by goldenSteps.
+type goldenRun struct {
+	hash          uint64
+	frames, bytes float64
+}
+
+// goldenTrajectories pins each row per tensor.KernelName() and GOARCH. The
+// GEMM kernel flavour changes rounding (fused or separate multiply-add), so
+// each flavour has its own hashes; a combination without a recorded entry
+// skips rather than guesses.
+var goldenTrajectories = map[string]map[string]goldenRun{
+	"ring": {
+		"avx2-muladd/amd64": {hash: 0x1a7c123ed3932cda},
+		"avx2-fma/amd64":    {hash: 0xd8120e799d331766},
+	},
+	"hierarchical": {
+		"avx2-muladd/amd64": {hash: 0xed5f2d128fe8beb3},
+		"avx2-fma/amd64":    {hash: 0xf56d933c2e857adb},
+	},
+	"session-tcp": {
+		"avx2-muladd/amd64": {hash: 0xa673a5765961a79b, frames: 38, bytes: 32104.88},
+		"avx2-fma/amd64":    {hash: 0x807f1af942bbd774, frames: 38, bytes: 32104.84},
+	},
+	"chaos-delay": {
+		"avx2-muladd/amd64": {hash: 0x3bb5f706c9e8bc3c, frames: 18, bytes: 22536},
+		"avx2-fma/amd64":    {hash: 0x0bb1eedff523d1ca, frames: 18, bytes: 22536},
+	},
+}
+
+// TestGoldenTrajectories is the runtime's exactness proof: four plans train
+// 25 steps each and every loss and parameter bit is hashed against a
+// recorded value. The rows cover the in-process ring all-reduce, the
+// in-process hierarchical all-reduce, a coordinator session over TCP whose
+// stage-1 replica group crosses worker processes, and the same cross-process
+// exchange driven through delay-only chaos. The socket rows also pin their
+// per-step traffic, which is deterministic without a heartbeat. A transport
+// or runtime change that claims no float moved must pass this unchanged.
+func TestGoldenTrajectories(t *testing.T) {
+	key := tensor.KernelName() + "/" + runtime.GOARCH
+	rows := []struct {
+		name string
+		run  func(t *testing.T) goldenRun
+	}{
+		{"ring", func(t *testing.T) goldenRun {
+			master := nn.MLP([]int{16, 24, 24, 24, 8}, 7)
+			return goldenInproc(t, master, mkPlan(t, master, 16, 8, 4, []int{3, 7}, []int{2, 2}), "ring")
+		}},
+		{"hierarchical", func(t *testing.T) goldenRun {
+			p, master, _, _, _, _ := distFixture(t)
+			p.Cluster = hardware.ConfigA(2)
+			p.Stages = []core.Stage{
+				{Lo: 0, Hi: 3, Devices: []hardware.DeviceID{0}},
+				{Lo: 3, Hi: 7, Devices: []hardware.DeviceID{1, 2, 8, 9}},
+			}
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			return goldenInproc(t, master, p, "hierarchical")
+		}},
+		{"session-tcp", func(t *testing.T) goldenRun {
+			return goldenTraffic(goldenSession(t, 0), goldenSession(t, goldenSteps))
+		}},
+		{"chaos-delay", func(t *testing.T) goldenRun {
+			return goldenTraffic(goldenChaos(t, 0), goldenChaos(t, goldenSteps))
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			want, ok := goldenTrajectories[row.name][key]
+			if !ok {
+				t.Skipf("no golden trajectory recorded for kernel %s", key)
+			}
+			if got := row.run(t); got != want {
+				t.Fatalf("kernel %s: got {hash: %#016x, frames: %v, bytes: %v}, want {hash: %#016x, frames: %v, bytes: %v}",
+					key, got.hash, got.frames, got.bytes, want.hash, want.frames, want.bytes)
+			}
+		})
+	}
+}
+
+// goldenHasher folds float64 bits into an FNV-64a hash.
+type goldenHasher struct {
+	h hash.Hash64
+	b [8]byte
+}
+
+func newGoldenHasher() *goldenHasher { return &goldenHasher{h: fnv.New64a()} }
+
+func (g *goldenHasher) f64(v float64) {
+	binary.LittleEndian.PutUint64(g.b[:], math.Float64bits(v))
+	g.h.Write(g.b[:])
+}
+
+// params folds every parameter of every replica ex hosts, in stage then
+// replica order.
+func (g *goldenHasher) params(ex *Executor) {
+	for _, st := range ex.stages {
+		for _, net := range st.nets {
+			if net == nil {
+				continue
+			}
+			for _, p := range net.Params() {
+				for _, v := range p.W.Data {
+					g.f64(v)
+				}
+			}
+		}
+	}
+}
+
+// goldenMicros returns the micro-batches of step k: distFixture's three
+// iterations, cycled.
+func goldenMicros(t *testing.T) func(k int) []Batch {
+	_, _, _, b0, b1, b2 := distFixture(t)
+	iters := [][]Batch{b0, b1, b2}
+	return func(k int) []Batch { return iters[k%len(iters)] }
+}
+
+// goldenMomentum is the optimizer of the in-process and session rows.
+var goldenMomentum = OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9}
+
+// goldenInproc trains p in one process and checks the replicated stages
+// synchronize through the all-reduce algorithm the row names.
+func goldenInproc(t *testing.T, master *nn.Network, p *core.Plan, algo string) goldenRun {
+	opt, err := goldenMomentum.Factory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(p, master.Clone(), opt, ExecOptions{Policy: schedule.DapplePA, NoTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, s := range p.Stages {
+		if s.Replicas() > 1 && ex.AllReduceAlgo(si) != algo {
+			t.Fatalf("stage %d all-reduce %q, want %q", si, ex.AllReduceAlgo(si), algo)
+		}
+	}
+	micros := goldenMicros(t)
+	g := newGoldenHasher()
+	for k := 0; k < goldenSteps; k++ {
+		res, err := ex.Step(micros(k))
+		if err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		g.f64(res.Loss)
+	}
+	g.params(ex)
+	return goldenRun{hash: g.h.Sum64()}
+}
+
+// goldenTraffic turns a run of goldenSteps steps and a run of none into the
+// row's outcome: the long run's hash and the per-step share of the traffic
+// the two runs differ by, which cancels the handshake and the shutdown.
+func goldenTraffic(base, run goldenSocketRun) goldenRun {
+	return goldenRun{
+		hash:   run.hash,
+		frames: float64(run.stats.FramesSent-base.stats.FramesSent) / goldenSteps,
+		bytes:  float64(run.stats.BytesSent-base.stats.BytesSent) / goldenSteps,
+	}
+}
+
+// goldenSocketRun is one socket row's hash and its traffic summed over all
+// transports, read after every pump has stopped.
+type goldenSocketRun struct {
+	hash  uint64
+	stats transport.Stats
+}
+
+// sumSent adds the send counters of ts, which must all be closed.
+func sumSent(ts ...*transport.TCP) transport.Stats {
+	var sum transport.Stats
+	for _, tr := range ts {
+		st := tr.Stats()
+		sum.FramesSent += st.FramesSent
+		sum.BytesSent += st.BytesSent
+	}
+	return sum
+}
+
+// goldenSession runs a 2-worker coordinator session of distFixture for
+// steps steps and closes it.
+func goldenSession(t *testing.T, steps int) goldenSocketRun {
+	p, master, deviceRanks, _, _, _ := distFixture(t)
+	micros := goldenMicros(t)
+	w0t, w1t, ct := sessionMesh(t)
+	workers := []*Worker{NewWorker(w0t, 0), NewWorker(w1t, 1)}
+	served := make(chan error, len(workers))
+	for _, w := range workers {
+		go func(w *Worker) { served <- w.Serve(context.Background()) }(w)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	coord, err := NewCoordinator(ctx, ct, p, master, goldenMomentum,
+		ExecOptions{Policy: schedule.DapplePA}, deviceRanks, len(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGoldenHasher()
+	for k := 0; k < steps; k++ {
+		loss, err := coord.Step(ctx, micros(k))
+		if err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		g.f64(loss)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range workers {
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("worker serve: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("worker never shut down")
+		}
+	}
+	w0t.Close()
+	w1t.Close()
+	// Serve has returned, so the executors are safe to read here.
+	for _, w := range workers {
+		g.params(w.Executor())
+	}
+	return goldenSocketRun{hash: g.h.Sum64(), stats: sumSent(w0t, w1t, ct)}
+}
+
+// goldenChaos steps chaosDistPair's executors under delay-only chaos for
+// steps steps and closes both ranks.
+func goldenChaos(t *testing.T, steps int) goldenSocketRun {
+	ex0, ex1, closeChaos, mesh := chaosDistPair(t, transport.ChaosConfig{Seed: 1, DelayProb: 0.5, MaxDelay: 300 * time.Microsecond})
+	micros := goldenMicros(t)
+	g := newGoldenHasher()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for k := 0; k < steps; k++ {
+		var wg sync.WaitGroup
+		var res0, res1 *ExecResult
+		var err0, err1 error
+		wg.Add(2)
+		go func() { defer wg.Done(); res0, err0 = ex0.StepContext(ctx, micros(k)) }()
+		go func() { defer wg.Done(); res1, err1 = ex1.StepContext(ctx, micros(k)) }()
+		wg.Wait()
+		if err0 != nil || err1 != nil {
+			t.Fatalf("step %d: err0=%v err1=%v", k, err0, err1)
+		}
+		g.f64(res0.Loss)
+		g.f64(res1.Loss)
+	}
+	closeChaos()
+	mesh[1].Close()
+	g.params(ex0)
+	g.params(ex1)
+	return goldenSocketRun{hash: g.h.Sum64(), stats: sumSent(mesh[0], mesh[1])}
+}

@@ -126,8 +126,9 @@ func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
 // chaosDistPair builds the distFixture plan as two raw distributed executors
 // over a fresh two-rank loopback mesh, with rank 0's transport wrapped in
 // the scripted chaos layer. Stage 1's replica group spans the ranks, so its
-// bucket collectives run through real (faulted) sockets.
-func chaosDistPair(t *testing.T, cfg transport.ChaosConfig) (ex0, ex1 *Executor, close0 func()) {
+// bucket collectives run through real (faulted) sockets. mesh holds the two
+// sockets (rank 0's unwrapped) for traffic counting.
+func chaosDistPair(t *testing.T, cfg transport.ChaosConfig) (ex0, ex1 *Executor, close0 func(), mesh [2]*transport.TCP) {
 	t.Helper()
 	p, master, deviceRanks, _, _, _ := distFixture(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -159,7 +160,7 @@ func chaosDistPair(t *testing.T, cfg transport.ChaosConfig) (ex0, ex1 *Executor,
 		}
 		return ex
 	}
-	return mk(0, ch), mk(1, w1), func() { ch.Close() }
+	return mk(0, ch), mk(1, w1), func() { ch.Close() }, [2]*transport.TCP{w0, w1}
 }
 
 // snapshotParams deep-copies the parameters of every replica the executor
@@ -191,7 +192,7 @@ func TestBucketedChaosCommitOrCleanAbort(t *testing.T) {
 		{Seed: 4, TearAfter: 3},
 		{Seed: 5, TearAfter: 6, DelayProb: 0.3, MaxDelay: 100 * time.Microsecond},
 	} {
-		ex0, ex1, closeChaos := chaosDistPair(t, cfg)
+		ex0, ex1, closeChaos, _ := chaosDistPair(t, cfg)
 		pre0 := [][]*tensor.Matrix{snapshotParams(ex0.StageParams(0, 0)), snapshotParams(ex0.StageParams(1, 0))}
 		pre1 := [][]*tensor.Matrix{snapshotParams(ex1.StageParams(1, 1)), snapshotParams(ex1.StageParams(2, 0))}
 
