@@ -162,14 +162,15 @@ func TestEnginePlanCancelled(t *testing.T) {
 }
 
 // TestEnginePlanDeadline: a deadline landing mid-search stops the planner
-// within ~100ms, not after the multi-second search completes.
+// with the deadline's error instead of a plan.
 func TestEnginePlanDeadline(t *testing.T) {
 	eng, err := NewEngine(WithCluster(ConfigA(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// BERT-48 on config A takes seconds to plan; give it 20ms.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	// BERT-48 on config A takes 20-50ms to plan on a 2-vCPU host; give it
+	// 2ms so the deadline lands mid-search.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 
 	start := time.Now()
@@ -178,11 +179,10 @@ func TestEnginePlanDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}
-	// The search aborts within ~30ms of the deadline locally; the loose
-	// bound absorbs CI scheduler noise while still distinguishing a prompt
-	// abort from the full ~4s search.
+	// The error proves the search stopped rather than finished; the loose
+	// bound, which absorbs CI scheduler noise, catches an abort that hangs.
 	if elapsed > 1*time.Second {
-		t.Fatalf("deadline-bounded Plan took %v, want prompt abort after the 20ms deadline", elapsed)
+		t.Fatalf("deadline-bounded Plan took %v, want prompt abort after the 2ms deadline", elapsed)
 	}
 }
 

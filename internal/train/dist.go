@@ -484,7 +484,7 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 		return nil, err
 	}
 	if cfg.hbInterval > 0 {
-		c.hb = startHeartbeater(t, cfg.hbInterval, cfg.hbTimeout, nil)
+		c.hb = startHeartbeater(t, cfg.hbInterval, cfg.hbTimeout)
 	}
 	return c, nil
 }
@@ -980,7 +980,6 @@ type Worker struct {
 	coord     int                 // the coordinator's mesh rank; -1 until the manifest or grant names it
 	epoch     uint32              // generation of the session this worker last built
 	held      transport.TensorMsg // a newer generation's tensor that tore a step, kept for the next build
-	data      transport.Transport // data-plane override (chaos tests); nil uses t
 	dieAtStep int                 // scripted death for fault tests; -1 disables
 	hb        *heartbeater
 	grant     *joinGrantMsg // non-nil on a worker admitted mid-session (JoinSession)
@@ -1007,19 +1006,6 @@ func (w *Worker) Rank() int { return w.rank }
 // deterministic "rank dies at step k" fault of the chaos harness. Negative
 // disables (the default).
 func (w *Worker) SetDieAtStep(step int) { w.dieAtStep = step }
-
-// SetDataTransport overrides the transport the worker's executor opens
-// edges and groups on (the control plane stays on the session mesh). Chaos
-// tests wrap the mesh here; nil (the default) uses the mesh directly.
-func (w *Worker) SetDataTransport(tr transport.Transport) { w.data = tr }
-
-// dataTransport is the executor-facing transport.
-func (w *Worker) dataTransport() transport.Transport {
-	if w.data != nil {
-		return w.data
-	}
-	return w.t
-}
 
 // pull is the worker's one blocking receive: the next frame on inbox (the
 // control or the tensor plane). It fails when the coordinator goes down or
@@ -1139,7 +1125,7 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 		w.hb = nil
 	}
 	if w.man.Heartbeat > 0 {
-		w.hb = startHeartbeater(w.t, w.man.Heartbeat, w.man.HeartbeatTimeout, nil)
+		w.hb = startHeartbeater(w.t, w.man.Heartbeat, w.man.HeartbeatTimeout)
 		defer w.hb.Stop()
 	}
 	for {
@@ -1321,7 +1307,7 @@ func (w *Worker) buildExecutor(man *Manifest, net *nn.Network) (*Executor, error
 	}
 	return NewExecutor(p, net, factory, ExecOptions{
 		Policy: schedule.Policy(man.Policy), Recompute: man.Recompute, NoTrace: true,
-		Dist: &DistConfig{Transport: w.dataTransport(), Rank: w.rank, DeviceRanks: man.DeviceRanks},
+		Dist: &DistConfig{Transport: w.t, Rank: w.rank, DeviceRanks: man.DeviceRanks},
 	})
 }
 

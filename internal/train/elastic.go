@@ -27,7 +27,7 @@ import (
 
 // sessionVersion is the membership-protocol revision; a joiner built against
 // a different revision is rejected at the door.
-const sessionVersion = 3
+const sessionVersion = 4
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {
@@ -319,7 +319,7 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 	if grant.Heartbeat > 0 {
 		// Send-only: prove this rank's liveness while admission is pending;
 		// the manifest's liveness plane replaces it once Serve is admitted.
-		w.hb = startHeartbeater(t, grant.Heartbeat, 0, nil)
+		w.hb = startHeartbeater(t, grant.Heartbeat, 0)
 	}
 	if err := sendEnvelope(t, grant.Coord, envelope{Kind: ctrlJoin}); err != nil {
 		return nil, err

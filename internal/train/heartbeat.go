@@ -21,7 +21,6 @@ type heartbeater struct {
 	t        *transport.TCP
 	interval time.Duration
 	timeout  time.Duration
-	peers    func() []int                         // watch list; nil watches every live connection
 	send     func(peer int) error                 // heartbeat sender, injectable for fault tests
 	verdict  func(peer int, silent time.Duration) // death verdict, injectable
 
@@ -39,13 +38,12 @@ type heartbeater struct {
 	wg   sync.WaitGroup
 }
 
-// startHeartbeater launches the liveness loop. peers may be nil to watch
-// every live connection. interval must be positive; timeout <= 0 disables
-// death verdicts (send-only mode, for ranks that only need to prove their
-// own liveness).
-func startHeartbeater(t *transport.TCP, interval, timeout time.Duration, peers func() []int) *heartbeater {
+// startHeartbeater launches the liveness loop over every live connection.
+// interval must be positive; timeout <= 0 disables death verdicts (send-only
+// mode, for ranks that only need to prove their own liveness).
+func startHeartbeater(t *transport.TCP, interval, timeout time.Duration) *heartbeater {
 	h := &heartbeater{
-		t: t, interval: interval, timeout: timeout, peers: peers,
+		t: t, interval: interval, timeout: timeout,
 		send: t.SendHeartbeat,
 		stop: make(chan struct{}),
 	}
@@ -76,14 +74,10 @@ func (h *heartbeater) run() {
 
 // beat sends one round of heartbeats and applies the timeout verdict.
 func (h *heartbeater) beat() {
-	watch := h.t.Peers()
-	if h.peers != nil {
-		watch = h.peers()
-	}
 	now := time.Now()
 	suspended := h.suspended.Load()
 	resumed := time.Unix(0, h.resumedAt.Load())
-	for _, p := range watch {
+	for _, p := range h.t.Peers() {
 		h.send(p) //nolint:errcheck // a failed send is itself liveness evidence the reader pump reports
 		if h.timeout <= 0 || suspended {
 			continue

@@ -79,7 +79,7 @@ func TestHeartbeatLiveness(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := hbPair(t)
-			watcher := startHeartbeater(a, tick, tc.timeout, nil)
+			watcher := startHeartbeater(a, tick, tc.timeout)
 			defer watcher.Stop()
 			if tc.beatEvery > 0 {
 				// The peer proves its liveness through a (possibly lossy)
@@ -133,7 +133,7 @@ func TestHeartbeatSuspendDuringReconfig(t *testing.T) {
 	const tick = 15 * time.Millisecond
 	timeout := 6 * tick
 	a, _ := hbPair(t)
-	watcher := startHeartbeater(a, tick, timeout, nil)
+	watcher := startHeartbeater(a, tick, timeout)
 	defer watcher.Stop()
 
 	// Suspend before any silence accumulates, then wait far past the

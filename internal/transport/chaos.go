@@ -37,7 +37,8 @@ type ChaosConfig struct {
 	MaxDelay time.Duration
 	// Freeze maps an edge to the 1-based send count after which every send
 	// on it blocks until the transport closes — a hung rank as seen from one
-	// link. Zero values and absent edges never freeze.
+	// link. Zero values and absent edges never freeze; a collective group's
+	// sum edges are never wrapped, so they never freeze either.
 	Freeze map[EdgeID]int
 	// TearAfter, when positive, closes the wrapped transport after that many
 	// data-plane operations (edge sends + group all-reduces) across the whole
@@ -50,10 +51,11 @@ type ChaosConfig struct {
 // transport after a scripted operation count. Every random draw comes from a
 // per-edge rand.Rand seeded by (Seed, EdgeID), and sends on one edge are
 // serialized by its owning stage goroutine, so each edge's fault schedule is
-// a pure function of the seed — concurrency cannot reorder it. Group
+// a pure function of the seed — concurrency cannot reorder it. Chaos wraps
+// OpenGroup, not the edges an inner TCP builds a group from, so group
 // all-reduces pass through unfaulted (a lost contribution is
-// indistinguishable from a frozen edge, which Freeze already scripts) but
-// count toward TearAfter.
+// indistinguishable from a frozen edge, which Freeze already scripts) and
+// each counts as one operation toward TearAfter.
 type Chaos struct {
 	inner Transport
 	cfg   ChaosConfig

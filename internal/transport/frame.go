@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 )
 
 // Frame types carried by the TCP backend. Every frame is a fixed 36-byte
@@ -19,11 +20,9 @@ const (
 	FrameControl = 2
 	// FrameData carries one edge micro-batch block: A/B/C+Flags encode the
 	// EdgeID, Epoch the edge generation, M the micro-batch, Rows x Cols the
-	// block shape.
+	// block shape. A collective group's contributions are FrameData on sum
+	// edges. Type 4 (the retired group frame) is rejected on arrival.
 	FrameData = 3
-	// FrameGroup carries one all-reduce contribution: A is the group id, B
-	// the sender's rank.
-	FrameGroup = 4
 	// FrameTensor carries an out-of-band tensor (weight broadcast, step
 	// inputs): A is the tensor class, M the index within the class.
 	FrameTensor = 5
@@ -60,15 +59,15 @@ type Header struct {
 	Type uint8
 	// Flags holds type-specific bits (the edge Dir for FrameData).
 	Flags uint8
-	// A is the first routing field (edge bound, group id, tensor class).
+	// A is the first routing field (edge bound or group id, tensor class,
+	// rank).
 	A int32
-	// B is the second routing field (edge sender replica, sender rank).
+	// B is the second routing field (edge sender replica or rank).
 	B int32
-	// C is the third routing field (edge receiver replica).
+	// C is the third routing field (edge receiver replica or rank).
 	C int32
-	// Epoch is the generation the frame belongs to: the edge or group
-	// generation of data and group frames, the sender's epoch floor on
-	// control and tensor frames.
+	// Epoch is the generation the frame belongs to: the edge generation of
+	// data frames, the sender's epoch floor on control and tensor frames.
 	Epoch uint32
 	// M is the micro-batch or tensor index.
 	M int32
@@ -112,8 +111,14 @@ func decodeHeader(b []byte) (Header, error) {
 		Cols:  int32(binary.LittleEndian.Uint32(b[28:])),
 		N:     binary.LittleEndian.Uint32(b[32:]),
 	}
-	if h.Type < FrameHello || h.Type > FrameJoinGrant {
+	// Type 4, the retired group frame, is inside the range but unknown.
+	if h.Type < FrameHello || h.Type > FrameJoinGrant || h.Type == 4 {
 		return Header{}, fmt.Errorf("transport: unknown frame type %d", h.Type)
+	}
+	// An unknown Dir would name an edge no endpoint can open, parking the
+	// reader pump in a head-of-stream hold forever.
+	if h.Type == FrameData && Dir(h.Flags) > sum {
+		return Header{}, fmt.Errorf("transport: data frame with unknown direction %d", h.Flags)
 	}
 	if h.N > MaxFramePayload {
 		return Header{}, fmt.Errorf("transport: frame payload %d exceeds limit", h.N)
@@ -129,53 +134,75 @@ func decodeHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
-// FrameWriter encodes frames onto a buffered stream. It is not safe for
-// concurrent use; the TCP backend gives each connection one writer pump.
-type FrameWriter struct {
-	w       *bufio.Writer
-	hdr     [HeaderSize]byte
-	scratch []byte
+// frameEncoder stages frames for one vectored write: headers into reusable
+// slots, float64 payloads encoded little-endian into one reusable arena,
+// byte payloads by reference. It is the only frame encoder: the writer pumps
+// and the join handshake both go through it. Not safe for concurrent use.
+type frameEncoder struct {
+	hdrs  [][HeaderSize]byte
+	arena []byte
+	iov   net.Buffers
 }
 
-// NewFrameWriter wraps w in a buffered frame encoder.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// WriteBytes writes a frame with an opaque payload, setting h.N.
-func (fw *FrameWriter) WriteBytes(h Header, payload []byte) error {
-	h.N = uint32(len(payload))
-	h.encode(fw.hdr[:])
-	if _, err := fw.w.Write(fw.hdr[:]); err != nil {
-		return err
+// encode stages fs, setting each header's N, and returns the vectored write
+// and its payload byte count. A staged matrix goes back to its free list as
+// soon as its bytes are in the arena, before anything is written. The
+// returned buffers alias the encoder's storage until the next encode.
+func (e *frameEncoder) encode(fs []outFrame) (net.Buffers, int64) {
+	// Size the arena up front: growing it mid-encode would dangle the
+	// slices already handed to the iovec.
+	need := 0
+	for i := range fs {
+		if fs[i].mat != nil {
+			need += 8 * len(fs[i].mat.Data)
+		}
 	}
-	_, err := fw.w.Write(payload)
+	if cap(e.arena) < need {
+		e.arena = make([]byte, need)
+	}
+	e.arena = e.arena[:need]
+	if cap(e.hdrs) < len(fs) {
+		e.hdrs = make([][HeaderSize]byte, len(fs))
+	}
+	e.iov = e.iov[:0]
+	off := 0
+	var payloadBytes int64
+	for i := range fs {
+		f := &fs[i]
+		p := f.payload
+		if f.mat != nil {
+			p = e.arena[off : off+8*len(f.mat.Data)]
+			encodeF64(p, f.mat.Data)
+			off += len(p)
+			Recycle(f.free, f.mat)
+		}
+		f.h.N = uint32(len(p))
+		f.h.encode(e.hdrs[i][:])
+		e.iov = append(e.iov, e.hdrs[i][:])
+		if len(p) > 0 {
+			e.iov = append(e.iov, p)
+		}
+		payloadBytes += int64(len(p))
+	}
+	return e.iov, payloadBytes
+}
+
+// writeFrame writes one frame straight onto w, for connections whose writer
+// pump is not running: the join request, grant and reject.
+func writeFrame(w io.Writer, h Header, payload []byte) error {
+	var e frameEncoder
+	iov, _ := e.encode([]outFrame{{h: h, payload: payload}})
+	_, err := iov.WriteTo(w)
 	return err
 }
 
-// WriteF64 writes a frame whose payload is vals encoded little-endian,
-// setting h.N. The encode scratch is reused across calls.
-func (fw *FrameWriter) WriteF64(h Header, vals []float64) error {
-	n := len(vals) * 8
-	if cap(fw.scratch) < n {
-		fw.scratch = make([]byte, n)
-	}
-	buf := fw.scratch[:n]
-	encodeF64(buf, vals)
-	return fw.WriteBytes(h, buf)
-}
-
 // encodeF64 encodes vals little-endian into dst; len(dst) must be
-// 8*len(vals). The writer pumps use it to stage float64 payloads directly
-// into their vectored-write arenas.
+// 8*len(vals).
 func encodeF64(dst []byte, vals []float64) {
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
 	}
 }
-
-// Flush forces buffered frames onto the underlying stream.
-func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
 
 // FrameReader decodes frames from a buffered stream: ReadHeader, then
 // exactly one payload call (or Discard) per frame. Not safe for concurrent

@@ -11,19 +11,23 @@ import (
 	"dapple/internal/tensor"
 )
 
+// encodeFrames runs fs through the writer pumps' encoder onto w.
+func encodeFrames(w io.Writer, fs ...outFrame) error {
+	var enc frameEncoder
+	iov, _ := enc.encode(fs)
+	_, err := iov.WriteTo(w)
+	return err
+}
+
 // writeTensorFrame encodes one FrameData frame carrying mat.
 func writeTensorFrame(t *testing.T, mat *tensor.Matrix, m int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
 	h := Header{
 		Type: FrameData, Flags: uint8(Bwd), A: 3, B: 1, C: 2, Epoch: 7,
 		M: int32(m), Rows: int32(mat.Rows), Cols: int32(mat.Cols),
 	}
-	if err := fw.WriteF64(h, mat.Data); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
+	if err := encodeFrames(&buf, outFrame{h: h, mat: mat}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -65,6 +69,8 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 		"type":           func(b []byte) { b[2] = 99 },
 		"shape-mismatch": func(b []byte) { b[24] = 100 }, // rows no longer match N
 		"giant-payload":  func(b []byte) { b[32], b[33], b[34], b[35] = 0xff, 0xff, 0xff, 0xff },
+		"retired-group":  func(b []byte) { b[2] = 4 },
+		"unknown-dir":    func(b []byte) { b[3] = uint8(sum) + 1 },
 	} {
 		bad := append([]byte(nil), raw...)
 		mutate(bad)
@@ -119,20 +125,16 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestFrameShortWrite checks that a connection failing mid-frame surfaces
-// through WriteF64/Flush instead of being silently swallowed by buffering.
+// TestFrameShortWrite checks that a connection failing mid-batch surfaces
+// from the vectored write instead of being silently swallowed.
 func TestFrameShortWrite(t *testing.T) {
-	mat := tensor.New(64, 64) // 32 KiB payload, larger than the 64 KiB buffer after a few frames
+	mat := tensor.New(64, 64) // 32 KiB payload per frame
+	fs := make([]outFrame, 8)
+	for i := range fs {
+		fs[i] = outFrame{h: Header{Type: FrameData, Rows: 64, Cols: 64}, mat: mat}
+	}
 	for limit := 0; limit < 3; limit++ {
-		fw := NewFrameWriter(&failWriter{n: limit * 1000})
-		var err error
-		for i := 0; i < 8 && err == nil; i++ {
-			err = fw.WriteF64(Header{Type: FrameData, Rows: 64, Cols: 64}, mat.Data)
-		}
-		if err == nil {
-			err = fw.Flush()
-		}
-		if err == nil {
+		if err := encodeFrames(&failWriter{n: limit * 1000}, fs...); err == nil {
 			t.Fatalf("limit %d: short write never surfaced", limit)
 		}
 	}
@@ -153,12 +155,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			mat.Data[i] = math.Float64frombits(rng.Uint64())
 		}
 		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf)
 		h := Header{Type: FrameData, Rows: int32(mat.Rows), Cols: int32(mat.Cols), M: m, Epoch: 9}
-		if err := fw.WriteF64(h, mat.Data); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Flush(); err != nil {
+		if err := encodeFrames(&buf, outFrame{h: h, mat: mat}); err != nil {
 			t.Fatal(err)
 		}
 		fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
@@ -189,6 +187,13 @@ func FuzzHeaderDecode(f *testing.F) {
 	Header{Type: FrameControl, N: 4}.encode(good)
 	f.Add(good)
 	f.Add(make([]byte, HeaderSize))
+	// Both must be rejected: the retired group frame type, and a data
+	// frame whose direction names no edge.
+	for _, h := range []Header{{Type: 4, N: 8}, {Type: FrameData, Flags: uint8(sum) + 1}} {
+		raw := make([]byte, HeaderSize)
+		h.encode(raw)
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < HeaderSize {
 			return

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,11 +103,12 @@ type Stats struct {
 }
 
 // TCP is the socket Transport: one multiplexed connection per peer process,
-// length-prefixed binary frames (see frame.go), a buffered writer pump and a
-// demultiplexing reader pump per connection. Edges and collective groups
-// are registered demux keys; frames arriving before the local endpoint has
-// opened the matching edge are held at the head of the stream until it does
-// (steps are coordinator-gated, so this only happens transiently while
+// length-prefixed binary frames (see frame.go), a batching writer pump and a
+// demultiplexing reader pump per connection. Edges are the registered demux
+// keys, and a collective group is built from its own sum edges, so both
+// share one generation scheme; frames arriving before the local endpoint
+// has opened the matching edge are held at the head of the stream until it
+// does (steps are coordinator-gated, so this only happens transiently while
 // peers rebuild geometry). Beyond Transport it carries the coordinator
 // protocol's control plane: HELLO rank exchange, opaque control payloads
 // and out-of-band tensors.
@@ -118,14 +120,13 @@ type Stats struct {
 // ErrPeerDown, PeerDowns reports it, and the rest of the mesh keeps running
 // so the session layer can re-plan onto the survivors.
 type TCP struct {
-	rank int
+	rank atomic.Int32 // read through Rank: the accept loop reads it concurrently with SetRank
 	ln   net.Listener
 
 	mu          sync.Mutex
 	conns       map[int]*tcpConn
 	connWait    chan struct{} // closed and remade on each registration or peer-down
 	edges       map[EdgeID]*edgeSlot
-	groups      map[int]*groupSlot
 	err         error
 	isolate     bool
 	downs       map[int]error
@@ -157,12 +158,10 @@ type TCP struct {
 func NewTCP() *TCP { return newTCP() }
 
 func newTCP() *TCP {
-	return &TCP{
-		rank:     -1,
+	t := &TCP{
 		conns:    make(map[int]*tcpConn),
 		connWait: make(chan struct{}),
 		edges:    make(map[EdgeID]*edgeSlot),
-		groups:   make(map[int]*groupSlot),
 		downs:    make(map[int]error),
 		downWait: make(chan struct{}),
 		closed:   make(chan struct{}),
@@ -172,6 +171,8 @@ func newTCP() *TCP {
 		ctrlFree: make(chan []byte, 64),
 		tensFree: make(chan *tensor.Matrix, 64),
 	}
+	t.rank.Store(-1)
+	return t
 }
 
 // leaseCtrl leases an n-byte control payload buffer, reusing a recycled one
@@ -226,10 +227,10 @@ func ListenTCP(addr string) (*TCP, error) {
 
 // SetRank fixes this transport's rank, announced in the HELLO frame of every
 // outbound connection. It must be called before Dial.
-func (t *TCP) SetRank(r int) { t.rank = r }
+func (t *TCP) SetRank(r int) { t.rank.Store(int32(r)) }
 
 // Rank returns the transport's rank (-1 until SetRank).
-func (t *TCP) Rank() int { return t.rank }
+func (t *TCP) Rank() int { return int(t.rank.Load()) }
 
 // Addr returns the listen address, or "" for dial-only transports.
 func (t *TCP) Addr() string {
@@ -371,7 +372,7 @@ func (t *TCP) connFail(c *tcpConn, err error) {
 }
 
 // Retire ends the current session generation's data-plane state: every open
-// edge and group generation is torn down (their blocked operations return
+// edge generation, collective groups' sum edges included, is torn down (their blocked operations return
 // ErrClosed, held deliveries are dropped) and frames of generations below
 // floor are discarded on arrival instead of held. Survivor re-planning calls
 // Retire with the new session generation's epoch floor before rebuilding
@@ -399,14 +400,6 @@ func (t *TCP) Retire(floor uint32) {
 		close(sl.opened)
 		sl.opened = make(chan struct{})
 	}
-	for _, sl := range t.groups {
-		if sl.g != nil {
-			close(sl.g.dead)
-			sl.g = nil
-		}
-		close(sl.opened)
-		sl.opened = make(chan struct{})
-	}
 }
 
 // Dial connects to the peer rank at addr, sends the HELLO frame and starts
@@ -424,7 +417,7 @@ func (t *TCP) Dial(ctx context.Context, peer int, addr string) error {
 	}
 	// HELLO is the connection's first frame; enqueueing it before the writer
 	// pump starts guarantees it precedes any edge or control traffic.
-	c.out <- outFrame{h: Header{Type: FrameHello, A: int32(t.rank)}}
+	c.out <- outFrame{h: Header{Type: FrameHello, A: int32(t.Rank())}}
 	c.start()
 	return nil
 }
@@ -444,7 +437,7 @@ func (t *TCP) DialRetry(ctx context.Context, peer int, addr string) error {
 		ctx, cancel = context.WithTimeout(ctx, defaultDialRetryLimit)
 		defer cancel()
 	}
-	rng := rand.New(rand.NewSource(dialSeed(t.rank, peer, addr)))
+	rng := rand.New(rand.NewSource(dialSeed(t.Rank(), peer, addr)))
 	for attempt := 0; ; attempt++ {
 		err := t.Dial(ctx, peer, addr)
 		if err == nil {
@@ -506,7 +499,7 @@ func (t *TCP) handshake(nc net.Conn) {
 		accept := t.acceptJoins
 		t.mu.Unlock()
 		if !accept {
-			rejectJoin(nc, t.rank, "transport does not accept joins")
+			rejectJoin(nc, t.Rank(), "transport does not accept joins")
 			nc.Close()
 			return
 		}
@@ -515,7 +508,7 @@ func (t *TCP) handshake(nc net.Conn) {
 		case <-t.closed:
 			nc.Close()
 		default:
-			rejectJoin(nc, t.rank, "join queue full")
+			rejectJoin(nc, t.Rank(), "join queue full")
 			nc.Close()
 		}
 	default:
@@ -570,12 +563,7 @@ func (j *JoinRequest) Grant(rank int, reply []byte) error {
 	}
 	// The grant is written directly: the writer pump only starts below, so
 	// nothing can interleave with it.
-	fw := NewFrameWriter(j.nc)
-	err := fw.WriteBytes(Header{Type: FrameJoinGrant, A: int32(rank), B: int32(j.t.rank)}, reply)
-	if err == nil {
-		err = fw.Flush()
-	}
-	if err != nil {
+	if err := writeFrame(j.nc, Header{Type: FrameJoinGrant, A: int32(rank), B: int32(j.t.Rank())}, reply); err != nil {
 		j.t.peerDown(rank, err)
 		return err
 	}
@@ -592,17 +580,14 @@ func (j *JoinRequest) Reject(reason string) {
 		return
 	}
 	j.done = true
-	rejectJoin(j.nc, j.t.rank, reason)
+	rejectJoin(j.nc, j.t.Rank(), reason)
 	j.nc.Close()
 }
 
 // rejectJoin writes a rejection grant (rank -1, reason as payload) on a raw
 // connection.
 func rejectJoin(nc net.Conn, rank int, reason string) {
-	fw := NewFrameWriter(nc)
-	if err := fw.WriteBytes(Header{Type: FrameJoinGrant, A: -1, B: int32(rank)}, []byte(reason)); err == nil {
-		fw.Flush()
-	}
+	writeFrame(nc, Header{Type: FrameJoinGrant, A: -1, B: int32(rank)}, []byte(reason)) //nolint:errcheck // the connection closes either way
 }
 
 // DialJoin dials a listening transport and runs the membership handshake: it
@@ -622,12 +607,7 @@ func (t *TCP) DialJoin(ctx context.Context, addr string, payload []byte) (rank, 
 		deadline = dl
 	}
 	nc.SetDeadline(deadline)
-	fw := NewFrameWriter(nc)
-	err = fw.WriteBytes(Header{Type: FrameJoinReq}, payload)
-	if err == nil {
-		err = fw.Flush()
-	}
-	if err != nil {
+	if err := writeFrame(nc, Header{Type: FrameJoinReq}, payload); err != nil {
 		nc.Close()
 		return 0, 0, nil, fmt.Errorf("transport: join %s: %w", addr, err)
 	}
@@ -859,25 +839,13 @@ func (t *TCP) shutdown() {
 	})
 }
 
-// outFrame is one frame queued on a connection's writer pump, with exactly
-// one payload source set (mat, vec or payload; none for HELLO).
+// outFrame is one frame queued on a connection's writer pump, with at most
+// one payload source set (mat or payload; none for HELLO).
 type outFrame struct {
 	h       Header
 	mat     *tensor.Matrix
-	vec     []float64
 	payload []byte
 	free    chan *tensor.Matrix // recycle destination for mat after staging
-	stage   *groupStage         // shared group staging vec carries, if any
-}
-
-// groupStage is one shared serialization staging of a group contribution:
-// every peer frame of the exchange references the same vector, and the last
-// writer pump to stage its copy recycles it — one copy per exchange instead
-// of one per peer.
-type groupStage struct {
-	v    []float64
-	refs atomic.Int32
-	free chan *groupStage
 }
 
 // tcpConn is one peer connection with its pumps.
@@ -914,31 +882,26 @@ func (c *tcpConn) start() {
 // kernel's iovec limit.
 const writeBatchFrames = 32
 
-// writeLoop drains queued frames in batches: each batch's float64 payloads
-// are encoded into one reusable arena, the headers into fixed slots, and the
-// whole batch — headers and payloads interleaved — is handed to the kernel
-// as a single vectored write. Bursts (a group exchange, a step's
-// micro-batches) collapse into one syscall; a lone frame costs exactly one.
-// Staging buffers are recycled as soon as their bytes land in the arena, so
-// senders reuse them without waiting on the socket.
+// writeLoop drains queued frames in batches and hands each batch, headers
+// and payloads interleaved, to the kernel as a single vectored write (see
+// frameEncoder). Bursts (a group exchange, a step's micro-batches) collapse
+// into one syscall; a lone frame costs exactly one. Staging buffers are
+// recycled as soon as their bytes land in the encoder's arena, so senders
+// reuse them without waiting on the socket.
 func (c *tcpConn) writeLoop() {
 	defer c.t.wg.Done()
 	var (
 		batch [writeBatchFrames]outFrame
-		hdrs  [writeBatchFrames][HeaderSize]byte
-		arena []byte
-		iov   [][]byte
+		enc   frameEncoder
 	)
 	for {
-		var f outFrame
 		select {
-		case f = <-c.out:
+		case batch[0] = <-c.out:
 		case <-c.dead:
 			return
 		case <-c.t.closed:
 			return
 		}
-		batch[0] = f
 		n := 1
 	fill:
 		for n < writeBatchFrames {
@@ -949,60 +912,8 @@ func (c *tcpConn) writeLoop() {
 				break fill
 			}
 		}
-		// Size the arena up front: growing it mid-encode would dangle the
-		// slices already handed to the iovec.
-		need := 0
-		for i := 0; i < n; i++ {
-			switch {
-			case batch[i].mat != nil:
-				need += 8 * len(batch[i].mat.Data)
-			case batch[i].vec != nil:
-				need += 8 * len(batch[i].vec)
-			}
-		}
-		if cap(arena) < need {
-			arena = make([]byte, need)
-		}
-		arena = arena[:need]
-		iov = iov[:0]
-		off := 0
-		var payloadBytes int64
-		for i := 0; i < n; i++ {
-			f := &batch[i]
-			var p []byte
-			switch {
-			case f.mat != nil:
-				p = arena[off : off+8*len(f.mat.Data)]
-				encodeF64(p, f.mat.Data)
-				off += len(p)
-			case f.vec != nil:
-				p = arena[off : off+8*len(f.vec)]
-				encodeF64(p, f.vec)
-				off += len(p)
-			default:
-				p = f.payload
-			}
-			f.h.N = uint32(len(p))
-			f.h.encode(hdrs[i][:])
-			iov = append(iov, hdrs[i][:])
-			if len(p) > 0 {
-				iov = append(iov, p)
-			}
-			payloadBytes += int64(len(p))
-			// The payload's bytes are in the arena; the staging buffer can
-			// go back to its pool before the syscall.
-			if f.free != nil {
-				Recycle(f.free, f.mat)
-			}
-			if f.stage != nil && f.stage.refs.Add(-1) == 0 {
-				select {
-				case f.stage.free <- f.stage:
-				default:
-				}
-			}
-		}
-		nb := net.Buffers(iov)
-		if _, err := nb.WriteTo(c.nc); err != nil {
+		iov, payloadBytes := enc.encode(batch[:n])
+		if _, err := iov.WriteTo(c.nc); err != nil {
 			c.t.connFail(c, err)
 			return
 		}
@@ -1011,8 +922,8 @@ func (c *tcpConn) writeLoop() {
 	}
 }
 
-// readLoop demultiplexes inbound frames to edges, groups and the control
-// and tensor inboxes.
+// readLoop demultiplexes inbound frames to edges and the control and tensor
+// inboxes.
 func (c *tcpConn) readLoop() {
 	defer c.t.wg.Done()
 	t := c.t
@@ -1051,8 +962,6 @@ func (c *tcpConn) readLoop() {
 			}
 		case FrameData:
 			err = t.deliverData(c.fr, h)
-		case FrameGroup:
-			err = t.deliverGroup(c.fr, h)
 		case FrameHeartbeat:
 			// Pure liveness traffic: the lastHeard store above is the payload.
 		default:
@@ -1107,6 +1016,11 @@ func (t *TCP) edgeSlotFor(id EdgeID) *edgeSlot {
 // ranks rebuilt with the same floor agree on epochs regardless of how many
 // geometries each edge saw before the failure.
 func (t *TCP) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
+	return t.openEdge(id, peer, cap), nil
+}
+
+// openEdge is OpenEdge with the concrete edge type.
+func (t *TCP) openEdge(id EdgeID, peer, cap int) *tcpEdge {
 	sl := t.edgeSlotFor(id)
 	t.mu.Lock()
 	epoch := sl.last + 1
@@ -1127,7 +1041,7 @@ func (t *TCP) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
 	sl.opened = make(chan struct{})
 	st := sl.st
 	t.mu.Unlock()
-	return &tcpEdge{t: t, peer: peer, id: id, st: st, sfree: make(chan *tensor.Matrix, cap)}, nil
+	return &tcpEdge{t: t, peer: peer, id: id, st: st, sfree: make(chan *tensor.Matrix, cap)}
 }
 
 // deliverData routes one edge frame: stale-generation frames (below the
@@ -1228,162 +1142,58 @@ func (e *tcpEdge) Recv(abort <-chan struct{}) (Msg, error) {
 	}
 }
 
-// groupSlot is the demux entry of one collective group id.
-type groupSlot struct {
-	g      *tcpGroup
-	last   uint32        // highest epoch ever opened for this id (survives Retire)
-	opened chan struct{} // closed and remade on each OpenGroup
-}
-
-// groupSlotFor returns (creating if needed) the demux slot of gid.
-func (t *TCP) groupSlotFor(gid int) *groupSlot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sl, ok := t.groups[gid]
-	if !ok {
-		sl = &groupSlot{opened: make(chan struct{})}
-		t.groups[gid] = sl
-	}
-	return sl
-}
-
 // OpenGroup opens collective group gid over the member ranks (which must
-// include this transport's rank) for size-element vectors. Groups are
-// geometry-independent within a session generation: re-opening (after a
-// Retire, when survivors rebuild with a shrunk membership) retires the
-// previous generation exactly like OpenEdge, and all ranks rebuilt with the
-// same epoch floor agree on the new generation's epoch.
+// include this transport's rank) for size-element vectors. The exchange is
+// built from this transport's own edges: toward and from every other member
+// r it opens the sum edges {gid, sum, self, r} and {gid, sum, r, self}, so a
+// group inherits the edge demux whole — generations, the head-of-stream
+// hold and Retire. Re-opening (after a Retire, when survivors rebuild with a
+// shrunk membership) opens new edge generations, on which all ranks rebuilt
+// with the same epoch floor agree.
 func (t *TCP) OpenGroup(gid int, members []int, size int) (Group, error) {
-	g := &tcpGroup{t: t, id: gid, size: size, self: -1, dead: make(chan struct{})}
-	g.members = append(g.members, members...)
+	self := t.Rank()
+	g := &tcpGroup{id: gid, size: size, self: -1, members: slices.Clone(members)}
 	for i, r := range g.members {
-		if i > 0 && g.members[i] <= g.members[i-1] {
+		if i > 0 && r <= g.members[i-1] {
 			return nil, fmt.Errorf("transport: group %d members must be strictly increasing", gid)
 		}
-		if r == t.rank {
+		if r == self {
 			g.self = i
 		}
 	}
 	if g.self < 0 {
-		return nil, fmt.Errorf("transport: rank %d not a member of group %d", t.rank, gid)
+		return nil, fmt.Errorf("transport: rank %d not a member of group %d", self, gid)
 	}
 	n := len(g.members)
-	g.recv = make([][]float64, n)
-	g.full = make([]chan struct{}, n)
-	g.empty = make([]chan struct{}, n)
-	for i := range g.members {
-		if i == g.self {
-			continue
+	g.send = make([]*tcpEdge, n)
+	g.recv = make([]*tcpEdge, n)
+	g.in = make([]Msg, n)
+	for i, r := range g.members {
+		if i != g.self {
+			g.send[i] = t.openEdge(EdgeID{Bound: gid, Dir: sum, S: self, Q: r}, r, 2)
+			g.recv[i] = t.openEdge(EdgeID{Bound: gid, Dir: sum, S: r, Q: self}, r, 2)
 		}
-		g.recv[i] = make([]float64, size)
-		g.full[i] = make(chan struct{}, 1)
-		g.empty[i] = make(chan struct{}, 1)
-		g.empty[i] <- struct{}{}
 	}
 	g.sum = make([]float64, size)
-	g.sfree = make(chan *groupStage, 2)
-	sl := t.groupSlotFor(gid)
-	t.mu.Lock()
-	epoch := sl.last + 1
-	if floor := t.epochFloor.Load(); epoch < floor {
-		epoch = floor
-	}
-	sl.last = epoch
-	g.epoch = epoch
-	if sl.g != nil {
-		close(sl.g.dead)
-	}
-	sl.g = g
-	close(sl.opened)
-	sl.opened = make(chan struct{})
-	t.mu.Unlock()
 	return g, nil
 }
 
-// deliverGroup routes one all-reduce contribution into the member's receive
-// slot. The slot token (empty/full) orders the pump's writes against the
-// consumer's reads across consecutive exchanges. Generation handling mirrors
-// deliverData: stale-epoch contributions are discarded, future-epoch ones
-// wait for the local OpenGroup.
-func (t *TCP) deliverGroup(fr *FrameReader, h Header) error {
-	sl := t.groupSlotFor(int(h.A))
-	var g *tcpGroup
-	for {
-		t.mu.Lock()
-		g = sl.g
-		wait := sl.opened
-		floor := t.epochFloor.Load()
-		t.mu.Unlock()
-		if h.Epoch < floor {
-			return fr.Discard(h.N)
-		}
-		if g == nil || g.epoch < h.Epoch {
-			select {
-			case <-wait:
-				continue
-			case <-t.closed:
-				return t.closeErr()
-			}
-		}
-		if g.epoch > h.Epoch {
-			return fr.Discard(h.N)
-		}
-		break
-	}
-	idx := -1
-	for i, r := range g.members {
-		if r == int(h.B) {
-			idx = i
-		}
-	}
-	if idx < 0 || idx == g.self {
-		return fmt.Errorf("transport: group %d contribution from non-member rank %d", g.id, h.B)
-	}
-	if int(h.N) != g.size*8 {
-		return fmt.Errorf("transport: group %d contribution of %d bytes, want %d", g.id, h.N, g.size*8)
-	}
-	select {
-	case <-g.empty[idx]:
-	case <-g.dead:
-		// The group was re-opened while this contribution waited for its
-		// slot: the exchange it belonged to died with the old generation.
-		return fr.Discard(h.N)
-	case <-t.closed:
-		return t.closeErr()
-	}
-	if err := fr.ReadF64(g.recv[idx]); err != nil {
-		return err
-	}
-	select {
-	case g.full[idx] <- struct{}{}:
-	case <-g.dead:
-	case <-t.closed:
-		return t.closeErr()
-	}
-	return nil
-}
-
 // tcpGroup is one cross-process all-reduce domain: a full contribution
-// exchange (every member sends its local vector to every other), followed
-// by a deterministic member-order summation so all ranks end bit-identical.
-// With the executor's per-worker local reduction before the exchange and
-// broadcast after it, this realizes the paper's hierarchical all-reduce:
-// the cross-server phase carries one vector per worker process, not one per
-// replica.
+// exchange over sum edges (every member sends its local vector to every
+// other), followed by a deterministic member-order summation so all ranks
+// end bit-identical. With the executor's per-worker local reduction before
+// the exchange and broadcast after it, this realizes the paper's
+// hierarchical all-reduce: the cross-server phase carries one vector per
+// worker process, not one per replica.
 type tcpGroup struct {
-	t       *TCP
 	id      int
-	epoch   uint32        // session generation this group belongs to
-	dead    chan struct{} // closed when a newer generation replaces this one
-	members []int         // strictly increasing ranks, including self
-	self    int           // index of this rank in members
+	members []int // strictly increasing ranks, including self
+	self    int   // index of this rank in members
 	size    int
 
-	recv  [][]float64      // per-member contribution slots (self unused)
-	full  []chan struct{}  // pump -> consumer slot tokens
-	empty []chan struct{}  // consumer -> pump slot tokens
-	sum   []float64        // member-order accumulation scratch
-	sfree chan *groupStage // recycled shared send stagings
+	send, recv []*tcpEdge // per-member sum edges (nil at self)
+	in         []Msg      // per-member received contributions
+	sum        []float64  // member-order accumulation scratch
 }
 
 // AllReduce exchanges buf with every member and replaces it with the sum
@@ -1392,62 +1202,45 @@ func (g *tcpGroup) AllReduce(buf []float64, abort <-chan struct{}) error {
 	if len(buf) != g.size {
 		return fmt.Errorf("transport: group %d all-reduce of %d elements, want %d", g.id, len(buf), g.size)
 	}
-	h := Header{Type: FrameGroup, A: int32(g.id), B: int32(g.t.rank), Epoch: g.epoch}
-	if n := len(g.members); n > 1 {
-		// Stage ONE copy shared by every peer frame: the writer pumps
-		// serialize asynchronously, after this call may already have
-		// overwritten buf, but their encodes all read the same staging; the
-		// last pump to encode recycles it.
-		var st *groupStage
-		select {
-		case st = <-g.sfree:
-		default:
-			st = &groupStage{v: make([]float64, g.size), free: g.sfree}
-		}
-		copy(st.v, buf)
-		st.refs.Store(int32(n - 1))
-		for i, r := range g.members {
-			if i == g.self {
-				continue
-			}
-			if err := g.t.enqueue(r, outFrame{h: h, vec: st.v, stage: st}); err != nil {
+	vec := tensor.Matrix{Rows: 1, Cols: g.size, Data: buf}
+	for _, e := range g.send {
+		if e != nil {
+			if err := e.SendCopy(0, &vec); err != nil {
 				return err
 			}
 		}
 	}
-	for i := range g.members {
-		if i == g.self {
+	for i, e := range g.recv {
+		if e == nil {
 			continue
 		}
-		select {
-		case <-g.full[i]:
-		case <-abort:
-			return ErrAborted
-		case <-g.dead:
-			return ErrClosed
-		case <-g.t.closed:
-			return g.t.closeErr()
+		msg, err := e.Recv(abort)
+		if err != nil {
+			return err
 		}
+		if len(msg.Data.Data) != g.size {
+			Recycle(msg.Free, msg.Data)
+			return fmt.Errorf("transport: group %d contribution of %d elements from rank %d, want %d",
+				g.id, len(msg.Data.Data), g.members[i], g.size)
+		}
+		g.in[i] = msg
 	}
 	// Member-order accumulation through the shared vectorized kernel — the
 	// same canonical-order fold the in-process collectives use.
-	first := true
-	for i := range g.members {
-		src := buf
-		if i != g.self {
-			src = g.recv[i]
+	src := func(i int) []float64 {
+		if i == g.self {
+			return buf
 		}
-		if first {
-			copy(g.sum, src)
-			first = false
-			continue
-		}
-		tensor.VecAddInto(g.sum, src)
+		return g.in[i].Data.Data
+	}
+	copy(g.sum, src(0))
+	for i := 1; i < len(g.members); i++ {
+		tensor.VecAddInto(g.sum, src(i))
 	}
 	copy(buf, g.sum)
-	for i := range g.members {
+	for i, msg := range g.in {
 		if i != g.self {
-			g.empty[i] <- struct{}{}
+			Recycle(msg.Free, msg.Data)
 		}
 	}
 	return nil

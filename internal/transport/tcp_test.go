@@ -279,36 +279,25 @@ func TestTCPControlAndTensorsCarryEpochFloor(t *testing.T) {
 	expect(3 << 16)
 }
 
+// TestTCPGroupAllReduce drives collective groups over their sum edges:
+// repeated exchanges, a rank that opens its group only after its peers'
+// contributions arrived, and a malformed contribution.
 func TestTCPGroupAllReduce(t *testing.T) {
 	const n, size = 3, 41
-	ts := mesh(t, n)
 	members := []int{0, 1, 2}
-	groups := make([]Group, n)
-	for r := range ts {
-		g, err := ts[r].OpenGroup(5, members, size)
+	open := func(t *testing.T, tr *TCP, gid int, members []int) Group {
+		t.Helper()
+		g, err := tr.OpenGroup(gid, members, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		groups[r] = g
+		return g
 	}
-	abort := make(chan struct{})
-	for round := 0; round < 4; round++ {
-		bufs := randBufs(n, size, int64(round+100))
-		want := rankOrderSum(bufs)
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				errs[r] = groups[r].AllReduce(bufs[r], abort)
-			}(r)
-		}
-		wg.Wait()
-		for r := 0; r < n; r++ {
-			if errs[r] != nil {
-				t.Fatal(errs[r])
-			}
+	// check requires every rank's result to be the member-order sum and
+	// bit-identical across ranks.
+	check := func(t *testing.T, round int, bufs [][]float64, want []float64) {
+		t.Helper()
+		for r := range bufs {
 			for i := range want {
 				if math.Abs(bufs[r][i]-want[i]) > 1e-12*math.Max(1, math.Abs(want[i])) {
 					t.Fatalf("round %d rank %d element %d: %g want %g", round, r, i, bufs[r][i], want[i])
@@ -319,6 +308,83 @@ func TestTCPGroupAllReduce(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("rounds", func(t *testing.T) {
+		ts := mesh(t, n)
+		groups := make([]Group, n)
+		for r := range ts {
+			groups[r] = open(t, ts[r], 5, members)
+		}
+		abort := make(chan struct{})
+		for round := 0; round < 4; round++ {
+			bufs := randBufs(n, size, int64(round+100))
+			want := rankOrderSum(bufs)
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for r := 0; r < n; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					errs[r] = groups[r].AllReduce(bufs[r], abort)
+				}(r)
+			}
+			wg.Wait()
+			for r := 0; r < n; r++ {
+				if errs[r] != nil {
+					t.Fatal(errs[r])
+				}
+			}
+			check(t, round, bufs, want)
+		}
+	})
+
+	// Ranks 0 and 1 contribute before rank 2 has opened the group: their
+	// frames wait at the head of rank 2's streams, exactly like edge frames,
+	// and the exchange completes once rank 2 opens.
+	t.Run("late-open", func(t *testing.T) {
+		ts := mesh(t, n)
+		bufs := randBufs(n, size, 7)
+		want := rankOrderSum(bufs)
+		errs := make(chan error, n)
+		for r := 0; r < 2; r++ {
+			g := open(t, ts[r], 6, members)
+			go func(r int) { errs <- g.AllReduce(bufs[r], nil) }(r)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for ts[2].Stats().FramesRecv < 2 {
+			if time.Now().After(deadline) {
+				t.Fatal("peers' contributions never reached rank 2")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		g := open(t, ts[2], 6, members)
+		go func() { errs <- g.AllReduce(bufs[2], nil) }()
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("group opened after its contributions arrived never completed")
+			}
+		}
+		check(t, 0, bufs, want)
+	})
+
+	// A contribution of the wrong length, sent on a raw sum edge, fails the
+	// receiver's all-reduce instead of being summed.
+	t.Run("wrong-length", func(t *testing.T) {
+		ts := mesh(t, 2)
+		g := open(t, ts[1], 7, members[:2])
+		bad := ts[0].openEdge(EdgeID{Bound: 7, Dir: sum, S: 0, Q: 1}, 1, 2)
+		if err := bad.SendCopy(0, tensor.New(1, size-1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AllReduce(make([]float64, size), nil); err == nil {
+			t.Fatal("all-reduce accepted a short contribution")
+		}
+	})
 }
 
 func TestTCPCloseUnblocksRecv(t *testing.T) {

@@ -27,17 +27,20 @@ var ErrClosed = errors.New("transport: closed")
 type Dir uint8
 
 // Edge directions: Fwd edges carry activations from stage i to i+1, Bwd
-// edges carry gradients from stage i+1 back to i.
+// edges carry gradients from stage i+1 back to i, and sum edges carry one
+// member's contribution to a TCP collective group (see TCP.OpenGroup).
 const (
 	Fwd Dir = iota
 	Bwd
+	sum
 )
 
 // EdgeID names one directed link of a stage cut: the cut index (between
 // stages Bound and Bound+1), the direction, and the (sender replica S,
 // receiver replica Q) pair whose row ranges intersect. Both endpoints of a
 // cross-process edge open the same EdgeID; the ID is the demultiplexing key
-// on a shared connection.
+// on a shared connection. A sum edge reuses the fields for a collective
+// group: Bound is the group id, S and Q the sending and receiving ranks.
 type EdgeID struct {
 	// Bound is the stage-cut index (between stages Bound and Bound+1).
 	Bound int
