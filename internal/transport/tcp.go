@@ -372,9 +372,10 @@ func (t *TCP) connFail(c *tcpConn, err error) {
 }
 
 // Retire ends the current session generation's data-plane state: every open
-// edge generation, collective groups' sum edges included, is torn down (their blocked operations return
-// ErrClosed, held deliveries are dropped) and frames of generations below
-// floor are discarded on arrival instead of held. Survivor re-planning calls
+// edge generation, collective groups' sum edges included, is torn down
+// (their blocked operations return ErrClosed, held deliveries are dropped)
+// and frames of generations below floor are discarded on arrival instead of
+// held. Survivor re-planning calls
 // Retire with the new session generation's epoch floor before rebuilding
 // executors, so in-flight traffic from the torn step can neither corrupt nor
 // deadlock the rebuilt pipeline; all ranks must use the same floor. Control
