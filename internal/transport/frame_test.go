@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -33,6 +34,31 @@ func writeTensorFrame(t *testing.T, mat *tensor.Matrix, m int) []byte {
 	return buf.Bytes()
 }
 
+// refEncodeF64 is the wire format's reference: each element's IEEE 754 bits,
+// little-endian, one element at a time.
+func refEncodeF64(vals []float64) []byte {
+	b := make([]byte, 8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
+	}
+	return b
+}
+
+// checkPayloadBytes fails unless raw, one encoded frame, carries exactly the
+// reference encoding of vals after its header.
+func checkPayloadBytes(t *testing.T, raw []byte, vals []float64) {
+	t.Helper()
+	got, want := raw[HeaderSize:], refEncodeF64(vals)
+	if len(got) != len(want) {
+		t.Fatalf("payload is %d bytes, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("payload byte %d (element %d) is %#02x, reference %#02x", i, i/8, got[i], want[i])
+		}
+	}
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, shape := range [][2]int{{1, 1}, {3, 5}, {16, 32}, {7, 1}, {0, 4}} {
@@ -41,6 +67,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			mat.Data[i] = rng.NormFloat64()
 		}
 		raw := writeTensorFrame(t, mat, 4)
+		checkPayloadBytes(t, raw, mat.Data)
 		fr := NewFrameReader(bytes.NewReader(raw))
 		h, err := fr.ReadHeader()
 		if err != nil {
@@ -159,6 +186,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err := encodeFrames(&buf, outFrame{h: h, mat: mat}); err != nil {
 			t.Fatal(err)
 		}
+		checkPayloadBytes(t, buf.Bytes(), mat.Data)
 		fr := NewFrameReader(bytes.NewReader(buf.Bytes()))
 		got, err := fr.ReadHeader()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // mesh builds n fully connected loopback transports (rank r dials every
 // lower rank) and registers cleanup.
-func mesh(t *testing.T, n int) []*TCP {
+func mesh(t testing.TB, n int) []*TCP {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -96,9 +96,58 @@ func TestTCPEdgeRoundTrip(t *testing.T) {
 			Recycle(msg.Free, msg.Data)
 		}
 	}
+	// The receiver can hold a batch before the sender's writer pump has
+	// counted it; closing both transports stops every pump, so the counters
+	// are final.
+	for _, tr := range ts {
+		tr.Close()
+	}
 	st := ts[0].Stats()
 	if st.FramesSent < 3*m || st.BytesSent == 0 {
 		t.Fatalf("sender stats not accounted: %+v", st)
+	}
+}
+
+// BenchmarkTCPEdgeStream streams session_tcp's 256x64 activation blocks one
+// way over a 2-rank loopback mesh: staging, encoding, the socket and
+// decoding into the receiver's leased buffers, as one stage boundary sees
+// them. Profile the wire path with
+// go test -run '^$' -bench TCPEdgeStream -cpuprofile cpu.out ./internal/transport/
+func BenchmarkTCPEdgeStream(b *testing.B) {
+	ts := mesh(b, 2)
+	id := EdgeID{Bound: 0, Dir: Fwd, S: 0, Q: 1}
+	const inflight = 8
+	send, err := ts[0].OpenEdge(id, 1, inflight)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recv, err := ts[1].OpenEdge(id, 0, inflight)
+	if err != nil {
+		b.Fatal(err)
+	}
+	block := tensor.New(256, 64)
+	b.SetBytes(int64(8 * len(block.Data)))
+	abort := make(chan struct{})
+	got := make(chan error, 1)
+	b.ResetTimer()
+	go func() {
+		for i := 0; i < b.N; i++ {
+			msg, err := recv.Recv(abort)
+			if err != nil {
+				got <- err
+				return
+			}
+			Recycle(msg.Free, msg.Data)
+		}
+		got <- nil
+	}()
+	for i := 0; i < b.N; i++ {
+		if err := send.SendCopy(i%inflight, block); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := <-got; err != nil {
+		b.Fatal(err)
 	}
 }
 
