@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
+	"unsafe"
 )
 
 // Frame types carried by the TCP backend. Every frame is a fixed 36-byte
@@ -135,9 +135,10 @@ func decodeHeader(b []byte) (Header, error) {
 }
 
 // frameEncoder stages frames for one vectored write: headers into reusable
-// slots, float64 payloads encoded little-endian into one reusable arena,
-// byte payloads by reference. It is the only frame encoder: the writer pumps
-// and the join handshake both go through it. Not safe for concurrent use.
+// slots, float64 payloads copied in wire order (little-endian) into one
+// reusable arena, byte payloads by reference. It is the only frame encoder:
+// the writer pumps and the join handshake both go through it. Not safe for
+// concurrent use.
 type frameEncoder struct {
 	hdrs  [][HeaderSize]byte
 	arena []byte
@@ -196,21 +197,39 @@ func writeFrame(w io.Writer, h Header, payload []byte) error {
 	return err
 }
 
-// encodeF64 encodes vals little-endian into dst; len(dst) must be
+// nativeLE reports whether the host lays float64s out in wire order
+// (little-endian), so a payload is a plain copy of the slice's memory.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes views vals' storage as bytes, without copying.
+func f64Bytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
+// swap8 reverses each 8-byte word of b in place: host to wire order and
+// back on a big-endian host.
+func swap8(b []byte) {
+	for i := 0; i+8 <= len(b); i += 8 {
+		binary.BigEndian.PutUint64(b[i:], binary.LittleEndian.Uint64(b[i:]))
+	}
+}
+
+// encodeF64 writes vals into dst in wire order; len(dst) must be
 // 8*len(vals).
 func encodeF64(dst []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
+	copy(dst, f64Bytes(vals))
+	if !nativeLE {
+		swap8(dst)
 	}
 }
 
 // FrameReader decodes frames from a buffered stream: ReadHeader, then
-// exactly one payload call (or Discard) per frame. Not safe for concurrent
-// use.
+// exactly one payload call (or Discard) per frame. Float64 payloads are read
+// straight into the caller's slice (bufio hands reads larger than its buffer
+// to the connection directly). Not safe for concurrent use.
 type FrameReader struct {
-	r       *bufio.Reader
-	hdr     [HeaderSize]byte
-	scratch []byte
+	r   *bufio.Reader
+	hdr [HeaderSize]byte
 }
 
 // NewFrameReader wraps r in a buffered frame decoder.
@@ -233,19 +252,15 @@ func (fr *FrameReader) ReadBytes(p []byte) error {
 	return err
 }
 
-// ReadF64 decodes the frame's payload into dst; len(dst)*8 must equal
+// ReadF64 reads the frame's payload into dst; len(dst)*8 must equal
 // Header.N. A stream torn mid-payload returns io.ErrUnexpectedEOF.
 func (fr *FrameReader) ReadF64(dst []float64) error {
-	n := len(dst) * 8
-	if cap(fr.scratch) < n {
-		fr.scratch = make([]byte, n)
-	}
-	buf := fr.scratch[:n]
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
+	b := f64Bytes(dst)
+	if _, err := io.ReadFull(fr.r, b); err != nil {
 		return err
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+	if !nativeLE {
+		swap8(b)
 	}
 	return nil
 }

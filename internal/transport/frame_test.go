@@ -88,6 +88,26 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSwap8IsBigEndian pins the big-endian host's conversion on any host:
+// swapping the little-endian wire bytes must give the big-endian encoding,
+// which is what such a host holds in memory, and swapping back restores
+// the wire bytes.
+func TestSwap8IsBigEndian(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(1), math.MaxFloat64, math.Pi}
+	b := refEncodeF64(vals)
+	swap8(b)
+	for i, v := range vals {
+		if got := binary.BigEndian.Uint64(b[i*8:]); got != math.Float64bits(v) {
+			t.Fatalf("element %d: %x is not the big-endian encoding of %x", i, got, math.Float64bits(v))
+		}
+	}
+	swap8(b)
+	if !bytes.Equal(b, refEncodeF64(vals)) {
+		t.Fatal("swap8 twice did not restore the wire bytes")
+	}
+}
+
 func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	mat := tensor.New(2, 2)
 	raw := writeTensorFrame(t, mat, 0)

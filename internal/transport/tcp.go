@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,12 +291,7 @@ func (t *TCP) LastHeard(peer int) (last time.Time, ok bool) {
 func (t *TCP) Peers() []int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ranks := make([]int, 0, len(t.conns))
-	for r := range t.conns {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
+	return slices.Sorted(maps.Keys(t.conns))
 }
 
 // PeerDowns returns the ranks marked down under peer isolation (ascending)
@@ -305,12 +300,7 @@ func (t *TCP) Peers() []int {
 func (t *TCP) PeerDowns() ([]int, <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ranks := make([]int, 0, len(t.downs))
-	for r := range t.downs {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks, t.downWait
+	return slices.Sorted(maps.Keys(t.downs)), t.downWait
 }
 
 // DownErr returns the error that downed rank, or nil while it is live.
@@ -321,9 +311,10 @@ func (t *TCP) DownErr(rank int) error {
 }
 
 // ClosePeer forcibly disconnects rank for the given reason — the liveness
-// monitor's verdict on a rank whose heartbeats stopped. Under peer isolation
-// the rank is marked down and the rest of the mesh survives; otherwise the
-// whole transport fails, preserving fail-stop semantics.
+// monitor's verdict on a rank whose heartbeats stopped, or a connection
+// pump's error. Under peer isolation the rank is marked down and the rest of
+// the mesh survives; otherwise the whole transport fails, preserving
+// fail-stop semantics.
 func (t *TCP) ClosePeer(rank int, reason error) {
 	t.mu.Lock()
 	isolate := t.isolate
@@ -356,19 +347,6 @@ func (t *TCP) peerDown(rank int, err error) {
 		c.nc.Close()
 		close(c.dead)
 	}
-}
-
-// connFail routes a connection pump's error: to the single peer under
-// isolation, to the whole transport otherwise.
-func (t *TCP) connFail(c *tcpConn, err error) {
-	t.mu.Lock()
-	isolate := t.isolate
-	t.mu.Unlock()
-	if isolate {
-		t.peerDown(c.peer, err)
-		return
-	}
-	t.fail(err)
 }
 
 // Retire ends the current session generation's data-plane state: every open
@@ -915,7 +893,7 @@ func (c *tcpConn) writeLoop() {
 		}
 		iov, payloadBytes := enc.encode(batch[:n])
 		if _, err := iov.WriteTo(c.nc); err != nil {
-			c.t.connFail(c, err)
+			c.t.ClosePeer(c.peer, err)
 			return
 		}
 		c.t.framesSent.Add(int64(n))
@@ -935,7 +913,7 @@ func (c *tcpConn) readLoop() {
 			case <-t.closed:
 			case <-c.dead:
 			default:
-				t.connFail(c, fmt.Errorf("transport: read from rank %d: %w", c.peer, err))
+				t.ClosePeer(c.peer, fmt.Errorf("transport: read from rank %d: %w", c.peer, err))
 			}
 			return
 		}
@@ -973,7 +951,7 @@ func (c *tcpConn) readLoop() {
 			case <-t.closed:
 			case <-c.dead:
 			default:
-				t.connFail(c, err)
+				t.ClosePeer(c.peer, err)
 			}
 			return
 		}
