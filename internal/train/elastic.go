@@ -26,8 +26,10 @@ import (
 // exactly one step.
 
 // sessionVersion is the membership-protocol revision; a joiner built against
-// a different revision is rejected at the door.
-const sessionVersion = 4
+// a different revision is rejected at the door. Revision 5 stamps every
+// all-reduce contribution with its round number, which a revision-4 peer
+// leaves at zero.
+const sessionVersion = 5
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {

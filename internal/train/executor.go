@@ -25,19 +25,20 @@ import (
 var errAborted = transport.ErrAborted
 
 // DistConfig places one executor inside a multi-process training session:
-// the TCP mesh connecting the worker processes, this process's rank, and
-// the device-to-rank placement. An executor with a DistConfig hosts only
-// the stage replicas whose devices map to its rank; stage-boundary pairs
-// crossing ranks run over the TCP transport, same-rank pairs stay on the
+// the mesh connecting the ranks, this process's rank, and the
+// device-to-rank placement. An executor with a DistConfig hosts only the
+// stage replicas whose devices map to its rank; stage-boundary pairs
+// crossing ranks run over the mesh, same-rank pairs stay on the
 // zero-copy in-process backend, and replica groups spanning ranks
 // synchronize gradients hierarchically (local reduce, cross-process
 // exchange, local broadcast).
 type DistConfig struct {
 	// Transport is the process mesh (connected to every peer rank that
 	// shares a stage boundary or replica group with this one). The executor
-	// only opens edges and groups on it, so any Transport works — the TCP
-	// backend in production, a transport.Chaos wrapper in fault-injection
-	// tests.
+	// only opens edges on it, its replica groups included
+	// (transport.OpenGroup), so any Transport works — the TCP backend in
+	// production, an endpoint of transport.NewInprocMesh as a socket-free
+	// mesh, and a transport.Chaos wrapper that faults either in tests.
 	Transport transport.Transport
 	// Rank is this process's rank in the mesh.
 	Rank int
@@ -395,7 +396,7 @@ func (st *estage) initSync(si int, c hardware.Cluster, localDevs []hardware.Devi
 	if dist != nil {
 		if ranks := stageRanks(dist, st.devs); len(ranks) > 1 {
 			openDist = func(b, sz int) (transport.Group, error) {
-				return dist.Transport.OpenGroup(bucketGID(si, b), ranks, sz)
+				return transport.OpenGroup(dist.Transport, dist.Rank, bucketGID(si, b), ranks, sz)
 			}
 		}
 	}

@@ -52,14 +52,20 @@ var goldenTrajectories = map[string]map[string]goldenRun{
 		"avx2-muladd/amd64": {hash: 0x3bb5f706c9e8bc3c, frames: 18, bytes: 22536},
 		"avx2-fma/amd64":    {hash: 0x0bb1eedff523d1ca, frames: 18, bytes: 22536},
 	},
+	// The chaos-delay arithmetic on the in-memory mesh: the same hashes.
+	"mesh": {
+		"avx2-muladd/amd64": {hash: 0x3bb5f706c9e8bc3c},
+		"avx2-fma/amd64":    {hash: 0x0bb1eedff523d1ca},
+	},
 }
 
 // TestGoldenTrajectories is the runtime's exactness proof: four plans train
 // 25 steps each and every loss and parameter bit is hashed against a
 // recorded value. The rows cover the in-process ring all-reduce, the
 // in-process hierarchical all-reduce, a coordinator session over TCP whose
-// stage-1 replica group crosses worker processes, and the same cross-process
-// exchange driven through delay-only chaos. The socket rows also pin their
+// stage-1 replica group crosses worker processes, the same cross-process
+// exchange driven through delay-only chaos, and that exchange again between
+// two ranks of an in-memory mesh. The socket rows also pin their
 // per-step traffic, which is deterministic without a heartbeat. A transport
 // or runtime change that claims no float moved must pass this unchanged.
 func TestGoldenTrajectories(t *testing.T) {
@@ -89,6 +95,15 @@ func TestGoldenTrajectories(t *testing.T) {
 		}},
 		{"chaos-delay", func(t *testing.T) goldenRun {
 			return goldenTraffic(goldenChaos(t, 0), goldenChaos(t, goldenSteps))
+		}},
+		{"mesh", func(t *testing.T) goldenRun {
+			ts := transport.NewInprocMesh(2)
+			ex0, ex1 := distPair(t, [2]transport.Transport{ts[0], ts[1]})
+			g := newGoldenHasher()
+			goldenPairSteps(t, g, ex0, ex1, goldenSteps)
+			g.params(ex0)
+			g.params(ex1)
+			return goldenRun{hash: g.h.Sum64()}
 		}},
 	}
 	for _, row := range rows {
@@ -252,12 +267,26 @@ func goldenSession(t *testing.T, steps int) goldenSocketRun {
 	return goldenSocketRun{hash: g.h.Sum64(), stats: sumSent(w0t, w1t, ct)}
 }
 
-// goldenChaos steps chaosDistPair's executors under delay-only chaos for
-// steps steps and closes both ranks.
+// goldenChaos steps chaosDistPair's executors over loopback TCP under
+// delay-only chaos for steps steps and closes both ranks.
 func goldenChaos(t *testing.T, steps int) goldenSocketRun {
-	ex0, ex1, closeChaos, mesh := chaosDistPair(t, transport.ChaosConfig{Seed: 1, DelayProb: 0.5, MaxDelay: 300 * time.Microsecond})
-	micros := goldenMicros(t)
+	tcp := loopbackPair(t)
+	ex0, ex1, closeChaos := chaosDistPair(t, transport.ChaosConfig{Seed: 1, DelayProb: 0.5, MaxDelay: 300 * time.Microsecond},
+		[2]transport.Transport{tcp[0], tcp[1]})
 	g := newGoldenHasher()
+	goldenPairSteps(t, g, ex0, ex1, steps)
+	closeChaos()
+	tcp[1].Close()
+	g.params(ex0)
+	g.params(ex1)
+	return goldenSocketRun{hash: g.h.Sum64(), stats: sumSent(tcp[0], tcp[1])}
+}
+
+// goldenPairSteps steps a distPair's two ranks together for steps steps and
+// folds each step's losses into g.
+func goldenPairSteps(t *testing.T, g *goldenHasher, ex0, ex1 *Executor, steps int) {
+	t.Helper()
+	micros := goldenMicros(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for k := 0; k < steps; k++ {
@@ -274,9 +303,4 @@ func goldenChaos(t *testing.T, steps int) goldenSocketRun {
 		g.f64(res0.Loss)
 		g.f64(res1.Loss)
 	}
-	closeChaos()
-	mesh[1].Close()
-	g.params(ex0)
-	g.params(ex1)
-	return goldenSocketRun{hash: g.h.Sum64(), stats: sumSent(mesh[0], mesh[1])}
 }

@@ -123,14 +123,10 @@ func TestBucketedExecutorMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// chaosDistPair builds the distFixture plan as two raw distributed executors
-// over a fresh two-rank loopback mesh, with rank 0's transport wrapped in
-// the scripted chaos layer. Stage 1's replica group spans the ranks, so its
-// bucket collectives run through real (faulted) sockets. mesh holds the two
-// sockets (rank 0's unwrapped) for traffic counting.
-func chaosDistPair(t *testing.T, cfg transport.ChaosConfig) (ex0, ex1 *Executor, close0 func(), mesh [2]*transport.TCP) {
+// loopbackPair connects two listening TCP transports as ranks 0 and 1 and
+// closes them when the test ends.
+func loopbackPair(t *testing.T) [2]*transport.TCP {
 	t.Helper()
-	p, master, deviceRanks, _, _, _ := distFixture(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	w0, err := transport.ListenTCP("127.0.0.1:0")
@@ -150,17 +146,52 @@ func chaosDistPair(t *testing.T, cfg transport.ChaosConfig) (ex0, ex1 *Executor,
 	if err := w0.WaitPeers(ctx, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	ch := transport.NewChaos(w0, cfg)
-	mk := func(rank int, tr transport.Transport) *Executor {
+	return [2]*transport.TCP{w0, w1}
+}
+
+// pairBackends are the two-rank meshes the distributed pair runs on: real
+// loopback sockets and the in-memory mesh.
+var pairBackends = []struct {
+	name  string
+	ranks func(t *testing.T) [2]transport.Transport
+}{
+	{"tcp", func(t *testing.T) [2]transport.Transport {
+		ts := loopbackPair(t)
+		return [2]transport.Transport{ts[0], ts[1]}
+	}},
+	{"mesh", func(t *testing.T) [2]transport.Transport {
+		ts := transport.NewInprocMesh(2)
+		t.Cleanup(func() { ts[0].Close(); ts[1].Close() })
+		return [2]transport.Transport{ts[0], ts[1]}
+	}},
+}
+
+// distPair builds the distFixture plan as two raw distributed executors
+// training with SGD, rank r on ranks[r]. Stage 1's replica group spans the
+// ranks, so its bucket collectives cross the mesh.
+func distPair(t *testing.T, ranks [2]transport.Transport) (ex0, ex1 *Executor) {
+	t.Helper()
+	p, master, deviceRanks, _, _, _ := distFixture(t)
+	mk := func(rank int) *Executor {
 		ex, err := NewExecutor(p, master.Clone(), func() nn.Optimizer { return nn.SGD{LR: 0.05} },
 			ExecOptions{Policy: schedule.DapplePA, NoTrace: true,
-				Dist: &DistConfig{Transport: tr, Rank: rank, DeviceRanks: deviceRanks}})
+				Dist: &DistConfig{Transport: ranks[rank], Rank: rank, DeviceRanks: deviceRanks}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ex
 	}
-	return mk(0, ch), mk(1, w1), func() { ch.Close() }, [2]*transport.TCP{w0, w1}
+	return mk(0), mk(1)
+}
+
+// chaosDistPair is distPair with rank 0's transport wrapped in the scripted
+// chaos layer, so its edges and its bucket collectives' sum edges are
+// faulted; close0 closes the wrapper.
+func chaosDistPair(t *testing.T, cfg transport.ChaosConfig, ranks [2]transport.Transport) (ex0, ex1 *Executor, close0 func()) {
+	t.Helper()
+	ch := transport.NewChaos(ranks[0], cfg)
+	ex0, ex1 = distPair(t, [2]transport.Transport{ch, ranks[1]})
+	return ex0, ex1, func() { ch.Close() }
 }
 
 // snapshotParams deep-copies the parameters of every replica the executor
@@ -174,83 +205,89 @@ func snapshotParams(p []nn.Param) []*tensor.Matrix {
 }
 
 // TestBucketedChaosCommitOrCleanAbort drives the bucketed backward-time
-// all-reduce through a chaos-faulted socket mesh and pins the all-or-nothing
+// all-reduce through a chaos-faulted mesh — loopback TCP, and again the
+// in-memory mesh with the same trials — and pins the all-or-nothing
 // contract: under injected frame delays a step commits on both ranks with
 // bit-identical replica-group parameters; under a scripted mid-step
 // transport tear the failing rank aborts cleanly, leaving every parameter it
 // hosts exactly at its pre-step value — never a partially applied bucket.
 func TestBucketedChaosCommitOrCleanAbort(t *testing.T) {
 	micros := makeMicros(4, 8, 16, 8, 5)
-
-	for trial, cfg := range []transport.ChaosConfig{
+	trials := []transport.ChaosConfig{
 		// Pure delay: slow links must not break commit.
 		{Seed: 1, DelayProb: 0.5, MaxDelay: 300 * time.Microsecond},
 		{Seed: 2, DelayProb: 0.9, MaxDelay: 100 * time.Microsecond},
-		// Scripted tears at increasing operation counts: a process dying
-		// before, between and after bucket collectives.
+		// Scripted tears at increasing send counts (a bucket collective of
+		// this 2-rank group is one send): a process dying before, between
+		// and after bucket collectives.
 		{Seed: 3, TearAfter: 1},
 		{Seed: 4, TearAfter: 3},
 		{Seed: 5, TearAfter: 6, DelayProb: 0.3, MaxDelay: 100 * time.Microsecond},
-	} {
-		ex0, ex1, closeChaos, _ := chaosDistPair(t, cfg)
-		pre0 := [][]*tensor.Matrix{snapshotParams(ex0.StageParams(0, 0)), snapshotParams(ex0.StageParams(1, 0))}
-		pre1 := [][]*tensor.Matrix{snapshotParams(ex1.StageParams(1, 1)), snapshotParams(ex1.StageParams(2, 0))}
+	}
+	for _, b := range pairBackends {
+		t.Run(b.name, func(t *testing.T) {
+			for trial, cfg := range trials {
+				ex0, ex1, closeChaos := chaosDistPair(t, cfg, b.ranks(t))
+				pre0 := [][]*tensor.Matrix{snapshotParams(ex0.StageParams(0, 0)), snapshotParams(ex0.StageParams(1, 0))}
+				pre1 := [][]*tensor.Matrix{snapshotParams(ex1.StageParams(1, 1)), snapshotParams(ex1.StageParams(2, 0))}
 
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		var wg sync.WaitGroup
-		var err0, err1 error
-		var res0, res1 *ExecResult
-		wg.Add(2)
-		go func() { defer wg.Done(); res0, err0 = ex0.StepContext(ctx, micros) }()
-		go func() { defer wg.Done(); res1, err1 = ex1.StepContext(ctx, micros) }()
-		wg.Wait()
-		cancel()
-		closeChaos()
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				var wg sync.WaitGroup
+				var err0, err1 error
+				var res0, res1 *ExecResult
+				wg.Add(2)
+				go func() { defer wg.Done(); res0, err0 = ex0.StepContext(ctx, micros) }()
+				go func() { defer wg.Done(); res1, err1 = ex1.StepContext(ctx, micros) }()
+				wg.Wait()
+				cancel()
+				closeChaos()
 
-		if errors.Is(err0, context.DeadlineExceeded) || errors.Is(err1, context.DeadlineExceeded) {
-			t.Fatalf("trial %d: step wedged instead of aborting (err0=%v err1=%v)", trial, err0, err1)
-		}
-		if cfg.TearAfter == 0 {
-			// Delay-only chaos: the step must commit on both ranks.
-			if err0 != nil || err1 != nil {
-				t.Fatalf("trial %d (delay only): err0=%v err1=%v", trial, err0, err1)
-			}
-			// Each rank reports the loss of the stages it hosts; only rank 1
-			// holds the loss-computing last stage here.
-			if total := res0.Loss + res1.Loss; total <= 0 {
-				t.Fatalf("trial %d: committed step reported non-positive loss %g", trial, total)
-			}
-			// The span-spanning replica group (stage 1) must end bit-identical
-			// across ranks.
-			g0, g1 := ex0.StageParams(1, 0), ex1.StageParams(1, 1)
-			for i := range g0 {
-				if d := tensor.MaxAbsDiff(g0[i].W, g1[i].W); d != 0 {
-					t.Fatalf("trial %d: stage 1 replicas diverged across ranks by %g", trial, d)
+				if errors.Is(err0, context.DeadlineExceeded) || errors.Is(err1, context.DeadlineExceeded) {
+					t.Fatalf("trial %d: step wedged instead of aborting (err0=%v err1=%v)", trial, err0, err1)
 				}
-				if d := tensor.MaxAbsDiff(g0[i].W, pre0[1][i]); d == 0 {
-					t.Fatalf("trial %d: stage 1 committed step left params unchanged", trial)
+				if cfg.TearAfter == 0 {
+					// Delay-only chaos: the step must commit on both ranks.
+					if err0 != nil || err1 != nil {
+						t.Fatalf("trial %d (delay only): err0=%v err1=%v", trial, err0, err1)
+					}
+					// Each rank reports the loss of the stages it hosts; only rank 1
+					// holds the loss-computing last stage here.
+					if total := res0.Loss + res1.Loss; total <= 0 {
+						t.Fatalf("trial %d: committed step reported non-positive loss %g", trial, total)
+					}
+					// The span-spanning replica group (stage 1) must end bit-identical
+					// across ranks.
+					g0, g1 := ex0.StageParams(1, 0), ex1.StageParams(1, 1)
+					for i := range g0 {
+						if d := tensor.MaxAbsDiff(g0[i].W, g1[i].W); d != 0 {
+							t.Fatalf("trial %d: stage 1 replicas diverged across ranks by %g", trial, d)
+						}
+						if d := tensor.MaxAbsDiff(g0[i].W, pre0[1][i]); d == 0 {
+							t.Fatalf("trial %d: stage 1 committed step left params unchanged", trial)
+						}
+					}
+					continue
 				}
-			}
-			continue
-		}
-		// Torn mid-step: each rank either committed fully or aborted cleanly.
-		check := func(rank int, err error, hosted [][]nn.Param, pre [][]*tensor.Matrix) {
-			if err == nil {
-				return // commit: covered by the session-level equivalence suites
-			}
-			for si := range hosted {
-				for i, pr := range hosted[si] {
-					if d := tensor.MaxAbsDiff(pr.W, pre[si][i]); d != 0 {
-						t.Fatalf("trial %d rank %d (err=%v): aborted step moved hosted params[%d][%d] by %g — partial bucket commit",
-							trial, rank, err, si, i, d)
+				// Torn mid-step: each rank either committed fully or aborted cleanly.
+				check := func(rank int, err error, hosted [][]nn.Param, pre [][]*tensor.Matrix) {
+					if err == nil {
+						return // commit: covered by the session-level equivalence suites
+					}
+					for si := range hosted {
+						for i, pr := range hosted[si] {
+							if d := tensor.MaxAbsDiff(pr.W, pre[si][i]); d != 0 {
+								t.Fatalf("trial %d rank %d (err=%v): aborted step moved hosted params[%d][%d] by %g — partial bucket commit",
+									trial, rank, err, si, i, d)
+							}
+						}
 					}
 				}
+				check(0, err0, [][]nn.Param{ex0.StageParams(0, 0), ex0.StageParams(1, 0)}, pre0)
+				check(1, err1, [][]nn.Param{ex1.StageParams(1, 1), ex1.StageParams(2, 0)}, pre1)
+				if err0 == nil && err1 == nil {
+					t.Fatalf("trial %d: scripted tear at send %d injured neither rank", trial, cfg.TearAfter)
+				}
 			}
-		}
-		check(0, err0, [][]nn.Param{ex0.StageParams(0, 0), ex0.StageParams(1, 0)}, pre0)
-		check(1, err1, [][]nn.Param{ex1.StageParams(1, 1), ex1.StageParams(2, 0)}, pre1)
-		if err0 == nil && err1 == nil {
-			t.Fatalf("trial %d: scripted tear at op %d injured neither rank", trial, cfg.TearAfter)
-		}
+		})
 	}
 }

@@ -37,25 +37,23 @@ type ChaosConfig struct {
 	MaxDelay time.Duration
 	// Freeze maps an edge to the 1-based send count after which every send
 	// on it blocks until the transport closes — a hung rank as seen from one
-	// link. Zero values and absent edges never freeze; a collective group's
-	// sum edges are never wrapped, so they never freeze either.
+	// link, or from one group member's sum edge (OpenGroup). Zero values and
+	// absent edges never freeze.
 	Freeze map[EdgeID]int
 	// TearAfter, when positive, closes the wrapped transport after that many
-	// data-plane operations (edge sends + group all-reduces) across the whole
-	// transport — a process dying mid-step. Zero never tears.
+	// edge sends across it (an n-member group all-reduce is n-1 sum-edge
+	// sends) — a process dying mid-step. Zero never tears.
 	TearAfter int64
 }
 
 // Chaos wraps a Transport and injects the faults scripted by its config:
 // dropped, duplicated and delayed frames per edge, frozen edges, and a torn
-// transport after a scripted operation count. Every random draw comes from a
+// transport after a scripted send count. Every random draw comes from a
 // per-edge rand.Rand seeded by (Seed, EdgeID), and sends on one edge are
 // serialized by its owning stage goroutine, so each edge's fault schedule is
-// a pure function of the seed — concurrency cannot reorder it. Chaos wraps
-// OpenGroup, not the edges an inner TCP builds a group from, so group
-// all-reduces pass through unfaulted (a lost contribution is
-// indistinguishable from a frozen edge, which Freeze already scripts) and
-// each counts as one operation toward TearAfter.
+// a pure function of the seed — concurrency cannot reorder it. A group
+// opened over Chaos (OpenGroup) is built from its faulted edges, so its
+// contributions suffer the same faults as any other frame.
 type Chaos struct {
 	inner Transport
 	cfg   ChaosConfig
@@ -101,15 +99,6 @@ func (c *Chaos) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
 	}, nil
 }
 
-// OpenGroup opens the inner group; all-reduces count toward TearAfter.
-func (c *Chaos) OpenGroup(gid int, members []int, size int) (Group, error) {
-	g, err := c.inner.OpenGroup(gid, members, size)
-	if err != nil {
-		return nil, err
-	}
-	return &chaosGroup{c: c, inner: g}, nil
-}
-
 // Close closes the wrapped transport.
 func (c *Chaos) Close() error {
 	c.mu.Lock()
@@ -124,9 +113,9 @@ func (c *Chaos) Close() error {
 // Torn reports whether the scripted TearAfter fault has fired.
 func (c *Chaos) Torn() bool { return c.torn.Load() }
 
-// op counts one data-plane operation and fires the scripted tear when the
-// count crosses TearAfter. It returns the injected error on the operation
-// that tears and on every operation after it.
+// op counts one edge send and fires the scripted tear when the count
+// crosses TearAfter. It returns the injected error on the send that tears
+// and on every send after it.
 func (c *Chaos) op() error {
 	if c.cfg.TearAfter <= 0 {
 		return nil
@@ -138,7 +127,7 @@ func (c *Chaos) op() error {
 	if c.torn.CompareAndSwap(false, true) {
 		c.Close()
 	}
-	return fmt.Errorf("%w: transport torn after %d ops", ErrChaos, c.cfg.TearAfter)
+	return fmt.Errorf("%w: transport torn after %d sends", ErrChaos, c.cfg.TearAfter)
 }
 
 // chaosEdge is one edge with its deterministic fault stream. The rng is
@@ -203,18 +192,4 @@ func (e *chaosEdge) SendCopy(m int, data *tensor.Matrix) error {
 // Recv passes through to the inner edge.
 func (e *chaosEdge) Recv(abort <-chan struct{}) (Msg, error) {
 	return e.inner.Recv(abort)
-}
-
-// chaosGroup passes all-reduces through, counting them toward TearAfter.
-type chaosGroup struct {
-	c     *Chaos
-	inner Group
-}
-
-// AllReduce forwards to the inner group after the tear check.
-func (g *chaosGroup) AllReduce(buf []float64, abort <-chan struct{}) error {
-	if err := g.c.op(); err != nil {
-		return err
-	}
-	return g.inner.AllReduce(buf, abort)
 }

@@ -25,10 +25,6 @@ func (l *logTransport) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
 	return &logEdge{l: l, id: id}, nil
 }
 
-func (l *logTransport) OpenGroup(gid int, members []int, size int) (Group, error) {
-	return nil, errors.New("log transport has no groups")
-}
-
 func (l *logTransport) Close() error {
 	l.mu.Lock()
 	l.close++

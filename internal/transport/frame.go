@@ -21,7 +21,7 @@ const (
 	// FrameData carries one edge micro-batch block: A/B/C+Flags encode the
 	// EdgeID, Epoch the edge generation, M the micro-batch, Rows x Cols the
 	// block shape. A collective group's contributions are FrameData on sum
-	// edges. Type 4 (the retired group frame) is rejected on arrival.
+	// edges, M their round. Type 4 (the retired group frame) is rejected.
 	FrameData = 3
 	// FrameTensor carries an out-of-band tensor (weight broadcast, step
 	// inputs): A is the tensor class, M the index within the class.
@@ -69,7 +69,7 @@ type Header struct {
 	// Epoch is the generation the frame belongs to: the edge generation of
 	// data frames, the sender's epoch floor on control and tensor frames.
 	Epoch uint32
-	// M is the micro-batch or tensor index.
+	// M is the micro-batch, group round or tensor index.
 	M int32
 	// Rows is the tensor payload's row count.
 	Rows int32

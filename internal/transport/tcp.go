@@ -105,7 +105,7 @@ type Stats struct {
 // TCP is the socket Transport: one multiplexed connection per peer process,
 // length-prefixed binary frames (see frame.go), a batching writer pump and a
 // demultiplexing reader pump per connection. Edges are the registered demux
-// keys, and a collective group is built from its own sum edges, so both
+// keys, and a collective group (OpenGroup) is nothing but sum edges, so both
 // share one generation scheme; frames arriving before the local endpoint
 // has opened the matching edge are held at the head of the stream until it
 // does (steps are coordinator-gated, so this only happens transiently while
@@ -995,11 +995,6 @@ func (t *TCP) edgeSlotFor(id EdgeID) *edgeSlot {
 // ranks rebuilt with the same floor agree on epochs regardless of how many
 // geometries each edge saw before the failure.
 func (t *TCP) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
-	return t.openEdge(id, peer, cap), nil
-}
-
-// openEdge is OpenEdge with the concrete edge type.
-func (t *TCP) openEdge(id EdgeID, peer, cap int) *tcpEdge {
 	sl := t.edgeSlotFor(id)
 	t.mu.Lock()
 	epoch := sl.last + 1
@@ -1020,7 +1015,7 @@ func (t *TCP) openEdge(id EdgeID, peer, cap int) *tcpEdge {
 	sl.opened = make(chan struct{})
 	st := sl.st
 	t.mu.Unlock()
-	return &tcpEdge{t: t, peer: peer, id: id, st: st, sfree: make(chan *tensor.Matrix, cap)}
+	return &tcpEdge{t: t, peer: peer, id: id, st: st, sfree: make(chan *tensor.Matrix, cap)}, nil
 }
 
 // deliverData routes one edge frame: stale-generation frames (below the
@@ -1119,108 +1114,4 @@ func (e *tcpEdge) Recv(abort <-chan struct{}) (Msg, error) {
 	case <-e.t.closed:
 		return Msg{}, e.t.closeErr()
 	}
-}
-
-// OpenGroup opens collective group gid over the member ranks (which must
-// include this transport's rank) for size-element vectors. The exchange is
-// built from this transport's own edges: toward and from every other member
-// r it opens the sum edges {gid, sum, self, r} and {gid, sum, r, self}, so a
-// group inherits the edge demux whole — generations, the head-of-stream
-// hold and Retire. Re-opening (after a Retire, when survivors rebuild with a
-// shrunk membership) opens new edge generations, on which all ranks rebuilt
-// with the same epoch floor agree.
-func (t *TCP) OpenGroup(gid int, members []int, size int) (Group, error) {
-	self := t.Rank()
-	g := &tcpGroup{id: gid, size: size, self: -1, members: slices.Clone(members)}
-	for i, r := range g.members {
-		if i > 0 && r <= g.members[i-1] {
-			return nil, fmt.Errorf("transport: group %d members must be strictly increasing", gid)
-		}
-		if r == self {
-			g.self = i
-		}
-	}
-	if g.self < 0 {
-		return nil, fmt.Errorf("transport: rank %d not a member of group %d", self, gid)
-	}
-	n := len(g.members)
-	g.send = make([]*tcpEdge, n)
-	g.recv = make([]*tcpEdge, n)
-	g.in = make([]Msg, n)
-	for i, r := range g.members {
-		if i != g.self {
-			g.send[i] = t.openEdge(EdgeID{Bound: gid, Dir: sum, S: self, Q: r}, r, 2)
-			g.recv[i] = t.openEdge(EdgeID{Bound: gid, Dir: sum, S: r, Q: self}, r, 2)
-		}
-	}
-	g.sum = make([]float64, size)
-	return g, nil
-}
-
-// tcpGroup is one cross-process all-reduce domain: a full contribution
-// exchange over sum edges (every member sends its local vector to every
-// other), followed by a deterministic member-order summation so all ranks
-// end bit-identical. With the executor's per-worker local reduction before
-// the exchange and broadcast after it, this realizes the paper's
-// hierarchical all-reduce: the cross-server phase carries one vector per
-// worker process, not one per replica.
-type tcpGroup struct {
-	id      int
-	members []int // strictly increasing ranks, including self
-	self    int   // index of this rank in members
-	size    int
-
-	send, recv []*tcpEdge // per-member sum edges (nil at self)
-	in         []Msg      // per-member received contributions
-	sum        []float64  // member-order accumulation scratch
-}
-
-// AllReduce exchanges buf with every member and replaces it with the sum
-// over all members taken in member order — identical on every rank.
-func (g *tcpGroup) AllReduce(buf []float64, abort <-chan struct{}) error {
-	if len(buf) != g.size {
-		return fmt.Errorf("transport: group %d all-reduce of %d elements, want %d", g.id, len(buf), g.size)
-	}
-	vec := tensor.Matrix{Rows: 1, Cols: g.size, Data: buf}
-	for _, e := range g.send {
-		if e != nil {
-			if err := e.SendCopy(0, &vec); err != nil {
-				return err
-			}
-		}
-	}
-	for i, e := range g.recv {
-		if e == nil {
-			continue
-		}
-		msg, err := e.Recv(abort)
-		if err != nil {
-			return err
-		}
-		if len(msg.Data.Data) != g.size {
-			Recycle(msg.Free, msg.Data)
-			return fmt.Errorf("transport: group %d contribution of %d elements from rank %d, want %d",
-				g.id, len(msg.Data.Data), g.members[i], g.size)
-		}
-		g.in[i] = msg
-	}
-	// Member-order accumulation through the shared vectorized kernel — the
-	// same canonical-order fold the in-process collectives use.
-	src := func(i int) []float64 {
-		if i == g.self {
-			return buf
-		}
-		return g.in[i].Data.Data
-	}
-	copy(g.sum, src(0))
-	for i := 1; i < len(g.members); i++ {
-		tensor.VecAddInto(g.sum, src(i))
-	}
-	copy(buf, g.sum)
-	for i, msg := range g.in {
-		if i != g.self {
-			Recycle(msg.Free, msg.Data)
-		}
-	}
-	return nil
 }

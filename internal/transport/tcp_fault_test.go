@@ -309,11 +309,11 @@ func TestGroupReopen(t *testing.T) {
 	ts := mesh(t, 2)
 	members := []int{0, 1}
 	const size = 8
-	g0, err := ts[0].OpenGroup(1, members, size)
+	g0, err := OpenGroup(ts[0], 0, 1, members, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts[1].OpenGroup(1, members, size); err != nil {
+	if _, err := OpenGroup(ts[1], 1, 1, members, size); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 starts an exchange rank 1 never joins — it must unblock when
@@ -337,7 +337,7 @@ func TestGroupReopen(t *testing.T) {
 
 	groups := make([]Group, 2)
 	for r := range ts {
-		g, err := ts[r].OpenGroup(1, members, size)
+		g, err := OpenGroup(ts[r], r, 1, members, size)
 		if err != nil {
 			t.Fatal(err)
 		}

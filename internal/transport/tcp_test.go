@@ -330,13 +330,15 @@ func TestTCPControlAndTensorsCarryEpochFloor(t *testing.T) {
 
 // TestTCPGroupAllReduce drives collective groups over their sum edges:
 // repeated exchanges, a rank that opens its group only after its peers'
-// contributions arrived, and a malformed contribution.
+// contributions arrived, and a malformed contribution. The cases run over
+// loopback TCP and again, as the mesh subtest, on a 3-rank in-memory mesh,
+// which must give the same bit-identical member-order sums.
 func TestTCPGroupAllReduce(t *testing.T) {
 	const n, size = 3, 41
 	members := []int{0, 1, 2}
-	open := func(t *testing.T, tr *TCP, gid int, members []int) Group {
+	open := func(t *testing.T, ts []Transport, self, gid int, members []int) Group {
 		t.Helper()
-		g, err := tr.OpenGroup(gid, members, size)
+		g, err := OpenGroup(ts[self], self, gid, members, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,82 +360,89 @@ func TestTCPGroupAllReduce(t *testing.T) {
 		}
 	}
 
-	t.Run("rounds", func(t *testing.T) {
-		ts := mesh(t, n)
-		groups := make([]Group, n)
-		for r := range ts {
-			groups[r] = open(t, ts[r], 5, members)
-		}
-		abort := make(chan struct{})
-		for round := 0; round < 4; round++ {
-			bufs := randBufs(n, size, int64(round+100))
+	cases := func(t *testing.T, b groupBackend) {
+		t.Run("rounds", func(t *testing.T) {
+			ts := b.ranks(t, n)
+			groups := make([]Group, n)
+			for r := range ts {
+				groups[r] = open(t, ts, r, 5, members)
+			}
+			abort := make(chan struct{})
+			for round := 0; round < 4; round++ {
+				bufs := randBufs(n, size, int64(round+100))
+				want := rankOrderSum(bufs)
+				var wg sync.WaitGroup
+				errs := make([]error, n)
+				for r := 0; r < n; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						errs[r] = groups[r].AllReduce(bufs[r], abort)
+					}(r)
+				}
+				wg.Wait()
+				for r := 0; r < n; r++ {
+					if errs[r] != nil {
+						t.Fatal(errs[r])
+					}
+				}
+				check(t, round, bufs, want)
+			}
+		})
+
+		// Ranks 0 and 1 contribute before rank 2 has opened the group: their
+		// frames wait for rank 2, exactly like edge frames, and the exchange
+		// completes once rank 2 opens.
+		t.Run("late-open", func(t *testing.T) {
+			ts := b.ranks(t, n)
+			bufs := randBufs(n, size, 7)
 			want := rankOrderSum(bufs)
-			var wg sync.WaitGroup
-			errs := make([]error, n)
-			for r := 0; r < n; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					errs[r] = groups[r].AllReduce(bufs[r], abort)
-				}(r)
+			errs := make(chan error, n)
+			for r := 0; r < 2; r++ {
+				g := open(t, ts, r, 6, members)
+				go func(r int) { errs <- g.AllReduce(bufs[r], nil) }(r)
 			}
-			wg.Wait()
-			for r := 0; r < n; r++ {
-				if errs[r] != nil {
-					t.Fatal(errs[r])
+			deadline := time.Now().Add(5 * time.Second)
+			for b.delivered(ts, 2) < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("peers' contributions never reached rank 2")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			g := open(t, ts, 2, 6, members)
+			go func() { errs <- g.AllReduce(bufs[2], nil) }()
+			for i := 0; i < n; i++ {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("group opened after its contributions arrived never completed")
 				}
 			}
-			check(t, round, bufs, want)
-		}
-	})
+			check(t, 0, bufs, want)
+		})
 
-	// Ranks 0 and 1 contribute before rank 2 has opened the group: their
-	// frames wait at the head of rank 2's streams, exactly like edge frames,
-	// and the exchange completes once rank 2 opens.
-	t.Run("late-open", func(t *testing.T) {
-		ts := mesh(t, n)
-		bufs := randBufs(n, size, 7)
-		want := rankOrderSum(bufs)
-		errs := make(chan error, n)
-		for r := 0; r < 2; r++ {
-			g := open(t, ts[r], 6, members)
-			go func(r int) { errs <- g.AllReduce(bufs[r], nil) }(r)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for ts[2].Stats().FramesRecv < 2 {
-			if time.Now().After(deadline) {
-				t.Fatal("peers' contributions never reached rank 2")
+		// A contribution of the wrong length, sent on a raw sum edge, fails the
+		// receiver's all-reduce instead of being summed.
+		t.Run("wrong-length", func(t *testing.T) {
+			ts := b.ranks(t, n)
+			g := open(t, ts, 1, 7, members[:2])
+			bad, err := ts[0].OpenEdge(EdgeID{Bound: 7, Dir: sum, S: 0, Q: 1}, 1, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		g := open(t, ts[2], 6, members)
-		go func() { errs <- g.AllReduce(bufs[2], nil) }()
-		for i := 0; i < n; i++ {
-			select {
-			case err := <-errs:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("group opened after its contributions arrived never completed")
+			if err := bad.SendCopy(0, tensor.New(1, size-1)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		check(t, 0, bufs, want)
-	})
-
-	// A contribution of the wrong length, sent on a raw sum edge, fails the
-	// receiver's all-reduce instead of being summed.
-	t.Run("wrong-length", func(t *testing.T) {
-		ts := mesh(t, 2)
-		g := open(t, ts[1], 7, members[:2])
-		bad := ts[0].openEdge(EdgeID{Bound: 7, Dir: sum, S: 0, Q: 1}, 1, 2)
-		if err := bad.SendCopy(0, tensor.New(1, size-1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AllReduce(make([]float64, size), nil); err == nil {
-			t.Fatal("all-reduce accepted a short contribution")
-		}
-	})
+			if err := g.AllReduce(make([]float64, size), nil); err == nil {
+				t.Fatal("all-reduce accepted a short contribution")
+			}
+		})
+	}
+	cases(t, tcpBackend)
+	t.Run("mesh", func(t *testing.T) { cases(t, meshBackend) })
 }
 
 func TestTCPCloseUnblocksRecv(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package transport carries the training runtime's cross-stage tensor
 // traffic and gradient collectives over pluggable backends. An Edge is one
 // directed (sender replica, receiver replica) link of a pipeline stage cut;
-// a Group is one replicated stage's gradient all-reduce domain. The Inproc
-// backend realizes both with Go channels inside one address space — the
-// zero-allocation steady-state path the executor always used — while the TCP
-// backend frames the same messages over sockets so stage replicas can live
-// in separate worker processes (paper §III's real-cluster setting).
+// a Group, built from any Transport's edges by OpenGroup, is one replicated
+// stage's gradient all-reduce domain across ranks. The Inproc backend is a
+// rank-addressed in-memory mesh of Go channels, the TCP backend frames the
+// same messages over sockets between worker processes (paper §III's
+// real-cluster setting), and Chaos faults either.
 package transport
 
 import (
@@ -28,7 +28,7 @@ type Dir uint8
 
 // Edge directions: Fwd edges carry activations from stage i to i+1, Bwd
 // edges carry gradients from stage i+1 back to i, and sum edges carry one
-// member's contribution to a TCP collective group (see TCP.OpenGroup).
+// member's contribution to a collective group (see OpenGroup).
 const (
 	Fwd Dir = iota
 	Bwd
@@ -83,7 +83,7 @@ type Edge interface {
 	Recv(abort <-chan struct{}) (Msg, error)
 }
 
-// Group is one replicated stage's cross-process gradient all-reduce domain.
+// Group is one replicated stage's cross-rank gradient all-reduce domain.
 // AllReduce exchanges buf with every member and replaces it with the
 // element-wise sum over all members, computed in the same deterministic
 // member order on every rank so all members end bit-identical.
@@ -92,16 +92,12 @@ type Group interface {
 	AllReduce(buf []float64, abort <-chan struct{}) error
 }
 
-// Transport opens edges and collective groups between training workers. The
-// in-process backend connects goroutines; the TCP backend connects worker
-// processes.
+// Transport opens edges between training ranks (OpenGroup builds groups
+// from them): goroutines on the in-memory mesh, worker processes over TCP.
 type Transport interface {
 	// OpenEdge opens (or re-opens, after a geometry change) the edge id
 	// toward peer, buffered for cap in-flight micro-batches.
 	OpenEdge(id EdgeID, peer, cap int) (Edge, error)
-	// OpenGroup opens collective group gid over the member ranks, for
-	// size-element vectors.
-	OpenGroup(gid int, members []int, size int) (Group, error)
 	// Close releases the transport; blocked operations return ErrClosed.
 	Close() error
 }
