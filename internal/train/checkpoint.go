@@ -257,14 +257,14 @@ func (c *Checkpoint) checksum() uint32 {
 // is global parameter base+j of nparams, and slots[s][j] its slot s.
 func sendState(t *transport.TCP, peer, base, nparams int, weights []*tensor.Matrix, slots [][][]float64) error {
 	for j, wt := range weights {
-		if err := t.SendTensor(peer, tensWeight, base+j, wt); err != nil {
+		if err := t.SendTensor(peer, tensWeight, base+j, wt, nil); err != nil {
 			return err
 		}
 	}
 	for s, slot := range slots {
 		for j, vec := range slot {
 			m := &tensor.Matrix{Rows: weights[j].Rows, Cols: weights[j].Cols, Data: vec}
-			if err := t.SendTensor(peer, tensOptS, s*nparams+base+j, m); err != nil {
+			if err := t.SendTensor(peer, tensOptS, s*nparams+base+j, m, nil); err != nil {
 				return err
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -294,7 +295,9 @@ func statePair(t *testing.T) (w *Worker, c *Coordinator) {
 // checkpoint that was sent, and the CRC weights-done carries must be the
 // one EncodeCheckpoint appends. The broadcast must refuse a weights-done whose
 // CRC does not match, the assembler a duplicate index, an index out of
-// range and a misshapen weight, and the gather a short slot vector.
+// range and a misshapen weight, and the gather a rank that acks before its
+// whole share arrived (at once: the ack ends the share) and a short slot
+// vector.
 func TestStateBroadcastRoundTrip(t *testing.T) {
 	for _, spec := range ckptZoo {
 		t.Run(spec.Kind, func(t *testing.T) {
@@ -360,6 +363,22 @@ func TestStateBroadcastRoundTrip(t *testing.T) {
 				t.Fatal("gathered snapshot does not encode to the checkpoint that was sent")
 			}
 
+			// A short ack: the worker sends its first two parameters' state
+			// and acks. Nothing more can follow the ack, so the gather must
+			// fail now, naming the shortfall, rather than wait out its ctx.
+			if err := sendState(w.t, 1, 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sendEnvelope(w.t, 1, envelope{Kind: ctrlSnapAck, OptStep: ck.OptStep}); err != nil {
+				t.Fatal(err)
+			}
+			sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
+			err = c.snapshot(sctx)
+			scancel()
+			if missing := (n - 2) * (1 + len(ck.Slots)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d state tensors missing", missing)) {
+				t.Fatalf("a gather acked %d tensors short: got %v, want the shortfall named", missing, err)
+			}
+
 			shaped := func(i int) *tensor.Matrix { return tensor.New(params[i].W.Rows, params[i].W.Cols) }
 			for name, put := range map[string]func(a *assembly) error{
 				"duplicate index": func(a *assembly) error {
@@ -383,7 +402,7 @@ func TestStateBroadcastRoundTrip(t *testing.T) {
 				return
 			}
 			short := &tensor.Matrix{Rows: 1, Cols: len(ck.Slots[0][0]) - 1, Data: ck.Slots[0][0][1:]}
-			if err := w.t.SendTensor(1, tensOptS, 0, short); err != nil {
+			if err := w.t.SendTensor(1, tensOptS, 0, short, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.snapshot(ctx); err == nil {

@@ -21,19 +21,19 @@ import (
 
 // The distributed session protocol: a coordinator process (mesh rank W for W
 // workers) drives worker processes (ranks 0..W-1) through a lockstep.
-// Control messages are JSON envelopes on the transport's control plane; bulk
-// data (training state and per-step micro-batches) travels as out-of-band
-// tensor frames on the same connections, so per-peer FIFO order makes every
-// wait deterministic. Training state has one wire form in both directions
-// (sendState and assembly in checkpoint.go): the coordinator broadcasts it to
-// every rank that builds a session, veteran or joiner, and primary ranks send
-// it back for snapshots. The handshake is manifest → state broadcast →
+// Control messages are JSON envelopes; bulk data (training state and
+// per-step micro-batches) travels as out-of-band tensor frames on the same
+// connections. Both arrive in one session inbox in the order their sender
+// wrote them, so every wait is deterministic. Training state has one wire
+// form in both directions (sendState and assembly in checkpoint.go): the
+// coordinator broadcasts it to every rank that builds a session, veteran or
+// joiner, and primary ranks send it back for snapshots. The handshake is manifest → state broadcast →
 // weights-done (step counters and the checkpoint CRC) → ready; each step is
 // step → micro-batch tensors → step-done, and the coordinator gates step k+1
 // on every worker's step-k report. Every control and tensor
 // frame's header carries its sender's session generation (the transport
 // epoch floor), so each side drops a torn generation's leftovers with one
-// comparison: the coordinator in await, the worker in accept and nextTensor.
+// comparison: the coordinator in await, the worker in accept.
 //
 // Failure semantics are configurable. By default the session is fail-stop:
 // any failure anywhere ends it everywhere, and no torn cross-process update
@@ -566,11 +566,11 @@ type wait struct {
 	// kind the wait does not expect; tensor takes out-of-band tensors. Nil
 	// handlers drop their frames.
 	ctrl   func(peer int, env envelope) bool
-	tensor func(tm transport.TensorMsg) error
+	tensor func(sm transport.SessionMsg) error
 }
 
 // await is the coordinator's one receive loop; every barrier of the session
-// protocol is a call to it. It decodes and recycles each frame, services
+// protocol is a call to it. It decodes each envelope, services
 // membership knocks and join announcements, applies abort death evidence,
 // drops frames stamped below the current floor (a torn round's leftovers)
 // and hands the rest to the wait's handlers. It fails when a pending rank
@@ -600,27 +600,27 @@ func (c *Coordinator) await(ctx context.Context, w wait) error {
 			}
 		}
 		select {
-		case cm := <-c.t.Ctrl():
+		case sm := <-c.t.Session():
 			var env envelope
-			err := json.Unmarshal(cm.Data, &env)
-			c.t.RecycleCtrl(cm.Data)
+			var err error
+			if sm.Tensor == nil {
+				err = json.Unmarshal(sm.Data, &env)
+			}
 			switch {
 			case err != nil:
-				return fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
+				return fmt.Errorf("train: bad control frame from rank %d: %w", sm.Peer, err)
+			case sm.Tensor != nil && (sm.Epoch < c.floor() || w.tensor == nil):
+				c.t.RecycleTensor(sm.Tensor)
+			case sm.Tensor != nil:
+				err = w.tensor(sm)
 			case env.Kind == ctrlJoin:
-				c.noteJoinReady(cm.Peer)
+				c.noteJoinReady(sm.Peer)
 			case env.Kind == ctrlAbort:
-				err = c.noteAbort(cm.Peer, env)
-			case cm.Epoch >= c.floor() && w.ctrl != nil && !w.ctrl(cm.Peer, env):
-				err = fmt.Errorf("train: rank %d sent %q in the %s wait: %s", cm.Peer, env.Kind, w.what, env.Err)
+				err = c.noteAbort(sm.Peer, env)
+			case sm.Epoch >= c.floor() && w.ctrl != nil && !w.ctrl(sm.Peer, env):
+				err = fmt.Errorf("train: rank %d sent %q in the %s wait: %s", sm.Peer, env.Kind, w.what, env.Err)
 			}
 			if err != nil {
-				return err
-			}
-		case tm := <-c.t.Tensors():
-			if tm.Epoch < c.floor() || w.tensor == nil {
-				c.t.RecycleTensor(tm.Data)
-			} else if err := w.tensor(tm); err != nil {
 				return err
 			}
 		case j := <-c.t.Joins():
@@ -768,14 +768,14 @@ func (c *Coordinator) send(w, step int, micros []Batch) error {
 		return err
 	}
 	for mb, b := range micros {
-		if err := c.t.SendTensor(w, tensX, mb, b.X); err != nil {
+		if err := c.t.SendTensor(w, tensX, mb, b.X, nil); err != nil {
 			return err
 		}
 		y := transport.LeaseBuf(c.yfree, len(b.Y), 1)
 		for i, v := range b.Y {
 			y.Data[i] = float64(v)
 		}
-		if err := c.t.SendTensorPooled(w, tensY, mb, y, c.yfree); err != nil {
+		if err := c.t.SendTensor(w, tensY, mb, y, c.yfree); err != nil {
 			return err
 		}
 	}
@@ -787,6 +787,8 @@ func (c *Coordinator) send(w, step int, micros []Batch) error {
 // Each stage's state is sent by its primary rank (the lowest rank hosting
 // one of its devices); gradient synchronization keeps all replicas of a
 // stage identical, so one copy per stage reassembles the full master state.
+// A rank's ack follows its share in its session inbox, so once every rank
+// has acked, every state tensor has arrived.
 func (c *Coordinator) snapshot(ctx context.Context) error {
 	for _, w := range c.alive {
 		if err := sendEnvelope(c.t, w, envelope{Kind: ctrlSnapshot}); err != nil {
@@ -798,7 +800,6 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 	acks := c.members()
 	err := c.await(ctx, wait{
 		what: "snapshot", pending: acks,
-		done: func() bool { return len(acks) == 0 && a.left == 0 },
 		ctrl: func(peer int, env envelope) bool {
 			if env.Kind != ctrlSnapAck {
 				return false
@@ -807,8 +808,11 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 			a.ck.OptStep = max(a.ck.OptStep, env.OptStep)
 			return true
 		},
-		tensor: func(tm transport.TensorMsg) error { return a.put(tm.Class, tm.Index, tm.Data) },
+		tensor: func(sm transport.SessionMsg) error { return a.put(sm.Class, sm.Index, sm.Tensor) },
 	})
+	if err == nil && a.left > 0 {
+		err = fmt.Errorf("train: snapshot at step %d: every rank acked with %d state tensors missing", c.step, a.left)
+	}
 	if err != nil {
 		return err
 	}
@@ -977,10 +981,9 @@ type Worker struct {
 	exec      *Executor
 	man       *Manifest
 	net       *nn.Network
-	coord     int                 // the coordinator's mesh rank; -1 until the manifest or grant names it
-	epoch     uint32              // generation of the session this worker last built
-	held      transport.TensorMsg // a newer generation's tensor that tore a step, kept for the next build
-	dieAtStep int                 // scripted death for fault tests; -1 disables
+	coord     int    // the coordinator's mesh rank; -1 until the manifest or grant names it
+	epoch     uint32 // generation of the session this worker last built
+	dieAtStep int    // scripted death for fault tests; -1 disables
 	hb        *heartbeater
 	grant     *joinGrantMsg // non-nil on a worker admitted mid-session (JoinSession)
 
@@ -1007,16 +1010,16 @@ func (w *Worker) Rank() int { return w.rank }
 // disables (the default).
 func (w *Worker) SetDieAtStep(step int) { w.dieAtStep = step }
 
-// pull is the worker's one blocking receive: the next frame on inbox (the
-// control or the tensor plane). It fails when the coordinator goes down or
-// the transport dies with nothing left queued — a frame demuxed first, such
-// as a shutdown that raced the teardown, still counts — or when ctx ends.
-func pull[T any](ctx context.Context, w *Worker, inbox <-chan T) (T, error) {
-	var none T
+// pull is the worker's one blocking receive: the next frame of the session
+// inbox. It fails when the coordinator goes down or the transport dies with
+// nothing left queued — a frame demuxed first, such as a shutdown that raced
+// the teardown, still counts — or when ctx ends.
+func (w *Worker) pull(ctx context.Context) (transport.SessionMsg, error) {
+	var none transport.SessionMsg
 	for {
 		downs, dwait := w.t.PeerDowns() // before the peek: a down is reported after its conn's last frame
 		select {
-		case m := <-inbox:
+		case m := <-w.t.Session():
 			return m, nil
 		default:
 		}
@@ -1024,11 +1027,11 @@ func pull[T any](ctx context.Context, w *Worker, inbox <-chan T) (T, error) {
 			return none, fmt.Errorf("train: coordinator rank %d down: %w", w.coord, w.t.DownErr(w.coord))
 		}
 		select {
-		case m := <-inbox:
+		case m := <-w.t.Session():
 			return m, nil
 		case <-dwait:
 		case <-w.t.Done():
-			if len(inbox) == 0 {
+			if len(w.t.Session()) == 0 {
 				return none, w.t.Err()
 			}
 		case <-ctx.Done():
@@ -1037,64 +1040,63 @@ func pull[T any](ctx context.Context, w *Worker, inbox <-chan T) (T, error) {
 	}
 }
 
-// accept decodes one control frame and applies the worker's generation
-// filter: an abort always counts, a reconfig only when it is newer than the
-// session this worker last built, anything else only when stamped at, the
-// epoch of the session at hand. The rest (say, the weights-done of an
-// expansion round this rank bailed out of) is a torn round's leftover.
-func (w *Worker) accept(cm transport.CtrlMsg, at uint32) (env envelope, ok bool, err error) {
-	err = json.Unmarshal(cm.Data, &env)
-	w.t.RecycleCtrl(cm.Data)
+// accept applies the worker's generation filter to one session frame,
+// decoding a control frame's envelope: an abort always counts, a reconfig
+// only when it is newer than the session this worker last built, anything
+// else, tensors included, only when stamped at, the epoch of the session at
+// hand. The rest (say, the state broadcast of an expansion round this rank
+// bailed out of) is a torn round's leftover; a dropped tensor is recycled.
+func (w *Worker) accept(sm transport.SessionMsg, at uint32) (env envelope, ok bool, err error) {
+	if w.coord >= 0 && sm.Peer != w.coord {
+		return env, false, fmt.Errorf("train: session frame from non-coordinator rank %d", sm.Peer)
+	}
+	if sm.Tensor != nil {
+		ok = sm.Epoch == at
+		if !ok {
+			w.t.RecycleTensor(sm.Tensor)
+		}
+		return env, ok, nil
+	}
+	err = json.Unmarshal(sm.Data, &env)
 	switch {
 	case err != nil:
-		return env, false, fmt.Errorf("train: bad control frame from rank %d: %w", cm.Peer, err)
-	case w.coord >= 0 && cm.Peer != w.coord:
-		return env, false, fmt.Errorf("train: control frame from non-coordinator rank %d", cm.Peer)
+		return env, false, fmt.Errorf("train: bad control frame from rank %d: %w", sm.Peer, err)
 	case env.Kind == ctrlAbort:
 		return env, true, nil
 	case env.Kind == ctrlReconfig:
-		return env, cm.Epoch > w.epoch, nil
+		return env, sm.Epoch > w.epoch, nil
 	}
-	return env, cm.Epoch == at, nil
+	return env, sm.Epoch == at, nil
 }
 
-// recv blocks for the coordinator's next envelope that accept lets through.
-func (w *Worker) recv(ctx context.Context, at uint32) (envelope, error) {
+// recv blocks for the coordinator's next frame that accept lets through:
+// an envelope, or a tensor (tm.Tensor non-nil) stamped at.
+func (w *Worker) recv(ctx context.Context, at uint32) (env envelope, tm transport.SessionMsg, err error) {
 	for {
-		cm, err := pull(ctx, w, w.t.Ctrl())
-		if err != nil {
-			return envelope{}, err
+		if tm, err = w.pull(ctx); err != nil {
+			return env, tm, err
 		}
-		if env, ok, err := w.accept(cm, at); ok || err != nil {
-			return env, err
+		var ok bool
+		if env, ok, err = w.accept(tm, at); ok || err != nil {
+			return env, tm, err
 		}
 	}
 }
 
-// nextTensor blocks for the next out-of-band tensor stamped at, recycling
-// older generations' leftovers. A tensor of a newer generation means the
-// coordinator moved on mid-transfer: it is held for the build that follows
-// and nextTensor returns the zero TensorMsg, which matches no tensor class.
-func (w *Worker) nextTensor(ctx context.Context, at uint32) (transport.TensorMsg, error) {
-	for {
-		tm := w.held
-		w.held = transport.TensorMsg{}
-		if tm.Data == nil {
-			var err error
-			if tm, err = pull(ctx, w, w.t.Tensors()); err != nil {
-				return tm, err
-			}
-		}
-		switch {
-		case tm.Epoch < at:
-			w.t.RecycleTensor(tm.Data)
-		case tm.Epoch > at:
-			w.held = tm
-			return transport.TensorMsg{}, nil
-		default:
-			return tm, nil
-		}
+// interrupted handles a frame other than the one the worker waits for: in
+// place of a step's next tensor, during a step, or between steps anything
+// but a step, snapshot or shutdown. A reconfig is returned to be processed
+// next; an abort, any other envelope or a stray tensor ends the worker.
+func (w *Worker) interrupted(env envelope, tm transport.SessionMsg) (*envelope, error) {
+	switch {
+	case tm.Tensor != nil:
+		return nil, fmt.Errorf("train: unexpected tensor (class %d, index %d) from coordinator", tm.Class, tm.Index)
+	case env.Kind == ctrlReconfig:
+		return &env, nil
+	case env.Kind == ctrlAbort:
+		return nil, fmt.Errorf("train: session aborted by coordinator: %s", env.Err)
 	}
+	return nil, fmt.Errorf("train: unexpected %q from coordinator", env.Kind)
 }
 
 // Serve runs the worker side of the session protocol until shutdown (nil),
@@ -1129,33 +1131,20 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 		defer w.hb.Stop()
 	}
 	for {
-		env, err := w.recv(ctx, w.epoch)
+		env, tm, err := w.recv(ctx, w.epoch)
 		if err != nil {
 			return err
 		}
+		var next *envelope // a reconfig to rebuild onto
 		switch env.Kind {
 		case ctrlStep:
 			if w.dieAtStep >= 0 && env.Step >= w.dieAtStep {
 				w.t.Close()
 				return nil
 			}
-			next, err := w.runStep(ctx, env)
-			if err != nil {
-				return err
-			}
-			if next != nil {
-				if err := w.reconfig(ctx, *next); err != nil {
-					return err
-				}
-			}
+			next, err = w.runStep(ctx, env)
 		case ctrlSnapshot:
-			if err := w.sendSnapshot(); err != nil {
-				return err
-			}
-		case ctrlReconfig:
-			if err := w.reconfig(ctx, env); err != nil {
-				return err
-			}
+			err = w.sendSnapshot()
 		case ctrlShutdown:
 			// Ack, then hold the mesh open until the coordinator — who has
 			// every worker's ack — tears it down: a worker closing early
@@ -1163,10 +1152,14 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 			sendEnvelope(w.t, w.coord, envelope{Kind: ctrlShutdownAck}) //nolint:errcheck // session is over either way
 			w.awaitTeardown(ctx)
 			return nil
-		case ctrlAbort:
-			return fmt.Errorf("train: session aborted by coordinator: %s", env.Err)
 		default:
-			return fmt.Errorf("train: unexpected %q from coordinator", env.Kind)
+			next, err = w.interrupted(env, tm)
+		}
+		if err == nil && next != nil {
+			err = w.reconfig(ctx, *next)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -1178,11 +1171,9 @@ func (w *Worker) awaitTeardown(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	for {
-		cm, err := pull(ctx, w, w.t.Ctrl())
-		if err != nil {
+		if _, err := w.pull(ctx); err != nil {
 			return
 		}
-		w.t.RecycleCtrl(cm.Data)
 	}
 }
 
@@ -1190,7 +1181,7 @@ func (w *Worker) awaitTeardown(ctx context.Context) {
 // weights and optimizer state from the broadcast, constructs the executor
 // and reports ready.
 func (w *Worker) handshake(ctx context.Context) error {
-	env, err := w.recv(ctx, 0)
+	env, _, err := w.recv(ctx, 0)
 	if err != nil {
 		return err
 	}
@@ -1263,31 +1254,31 @@ func (w *Worker) buildSession(ctx context.Context, man *Manifest) error {
 
 // receiveState assembles the checkpoint the coordinator broadcasts for the
 // manifest's generation onto the skeleton params, and checks it against the
-// weights-done that closes it: the assembled state must re-encode to the CRC
-// the coordinator sent.
+// weights-done that closes it: the assembled state must be complete and
+// re-encode to the CRC the coordinator sent.
 func (w *Worker) receiveState(ctx context.Context, man *Manifest, params []nn.Param) (*Checkpoint, error) {
 	a := newAssembly(params, man.Opt.Slots())
-	for a.left > 0 {
-		tm, err := w.nextTensor(ctx, man.Epoch)
-		if err != nil {
+	for {
+		env, tm, err := w.recv(ctx, man.Epoch)
+		switch {
+		case err != nil:
 			return nil, err
+		case tm.Tensor != nil:
+			if err := a.put(tm.Class, tm.Index, tm.Tensor); err != nil {
+				return nil, err
+			}
+			continue
+		case env.Kind != ctrlWeightsDone:
+			return nil, fmt.Errorf("train: worker expected weights-done, got %q", env.Kind)
+		case a.left > 0:
+			return nil, fmt.Errorf("train: weights-done arrived with %d state tensors missing", a.left)
 		}
-		if err := a.put(tm.Class, tm.Index, tm.Data); err != nil {
-			return nil, err
+		a.ck.Step, a.ck.OptStep = env.Step, env.OptStep
+		if sum := a.ck.checksum(); sum != env.CRC {
+			return nil, fmt.Errorf("train: rank %d assembled state with CRC %08x, coordinator sent %08x", w.rank, sum, env.CRC)
 		}
+		return a.ck, nil
 	}
-	env, err := w.recv(ctx, man.Epoch)
-	if err != nil {
-		return nil, err
-	}
-	if env.Kind != ctrlWeightsDone {
-		return nil, fmt.Errorf("train: worker expected weights-done, got %q", env.Kind)
-	}
-	a.ck.Step, a.ck.OptStep = env.Step, env.OptStep
-	if sum := a.ck.checksum(); sum != env.CRC {
-		return nil, fmt.Errorf("train: rank %d assembled state with CRC %08x, coordinator sent %08x", w.rank, sum, env.CRC)
-	}
-	return a.ck, nil
 }
 
 // buildExecutor constructs this rank's executor for the manifest's plan.
@@ -1427,37 +1418,37 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 }
 
 // runStep receives one step's micro-batches and executes the local share of
-// the plan, watching the control plane throughout so a peer's abort or a
-// recovery reconfig cancels a step blocked on cross-process transfers. In a
-// survivable session an executor failure is reported with death evidence
-// and survived (the worker waits for the coordinator's verdict); the
-// returned envelope, when non-nil, is a reconfig that interrupted the step
-// and must be processed next.
+// the plan, watching the session inbox throughout so a peer's abort or a
+// recovery reconfig cancels a step blocked on cross-process transfers. An
+// envelope arriving in place of a micro-batch tensor means the coordinator
+// tore the step before sending it. In a survivable session an executor
+// failure is reported with death evidence and survived (the worker waits
+// for the coordinator's verdict); the returned envelope, when non-nil, is a
+// reconfig that interrupted the step and must be processed next.
 func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 	micros := w.microBuf[:0]
 	for mb := 0; mb < env.M; mb++ {
-		// A zero tensor means a recovery tore the step while its tensors were
-		// in flight: abandon it; the reconfig envelope is already queued.
-		x, err := w.nextTensor(ctx, w.epoch)
-		if err != nil || x.Data == nil {
-			w.recycleMicros(micros)
-			return nil, err
+		var xy [2]*tensor.Matrix
+		for i, class := range [2]int{tensX, tensY} {
+			e, tm, err := w.recv(ctx, w.epoch)
+			var next *envelope
+			if err == nil && (tm.Tensor == nil || tm.Class != class || tm.Index != mb) {
+				next, err = w.interrupted(e, tm)
+			}
+			if next != nil || err != nil {
+				w.t.RecycleTensor(xy[0])
+				w.recycleMicros(micros)
+				return next, err
+			}
+			xy[i] = tm.Tensor
 		}
-		y, err := w.nextTensor(ctx, w.epoch)
-		if err != nil || y.Data == nil {
-			w.t.RecycleTensor(x.Data)
-			w.recycleMicros(micros)
-			return nil, err
-		}
-		if x.Class != tensX || y.Class != tensY || x.Index != mb || y.Index != mb {
-			return nil, fmt.Errorf("train: step %d micro %d arrived out of order", env.Step, mb)
-		}
-		labels := w.leaseLabels(mb, y.Data.Rows)
+		y := xy[1]
+		labels := w.leaseLabels(mb, y.Rows)
 		for i := range labels {
-			labels[i] = int(y.Data.Data[i])
+			labels[i] = int(y.Data[i])
 		}
-		w.t.RecycleTensor(y.Data)
-		micros = append(micros, Batch{X: x.Data, Y: labels})
+		w.t.RecycleTensor(y)
+		micros = append(micros, Batch{X: xy[0], Y: labels})
 	}
 	w.microBuf = micros[:0]
 	sctx, cancel := context.WithCancel(ctx)
@@ -1483,23 +1474,17 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 				return nil, w.stepFailed(out.err)
 			}
 			return nil, sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
-		case cm := <-w.t.Ctrl():
+		case sm := <-w.t.Session():
 			// The coordinator interrupted the step: a relayed abort, a
 			// recovery reconfig, or something unexpected (equally fatal).
 			// Cancel the local step so its workers unblock from
-			// cross-process receives.
-			e, ok, err := w.accept(cm, w.epoch)
+			// cross-process receives. A torn round's leftover is dropped.
+			e, ok, err := w.accept(sm, w.epoch)
 			switch {
 			case err != nil:
 				aborted = err
-			case !ok:
-				// A torn round's leftover; keep waiting.
-			case e.Kind == ctrlReconfig:
-				next = &e
-			case e.Kind == ctrlAbort:
-				aborted = fmt.Errorf("train: session aborted by coordinator: %s", e.Err)
-			default:
-				aborted = fmt.Errorf("train: unexpected %q from coordinator mid-step", e.Kind)
+			case ok:
+				next, aborted = w.interrupted(e, sm)
 			}
 		case <-w.t.Done():
 			aborted = w.t.Err()

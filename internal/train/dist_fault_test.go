@@ -97,10 +97,10 @@ func soloSession(t *testing.T, ctx context.Context, cancel context.CancelFunc, p
 
 // TestTornStepYieldsToRebuild tears a step while its micro-batches are in
 // flight: the worker has the step announcement and the first micro-batch
-// when the coordinator moves to a new generation. The next tensor it reads
-// is the new generation's first weight; the worker must abandon the step,
-// keep that tensor for the rebuild, and rebuild from it — and training
-// then continues on the uninterrupted trajectory.
+// when the coordinator moves to a new generation. The reconfig envelope
+// arrives in place of micro-batch 1's tensors; the worker must abandon the
+// step and rebuild from the state broadcast behind the reconfig — and
+// training then continues on the uninterrupted trajectory.
 func TestTornStepYieldsToRebuild(t *testing.T) {
 	p, master := tinyPlan(t)
 	iters := [][]Batch{makeMicros(2, 4, 8, 4, 44), makeMicros(2, 4, 8, 4, 45)}
@@ -118,10 +118,10 @@ func TestTornStepYieldsToRebuild(t *testing.T) {
 	if err := sendEnvelope(ct, 0, envelope{Kind: ctrlStep, Step: 1, M: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.SendTensor(0, tensX, 0, iters[1][0].X); err != nil {
+	if err := ct.SendTensor(0, tensX, 0, iters[1][0].X, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.SendTensor(0, tensY, 0, tensor.New(len(iters[1][0].Y), 1)); err != nil {
+	if err := ct.SendTensor(0, tensY, 0, tensor.New(len(iters[1][0].Y), 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	end := coord.rebuild()
@@ -176,17 +176,17 @@ func TestShutdownAckBarrierTimesOut(t *testing.T) {
 	muted := make(chan error, 1)
 	go func() {
 		muted <- func() error {
-			if env, err := mute.recv(ctx, 0); err != nil {
+			if env, _, err := mute.recv(ctx, 0); err != nil {
 				return err
 			} else if env.Kind != ctrlManifest {
 				return fmt.Errorf("expected manifest, got %q", env.Kind)
 			}
 			for i := 0; i < nparams; i++ {
-				if _, err := mute.nextTensor(ctx, 0); err != nil {
+				if _, _, err := mute.recv(ctx, 0); err != nil {
 					return err
 				}
 			}
-			if env, err := mute.recv(ctx, 0); err != nil {
+			if env, _, err := mute.recv(ctx, 0); err != nil {
 				return err
 			} else if env.Kind != ctrlWeightsDone {
 				return fmt.Errorf("expected weights-done, got %q", env.Kind)
@@ -448,15 +448,15 @@ func TestRebuildBudgetShrinksAroundSilentRank(t *testing.T) {
 	muted := make(chan error, 1)
 	go func() {
 		muted <- func() error {
-			if _, err := mute.recv(context.Background(), 0); err != nil {
+			if _, _, err := mute.recv(context.Background(), 0); err != nil {
 				return err
 			}
 			for i := 0; i < nparams; i++ {
-				if _, err := mute.nextTensor(context.Background(), 0); err != nil {
+				if _, _, err := mute.recv(context.Background(), 0); err != nil {
 					return err
 				}
 			}
-			if _, err := mute.recv(context.Background(), 0); err != nil {
+			if _, _, err := mute.recv(context.Background(), 0); err != nil {
 				return err
 			}
 			return sendEnvelope(w1t, 2, envelope{Kind: ctrlReady})

@@ -133,10 +133,11 @@ func (c *Coordinator) noteJoinReady(peer int) {
 // drainJoins is await's non-blocking form, run at a step boundary: it
 // services every queued membership knock, join announcement and abort, drops
 // everything else (stale leftovers of a previous generation) and returns as
-// soon as nothing is queued. Only the coordinator's goroutine drains these
-// inboxes, so one that is not empty never blocks the next receive.
+// soon as nothing is queued. Only the coordinator's goroutine drains the
+// session and join inboxes, so one that is not empty never blocks the next
+// receive.
 func (c *Coordinator) drainJoins(ctx context.Context) {
-	idle := func() bool { return len(c.t.Ctrl()) == 0 && len(c.t.Tensors()) == 0 && len(c.t.Joins()) == 0 }
+	idle := func() bool { return len(c.t.Session()) == 0 && len(c.t.Joins()) == 0 }
 	c.await(ctx, wait{done: idle}) //nolint:errcheck // evidence lands via ClosePeer; the step barrier acts on it
 }
 
@@ -333,7 +334,7 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 // coordinator's reconfig, verify the manifest against the granted hash, and
 // build the session from it like any veteran.
 func (w *Worker) handshakeJoin(ctx context.Context) error {
-	env, err := w.recv(ctx, 0)
+	env, _, err := w.recv(ctx, 0)
 	if err != nil {
 		return err
 	}

@@ -355,7 +355,7 @@ func TestSessionRejoinJoinerDiesMidSync(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, err := w.recv(ctx, 0); err != nil {
+			if _, _, err := w.recv(ctx, 0); err != nil {
 				return err
 			}
 			if w.hb != nil {

@@ -491,7 +491,7 @@ func goldenRollback(t *testing.T) goldenRun {
 			if err != nil {
 				return err
 			}
-			if _, err := w.recv(s.ctx, 0); err != nil {
+			if _, _, err := w.recv(s.ctx, 0); err != nil {
 				return err
 			}
 			if w.hb != nil {

@@ -70,7 +70,7 @@ func TestJoinGrantAdmitsFreshRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case cm := <-coord.Ctrl():
+	case cm := <-coord.Session():
 		if cm.Peer != 5 || string(cm.Data) != "up" {
 			t.Fatalf("coordinator got %q from rank %d, want %q from 5", cm.Data, cm.Peer, "up")
 		}
@@ -81,7 +81,7 @@ func TestJoinGrantAdmitsFreshRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case cm := <-joiner.Ctrl():
+	case cm := <-joiner.Session():
 		if cm.Peer != 0 || string(cm.Data) != "down" {
 			t.Fatalf("joiner got %q from rank %d, want %q from 0", cm.Data, cm.Peer, "down")
 		}

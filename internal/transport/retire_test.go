@@ -119,14 +119,14 @@ func TestRetireWakesHeadOfStreamHold(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-ts[1].Ctrl():
+	case <-ts[1].Session():
 		t.Fatal("control message overtook the held edge frame")
 	case <-time.After(50 * time.Millisecond):
 		// Parked, as expected.
 	}
 	ts[1].Retire(5)
 	select {
-	case cm := <-ts[1].Ctrl():
+	case cm := <-ts[1].Session():
 		if string(cm.Data) != "behind-the-hold" {
 			t.Fatalf("unexpected control payload %q", cm.Data)
 		}

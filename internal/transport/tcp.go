@@ -63,31 +63,24 @@ func dialSeed(rank, peer int, addr string) int64 {
 	return int64(h.Sum64())
 }
 
-// CtrlMsg is one received control-plane payload and the rank it came from.
-type CtrlMsg struct {
+// SessionMsg is one received session frame and the rank it came from:
+// either an opaque control payload (Data) or an out-of-band tensor (Tensor,
+// with its Class and Index), such as a weight of a state broadcast or a
+// step's inputs.
+type SessionMsg struct {
 	// Peer is the sender's rank.
 	Peer int
-	// Epoch is the sender's epoch floor when it sent the payload (see Retire).
+	// Epoch is the sender's epoch floor when it sent the frame (see Retire).
 	Epoch uint32
-	// Data is the opaque control payload.
+	// Data is the control payload; nil for a tensor.
 	Data []byte
-}
-
-// TensorMsg is one received out-of-band tensor (weight broadcast, step
-// inputs) with its routing fields.
-type TensorMsg struct {
-	// Peer is the sender's rank.
-	Peer int
-	// Class distinguishes tensor streams (weights vs step inputs).
-	Class int
-	// Index is the tensor's index within its class.
-	Index int
-	// Epoch is the sender's epoch floor when it sent the tensor (see Retire).
-	Epoch uint32
-	// Data is the received tensor, leased from the transport's recycle
-	// pool: hand it back with RecycleTensor once consumed, or keep it
-	// (without recycling) when the payload is retained.
-	Data *tensor.Matrix
+	// Tensor is the received tensor, nil for a control frame. It is leased
+	// from the transport's recycle pool: hand it back with RecycleTensor
+	// once consumed, or keep it (without recycling) when it is retained.
+	Tensor *tensor.Matrix
+	// Class distinguishes tensor streams (weights vs step inputs); Index is
+	// the tensor's index within its class.
+	Class, Index int
 }
 
 // Stats is a snapshot of a TCP transport's traffic counters.
@@ -110,8 +103,9 @@ type Stats struct {
 // has opened the matching edge are held at the head of the stream until it
 // does (steps are coordinator-gated, so this only happens transiently while
 // peers rebuild geometry). Beyond Transport it carries the coordinator
-// protocol's control plane: HELLO rank exchange, opaque control payloads
-// and out-of-band tensors.
+// protocol's control plane: HELLO rank exchange, and one session inbox
+// (Session) of opaque control payloads and out-of-band tensors, delivered
+// in the order each peer sent them.
 //
 // By default a TCP transport fails stop: the first connection error closes
 // the whole transport and every blocked operation returns ErrClosed. With
@@ -137,15 +131,13 @@ type TCP struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	ctrl  chan CtrlMsg
-	tens  chan TensorMsg
+	sess  chan SessionMsg
 	joins chan *JoinRequest
 
-	// ctrlFree and tensFree recycle inbound payload buffers: the reader
-	// pumps lease from them instead of allocating per frame, and consumers
-	// hand exhausted buffers back through RecycleCtrl/RecycleTensor. A
-	// consumer that retains a payload simply never recycles it.
-	ctrlFree chan []byte
+	// tensFree recycles inbound tensor buffers: the reader pumps lease from
+	// it instead of allocating per frame, and consumers hand exhausted
+	// buffers back through RecycleTensor. A consumer that retains a tensor
+	// simply never recycles it.
 	tensFree chan *tensor.Matrix
 
 	bytesSent, bytesRecv   atomic.Int64
@@ -165,43 +157,15 @@ func newTCP() *TCP {
 		downs:    make(map[int]error),
 		downWait: make(chan struct{}),
 		closed:   make(chan struct{}),
-		ctrl:     make(chan CtrlMsg, 64),
-		tens:     make(chan TensorMsg, 256),
+		sess:     make(chan SessionMsg, 320), // a step's micro-batches or a state transfer queue here while the reader is busy
 		joins:    make(chan *JoinRequest, 16),
-		ctrlFree: make(chan []byte, 64),
 		tensFree: make(chan *tensor.Matrix, 64),
 	}
 	t.rank.Store(-1)
 	return t
 }
 
-// leaseCtrl leases an n-byte control payload buffer, reusing a recycled one
-// of sufficient capacity.
-func (t *TCP) leaseCtrl(n int) []byte {
-	select {
-	case b := <-t.ctrlFree:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]byte, n)
-}
-
-// RecycleCtrl returns a consumed control payload (CtrlMsg.Data) to the
-// reader pumps' free list. The caller must not touch the buffer afterwards;
-// dropping a payload without recycling is always safe, it just allocates.
-func (t *TCP) RecycleCtrl(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	select {
-	case t.ctrlFree <- b[:0]:
-	default:
-	}
-}
-
-// RecycleTensor returns a consumed out-of-band tensor (TensorMsg.Data) to
+// RecycleTensor returns a consumed out-of-band tensor (SessionMsg.Tensor) to
 // the reader pumps' free list. Consumers that retain the matrix — weight
 // snapshots, optimizer state — must simply not recycle it.
 func (t *TCP) RecycleTensor(m *tensor.Matrix) {
@@ -250,11 +214,9 @@ func (t *TCP) Stats() Stats {
 	}
 }
 
-// Ctrl returns the merged control-plane inbox.
-func (t *TCP) Ctrl() <-chan CtrlMsg { return t.ctrl }
-
-// Tensors returns the merged out-of-band tensor inbox.
-func (t *TCP) Tensors() <-chan TensorMsg { return t.tens }
+// Session returns the session inbox: every control payload and out-of-band
+// tensor from every peer, each peer's frames in the order it sent them.
+func (t *TCP) Session() <-chan SessionMsg { return t.sess }
 
 // SetPeerIsolation switches the transport's failure semantics: on, a
 // connection error downs only that peer (see PeerDowns); off (the default),
@@ -724,23 +686,15 @@ func (t *TCP) SendControl(peer int, payload []byte) error {
 }
 
 // SendTensor sends an out-of-band tensor to peer under (class, index),
-// stamped with the current epoch floor. The matrix is serialized
-// asynchronously by the writer pump; control-plane senders must not mutate
-// it until the peer has acted on it (the coordinator protocol's step gating
-// guarantees this).
-func (t *TCP) SendTensor(peer, class, index int, m *tensor.Matrix) error {
-	return t.SendTensorPooled(peer, class, index, m, nil)
-}
-
-// SendTensorPooled is SendTensor with a recycle destination: the writer pump
-// returns m to free as soon as its bytes are staged for the socket, so
-// steady-state senders (the coordinator's per-micro label staging) cycle a
-// small pool instead of allocating per send. The caller must lease m from
-// free (see LeaseBuf) and not touch it after this call; a nil free is plain
-// SendTensor. A matrix whose data disagrees with its shape, or that cannot
-// travel as one frame (more than MaxFramePayload bytes), is refused here
-// rather than by the receiver, which would drop the connection.
-func (t *TCP) SendTensorPooled(peer, class, index int, m *tensor.Matrix, free chan *tensor.Matrix) error {
+// stamped with the current epoch floor. The writer pump serializes m
+// asynchronously: with a nil free the caller must not mutate m until the
+// peer has acted on it (the coordinator protocol's step gating guarantees
+// this); otherwise the pump returns m to free once its bytes are staged, so
+// steady-state senders cycle a small pool (see LeaseBuf) and must not touch
+// m after the call. A matrix whose data disagrees with its shape, or that
+// cannot travel as one frame (more than MaxFramePayload bytes), is refused
+// here rather than by the receiver, which would drop the connection.
+func (t *TCP) SendTensor(peer, class, index int, m *tensor.Matrix, free chan *tensor.Matrix) error {
 	if m.Rows < 0 || m.Cols < 0 || uint64(m.Rows)*uint64(m.Cols) > MaxFramePayload/8 {
 		return fmt.Errorf("transport: %dx%d tensor exceeds the %d-byte frame limit", m.Rows, m.Cols, MaxFramePayload)
 	}
@@ -768,7 +722,7 @@ func (t *TCP) fail(err error) {
 
 // Done returns a channel closed when the transport has shut down, by clean
 // Close or fail-stop; Err then reports why. Session layers select on it
-// alongside Ctrl/Tensors so a dead mesh never strands a protocol wait.
+// alongside Session so a dead mesh never strands a protocol wait.
 func (t *TCP) Done() <-chan struct{} { return t.closed }
 
 // Err returns the failure that tore the transport down, ErrClosed after a
@@ -901,8 +855,7 @@ func (c *tcpConn) writeLoop() {
 	}
 }
 
-// readLoop demultiplexes inbound frames to edges and the control and tensor
-// inboxes.
+// readLoop demultiplexes inbound frames to edges and the session inbox.
 func (c *tcpConn) readLoop() {
 	defer c.t.wg.Done()
 	t := c.t
@@ -922,10 +875,10 @@ func (c *tcpConn) readLoop() {
 		t.bytesRecv.Add(int64(HeaderSize) + int64(h.N))
 		switch h.Type {
 		case FrameControl:
-			payload := t.leaseCtrl(int(h.N))
+			payload := make([]byte, h.N)
 			if err = c.fr.ReadBytes(payload); err == nil {
 				select {
-				case t.ctrl <- CtrlMsg{Peer: c.peer, Epoch: h.Epoch, Data: payload}:
+				case t.sess <- SessionMsg{Peer: c.peer, Epoch: h.Epoch, Data: payload}:
 				case <-t.closed:
 					return
 				}
@@ -934,7 +887,7 @@ func (c *tcpConn) readLoop() {
 			mat := LeaseBuf(t.tensFree, int(h.Rows), int(h.Cols))
 			if err = c.fr.ReadF64(mat.Data); err == nil {
 				select {
-				case t.tens <- TensorMsg{Peer: c.peer, Class: int(h.A), Index: int(h.M), Epoch: h.Epoch, Data: mat}:
+				case t.sess <- SessionMsg{Peer: c.peer, Epoch: h.Epoch, Tensor: mat, Class: int(h.A), Index: int(h.M)}:
 				case <-t.closed:
 					return
 				}

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -213,8 +214,23 @@ func TestTCPEdgeReopen(t *testing.T) {
 	}
 }
 
+// TestTCPControlAndTensors checks the session inbox: a control payload and
+// an out-of-band tensor arrive intact with their routing fields, and an
+// interleaved run of control frames, plain tensors and pooled tensors from
+// one peer, across an epoch change, comes out in exactly the order it was
+// sent, each frame with its kind and epoch.
 func TestTCPControlAndTensors(t *testing.T) {
 	ts := mesh(t, 2)
+	next := func() SessionMsg {
+		t.Helper()
+		select {
+		case sm := <-ts[1].Session():
+			return sm
+		case <-time.After(5 * time.Second):
+			t.Fatal("session frame never arrived")
+			return SessionMsg{}
+		}
+	}
 	if err := ts[0].SendControl(1, []byte(`{"kind":"hello"}`)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,24 +238,57 @@ func TestTCPControlAndTensors(t *testing.T) {
 	for i := range mat.Data {
 		mat.Data[i] = float64(i) * 1.5
 	}
-	if err := ts[0].SendTensor(1, 2, 9, mat); err != nil {
+	if err := ts[0].SendTensor(1, 2, 9, mat, nil); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case cm := <-ts[1].Ctrl():
-		if cm.Peer != 0 || string(cm.Data) != `{"kind":"hello"}` {
-			t.Fatalf("control mismatch: %+v", cm)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("control frame never arrived")
+	if cm := next(); cm.Peer != 0 || cm.Tensor != nil || string(cm.Data) != `{"kind":"hello"}` {
+		t.Fatalf("control mismatch: %+v", cm)
 	}
-	select {
-	case tm := <-ts[1].Tensors():
-		if tm.Peer != 0 || tm.Class != 2 || tm.Index != 9 || tm.Data.Data[5] != 7.5 {
-			t.Fatalf("tensor mismatch: %+v", tm)
+	if tm := next(); tm.Peer != 0 || tm.Data != nil || tm.Class != 2 || tm.Index != 9 || tm.Tensor.Data[5] != 7.5 {
+		t.Fatalf("tensor mismatch: %+v", tm)
+	}
+
+	// The interleaved run: i names each frame, as its control payload or
+	// as its tensor's index and only value.
+	type frame struct {
+		control, pooled bool
+		epoch           uint32
+	}
+	var sent []frame
+	free := make(chan *tensor.Matrix, 4)
+	for i := 0; i < 60; i++ {
+		if i == 30 {
+			ts[0].Retire(7 << 16)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("tensor frame never arrived")
+		f := frame{control: i%3 == 0, pooled: i%3 == 2, epoch: ts[0].epochFloor.Load()}
+		var err error
+		switch {
+		case f.control:
+			err = ts[0].SendControl(1, []byte(fmt.Sprint(i)))
+		case f.pooled:
+			m := LeaseBuf(free, 1, 1)
+			m.Data[0] = float64(i)
+			err = ts[0].SendTensor(1, 3, i, m, free)
+		default:
+			err = ts[0].SendTensor(1, 2, i, &tensor.Matrix{Rows: 1, Cols: 1, Data: []float64{float64(i)}}, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, f)
+	}
+	for i, f := range sent {
+		sm := next()
+		switch {
+		case sm.Epoch != f.epoch:
+			t.Fatalf("frame %d stamped %d, sent at %d", i, sm.Epoch, f.epoch)
+		case f.control && (sm.Tensor != nil || string(sm.Data) != fmt.Sprint(i)):
+			t.Fatalf("frame %d: want control payload %q, got %+v", i, fmt.Sprint(i), sm)
+		case !f.control && (sm.Tensor == nil || sm.Index != i || sm.Tensor.Data[0] != float64(i)):
+			t.Fatalf("frame %d: want tensor %d, got %+v", i, i, sm)
+		case f.pooled != (sm.Class == 3):
+			t.Fatalf("frame %d arrived with class %d", i, sm.Class)
+		}
 	}
 }
 
@@ -257,18 +306,18 @@ func TestSendTensorRefusesUnframeable(t *testing.T) {
 		"negative shape":       {Rows: -1, Cols: 4},
 		"short data":           {Rows: 2, Cols: 3, Data: make([]float64, 5)},
 	} {
-		if err := ts[0].SendTensor(1, 1, 0, m); err == nil {
+		if err := ts[0].SendTensor(1, 1, 0, m, nil); err == nil {
 			t.Errorf("%s: SendTensor accepted a %dx%d matrix with %d values", name, m.Rows, m.Cols, len(m.Data))
 		}
-		if err := ts[0].SendTensorPooled(1, 1, 0, m, free); err == nil {
-			t.Errorf("%s: SendTensorPooled accepted a %dx%d matrix with %d values", name, m.Rows, m.Cols, len(m.Data))
+		if err := ts[0].SendTensor(1, 1, 0, m, free); err == nil {
+			t.Errorf("%s: pooled SendTensor accepted a %dx%d matrix with %d values", name, m.Rows, m.Cols, len(m.Data))
 		}
 	}
-	if err := ts[0].SendTensor(1, 1, 7, tensor.New(1, 2)); err != nil {
+	if err := ts[0].SendTensor(1, 1, 7, tensor.New(1, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case tm := <-ts[1].Tensors():
+	case tm := <-ts[1].Session():
 		if tm.Index != 7 {
 			t.Fatalf("received tensor %d, want 7: a refused send reached the wire", tm.Index)
 		}
@@ -290,17 +339,17 @@ func TestTCPControlAndTensorsCarryEpochFloor(t *testing.T) {
 		if err := ts[0].SendControl(1, []byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts[0].SendTensor(1, 1, 0, tensor.New(1, 2)); err != nil {
+		if err := ts[0].SendTensor(1, 1, 0, tensor.New(1, 2), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts[0].SendTensorPooled(1, 1, 1, LeaseBuf(free, 1, 2), free); err != nil {
+		if err := ts[0].SendTensor(1, 1, 1, LeaseBuf(free, 1, 2), free); err != nil {
 			t.Fatal(err)
 		}
 	}
 	expect := func(epoch uint32) {
 		t.Helper()
 		select {
-		case cm := <-ts[1].Ctrl():
+		case cm := <-ts[1].Session():
 			if cm.Epoch != epoch {
 				t.Fatalf("control frame stamped %d, want %d", cm.Epoch, epoch)
 			}
@@ -309,7 +358,7 @@ func TestTCPControlAndTensorsCarryEpochFloor(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			select {
-			case tm := <-ts[1].Tensors():
+			case tm := <-ts[1].Session():
 				if tm.Epoch != epoch {
 					t.Fatalf("tensor frame %d stamped %d, want %d", tm.Index, tm.Epoch, epoch)
 				}
