@@ -38,11 +38,11 @@ import (
 // Failure semantics are configurable. By default the session is fail-stop:
 // any failure anywhere ends it everywhere, and no torn cross-process update
 // can exist because updates commit only at step boundaries. With WithReplan
-// the session instead survives worker death: heartbeats (WithHeartbeat)
-// detect dead or hung ranks, the coordinator retires the torn generation
-// (transport epoch floor), re-plans onto the survivors, restores the last
-// consistent snapshot and re-runs the handshake — the failed Step returns
-// *Recovered telling the driver where to rewind its data feed.
+// the session instead survives worker death: transport heartbeats
+// (WithHeartbeat) detect dead or hung ranks, the coordinator retires the torn
+// generation (transport epoch floor), re-plans onto the survivors, restores
+// the last consistent snapshot and re-runs the handshake — the failed Step
+// returns *Recovered telling the driver where to rewind its data feed.
 const (
 	ctrlManifest    = "manifest"
 	ctrlWeightsDone = "weights-done"
@@ -150,8 +150,8 @@ type Manifest struct {
 	// Survivable marks a fault-tolerant session: every rank enables peer
 	// isolation so one rank's death downs a peer, not the mesh.
 	Survivable bool `json:"survivable,omitempty"`
-	// Heartbeat and HeartbeatTimeout configure each rank's liveness plane
-	// (nanoseconds; zero disables).
+	// Heartbeat and HeartbeatTimeout configure each rank's transport
+	// liveness (TCP.SetHeartbeat; nanoseconds, zero disables).
 	Heartbeat        time.Duration `json:"heartbeat,omitempty"`
 	HeartbeatTimeout time.Duration `json:"heartbeatTimeout,omitempty"`
 	// Epoch is the transport epoch floor of this session generation
@@ -281,10 +281,10 @@ type ReplanFunc func(alive []int) (*core.Plan, []int, error)
 // SessionOption configures a Coordinator beyond the required arguments.
 type SessionOption func(*sessionConfig)
 
-// WithHeartbeat enables the liveness plane on every rank: heartbeats every
-// interval, and a rank heard from more than timeout ago is declared dead.
-// The timeout must comfortably exceed the interval (10x is a sane start) so
-// slow-but-alive ranks are never falsely declared dead.
+// WithHeartbeat enables the liveness plane on every rank's transport
+// (TCP.SetHeartbeat): heartbeats every interval, and a peer silent for
+// timeout while the rank reads from it is declared dead. The timeout must
+// comfortably exceed the interval (10x is a sane start).
 func WithHeartbeat(interval, timeout time.Duration) SessionOption {
 	return func(c *sessionConfig) { c.hbInterval, c.hbTimeout = interval, timeout }
 }
@@ -395,7 +395,6 @@ type Coordinator struct {
 	step        int
 	snapEvery   int
 	ckpt        *Checkpoint
-	hb          *heartbeater
 	failed      error
 	rebuilding  bool // a recover or expand is in flight: waits are budgeted by peerWaitTimeout
 
@@ -484,7 +483,7 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 		return nil, err
 	}
 	if cfg.hbInterval > 0 {
-		c.hb = startHeartbeater(t, cfg.hbInterval, cfg.hbTimeout)
+		t.SetHeartbeat(cfg.hbInterval, cfg.hbTimeout)
 	}
 	return c, nil
 }
@@ -895,17 +894,12 @@ func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
 }
 
 // rebuild marks a recover or expand in flight until the returned func runs.
-// Ranks legitimately go quiet while they rebuild (retiring generations,
-// restoring checkpoints), so silence verdicts pause and recovery never
-// manufactures new deaths; instead every wait is budgeted (see await), so a
-// rank that dies silently mid-rebuild still ends the wait.
+// Every wait of a rebuild is budgeted (see await), so a rank that goes
+// silent mid-rebuild while its transport still heartbeats (a hung session
+// loop) still ends the wait.
 func (c *Coordinator) rebuild() (end func()) {
-	c.hb.Suspend()
 	c.rebuilding = true
-	return func() {
-		c.rebuilding = false
-		c.hb.Resume()
-	}
+	return func() { c.rebuilding = false }
 }
 
 // validatePlacement checks the re-plan's device map lands only on survivors.
@@ -930,9 +924,6 @@ func validatePlacement(p *core.Plan, deviceRanks []int, alive []int) error {
 func (c *Coordinator) fail(err error) error {
 	if c.failed == nil {
 		c.failed = err
-		if c.hb != nil {
-			c.hb.Stop()
-		}
 		for _, w := range c.alive {
 			sendEnvelope(c.t, w, envelope{Kind: ctrlAbort, Err: err.Error()}) //nolint:errcheck // best-effort on a dying session
 		}
@@ -945,9 +936,6 @@ func (c *Coordinator) fail(err error) error {
 // their acks (so no worker is still mid-read when the connections drop)
 // bounded by the shutdown timeout, then the mesh.
 func (c *Coordinator) Close() error {
-	if c.hb != nil {
-		c.hb.Stop()
-	}
 	if c.failed != nil {
 		return nil
 	}
@@ -981,10 +969,9 @@ type Worker struct {
 	exec      *Executor
 	man       *Manifest
 	net       *nn.Network
-	coord     int    // the coordinator's mesh rank; -1 until the manifest or grant names it
-	epoch     uint32 // generation of the session this worker last built
-	dieAtStep int    // scripted death for fault tests; -1 disables
-	hb        *heartbeater
+	coord     int           // the coordinator's mesh rank; -1 until the manifest or grant names it
+	epoch     uint32        // generation of the session this worker last built
+	dieAtStep int           // scripted death for fault tests; -1 disables
 	grant     *joinGrantMsg // non-nil on a worker admitted mid-session (JoinSession)
 
 	microBuf []Batch // reused per-step micro-batch staging
@@ -1120,15 +1107,9 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 	if err != nil {
 		return err
 	}
-	if w.hb != nil {
-		// A joiner ran a send-only heartbeater while awaiting admission;
-		// replace it with the session-configured liveness plane.
-		w.hb.Stop()
-		w.hb = nil
-	}
 	if w.man.Heartbeat > 0 {
-		w.hb = startHeartbeater(w.t, w.man.Heartbeat, w.man.HeartbeatTimeout)
-		defer w.hb.Stop()
+		// Replaces a joiner's send-only heartbeats from admission.
+		w.t.SetHeartbeat(w.man.Heartbeat, w.man.HeartbeatTimeout)
 	}
 	for {
 		env, tm, err := w.recv(ctx, w.epoch)
@@ -1394,17 +1375,13 @@ func (w *Worker) sendSnapshot() error {
 // retire the torn transport generation, then rebuild the executor from the
 // state broadcast — the same one whether this rank held state before or
 // joined mid-session. The build reads only frames stamped with the
-// manifest's epoch; older ones are the torn generation's leftovers. Death
-// verdicts pause for the duration: peers rebuilding alongside are
-// legitimately silent.
+// manifest's epoch; older ones are the torn generation's leftovers.
 func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	if env.Manifest == nil {
 		return fmt.Errorf("train: reconfig without manifest")
 	}
 	man := env.Manifest
 	w.man = man
-	w.hb.Suspend()
-	defer w.hb.Resume()
 	w.t.Retire(man.Epoch)
 	err := w.buildSession(ctx, man)
 	if err != nil && man.Survivable && errors.Is(err, transport.ErrPeerDown) {

@@ -430,8 +430,8 @@ func TestSessionResumesFromCheckpointDir(t *testing.T) {
 
 // TestRebuildBudgetShrinksAroundSilentRank checks the reconfig budget: a
 // rank that completes the handshake and then goes silent — connected, so
-// no connection error ever fires, and heartbeat verdicts are suspended
-// during a rebuild — must not strand the rebuild's ready barrier. The
+// no connection error ever fires, and a transport that still heartbeats
+// would keep it looking alive — must not strand the rebuild's ready barrier. The
 // barrier gives up after peerWaitTimeout, declares the silent rank down,
 // and the ordinary shrink path then re-plans onto the survivor.
 func TestRebuildBudgetShrinksAroundSilentRank(t *testing.T) {

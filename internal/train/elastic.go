@@ -255,9 +255,8 @@ func (c *Coordinator) admit(ctx context.Context, js []int) error {
 // from the live primary ranks, so the broadcast state is this boundary's,
 // not a stale checkpoint — then merge the joiners into the membership,
 // re-plan at unchanged global batch size, fence the old transport generation
-// and re-run the handshake.
-// Death verdicts pause throughout, as in recover: ranks rebuilding are
-// legitimately silent, and the rebuild budget bounds every wait instead.
+// and re-run the handshake. As in recover, the rebuild budget bounds every
+// wait, so a rank that stops answering mid-expansion is shrunk around.
 func (c *Coordinator) expand(ctx context.Context, js []int) error {
 	defer c.rebuild()()
 	if err := c.snapshot(ctx); err != nil {
@@ -321,8 +320,8 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 	w.grant = &grant
 	if grant.Heartbeat > 0 {
 		// Send-only: prove this rank's liveness while admission is pending;
-		// the manifest's liveness plane replaces it once Serve is admitted.
-		w.hb = startHeartbeater(t, grant.Heartbeat, 0)
+		// the manifest's timeout replaces it once Serve is admitted.
+		t.SetHeartbeat(grant.Heartbeat, 0)
 	}
 	if err := sendEnvelope(t, grant.Coord, envelope{Kind: ctrlJoin}); err != nil {
 		return nil, err

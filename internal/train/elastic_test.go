@@ -358,9 +358,6 @@ func TestSessionRejoinJoinerDiesMidSync(t *testing.T) {
 			if _, _, err := w.recv(ctx, 0); err != nil {
 				return err
 			}
-			if w.hb != nil {
-				w.hb.Stop()
-			}
 			jt.Close()
 			return nil
 		}()

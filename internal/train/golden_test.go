@@ -494,9 +494,6 @@ func goldenRollback(t *testing.T) goldenRun {
 			if _, _, err := w.recv(s.ctx, 0); err != nil {
 				return err
 			}
-			if w.hb != nil {
-				w.hb.Stop()
-			}
 			jt.Close()
 			return nil
 		}()

@@ -27,8 +27,8 @@ const (
 	// inputs): A is the tensor class, M the index within the class.
 	FrameTensor = 5
 	// FrameHeartbeat is the liveness plane's keep-alive: no payload, no
-	// routing. Receiving any frame refreshes the peer's last-heard clock;
-	// heartbeats exist to generate that traffic on an otherwise idle mesh.
+	// routing. Any byte read re-arms the peer's silence deadline (see
+	// SetHeartbeat); heartbeats carry that evidence on an otherwise idle mesh.
 	FrameHeartbeat = 6
 	// FrameJoinReq opens a membership handshake instead of HELLO: the dialer
 	// has no rank yet and asks to be admitted. The payload is an opaque

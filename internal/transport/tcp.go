@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math/rand"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -103,9 +104,10 @@ type Stats struct {
 // has opened the matching edge are held at the head of the stream until it
 // does (steps are coordinator-gated, so this only happens transiently while
 // peers rebuild geometry). Beyond Transport it carries the coordinator
-// protocol's control plane: HELLO rank exchange, and one session inbox
-// (Session) of opaque control payloads and out-of-band tensors, delivered
-// in the order each peer sent them.
+// protocol's control plane: HELLO rank exchange, one session inbox (Session)
+// of opaque control payloads and out-of-band tensors, delivered in the order
+// each peer sent them, and liveness at the socket (SetHeartbeat): a read
+// silent past the timeout fails its connection like any read error.
 //
 // By default a TCP transport fails stop: the first connection error closes
 // the whole transport and every blocked operation returns ErrClosed. With
@@ -127,6 +129,9 @@ type TCP struct {
 	downWait    chan struct{} // closed and remade when the down set grows
 	epochFloor  atomic.Uint32 // see Retire; written under mu, read lock-free to stamp sends
 	acceptJoins bool
+	inbound     map[net.Conn]struct{} // accepted connections whose opening frame is unread
+	hbEvery     time.Duration         // heartbeat period; 0 until SetHeartbeat
+	silence     atomic.Int64          // budget every socket read arms as its deadline; <= 0 judges no one
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -156,6 +161,7 @@ func newTCP() *TCP {
 		edges:    make(map[EdgeID]*edgeSlot),
 		downs:    make(map[int]error),
 		downWait: make(chan struct{}),
+		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
 		sess:     make(chan SessionMsg, 320), // a step's micro-batches or a state transfer queue here while the reader is busy
 		joins:    make(chan *JoinRequest, 16),
@@ -228,32 +234,84 @@ func (t *TCP) SetPeerIsolation(on bool) {
 	t.mu.Unlock()
 }
 
-// SendHeartbeat sends one liveness keep-alive frame to peer. Any received
-// frame refreshes the peer's last-heard clock; heartbeats exist so an idle
-// mesh still carries liveness evidence.
-func (t *TCP) SendHeartbeat(peer int) error {
-	return t.enqueue(peer, outFrame{h: Header{Type: FrameHeartbeat}})
-}
-
-// LastHeard returns the time the last frame arrived from peer (the
-// connection time before any traffic). ok is false when no live connection
-// to peer exists.
-func (t *TCP) LastHeard(peer int) (last time.Time, ok bool) {
-	t.mu.Lock()
-	c, live := t.conns[peer]
-	t.mu.Unlock()
-	if !live {
-		return time.Time{}, false
-	}
-	return time.Unix(0, c.lastHeard.Load()), true
-}
-
-// Peers returns the ranks with a live connection, ascending — the liveness
-// plane's watch list.
-func (t *TCP) Peers() []int {
+// SetHeartbeat turns on the liveness plane: every interval (positive) a
+// heartbeat is queued toward each peer, skipping a full writer queue so a
+// stalled peer never holds up the others' heartbeats, and a peer whose
+// socket stays silent for timeout while its reader pump reads is closed
+// through ClosePeer. Any byte is evidence, and a pump parked (behind an
+// unopened edge or a full Session inbox) is not reading, so it judges no
+// one. timeout <= 0 sends heartbeats but judges no one. A later call
+// replaces both values.
+func (t *TCP) SetHeartbeat(interval, timeout time.Duration) {
+	t.silence.Store(int64(timeout))
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return slices.Sorted(maps.Keys(t.conns))
+	select {
+	case <-t.closed:
+		return
+	default:
+	}
+	if t.hbEvery == 0 {
+		t.wg.Add(1)
+		go t.heartbeatLoop()
+	}
+	t.hbEvery = interval
+	// Pumps already parked in a read armed the previous budget (or none).
+	for _, c := range t.conns {
+		c.nc.SetReadDeadline(readDeadline(timeout)) //nolint:errcheck // fails only once closed, which the pump's read reports
+	}
+}
+
+// heartbeatLoop queues one heartbeat per connection every period until the
+// transport closes.
+func (t *TCP) heartbeatLoop() {
+	defer t.wg.Done()
+	for {
+		t.mu.Lock()
+		every := t.hbEvery
+		for _, c := range t.conns {
+			select {
+			case c.out <- outFrame{h: Header{Type: FrameHeartbeat}}:
+			default:
+			}
+		}
+		t.mu.Unlock()
+		select {
+		case <-time.After(every):
+		case <-t.closed:
+			return
+		}
+	}
+}
+
+// readDeadline is the deadline a silence budget d arms now (none for d <= 0).
+func readDeadline(d time.Duration) time.Time {
+	if d <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(d)
+}
+
+// silenceReader is the socket under every FrameReader the transport creates:
+// each Read arms the read deadline with the current silence budget first, so
+// silence is timed only across a read, never across a park.
+type silenceReader struct {
+	t     *TCP
+	nc    net.Conn
+	armed bool // a deadline is set; a reader that never armed one pays nothing
+}
+
+func (r *silenceReader) Read(p []byte) (int, error) {
+	// Re-check after arming: a SetHeartbeat that raced the arm is either
+	// seen here or arms the connection itself after this reader did.
+	for d := time.Duration(-1); d != time.Duration(r.t.silence.Load()); {
+		d = time.Duration(r.t.silence.Load())
+		if d > 0 || r.armed {
+			r.nc.SetReadDeadline(readDeadline(d)) //nolint:errcheck // fails only once closed, which the read below reports
+			r.armed = d > 0
+		}
+	}
+	return r.nc.Read(p)
 }
 
 // PeerDowns returns the ranks marked down under peer isolation (ascending)
@@ -272,11 +330,11 @@ func (t *TCP) DownErr(rank int) error {
 	return t.downs[rank]
 }
 
-// ClosePeer forcibly disconnects rank for the given reason — the liveness
-// monitor's verdict on a rank whose heartbeats stopped, or a connection
-// pump's error. Under peer isolation the rank is marked down and the rest of
-// the mesh survives; otherwise the whole transport fails, preserving
-// fail-stop semantics.
+// ClosePeer forcibly disconnects rank for the given reason — a connection
+// pump's error (a read silent past the heartbeat timeout included) or the
+// session layer's verdict on a rank that missed a barrier. Under peer
+// isolation the rank is marked down and the rest of the mesh survives;
+// otherwise the whole transport fails, preserving fail-stop semantics.
 func (t *TCP) ClosePeer(rank int, reason error) {
 	t.mu.Lock()
 	isolate := t.isolate
@@ -351,14 +409,14 @@ func (t *TCP) Dial(ctx context.Context, peer int, addr string) error {
 	if err != nil {
 		return err
 	}
-	c := newTCPConn(t, peer, nc, nil)
+	c := newTCPConn(t, peer, nc, NewFrameReader(&silenceReader{t: t, nc: nc}))
+	// HELLO is the connection's first frame: queued before registration
+	// makes the connection visible to senders and heartbeats.
+	c.out <- outFrame{h: Header{Type: FrameHello, A: int32(t.Rank())}}
 	if err := t.register(c); err != nil {
 		nc.Close()
 		return err
 	}
-	// HELLO is the connection's first frame; enqueueing it before the writer
-	// pump starts guarantees it precedes any edge or control traffic.
-	c.out <- outFrame{h: Header{Type: FrameHello, A: int32(t.Rank())}}
 	c.start()
 	return nil
 }
@@ -413,27 +471,42 @@ func (t *TCP) acceptLoop() {
 // handshake reads an inbound connection's opening frame: HELLO (a known rank
 // connecting) registers the connection and starts its pumps; FrameJoinReq (a
 // rankless process asking to be admitted) is handed to the session layer via
-// Joins when joins are accepted, rejected on the wire otherwise.
+// Joins when joins are accepted, rejected on the wire otherwise. Until then
+// shutdown closes nc, so Close never waits on a remote that says nothing.
 func (t *TCP) handshake(nc net.Conn) {
 	defer t.wg.Done()
-	fr := NewFrameReader(nc)
+	kept := false // registered as a peer or queued as a join: nc lives on
+	t.mu.Lock()
+	t.inbound[nc] = struct{}{}
+	t.mu.Unlock()
+	defer func() {
+		t.mu.Lock()
+		delete(t.inbound, nc)
+		t.mu.Unlock()
+		if !kept {
+			nc.Close()
+		}
+	}()
+	select {
+	case <-t.closed: // shutdown's sweep may have run before nc was tracked
+		return
+	default:
+	}
+	fr := NewFrameReader(&silenceReader{t: t, nc: nc})
 	h, err := fr.ReadHeader()
 	if err != nil {
-		nc.Close()
 		return
 	}
 	switch h.Type {
 	case FrameHello:
 		c := newTCPConn(t, int(h.A), nc, fr)
-		if err := t.register(c); err != nil {
-			nc.Close()
-			return
+		if t.register(c) == nil {
+			kept = true
+			c.start()
 		}
-		c.start()
 	case FrameJoinReq:
 		payload := make([]byte, h.N)
 		if err := fr.ReadBytes(payload); err != nil {
-			nc.Close()
 			return
 		}
 		t.mu.Lock()
@@ -441,19 +514,15 @@ func (t *TCP) handshake(nc net.Conn) {
 		t.mu.Unlock()
 		if !accept {
 			rejectJoin(nc, t.Rank(), "transport does not accept joins")
-			nc.Close()
 			return
 		}
 		select {
 		case t.joins <- &JoinRequest{Payload: payload, t: t, nc: nc, fr: fr}:
+			kept = true
 		case <-t.closed:
-			nc.Close()
 		default:
 			rejectJoin(nc, t.Rank(), "join queue full")
-			nc.Close()
 		}
-	default:
-		nc.Close()
 	}
 }
 
@@ -552,7 +621,7 @@ func (t *TCP) DialJoin(ctx context.Context, addr string, payload []byte) (rank, 
 		nc.Close()
 		return 0, 0, nil, fmt.Errorf("transport: join %s: %w", addr, err)
 	}
-	fr := NewFrameReader(nc)
+	fr := NewFrameReader(&silenceReader{t: t, nc: nc})
 	h, err := fr.ReadHeader()
 	if err != nil {
 		nc.Close()
@@ -663,7 +732,7 @@ func (t *TCP) conn(peer int) (*tcpConn, error) {
 
 // enqueue hands a frame to peer's writer pump. A peer going down mid-wait
 // unblocks the send with ErrPeerDown, so a full queue toward a hung rank
-// can never wedge the caller past the liveness monitor's verdict.
+// can never wedge the caller past the liveness verdict.
 func (t *TCP) enqueue(peer int, f outFrame) error {
 	c, err := t.conn(peer)
 	if err != nil {
@@ -761,13 +830,12 @@ func (t *TCP) shutdown() {
 			t.ln.Close()
 		}
 		t.mu.Lock()
-		conns := make([]*tcpConn, 0, len(t.conns))
+		defer t.mu.Unlock()
 		for _, c := range t.conns {
-			conns = append(conns, c)
-		}
-		t.mu.Unlock()
-		for _, c := range conns {
 			c.nc.Close()
+		}
+		for nc := range t.inbound {
+			nc.Close()
 		}
 	})
 }
@@ -783,28 +851,21 @@ type outFrame struct {
 
 // tcpConn is one peer connection with its pumps.
 type tcpConn struct {
-	t         *TCP
-	peer      int
-	nc        net.Conn
-	fr        *FrameReader // pre-created by handshake (it already read HELLO)
-	out       chan outFrame
-	dead      chan struct{} // closed when this peer is marked down
-	lastHeard atomic.Int64  // unix nanos of the last frame read
+	t    *TCP
+	peer int
+	nc   net.Conn
+	fr   *FrameReader // over a silenceReader; the handshake may have read from it
+	out  chan outFrame
+	dead chan struct{} // closed when this peer is marked down
 }
 
-// newTCPConn builds one peer connection's state; fr is non-nil on the accept
-// side (the handshake already read HELLO from it).
+// newTCPConn builds one peer connection's state.
 func newTCPConn(t *TCP, peer int, nc net.Conn, fr *FrameReader) *tcpConn {
-	c := &tcpConn{t: t, peer: peer, nc: nc, fr: fr, out: make(chan outFrame, 128), dead: make(chan struct{})}
-	c.lastHeard.Store(time.Now().UnixNano())
-	return c
+	return &tcpConn{t: t, peer: peer, nc: nc, fr: fr, out: make(chan outFrame, 128), dead: make(chan struct{})}
 }
 
 // start launches the connection's reader and writer pumps.
 func (c *tcpConn) start() {
-	if c.fr == nil {
-		c.fr = NewFrameReader(c.nc)
-	}
 	c.t.wg.Add(2)
 	go c.writeLoop()
 	go c.readLoop()
@@ -855,59 +916,60 @@ func (c *tcpConn) writeLoop() {
 	}
 }
 
-// readLoop demultiplexes inbound frames to edges and the session inbox.
+// readLoop demultiplexes inbound frames to edges and the session inbox until
+// the connection fails, which downs the peer (see ClosePeer).
 func (c *tcpConn) readLoop() {
 	defer c.t.wg.Done()
+	var err error
+	for err == nil {
+		err = c.readFrame()
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		err = fmt.Errorf("%w (silent past the %v heartbeat timeout)", err, time.Duration(c.t.silence.Load()))
+	}
+	select {
+	case <-c.t.closed:
+	case <-c.dead:
+	default:
+		c.t.ClosePeer(c.peer, err)
+	}
+}
+
+// readFrame reads one inbound frame and routes it.
+func (c *tcpConn) readFrame() error {
 	t := c.t
-	for {
-		h, err := c.fr.ReadHeader()
-		if err != nil {
-			select {
-			case <-t.closed:
-			case <-c.dead:
-			default:
-				t.ClosePeer(c.peer, fmt.Errorf("transport: read from rank %d: %w", c.peer, err))
-			}
-			return
+	h, err := c.fr.ReadHeader()
+	if err != nil {
+		return fmt.Errorf("transport: read from rank %d: %w", c.peer, err)
+	}
+	t.framesRecv.Add(1)
+	t.bytesRecv.Add(int64(HeaderSize) + int64(h.N))
+	var msg SessionMsg
+	switch h.Type {
+	case FrameControl:
+		payload := make([]byte, h.N)
+		if err := c.fr.ReadBytes(payload); err != nil {
+			return err
 		}
-		c.lastHeard.Store(time.Now().UnixNano())
-		t.framesRecv.Add(1)
-		t.bytesRecv.Add(int64(HeaderSize) + int64(h.N))
-		switch h.Type {
-		case FrameControl:
-			payload := make([]byte, h.N)
-			if err = c.fr.ReadBytes(payload); err == nil {
-				select {
-				case t.sess <- SessionMsg{Peer: c.peer, Epoch: h.Epoch, Data: payload}:
-				case <-t.closed:
-					return
-				}
-			}
-		case FrameTensor:
-			mat := LeaseBuf(t.tensFree, int(h.Rows), int(h.Cols))
-			if err = c.fr.ReadF64(mat.Data); err == nil {
-				select {
-				case t.sess <- SessionMsg{Peer: c.peer, Epoch: h.Epoch, Tensor: mat, Class: int(h.A), Index: int(h.M)}:
-				case <-t.closed:
-					return
-				}
-			}
-		case FrameData:
-			err = t.deliverData(c.fr, h)
-		case FrameHeartbeat:
-			// Pure liveness traffic: the lastHeard store above is the payload.
-		default:
-			err = fmt.Errorf("transport: unexpected frame type %d from rank %d", h.Type, c.peer)
+		msg = SessionMsg{Peer: c.peer, Epoch: h.Epoch, Data: payload}
+	case FrameTensor:
+		mat := LeaseBuf(t.tensFree, int(h.Rows), int(h.Cols))
+		if err := c.fr.ReadF64(mat.Data); err != nil {
+			return err
 		}
-		if err != nil {
-			select {
-			case <-t.closed:
-			case <-c.dead:
-			default:
-				t.ClosePeer(c.peer, err)
-			}
-			return
-		}
+		msg = SessionMsg{Peer: c.peer, Epoch: h.Epoch, Tensor: mat, Class: int(h.A), Index: int(h.M)}
+	case FrameData:
+		return t.deliverData(c.fr, h)
+	case FrameHeartbeat:
+		return nil // pure liveness traffic: the read that carried it re-armed the silence deadline
+	default:
+		return fmt.Errorf("transport: unexpected frame type %d from rank %d", h.Type, c.peer)
+	}
+	select {
+	case t.sess <- msg:
+		return nil
+	case <-t.closed:
+		return ErrClosed
 	}
 }
 

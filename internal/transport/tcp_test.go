@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -545,5 +546,45 @@ func TestTCPRegisterAfterCloseRejected(t *testing.T) {
 	defer b.Close()
 	if err := tr.register(newTCPConn(tr, 1, a, nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("register after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPCloseWithSilentInbound pins Close against a remote that connects
+// and never sends its opening frame: the handshake blocked reading it must
+// be unblocked by Close, not by the remote hanging up.
+func TestTCPCloseWithSilentInbound(t *testing.T) {
+	tr, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tr.mu.Lock()
+		waiting := len(tr.inbound)
+		tr.mu.Unlock()
+		if waiting == 1 {
+			break // a handshake is blocked reading nc's opening frame
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the accept loop never handed the connection to a handshake")
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		tr.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close blocked on an inbound connection that never sent its opening frame")
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("Close left the silent inbound connection open")
 	}
 }
