@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,6 +87,20 @@ func TestBalancedCutsCoverAndBalance(t *testing.T) {
 		if maxT-minT > 2.5*layer {
 			t.Fatalf("g=%d unbalanced: %g vs %g", g, minT, maxT)
 		}
+	}
+}
+
+// TestBalancedCutsExact pins the partition on hand-checkable weights: even
+// blocks of a uniform model, and a heavy head layer isolated in its own.
+func TestBalancedCutsExact(t *testing.T) {
+	m := model.Synthetic(8, 1e-3, 0, 0, 0)
+	if cuts := BalancedCuts(m, 4); !slices.Equal(cuts, []int{2, 4, 6, 8}) {
+		t.Fatalf("cuts %v, want [2 4 6 8]", cuts)
+	}
+	m.Layers[0].FwdTime = 10e-3
+	m.Layers[0].BwdTime = 20e-3
+	if cuts := BalancedCuts(m, 2); cuts[0] != 1 {
+		t.Fatalf("heavy head should be isolated: %v", cuts)
 	}
 }
 

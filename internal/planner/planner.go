@@ -257,10 +257,7 @@ func (s *search) seedBalancedHybrids() {
 		if g%k != 0 {
 			continue
 		}
-		cuts := balancedPartition(s.m, n, k)
-		if cuts == nil {
-			continue
-		}
+		cuts := baselines.BalancedCuts(s.m, k)
 		r := g / k
 		used := make(alloc, s.c.Servers)
 		stages := make([]core.Stage, 0, k)
@@ -635,73 +632,17 @@ func simpler(a, b *core.Plan) bool {
 }
 
 // seedStraight evaluates the straight pipeline: one stage per device,
-// balanced by the classic linear-partition DP over layer compute time. The
-// general search caps stage count, so the deep no-replication corner the
-// paper's Table V reports for slow networks is seeded explicitly.
+// balanced by the classic linear-partition DP over layer compute time
+// (baselines.StraightPipeline). The general search caps stage count, so the
+// deep no-replication corner the paper's Table V reports for slow networks
+// is seeded explicitly.
 func (s *search) seedStraight() {
-	g := s.c.NumDevices()
-	n := s.m.NumLayers()
-	if g < 2 || n < g {
+	if s.c.NumDevices() < 2 {
 		return
 	}
-	cuts := balancedPartition(s.m, n, g)
-	if cuts == nil {
-		return
+	if p := baselines.StraightPipeline(s.m, s.c, s.gbs); p != nil {
+		s.evaluate(p.Stages)
 	}
-	stages := make([]core.Stage, g)
-	lo := 0
-	for i := 0; i < g; i++ {
-		stages[i] = core.Stage{Lo: lo, Hi: cuts[i], Devices: []hardware.DeviceID{hardware.DeviceID(i)}}
-		lo = cuts[i]
-	}
-	s.evaluate(stages)
-}
-
-// balancedPartition splits n layers into g contiguous groups minimizing the
-// maximum per-group forward+backward time, returning the g exclusive end
-// indices. Standard O(n^2 g) interval DP.
-func balancedPartition(m *model.Model, n, g int) []int {
-	w := make([]float64, n+1) // prefix layer weights
-	for i := 0; i < n; i++ {
-		w[i+1] = w[i] + m.Layers[i].FwdTime + m.Layers[i].BwdTime
-	}
-	cost := func(a, b int) float64 { return w[b] - w[a] }
-
-	const inf = math.MaxFloat64
-	dp := make([][]float64, g+1)
-	cut := make([][]int, g+1)
-	for k := range dp {
-		dp[k] = make([]float64, n+1)
-		cut[k] = make([]int, n+1)
-		for i := range dp[k] {
-			dp[k][i] = inf
-		}
-	}
-	dp[0][0] = 0
-	for k := 1; k <= g; k++ {
-		for i := k; i <= n; i++ {
-			for p := k - 1; p < i; p++ {
-				if dp[k-1][p] == inf {
-					continue
-				}
-				v := math.Max(dp[k-1][p], cost(p, i))
-				if v < dp[k][i] {
-					dp[k][i] = v
-					cut[k][i] = p
-				}
-			}
-		}
-	}
-	if dp[g][n] == inf {
-		return nil
-	}
-	cuts := make([]int, g)
-	i := n
-	for k := g; k >= 1; k-- {
-		cuts[k-1] = i
-		i = cut[k][i]
-	}
-	return cuts
 }
 
 // materialize turns a per-server take vector into a Stage, assigning the

@@ -154,24 +154,6 @@ func TestPlacementProperty(t *testing.T) {
 	}
 }
 
-func TestBalancedPartition(t *testing.T) {
-	m := model.Synthetic(8, 1e-3, 0, 0, 0)
-	cuts := balancedPartition(m, 8, 4)
-	want := []int{2, 4, 6, 8}
-	for i := range want {
-		if cuts[i] != want[i] {
-			t.Fatalf("cuts %v, want %v", cuts, want)
-		}
-	}
-	// Uneven weights: the heavy layer gets its own block.
-	m.Layers[0].FwdTime = 10e-3
-	m.Layers[0].BwdTime = 20e-3
-	cuts = balancedPartition(m, 8, 2)
-	if cuts[0] != 1 {
-		t.Fatalf("heavy head should be isolated: %v", cuts)
-	}
-}
-
 func TestFitsMemory(t *testing.T) {
 	m := model.BERT48()
 	c := hardware.ConfigB(2)

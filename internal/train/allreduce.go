@@ -52,12 +52,15 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 }
 
 // arGroup synchronizes one replicated stage's gradients, bucket by bucket,
-// during backward. The flattened gradient vector is cut into layer-aligned
-// buckets, each with its own barrier and collective instance. Every locally
-// hosted replica worker reports each bucket exactly once per step —
-// arriveBucket as the bucket's layers finish their final backward, abandon
-// on any failure — and the last local report of a bucket hands it to the
-// step's comm goroutine (runComm), which runs the bucket's collective in
+// during backward. Each hosted replica's gradient tensors live in one
+// contiguous vector in Params() order (flatGrads), cut into layer-aligned
+// buckets, each with its own barrier and collective instance over the
+// replicas' views of its span: backward accumulates into the very memory the
+// collective sums in place, and the optimizer reads the sum where it landed.
+// Every locally hosted replica worker reports each bucket exactly once per
+// step — arriveBucket as the bucket's layers finish their final backward,
+// abandon on any failure — and the last local report of a bucket hands it to
+// the step's comm goroutine (runComm), which runs the bucket's collective in
 // arrival order while replicas keep computing. Because every collective
 // accumulates in canonical participant order per element, the concatenation
 // of per-bucket sums is bit-identical to one whole-vector reduction: the
@@ -93,20 +96,17 @@ type arGroup struct {
 }
 
 // bucketSpec is one layer-aligned gradient bucket: stage-local layers
-// [LayerLo, LayerHi) whose parameters flatten to [Off, End) of the stage's
-// gradient vector, parameter indices [PLo, PHi).
+// [LayerLo, LayerHi) whose parameter gradients occupy [Off, End) of a
+// replica's gradient vector.
 type bucketSpec struct {
 	LayerLo, LayerHi int
 	Off, End         int
-	PLo, PHi         int
 }
 
 // arBucket is the per-step barrier-and-collective state of one bucket.
 type arBucket struct {
-	spec bucketSpec
-
 	mu      sync.Mutex
-	bufs    [][]float64 // per local replica: its gradBuf[Off:End] sub-slice
+	bufs    [][]float64 // per local replica: its gradient vector's [Off:End] view, fixed
 	seen    []bool      // per local replica: reported (arrive or abandon)
 	arrived int
 	failed  bool
@@ -139,7 +139,7 @@ func oneGroup(n int) [][]int {
 	return [][]int{g}
 }
 
-// defaultBucketBytes is the target flattened size of one gradient bucket —
+// defaultBucketBytes is the target size of one gradient bucket —
 // small enough that several buckets exist even on modest stages (so
 // tail-layer gradients start synchronizing while head layers still
 // compute), large enough to amortize per-bucket collective setup.
@@ -163,12 +163,9 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 	}
 	nl := len(net.Layers)
 	layerLen := make([]int, nl)
-	layerNP := make([]int, nl)
 	total := 0
 	for i, l := range net.Layers {
-		ps := l.Params()
-		layerNP[i] = len(ps)
-		for _, p := range ps {
+		for _, p := range l.Params() {
 			layerLen[i] += len(p.G.Data)
 		}
 		total += layerLen[i]
@@ -195,7 +192,7 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 	if acc == 0 && len(cuts) > 0 {
 		cuts = cuts[:len(cuts)-1] // head layers are parameter-free: merge
 	}
-	// Convert to ascending specs with flat and parameter offsets.
+	// Convert to ascending specs with their gradient-vector offsets.
 	specs := make([]bucketSpec, 0, len(cuts)+1)
 	lo := 0
 	for b := len(cuts); b >= 0; b-- {
@@ -206,25 +203,42 @@ func bucketLayout(net *nn.Network, bucketBytes int) []bucketSpec {
 		specs = append(specs, bucketSpec{LayerLo: lo, LayerHi: hi})
 		lo = hi
 	}
-	off, pi := 0, 0
+	off := 0
 	for s := range specs {
 		sp := &specs[s]
-		sp.Off, sp.PLo = off, pi
+		sp.Off = off
 		for i := sp.LayerLo; i < sp.LayerHi; i++ {
 			off += layerLen[i]
-			pi += layerNP[i]
 		}
-		sp.End, sp.PHi = off, pi
+		sp.End = off
 	}
 	return specs
 }
 
+// flatGrads moves the gradient tensors of params into one contiguous vector
+// in params order — the layout bucketLayout's offsets index — re-pointing
+// each G.Data at its span, and returns the vector.
+func flatGrads(params []nn.Param) []float64 {
+	n := 0
+	for _, p := range params {
+		n += len(p.G.Data)
+	}
+	v := make([]float64, n)
+	at := 0
+	for _, p := range params {
+		k := copy(v[at:], p.G.Data)
+		p.G.Data = v[at : at+k : at+k]
+		at += k
+	}
+	return v
+}
+
 // initBuckets arms the group: one barrier and collective per spec over the
-// group's server groups (openDist non-nil when the stage spans worker
-// processes; it opens the cross-process exchange group of one bucket).
-// nlayers is the stage's layer count. Must be called once, right after
-// newARGroup, before any step runs.
-func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, size int) (transport.Group, error)) error {
+// group's server groups and the local replicas' gradient vectors grads
+// (openDist non-nil when the stage spans worker processes; it opens the
+// cross-process exchange group of one bucket). nlayers is the stage's layer
+// count. Must be called once, right after newARGroup, before any step runs.
+func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, grads [][]float64, openDist func(b, size int) (transport.Group, error)) error {
 	g.buckets = make([]arBucket, len(specs))
 	g.layerBucket = make([]int, nlayers)
 	for i := range g.layerBucket {
@@ -234,8 +248,10 @@ func (g *arGroup) initBuckets(nlayers int, specs []bucketSpec, openDist func(b, 
 	g.commDone = make(chan struct{})
 	for b, sp := range specs {
 		bk := &g.buckets[b]
-		bk.spec = sp
 		bk.bufs = make([][]float64, g.n)
+		for r, v := range grads {
+			bk.bufs[r] = v[sp.Off:sp.End]
+		}
 		bk.seen = make([]bool, g.n)
 		g.layerBucket[sp.LayerLo] = b
 		var dist transport.Group
@@ -259,10 +275,7 @@ func (g *arGroup) reset() {
 		bk.arrived = 0
 		bk.failed = false
 		bk.commit = false
-		for i := range bk.bufs {
-			bk.bufs[i] = nil
-			bk.seen[i] = false
-		}
+		clear(bk.seen)
 	}
 }
 
@@ -289,17 +302,17 @@ func (g *arGroup) abandon(r int) {
 	}
 }
 
-// arriveBucket contributes local replica r's flattened sub-vector for bucket
-// b without blocking: the last local report hands the bucket to the comm
-// goroutine, which runs its collective while replicas keep computing.
-func (g *arGroup) arriveBucket(r, b int, buf []float64) {
+// arriveBucket reports that local replica r's gradients of bucket b are
+// complete, without blocking: the last local report hands the bucket to the
+// comm goroutine, which sums the replicas' views of it in place while they
+// keep computing.
+func (g *arGroup) arriveBucket(r, b int) {
 	bk := &g.buckets[b]
 	bk.mu.Lock()
 	if bk.seen[r] { // an abandoned replica raced ahead of us; keep the veto
 		bk.mu.Unlock()
 		return
 	}
-	bk.bufs[r] = buf
 	bk.seen[r] = true
 	bk.arrived++
 	last := bk.arrived == len(bk.bufs)
@@ -312,7 +325,7 @@ func (g *arGroup) arriveBucket(r, b int, buf []float64) {
 // waitBuckets blocks until every bucket's collective resolved, reporting
 // whether ALL buckets committed. All local replicas observe the same
 // answer, so weight updates stay all-or-nothing per stage. On commit, every
-// replica's gradient buffer holds the bit-identical all-reduced sum (across
+// replica's gradient tensors hold the bit-identical all-reduced sum (across
 // worker processes too, when the stage spans them).
 func (g *arGroup) waitBuckets() bool {
 	<-g.commDone
@@ -331,9 +344,10 @@ func (g *arGroup) waitBuckets() bool {
 // processes every bucket exactly once per step (abandon completes the
 // buckets of failed replicas), so it always terminates, the step's
 // WaitGroup can join it, and the single commDone close releases every
-// replica blocked in waitBuckets. A failed cross-process exchange leaves
-// partial sums in the replicas' gradient buffers; the step then aborts
-// without applying them, and the next step overwrites them.
+// replica blocked in waitBuckets. An aborted step leaves the sums of the
+// buckets that did run (and a failed cross-process exchange's partial sums)
+// in the replicas' gradient tensors; the step applies none of them, and the
+// next step zeroes them before computing (Executor.gradsDirty).
 func (g *arGroup) runComm(abort <-chan struct{}) {
 	for range g.buckets {
 		b := <-g.reduceQ

@@ -69,7 +69,7 @@ type ExecOptions struct {
 	// in-process.
 	Dist *DistConfig
 
-	// bucketBytes overrides defaultBucketBytes as the flattened size of one
+	// bucketBytes overrides defaultBucketBytes as the target size of one
 	// gradient bucket (0 = default), so tests can pin every bucket layout
 	// against the one-bucket oracle.
 	bucketBytes int
@@ -194,8 +194,9 @@ type Executor struct {
 	inproc *transport.Inproc
 
 	// gradsDirty marks that an aborted step may have left partial gradient
-	// accumulations in non-committed stages; the next step zeroes them
-	// before computing so its update is built from its own gradients alone.
+	// accumulations, or the sums of bucket collectives that ran, in
+	// non-committed stages; the next step zeroes them before computing so
+	// its update is built from its own gradients alone.
 	gradsDirty bool
 
 	// Geometry-dependent caches, rebuilt when (rows, m) changes or a step
@@ -233,19 +234,18 @@ type estage struct {
 }
 
 // workerState is one replica worker's persistent runtime: its workspace
-// arena, cached parameter list, gradient flattening buffer (stages with an
-// arGroup), per-micro-batch stash slots, and (stages > 0) its receive
-// prefetcher.
+// arena, cached parameter list (on stages with an arGroup, gradients
+// contiguous in one vector the group's buckets view), per-micro-batch stash
+// slots, and (stages > 0) its receive prefetcher.
 type workerState struct {
-	ws      *nn.Workspace
-	params  []nn.Param
-	gradBuf []float64
+	ws     *nn.Workspace
+	params []nn.Param
 
 	// bwHook, set on stages with an arGroup, fires per layer during the final
-	// backward pass: it flattens the completed bucket's gradients into
-	// gradBuf and (except for the head bucket, withheld until the sync
-	// point as the all-or-nothing gate) reports them to the all-reduce
-	// group, launching the bucket's collective while backward continues.
+	// backward pass: when a bucket's gradients are complete it reports them
+	// to the all-reduce group (except the head bucket, withheld until the
+	// sync point as the all-or-nothing gate), launching the bucket's
+	// collective while backward continues.
 	bwHook func(layer int)
 
 	stashes []rstash         // indexed by micro-batch, len m
@@ -350,33 +350,19 @@ func NewExecutor(p *core.Plan, master *nn.Network, optFactory func() nn.Optimize
 
 // stageRanks returns the sorted distinct ranks hosting the stage's devices.
 func stageRanks(dist *DistConfig, devs []hardware.DeviceID) []int {
-	var ranks []int
-	for _, d := range devs {
-		r := dist.rankOf(d)
-		dup := false
-		for _, x := range ranks {
-			if x == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			ranks = append(ranks, r)
-		}
+	ranks := make([]int, len(devs))
+	for i, d := range devs {
+		ranks[i] = dist.rankOf(d)
 	}
-	for i := 1; i < len(ranks); i++ {
-		for j := i; j > 0 && ranks[j] < ranks[j-1]; j-- {
-			ranks[j], ranks[j-1] = ranks[j-1], ranks[j]
-		}
-	}
-	return ranks
+	slices.Sort(ranks)
+	return slices.Compact(ranks)
 }
 
 // initSync gives replicated stage si its gradient-sync group when the stage
 // has gradients to sum: a bucketed arGroup over the hosted network's bucket
-// layout, and per hosted worker the gradient buffer plus the backward hook
-// that reports each completed bucket. A parameter-free stage keeps st.ar nil
-// and syncs nothing.
+// layout and each hosted worker's gradients, moved into one contiguous
+// vector, plus per worker the backward hook that reports each completed
+// bucket. A parameter-free stage keeps st.ar nil and syncs nothing.
 func (st *estage) initSync(si int, c hardware.Cluster, localDevs []hardware.DeviceID, dist *DistConfig, bucketBytes int) error {
 	var net *nn.Network
 	for _, n := range st.nets {
@@ -401,29 +387,23 @@ func (st *estage) initSync(si int, c hardware.Cluster, localDevs []hardware.Devi
 		}
 	}
 	g := newARGroup(len(localDevs), c, localDevs, openDist != nil)
-	if err := g.initBuckets(len(net.Layers), specs, openDist); err != nil {
-		return err
-	}
-	st.ar = g
-	size := specs[len(specs)-1].End
+	grads := make([][]float64, 0, len(localDevs))
 	for r, w := range st.work {
 		if w == nil {
 			continue
 		}
-		w.gradBuf = make([]float64, size)
+		grads = append(grads, flatGrads(w.params))
 		lr := st.local[r]
 		w.bwHook = func(li int) {
-			b := g.layerBucket[li]
-			if b < 0 {
-				return
-			}
-			sp := &g.buckets[b].spec
-			flattenParamGrads(w.gradBuf[sp.Off:sp.End], w.params, sp.PLo, sp.PHi)
-			if b > 0 {
-				g.arriveBucket(lr, b, w.gradBuf[sp.Off:sp.End])
+			if b := g.layerBucket[li]; b > 0 {
+				g.arriveBucket(lr, b)
 			}
 		}
 	}
+	if err := g.initBuckets(len(net.Layers), specs, grads, openDist); err != nil {
+		return err
+	}
+	st.ar = g
 	return nil
 }
 
@@ -877,14 +857,12 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 		// whole compute phase — and wait out whatever communication is still
 		// exposed.
 		t0 := time.Now()
-		hb := &g.buckets[0]
-		g.arriveBucket(st.local[r], 0, w.gradBuf[hb.spec.Off:hb.spec.End])
+		g.arriveBucket(st.local[r], 0)
 		commit := g.waitBuckets()
 		w.commWait = time.Since(t0).Nanoseconds()
 		if !commit {
 			return errAborted
 		}
-		setGradVector(w.params, w.gradBuf)
 	}
 	scaleGrads(w.params, 1/float64(ss.m))
 	st.opts[r].Step(w.params)
@@ -1091,29 +1069,6 @@ func spanSequence(r *sim.Result, res int) []string {
 		}
 	}
 	return out
-}
-
-// setGradVector scatters a flat vector back into the gradient tensors.
-func setGradVector(params []nn.Param, v []float64) {
-	at := 0
-	for _, p := range params {
-		copy(p.G.Data, v[at:at+len(p.G.Data)])
-		at += len(p.G.Data)
-	}
-}
-
-// flattenParamGrads flattens the gradients of params[pLo:pHi] — one
-// bucket's parameters — into dst, which must have exactly their total
-// length.
-func flattenParamGrads(dst []float64, params []nn.Param, pLo, pHi int) {
-	at := 0
-	for _, p := range params[pLo:pHi] {
-		copy(dst[at:], p.G.Data)
-		at += len(p.G.Data)
-	}
-	if at != len(dst) {
-		panic("train: bucket gradient length mismatch")
-	}
 }
 
 // bucketGID deterministically encodes the transport group id of stage si's

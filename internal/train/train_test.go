@@ -104,7 +104,7 @@ func groupAllReduce(bufs [][]float64) string {
 	}
 	g := newARGroup(n, hardware.ConfigB(n), devs, false)
 	spec := bucketSpec{LayerLo: 0, LayerHi: 1, Off: 0, End: len(bufs[0])}
-	if err := g.initBuckets(1, []bucketSpec{spec}, nil); err != nil {
+	if err := g.initBuckets(1, []bucketSpec{spec}, bufs, nil); err != nil {
 		panic(err)
 	}
 	var wg sync.WaitGroup
@@ -117,7 +117,7 @@ func groupAllReduce(bufs [][]float64) string {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g.arriveBucket(r, 0, bufs[r])
+			g.arriveBucket(r, 0)
 			g.waitBuckets()
 		}()
 	}

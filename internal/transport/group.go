@@ -96,7 +96,12 @@ func (g *edgeGroup) AllReduce(buf []float64, abort <-chan struct{}) error {
 		g.in[i] = msg
 		g.bufs[i] = msg.Data.Data
 	}
-	g.fold.AllReduce(g.bufs)
+	// Fold only: the total lands in member 0's vector, and the received
+	// contributions are recycled below, so copying it into them is waste.
+	g.fold.sweep(g.bufs, true, false)
+	if g.self != 0 {
+		copy(buf, g.bufs[0])
+	}
 	for i, msg := range g.in {
 		if i != g.self {
 			Recycle(msg.Free, msg.Data)
