@@ -1,36 +1,49 @@
 package train
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 
 	"dapple/internal/nn"
 	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
 
-// Checkpoint binary format (version 1, little-endian):
+// A checkpoint file (format version 2) is the frame stream sendState puts on
+// the wire, written by the transport's one frame encoder and read back by its
+// FrameReader into the assembler the wire fills, so disk and wire share one
+// float64 codec. Little-endian throughout:
 //
-//	u32 magic  u32 version  u64 step  u64 optStep  u32 nparams  u32 nslots
-//	nparams × ( u32 rows  u32 cols  rows*cols × f64 weight )
-//	nslots  × ( nparams × ( rows*cols × f64 state ) )
+//	control frame: ckptHead (magic, version, step, optStep, nparams, nslots)
+//	tensor frames: as sendState ships them; the weights carry the shapes
 //	u32 crc32(IEEE) over everything above
 //
-// Snapshots are taken only at step boundaries, where PR 6's fail-stop
-// construction guarantees no torn update can exist, so a checkpoint is
-// always a state some uninterrupted run could have reached. Writes go
-// through a temp file and an atomic rename: a crash mid-write leaves the
-// previous checkpoint intact, and a short write fails the CRC on read.
+// Version 1 opened with a bare ckptHead; such a file is refused by name. A
+// snapshot is taken only at a step boundary, where no torn update can exist,
+// and written through a temp file and an atomic rename, so a crash mid-write
+// leaves the previous checkpoint intact and a short write fails the CRC.
 const (
 	ckptMagic   = 0xDA99C4B7
-	ckptVersion = 1
+	ckptVersion = 2
 )
+
+// ckptHead is the header frame's payload.
+type ckptHead struct {
+	Magic, Version  uint32
+	Step, OptStep   uint64
+	NParams, NSlots uint32
+}
+
+// errCkptVersion marks an intact checkpoint of a version this build does not read.
+var errCkptVersion = errors.New("train: unsupported checkpoint version")
 
 // Checkpoint is one consistent snapshot of a training session's master
 // state: the weights of every parameter in Params() order plus the shared
@@ -96,175 +109,149 @@ func (c *Checkpoint) Restore(net *nn.Network, opt nn.Optimizer) error {
 	return nil
 }
 
-// EncodeCheckpoint serializes c into the version-1 binary format.
+// EncodeCheckpoint serializes c into the version-2 format. It panics if c holds
+// a vector no frame can carry; no captured, gathered or decoded one does.
 func EncodeCheckpoint(c *Checkpoint) []byte {
-	n := 32
+	n := 2*transport.HeaderSize + binary.Size(ckptHead{}) + 4
 	for _, w := range c.Weights {
-		n += 8 + 8*len(w.Data)*(1+len(c.Slots))
+		n += (transport.HeaderSize + 8*len(w.Data)) * (1 + len(c.Slots))
 	}
-	buf := make([]byte, 0, n+4)
-	encodeBody(c, func(p []byte) { buf = append(buf, p...) })
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	if _, err := encodeTo(buf, c); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
-// encodeBody hands emit c's version-1 image, CRC tail excluded, in pieces of
-// at most 4 KiB that emit must not retain.
-func encodeBody(c *Checkpoint, emit func([]byte)) {
-	var scratch [4096]byte
-	head := binary.LittleEndian.AppendUint32(scratch[:0], ckptMagic)
-	head = binary.LittleEndian.AppendUint32(head, ckptVersion)
-	head = binary.LittleEndian.AppendUint64(head, uint64(c.Step))
-	head = binary.LittleEndian.AppendUint64(head, uint64(c.OptStep))
-	head = binary.LittleEndian.AppendUint32(head, uint32(len(c.Weights)))
-	emit(binary.LittleEndian.AppendUint32(head, uint32(len(c.Slots))))
-	vec := func(v []float64) {
-		for len(v) > 0 {
-			n := min(len(v), len(scratch)/8)
-			for i, x := range v[:n] {
-				binary.LittleEndian.PutUint64(scratch[8*i:], math.Float64bits(x))
-			}
-			emit(scratch[:8*n])
-			v = v[n:]
-		}
+// encodeTo writes c's image onto w, streamed from c's own memory: its header
+// frame, its state as sendState ships it, then their CRC-32, which it returns.
+func encodeTo(w io.Writer, c *Checkpoint) (uint32, error) {
+	sum := crc32.NewIEEE()
+	fw := &transport.FrameWriter{W: io.MultiWriter(w, sum)}
+	head, _ := binary.Append(nil, binary.LittleEndian,
+		ckptHead{ckptMagic, ckptVersion, uint64(c.Step), uint64(c.OptStep), uint32(len(c.Weights)), uint32(len(c.Slots))})
+	err := fw.WriteControl(head)
+	if err == nil {
+		err = sendState(fw.WriteTensor, 0, len(c.Weights), c.Weights, c.Slots)
 	}
-	for _, w := range c.Weights {
-		shape := binary.LittleEndian.AppendUint32(scratch[:0], uint32(w.Rows))
-		emit(binary.LittleEndian.AppendUint32(shape, uint32(w.Cols)))
-		vec(w.Data)
+	if err == nil {
+		_, err = w.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32()))
 	}
-	for _, slot := range c.Slots {
-		for _, v := range slot {
-			vec(v)
-		}
-	}
+	return sum.Sum32(), err
 }
 
-// DecodeCheckpoint parses and validates a version-1 checkpoint: magic,
-// version, internal consistency and the trailing CRC. A truncated or
-// bit-flipped file is rejected, never partially applied.
+// checksum is the CRC-32 trailer of c's image, computed without building it.
+// It drops its one error, a vector no frame can carry: sendState reports it.
+func (c *Checkpoint) checksum() uint32 {
+	sum, _ := encodeTo(io.Discard, c)
+	return sum
+}
+
+// DecodeCheckpoint parses and validates a version-2 checkpoint: the CRC, then
+// every frame in sendState's order, filed by the state transfer's assembler.
+// A truncated or bit-flipped file is rejected, never partially applied.
 func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
-	if len(buf) < 36 {
+	if len(buf) < 4 {
 		return nil, fmt.Errorf("train: checkpoint truncated (%d bytes)", len(buf))
 	}
 	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if got := crc32.ChecksumIEEE(body); got != sum {
 		return nil, fmt.Errorf("train: checkpoint checksum mismatch (%08x vs %08x)", got, sum)
 	}
-	if m := binary.LittleEndian.Uint32(body[0:]); m != ckptMagic {
-		return nil, fmt.Errorf("train: bad checkpoint magic %#08x", m)
+	var head ckptHead
+	if _, err := binary.Decode(body, binary.LittleEndian, &head); err == nil && head.Magic == ckptMagic && head.Version < ckptVersion {
+		return nil, fmt.Errorf("%w %d", errCkptVersion, head.Version) // version 1 opened with a bare header
 	}
-	if v := binary.LittleEndian.Uint32(body[4:]); v != ckptVersion {
-		return nil, fmt.Errorf("train: unsupported checkpoint version %d", v)
+	fr, left := transport.NewFrameReader(bytes.NewReader(body)), len(body)
+	// next reads a frame header that matches want in all but a tensor's
+	// shape, so an accepted file re-encodes byte for byte, and whose payload
+	// the bytes left hold, so it sizes no allocation past the input.
+	next := func(want transport.Header) (transport.Header, error) {
+		h, err := fr.ReadHeader()
+		if want.Type == transport.FrameTensor {
+			want.Rows, want.Cols, want.N = h.Rows, h.Cols, h.N
+		}
+		if left -= transport.HeaderSize + int(h.N); err == nil && (h != want || left < 0) {
+			err = fmt.Errorf("%+v with %d bytes left, want %+v", h, left, want)
+		}
+		if err != nil {
+			err = fmt.Errorf("train: checkpoint frame: %w", err)
+		}
+		return h, err
 	}
-	c := &Checkpoint{
-		Step:    int(binary.LittleEndian.Uint64(body[8:])),
-		OptStep: int(binary.LittleEndian.Uint64(body[16:])),
+	raw := make([]byte, binary.Size(head))
+	if _, err := next(transport.Header{Type: transport.FrameControl, N: uint32(len(raw))}); err != nil {
+		return nil, err
 	}
-	nparams := int(binary.LittleEndian.Uint32(body[24:]))
-	nslots := int(binary.LittleEndian.Uint32(body[28:]))
-	at := 32
-	need := func(n int) error {
-		if at+n > len(body) {
-			return fmt.Errorf("train: checkpoint truncated at byte %d", at)
-		}
-		return nil
+	if err := fr.ReadBytes(raw); err != nil {
+		return nil, err
 	}
-	// Every count is bounded by the bytes left before it sizes an
-	// allocation, so a corrupt header that passes the CRC fails as
-	// truncated instead of exhausting memory. A parameter takes at least
-	// 16 bytes (its shape plus one element).
-	if nparams > (len(body)-at)/16 {
-		return nil, fmt.Errorf("train: checkpoint announces %d params in %d bytes", nparams, len(body)-at)
+	binary.Decode(raw, binary.LittleEndian, &head) //nolint:errcheck // raw is head's size
+	switch {
+	case head.Magic != ckptMagic:
+		return nil, fmt.Errorf("train: bad checkpoint magic %#08x", head.Magic)
+	case head.Version != ckptVersion:
+		return nil, fmt.Errorf("%w %d", errCkptVersion, head.Version)
 	}
-	readVec := func(n int) ([]float64, error) {
-		if err := need(8 * n); err != nil {
-			return nil, err
-		}
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[at:]))
-			at += 8
-		}
-		return v, nil
+	// Each owed frame takes at least a header, which bounds both counts
+	// before they size an allocation; slots over no parameters own no
+	// frames, so the input's size bounds them.
+	nparams, nslots, frames := int(head.NParams), int(head.NSlots), left/transport.HeaderSize
+	if nparams > frames || nparams > 0 && nslots >= frames/nparams || nslots > len(body) {
+		return nil, fmt.Errorf("train: checkpoint announces %d params and %d optimizer slots in %d bytes", nparams, nslots, left)
 	}
-	c.Weights = make([]*tensor.Matrix, nparams)
-	for i := 0; i < nparams; i++ {
-		if err := need(8); err != nil {
-			return nil, err
+	skel := make([]nn.Param, nparams) // a file's weights, which come first, are its skeleton
+	a := newAssembly(skel, nslots)
+	a.ck.Step, a.ck.OptStep = int(head.Step), int(head.OptStep)
+	for k := 0; a.left > 0; k++ {
+		class, index := tensWeight, k
+		if k >= nparams {
+			class, index = tensOptS, k-nparams
 		}
-		rows := int(binary.LittleEndian.Uint32(body[at:]))
-		cols := int(binary.LittleEndian.Uint32(body[at+4:]))
-		at += 8
-		if rows <= 0 || cols <= 0 {
-			return nil, fmt.Errorf("train: checkpoint param %d has shape %dx%d", i, rows, cols)
-		}
-		if cols > (len(body)-at)/8/rows { // rows*cols*8 bytes, never overflowing
-			return nil, fmt.Errorf("train: checkpoint param %d of shape %dx%d truncated at byte %d", i, rows, cols, at)
-		}
-		w := tensor.New(rows, cols)
-		vec, err := readVec(rows * cols)
+		h, err := next(transport.Header{Type: transport.FrameTensor, A: int32(class), M: int32(index)})
 		if err != nil {
 			return nil, err
 		}
-		copy(w.Data, vec)
-		c.Weights[i] = w
-	}
-	words := 0
-	for _, w := range c.Weights {
-		words += len(w.Data)
-	}
-	maxSlots := len(body) // slots over zero parameters take no bytes: cap them by the input size
-	if words > 0 {
-		maxSlots = (len(body) - at) / 8 / words
-	}
-	if nslots > maxSlots {
-		return nil, fmt.Errorf("train: checkpoint announces %d optimizer slots in %d bytes", nslots, len(body)-at)
-	}
-	c.Slots = make([][][]float64, nslots)
-	for s := 0; s < nslots; s++ {
-		c.Slots[s] = make([][]float64, nparams)
-		for i := 0; i < nparams; i++ {
-			vec, err := readVec(len(c.Weights[i].Data))
-			if err != nil {
-				return nil, err
-			}
-			c.Slots[s][i] = vec
+		m := tensor.New(int(h.Rows), int(h.Cols))
+		if k < nparams {
+			skel[k].W = m
+		}
+		if err := fr.ReadF64(m.Data); err != nil {
+			return nil, err
+		}
+		if err := a.put(class, index, m); err != nil {
+			return nil, err
 		}
 	}
-	if at != len(body) {
-		return nil, fmt.Errorf("train: checkpoint has %d trailing bytes", len(body)-at)
+	if left != 0 {
+		return nil, fmt.Errorf("train: checkpoint has %d trailing bytes", left)
 	}
-	return c, nil
+	return a.ck, nil
 }
 
-// checksum is the CRC-32 tail EncodeCheckpoint appends to c's image,
-// computed piecewise so that no image is allocated.
-func (c *Checkpoint) checksum() uint32 {
-	var sum uint32
-	encodeBody(c, func(p []byte) { sum = crc32.Update(sum, crc32.IEEETable, p) })
-	return sum
+// toPeer is the sendState sink of peer's socket on t.
+func toPeer(t *transport.TCP, peer int) func(class, index int, m *tensor.Matrix) error {
+	return func(class, index int, m *tensor.Matrix) error { return t.SendTensor(peer, class, index, m, nil) }
 }
 
-// Between processes a checkpoint travels as one tensor frame per vector, in
-// both directions: the coordinator's broadcast to every worker that builds a
-// session, and each primary rank's share of a snapshot gather. Weight i is a
-// tensWeight frame at index i, and slot s of parameter i is a tensOptS frame
-// at index s*nparams+i, shaped like weight i. sendState writes that form and
-// assembly.put reads it; the closing envelope carries the step counters.
-
-// sendState ships weights and their optimizer slot vectors to peer. A sender
-// holding only part of the network (one stage) passes that part: weights[j]
-// is global parameter base+j of nparams, and slots[s][j] its slot s.
-func sendState(t *transport.TCP, peer, base, nparams int, weights []*tensor.Matrix, slots [][][]float64) error {
+// sendState ships weights and their optimizer slot vectors into sink, a
+// peer's socket (toPeer) or a checkpoint stream, one tensor frame per vector:
+// weight i as tensWeight at index i, then slot s of parameter i as tensOptS
+// at index s*nparams+i, shaped like weight i. assembly.put files them. A
+// sender holding only part of the network (one stage) passes that part:
+// weights[j] is global parameter base+j, and slots[s][j] its slot s. The
+// coordinator's broadcast, each primary rank's share of a snapshot gather
+// and every checkpoint file go through here.
+func sendState(sink func(class, index int, m *tensor.Matrix) error, base, nparams int, weights []*tensor.Matrix, slots [][][]float64) error {
 	for j, wt := range weights {
-		if err := t.SendTensor(peer, tensWeight, base+j, wt, nil); err != nil {
+		if err := sink(tensWeight, base+j, wt); err != nil {
 			return err
 		}
 	}
 	for s, slot := range slots {
 		for j, vec := range slot {
 			m := &tensor.Matrix{Rows: weights[j].Rows, Cols: weights[j].Cols, Data: vec}
-			if err := t.SendTensor(peer, tensOptS, s*nparams+base+j, m, nil); err != nil {
+			if err := sink(tensOptS, s*nparams+base+j, m); err != nil {
 				return err
 			}
 		}
@@ -320,34 +307,6 @@ func (a *assembly) put(class, index int, m *tensor.Matrix) error {
 	return nil
 }
 
-// WriteCheckpoint writes c to path atomically: the bytes land in a temp file
-// in the same directory, are synced, and replace path in one rename, so a
-// crash mid-write never corrupts an existing checkpoint.
-func WriteCheckpoint(path string, c *Checkpoint) error {
-	buf := EncodeCheckpoint(c)
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // ReadCheckpoint reads and validates the checkpoint at path.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	buf, err := os.ReadFile(path)
@@ -361,13 +320,33 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 func ckptName(step int) string { return fmt.Sprintf("ckpt-%09d.bin", step) }
 
 // SaveCheckpoint writes c into dir (created if missing) under its
-// step-derived name and returns the path.
+// step-derived name and returns the path. The bytes stream into a temp file
+// in dir, are synced, and replace the path in one rename, so a crash
+// mid-write never corrupts an existing checkpoint.
 func SaveCheckpoint(dir string, c *Checkpoint) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
+	f, err := os.CreateTemp(dir, ".ckpt-*")
+	if err != nil {
+		return "", err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if _, err = encodeTo(bw, c); err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	path := filepath.Join(dir, ckptName(c.Step))
-	if err := WriteCheckpoint(path, c); err != nil {
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return "", err
 	}
 	return path, nil
@@ -375,28 +354,23 @@ func SaveCheckpoint(dir string, c *Checkpoint) (string, error) {
 
 // LatestCheckpoint loads the newest valid checkpoint in dir, trying files in
 // descending step order and skipping ones that fail validation (a torn write
-// of a later checkpoint falls back to the previous one). It returns nil with
-// no error when dir holds no usable checkpoint or does not exist.
+// of a later checkpoint falls back to the previous one). An intact file of
+// another format version ends the search with an error naming the version.
+// It returns nil with no error when dir holds no usable checkpoint or does
+// not exist.
 func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
-	ents, err := os.ReadDir(dir)
+	names, err := ckptNames(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", nil
-		}
 		return nil, "", err
 	}
-	var names []string
-	for _, e := range ents {
-		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".bin") {
-			names = append(names, n)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
 	for _, n := range names {
 		path := filepath.Join(dir, n)
 		c, err := ReadCheckpoint(path)
-		if err == nil {
+		switch {
+		case err == nil:
 			return c, path, nil
+		case errors.Is(err, errCkptVersion):
+			return nil, "", fmt.Errorf("%w: %s", err, path)
 		}
 	}
 	return nil, "", nil
@@ -404,30 +378,25 @@ func LatestCheckpoint(dir string) (*Checkpoint, string, error) {
 
 // ckptNames lists dir's checkpoint file names in descending step order.
 func ckptNames(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
+	ents, err := os.ReadDir(dir) // sorted by name, so by step
+	if os.IsNotExist(err) {
+		return nil, nil
 	}
 	var names []string
 	for _, e := range ents {
-		if n := e.Name(); !e.IsDir() && strings.HasPrefix(n, "ckpt-") && strings.HasSuffix(n, ".bin") {
-			names = append(names, n)
+		if ok, _ := filepath.Match("ckpt-*.bin", e.Name()); ok && !e.IsDir() {
+			names = append(names, e.Name())
 		}
 	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	return names, nil
+	slices.Reverse(names)
+	return names, err
 }
 
 // PruneCheckpoints deletes old checkpoints from dir, keeping the keep newest
-// files plus — always — the newest VALID checkpoint, wherever it sits. That
-// extra rule makes pruning safe around torn writes: when the newest file is
-// corrupt, the valid file LatestCheckpoint would fall back to is kept even if
-// it has aged out of the keep window, so retention can never destroy the only
-// recoverable state. Files are validated lazily, newest first, and a dir with
-// keep or fewer checkpoints is left untouched. Returns the deleted paths.
+// files plus, always, the file LatestCheckpoint would fall back to, so
+// retention around a torn write can never destroy the only recoverable
+// state. A dir with keep or fewer checkpoints is left untouched. Returns the
+// deleted paths.
 func PruneCheckpoints(dir string, keep int) ([]string, error) {
 	if keep < 1 {
 		return nil, fmt.Errorf("train: checkpoint retention needs keep >= 1, got %d", keep)
@@ -436,20 +405,17 @@ func PruneCheckpoints(dir string, keep int) ([]string, error) {
 	if err != nil || len(names) <= keep {
 		return nil, err
 	}
-	// Find the newest file that actually decodes; everything newer is torn.
-	newestValid := ""
-	for _, n := range names {
-		if _, err := ReadCheckpoint(filepath.Join(dir, n)); err == nil {
-			newestValid = n
-			break
-		}
+	// Everything newer than the newest valid file is torn.
+	_, newestValid, err := LatestCheckpoint(dir)
+	if err != nil {
+		return nil, err
 	}
 	var removed []string
 	for i, n := range names {
-		if i < keep || n == newestValid {
+		path := filepath.Join(dir, n)
+		if i < keep || path == newestValid {
 			continue
 		}
-		path := filepath.Join(dir, n)
 		if err := os.Remove(path); err != nil {
 			return removed, err
 		}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -156,47 +157,65 @@ func resealCkpt(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
-// hostileCkpt is a 44-byte checkpoint with a valid CRC whose one parameter
-// announces a 32768x32768 shape: decoding it must fail as truncated, not
-// allocate the 8 GiB the shape asks for.
-func hostileCkpt() []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, ckptMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, 7)
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, 1) // nparams
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // nslots
-	buf = binary.LittleEndian.AppendUint32(buf, 32768)
-	buf = binary.LittleEndian.AppendUint32(buf, 32768)
-	return resealCkpt(append(buf, 0, 0, 0, 0))
+// hostileCkpt is a 116-byte checkpoint with a valid CRC whose one weight
+// frame announces a rows x cols shape: decoding it must fail before it
+// allocates what the shape asks for (up to 128 MiB within the frame limit,
+// 8 GiB past it).
+func hostileCkpt(rows, cols uint32) []byte {
+	buf := EncodeCheckpoint(&Checkpoint{Step: 7, Weights: []*tensor.Matrix{tensor.New(1, 1)}})
+	frame := buf[transport.HeaderSize+binary.Size(ckptHead{}):] // the weight frame's header
+	binary.LittleEndian.PutUint32(frame[24:], rows)
+	binary.LittleEndian.PutUint32(frame[28:], cols)
+	binary.LittleEndian.PutUint32(frame[32:], uint32(uint64(rows)*uint64(cols)*8))
+	return resealCkpt(buf)
+}
+
+// hostileCkpts are valid-CRC checkpoints whose header or frames announce
+// more than their bytes hold: an oversized shape within and past one frame,
+// and a trained Adam checkpoint announcing a huge parameter or slot count.
+func hostileCkpts(tb testing.TB) map[string][]byte {
+	net, err := BuildNet(ckptNetSpec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good := EncodeCheckpoint(CaptureCheckpoint(3, net, nn.NewAdam(0.01)))
+	counts := transport.HeaderSize + 24 // ckptHead's NParams, then NSlots
+	hugeParams := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(hugeParams[counts:], 0xFFFFFFFF)
+	hugeSlots := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(hugeSlots[counts+4:], 0xFFFFFFFF)
+	return map[string][]byte{
+		"oversized shape":      hostileCkpt(4096, 4096),
+		"shape past one frame": hostileCkpt(32768, 32768),
+		"huge nparams":         resealCkpt(hugeParams),
+		"huge nslots":          resealCkpt(hugeSlots),
+	}
 }
 
 // TestDecodeCheckpointBoundsCounts checks every size a file or a manifest
 // announces is bounded before anything of that size is allocated — an
-// oversized shape, a huge parameter count, a huge slot count, a dense layer
-// whose weight cannot travel as one tensor frame (in a manifest, a master
-// network, or a coordinator's) — and that LatestCheckpoint falls back past
-// such a file to the newest valid one.
+// oversized shape, a huge parameter count, a huge slot count (each decoded
+// within 1 MiB of allocation), a dense layer whose weight cannot travel as
+// one tensor frame (in a manifest, a master network, or a coordinator's) —
+// and that LatestCheckpoint falls back past such a file to the newest valid
+// one.
 func TestDecodeCheckpointBoundsCounts(t *testing.T) {
-	net, err := BuildNet(ckptNetSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := EncodeCheckpoint(CaptureCheckpoint(3, net, nn.NewAdam(0.01)))
-	hugeParams := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(hugeParams[24:], 0xFFFFFFFF)
-	hugeSlots := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint32(hugeSlots[28:], 0xFFFFFFFF)
-	decode := func(buf []byte) func() error {
-		return func() error { _, err := DecodeCheckpoint(buf); return err }
+	for name, buf := range hostileCkpts(t) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeCheckpoint(buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 && !raceEnabled {
+			t.Errorf("%s: decoding allocated %d bytes before refusing", name, grew)
+		}
 	}
 	// A header-only master: its weight announces 8 TiB and holds nothing.
 	hugeMaster := &nn.Network{Layers: []nn.Layer{&nn.Dense{W: &tensor.Matrix{Rows: 1 << 20, Cols: 1 << 20}}}}
 	plan, _ := tinyPlan(t)
 	for name, build := range map[string]func() error{
-		"oversized shape": decode(hostileCkpt()),
-		"huge nparams":    decode(resealCkpt(hugeParams)),
-		"huge nslots":     decode(resealCkpt(hugeSlots)),
 		"dense layer past one frame": func() error {
 			_, err := BuildNet([]LayerSpec{{Kind: "dense", In: 1 << 20, Out: 1 << 20}})
 			return err
@@ -217,11 +236,15 @@ func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 		}
 	}
 
+	net, err := BuildNet(ckptNetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if _, err := SaveCheckpoint(dir, CaptureCheckpoint(3, net, nn.NewAdam(0.01))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, ckptName(7)), hostileCkpt(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ckptName(7)), hostileCkpt(4096, 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ck, _, err := LatestCheckpoint(dir)
@@ -230,10 +253,54 @@ func TestDecodeCheckpointBoundsCounts(t *testing.T) {
 	}
 }
 
+// v1Ckpt hand-builds an intact version-1 image of c: a bare header, each
+// weight's shape and float64s, each slot vector, then the CRC.
+func v1Ckpt(c *Checkpoint) []byte {
+	le := binary.LittleEndian
+	buf, _ := binary.Append(nil, le, ckptHead{ckptMagic, 1, uint64(c.Step), uint64(c.OptStep), uint32(len(c.Weights)), uint32(len(c.Slots))})
+	for _, w := range c.Weights {
+		buf = le.AppendUint32(le.AppendUint32(buf, uint32(w.Rows)), uint32(w.Cols))
+		buf, _ = binary.Append(buf, le, w.Data)
+	}
+	for _, slot := range c.Slots {
+		for _, v := range slot {
+			buf, _ = binary.Append(buf, le, v)
+		}
+	}
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestCheckpointRefusesVersion1 checks an intact version-1 file is refused
+// by name, never skipped as torn: DecodeCheckpoint names the version, and a
+// coordinator whose checkpoint dir holds one as its newest file fails to
+// start rather than train from step 0 (or an older file) in silence.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	plan, master := tinyPlan(t)
+	opt := nn.NewMomentum(0.05, 0.9)
+	optSteps(t, master, opt, 5, 2)
+	old := v1Ckpt(CaptureCheckpoint(4, master, opt))
+	if _, err := DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("DecodeCheckpoint(v1) = %v, want an error naming version 1", err)
+	}
+	dir := t.TempDir()
+	if _, err := SaveCheckpoint(dir, CaptureCheckpoint(2, master, opt)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckptName(4)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewCoordinator(context.Background(), transport.NewTCP(), plan, master,
+		OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9}, ExecOptions{}, []int{0}, 1, WithCheckpoint(dir, 1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("NewCoordinator over a v1 checkpoint = %v, want an error naming version 1", err)
+	}
+}
+
 // FuzzDecodeCheckpoint feeds DecodeCheckpoint arbitrary images resealed with
-// a valid CRC, so inputs reach past the checksum into the header counts and
-// shapes: it must fail cleanly on anything malformed, and whatever it
-// accepts must re-encode to exactly the same bytes.
+// a valid CRC, so inputs reach past the checksum into the header counts,
+// the frame headers and the assembler: it must fail cleanly on anything
+// malformed, and whatever it accepts must re-encode to exactly the same
+// bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, spec := range ckptZoo {
 		net, err := BuildNet(ckptNetSpec)
@@ -246,7 +313,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		f.Add(EncodeCheckpoint(CaptureCheckpoint(2, net, factory())))
 	}
-	f.Add(hostileCkpt())
+	for _, buf := range hostileCkpts(f) {
+		f.Add(buf)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 4 {
 			return
@@ -325,7 +394,7 @@ func TestStateBroadcastRoundTrip(t *testing.T) {
 
 			man := &Manifest{Opt: spec}
 			for _, crc := range []uint32{ck.checksum(), ck.checksum() ^ 1} {
-				if err := sendState(c.t, 0, 0, n, ck.Weights, ck.Slots); err != nil {
+				if err := sendState(toPeer(c.t, 0), 0, n, ck.Weights, ck.Slots); err != nil {
 					t.Fatal(err)
 				}
 				done := envelope{Kind: ctrlWeightsDone, Step: ck.Step, OptStep: ck.OptStep, CRC: crc}
@@ -347,10 +416,10 @@ func TestStateBroadcastRoundTrip(t *testing.T) {
 
 			// The gather: the worker sends in two parts, as two stages'
 			// primaries would, then acks; the snapshot must assemble it.
-			if err := sendState(w.t, 1, 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
+			if err := sendState(toPeer(w.t, 1), 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
 				t.Fatal(err)
 			}
-			if err := sendState(w.t, 1, 2, n, ck.Weights[2:], sliceSlots(ck.Slots, 2, n)); err != nil {
+			if err := sendState(toPeer(w.t, 1), 2, n, ck.Weights[2:], sliceSlots(ck.Slots, 2, n)); err != nil {
 				t.Fatal(err)
 			}
 			if err := sendEnvelope(w.t, 1, envelope{Kind: ctrlSnapAck, OptStep: ck.OptStep}); err != nil {
@@ -366,7 +435,7 @@ func TestStateBroadcastRoundTrip(t *testing.T) {
 			// A short ack: the worker sends its first two parameters' state
 			// and acks. Nothing more can follow the ack, so the gather must
 			// fail now, naming the shortfall, rather than wait out its ctx.
-			if err := sendState(w.t, 1, 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
+			if err := sendState(toPeer(w.t, 1), 0, n, ck.Weights[:2], sliceSlots(ck.Slots, 0, 2)); err != nil {
 				t.Fatal(err)
 			}
 			if err := sendEnvelope(w.t, 1, envelope{Kind: ctrlSnapAck, OptStep: ck.OptStep}); err != nil {

@@ -24,10 +24,11 @@ import (
 // Control messages are JSON envelopes; bulk data (training state and
 // per-step micro-batches) travels as out-of-band tensor frames on the same
 // connections. Both arrive in one session inbox in the order their sender
-// wrote them, so every wait is deterministic. Training state has one wire
-// form in both directions (sendState and assembly in checkpoint.go): the
-// coordinator broadcasts it to every rank that builds a session, veteran or
-// joiner, and primary ranks send it back for snapshots. The handshake is manifest → state broadcast →
+// wrote them, so every wait is deterministic. Training state has one frame
+// form on the wire in both directions and on disk (sendState and assembly in
+// checkpoint.go): the coordinator broadcasts it to every rank that builds a
+// session, veteran or joiner, and primary ranks send it back for snapshots.
+// The handshake is manifest → state broadcast →
 // weights-done (step counters and the checkpoint CRC) → ready; each step is
 // step → micro-batch tensors → step-done, and the coordinator gates step k+1
 // on every worker's step-k report. Every control and tensor
@@ -188,9 +189,9 @@ type envelope struct {
 	// OptStep rides on weights-done and snap-ack: the optimizer's update
 	// counter belonging to the broadcast or gathered state.
 	OptStep int `json:"optStep,omitempty"`
-	// CRC rides on weights-done with Step: the CRC-32 that EncodeCheckpoint
-	// appends to the broadcast checkpoint's image. The receiver re-encodes
-	// what it assembled and refuses to build on a mismatch.
+	// CRC rides on weights-done with Step: the CRC-32 trailer of the broadcast
+	// checkpoint's version-2 image, whose frames are the broadcast's own. The
+	// receiver re-encodes what it assembled and refuses to build on a mismatch.
 	CRC uint32 `json:"crc,omitempty"`
 }
 
@@ -543,7 +544,7 @@ func (c *Coordinator) handshake(ctx context.Context, kind string) error {
 		if err := sendEnvelope(c.t, w, head); err != nil {
 			return err
 		}
-		if err := sendState(c.t, w, 0, len(c.ckpt.Weights), c.ckpt.Weights, c.ckpt.Slots); err != nil {
+		if err := sendState(toPeer(c.t, w), 0, len(c.ckpt.Weights), c.ckpt.Weights, c.ckpt.Slots); err != nil {
 			return err
 		}
 		if err := sendEnvelope(c.t, w, done); err != nil {
@@ -1364,7 +1365,7 @@ func (w *Worker) sendSnapshot() error {
 			optStep = max(optStep, state.Step)
 			slots = state.Slots
 		}
-		if err := sendState(w.t, coord, offs[ss.Lo], nparams, weights, slots); err != nil {
+		if err := sendState(toPeer(w.t, coord), offs[ss.Lo], nparams, weights, slots); err != nil {
 			return err
 		}
 	}

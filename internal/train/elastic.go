@@ -26,10 +26,9 @@ import (
 // exactly one step.
 
 // sessionVersion is the membership-protocol revision; a joiner built against
-// a different revision is rejected at the door. Revision 5 stamps every
-// all-reduce contribution with its round number, which a revision-4 peer
-// leaves at zero.
-const sessionVersion = 5
+// a different revision is rejected at the door. Revision 6's weights-done CRC
+// covers the version-2 checkpoint image, where revision 5's covered version 1's.
+const sessionVersion = 6
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {

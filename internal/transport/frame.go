@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"unsafe"
+
+	"dapple/internal/tensor"
 )
 
 // Frame types carried by the TCP backend. Every frame is a fixed 36-byte
@@ -137,7 +139,7 @@ func decodeHeader(b []byte) (Header, error) {
 // frameEncoder stages frames for one vectored write: headers into reusable
 // slots, float64 payloads copied in wire order (little-endian) into one
 // reusable arena, byte payloads by reference. It is the only frame encoder:
-// the writer pumps and the join handshake both go through it. Not safe for
+// the writer pumps and every FrameWriter go through it. Not safe for
 // concurrent use.
 type frameEncoder struct {
 	hdrs  [][HeaderSize]byte
@@ -188,12 +190,47 @@ func (e *frameEncoder) encode(fs []outFrame) (net.Buffers, int64) {
 	return e.iov, payloadBytes
 }
 
-// writeFrame writes one frame straight onto w, for connections whose writer
-// pump is not running: the join request, grant and reject.
-func writeFrame(w io.Writer, h Header, payload []byte) error {
-	var e frameEncoder
-	iov, _ := e.encode([]outFrame{{h: h, payload: payload}})
-	_, err := iov.WriteTo(w)
+// tensorHeader is m's tensor-frame header under (class, index), refusing
+// what SendTensor refuses.
+func tensorHeader(class, index int, m *tensor.Matrix) (Header, error) {
+	if m.Rows < 0 || m.Cols < 0 || uint64(m.Rows)*uint64(m.Cols) > MaxFramePayload/8 || len(m.Data) != m.Rows*m.Cols {
+		return Header{}, fmt.Errorf("transport: a %dx%d tensor of %d values is no frame of at most %d bytes",
+			m.Rows, m.Cols, len(m.Data), MaxFramePayload)
+	}
+	return Header{Type: FrameTensor, A: int32(class), M: int32(index), Rows: int32(m.Rows), Cols: int32(m.Cols)}, nil
+}
+
+// FrameWriter writes frames synchronously onto W (a checkpoint file, a
+// checksum, a connection whose writer pump is not running) through the one
+// frame encoder; a float64 payload goes out as a view of its own memory on
+// little-endian hosts. Not safe for concurrent use.
+type FrameWriter struct {
+	// W receives the encoded frames.
+	W io.Writer
+	e frameEncoder
+}
+
+// WriteControl writes payload as one control frame.
+func (fw *FrameWriter) WriteControl(payload []byte) error {
+	return fw.write(outFrame{h: Header{Type: FrameControl}, payload: payload})
+}
+
+// WriteTensor writes m as one tensor frame under (class, index).
+func (fw *FrameWriter) WriteTensor(class, index int, m *tensor.Matrix) error {
+	h, err := tensorHeader(class, index, m)
+	if err != nil {
+		return err
+	}
+	if nativeLE {
+		return fw.write(outFrame{h: h, payload: f64Bytes(m.Data)})
+	}
+	return fw.write(outFrame{h: h, mat: m})
+}
+
+// write encodes f and writes it onto W.
+func (fw *FrameWriter) write(f outFrame) error {
+	iov, _ := fw.e.encode([]outFrame{f})
+	_, err := iov.WriteTo(fw.W)
 	return err
 }
 

@@ -88,6 +88,41 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameWriterMatchesPump checks the synchronous writer, which hands a
+// float64 payload over as a view of its memory, puts exactly the bytes the
+// writer pumps' copying path puts on a socket for the same frames, and that
+// it refuses what SendTensor refuses.
+func TestFrameWriterMatchesPump(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mat := tensor.New(3, 5)
+	for i := range mat.Data {
+		mat.Data[i] = rng.NormFloat64()
+	}
+	var got, want bytes.Buffer
+	fw := &FrameWriter{W: &got}
+	if err := fw.WriteControl([]byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.WriteTensor(4, 9, mat); err != nil {
+		t.Fatal(err)
+	}
+	err := encodeFrames(&want,
+		outFrame{h: Header{Type: FrameControl}, payload: []byte("head")},
+		outFrame{h: Header{Type: FrameTensor, A: 4, M: 9, Rows: 3, Cols: 5}, mat: mat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("FrameWriter's bytes differ from the writer pumps' encoding")
+	}
+	checkPayloadBytes(t, got.Bytes()[HeaderSize+4:], mat.Data)
+	for _, bad := range []*tensor.Matrix{{Rows: 2, Cols: 2, Data: make([]float64, 3)}, {Rows: 1 << 14, Cols: 1 << 14}, {Rows: -1}} {
+		if err := fw.WriteTensor(4, 0, bad); err == nil {
+			t.Errorf("WriteTensor accepted a %dx%d matrix with %d values", bad.Rows, bad.Cols, len(bad.Data))
+		}
+	}
+}
+
 // TestSwap8IsBigEndian pins the big-endian host's conversion on any host:
 // swapping the little-endian wire bytes must give the big-endian encoding,
 // which is what such a host holds in memory, and swapping back restores

@@ -573,7 +573,8 @@ func (j *JoinRequest) Grant(rank int, reply []byte) error {
 	}
 	// The grant is written directly: the writer pump only starts below, so
 	// nothing can interleave with it.
-	if err := writeFrame(j.nc, Header{Type: FrameJoinGrant, A: int32(rank), B: int32(j.t.Rank())}, reply); err != nil {
+	grant := Header{Type: FrameJoinGrant, A: int32(rank), B: int32(j.t.Rank())}
+	if err := (&FrameWriter{W: j.nc}).write(outFrame{h: grant, payload: reply}); err != nil {
 		j.t.peerDown(rank, err)
 		return err
 	}
@@ -597,7 +598,8 @@ func (j *JoinRequest) Reject(reason string) {
 // rejectJoin writes a rejection grant (rank -1, reason as payload) on a raw
 // connection.
 func rejectJoin(nc net.Conn, rank int, reason string) {
-	writeFrame(nc, Header{Type: FrameJoinGrant, A: -1, B: int32(rank)}, []byte(reason)) //nolint:errcheck // the connection closes either way
+	reject := Header{Type: FrameJoinGrant, A: -1, B: int32(rank)}
+	(&FrameWriter{W: nc}).write(outFrame{h: reject, payload: []byte(reason)}) //nolint:errcheck // the connection closes either way
 }
 
 // DialJoin dials a listening transport and runs the membership handshake: it
@@ -617,7 +619,7 @@ func (t *TCP) DialJoin(ctx context.Context, addr string, payload []byte) (rank, 
 		deadline = dl
 	}
 	nc.SetDeadline(deadline)
-	if err := writeFrame(nc, Header{Type: FrameJoinReq}, payload); err != nil {
+	if err := (&FrameWriter{W: nc}).write(outFrame{h: Header{Type: FrameJoinReq}, payload: payload}); err != nil {
 		nc.Close()
 		return 0, 0, nil, fmt.Errorf("transport: join %s: %w", addr, err)
 	}
@@ -764,19 +766,12 @@ func (t *TCP) SendControl(peer int, payload []byte) error {
 // cannot travel as one frame (more than MaxFramePayload bytes), is refused
 // here rather than by the receiver, which would drop the connection.
 func (t *TCP) SendTensor(peer, class, index int, m *tensor.Matrix, free chan *tensor.Matrix) error {
-	if m.Rows < 0 || m.Cols < 0 || uint64(m.Rows)*uint64(m.Cols) > MaxFramePayload/8 {
-		return fmt.Errorf("transport: %dx%d tensor exceeds the %d-byte frame limit", m.Rows, m.Cols, MaxFramePayload)
+	h, err := tensorHeader(class, index, m)
+	if err != nil {
+		return err
 	}
-	if len(m.Data) != m.Rows*m.Cols {
-		return fmt.Errorf("transport: %dx%d tensor holds %d values", m.Rows, m.Cols, len(m.Data))
-	}
-	return t.enqueue(peer, outFrame{
-		h: Header{
-			Type: FrameTensor, A: int32(class), M: int32(index), Epoch: t.epochFloor.Load(),
-			Rows: int32(m.Rows), Cols: int32(m.Cols),
-		},
-		mat: m, free: free,
-	})
+	h.Epoch = t.epochFloor.Load()
+	return t.enqueue(peer, outFrame{h: h, mat: m, free: free})
 }
 
 // fail records the first transport error and tears everything down.
