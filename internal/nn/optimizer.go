@@ -33,20 +33,26 @@ type Stateful interface {
 	// NumSlots returns how many state vectors the optimizer keeps per
 	// parameter.
 	NumSlots() int
-	// CaptureState deep-copies the optimizer's state for params, in order.
+	// CaptureState returns the optimizer's state for params, in order, as
+	// views of its live slot vectors (fresh zero vectors for parameters it
+	// has not touched yet). The views are valid until the optimizer's next
+	// Step or RestoreState, which update them in place or replace them; a
+	// caller that keeps the state past that copies it.
 	CaptureState(params []Param) OptState
 	// RestoreState overwrites the optimizer's state for params from a
 	// snapshot with matching geometry.
 	RestoreState(params []Param, st OptState) error
 }
 
-// captureSlots deep-copies one state map into a per-parameter slot, with
-// zero vectors for parameters the optimizer has not touched yet.
+// captureSlots views one state map as a per-parameter slot, with zero
+// vectors for parameters the optimizer has not touched yet.
 func captureSlots(params []Param, m map[Param][]float64) [][]float64 {
 	out := make([][]float64, len(params))
 	for i, p := range params {
-		v := make([]float64, len(p.W.Data))
-		copy(v, m[p])
+		v, ok := m[p]
+		if !ok {
+			v = make([]float64, len(p.W.Data))
+		}
 		out[i] = v
 	}
 	return out

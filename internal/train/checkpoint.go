@@ -74,9 +74,15 @@ func CaptureCheckpoint(step int, net *nn.Network, opt nn.Optimizer) *Checkpoint 
 		c.Weights[i] = w
 	}
 	if st, ok := opt.(nn.Stateful); ok {
-		os := st.CaptureState(params)
+		os := st.CaptureState(params) // views of the live slots
 		c.OptStep = os.Step
-		c.Slots = os.Slots
+		c.Slots = make([][][]float64, len(os.Slots))
+		for s, slot := range os.Slots {
+			c.Slots[s] = make([][]float64, len(slot))
+			for i, v := range slot {
+				c.Slots[s][i] = slices.Clone(v)
+			}
+		}
 	}
 	return c
 }

@@ -31,7 +31,10 @@ import (
 // The handshake is manifest → state broadcast →
 // weights-done (step counters and the checkpoint CRC) → ready; each step is
 // step → micro-batch tensors → step-done, and the coordinator gates step k+1
-// on every worker's step-k report. Every control and tensor
+// on every worker's step-k report. A step that ends at a snapshot boundary
+// carries the snap flag: every rank follows its step-done with its share of
+// the snapshot and a snap-ack, which the same barrier collects, so the
+// gather costs no extra round trip. Every control and tensor
 // frame's header carries its sender's session generation (the transport
 // epoch floor), so each side drops a torn generation's leftovers with one
 // comparison: the coordinator in await, the worker in accept.
@@ -176,9 +179,12 @@ func (m *Manifest) ranks() []int {
 // envelope is the one wire shape of every control message; Kind selects
 // which fields matter.
 type envelope struct {
-	Kind     string    `json:"kind"`
-	Step     int       `json:"step,omitempty"`
-	M        int       `json:"m,omitempty"`
+	Kind string `json:"kind"`
+	Step int    `json:"step,omitempty"`
+	M    int    `json:"m,omitempty"`
+	// Snap rides on step: the step ends at a snapshot boundary, so each rank
+	// sends its snapshot share and a snap-ack right behind its step-done.
+	Snap     bool      `json:"snap,omitempty"`
 	Loss     float64   `json:"loss,omitempty"`
 	Err      string    `json:"err,omitempty"`
 	Manifest *Manifest `json:"manifest,omitempty"`
@@ -307,7 +313,11 @@ func WithShutdownTimeout(d time.Duration) SessionOption {
 // WithCheckpoint persists consistent snapshots under dir every `every`
 // steps, and restores the latest valid checkpoint at session start and
 // during recovery. Snapshots are gathered from the workers at step
-// boundaries, so they are always torn-update-free.
+// boundaries, so they are always torn-update-free. Each is written in the
+// background while the next steps run, one write in flight, so a killed
+// coordinator may resume one snapshot earlier than the last Step that
+// returned; Close makes the newest snapshot durable, and a failed write
+// ends the session at the next snapshot, recovery or Close.
 func WithCheckpoint(dir string, every int) SessionOption {
 	return func(c *sessionConfig) { c.ckptDir, c.ckptEvery = dir, every }
 }
@@ -396,6 +406,8 @@ type Coordinator struct {
 	step        int
 	snapEvery   int
 	ckpt        *Checkpoint
+	writing     chan error // outcome of the in-flight checkpoint write; nil when idle
+	werr        error      // the first checkpoint write or prune failure
 	failed      error
 	rebuilding  bool // a recover or expand is in flight: waits are budgeted by peerWaitTimeout
 
@@ -714,11 +726,15 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 			return 0, c.admit(ctx, js)
 		}
 	}
-	loss, err := c.tryStep(ctx, micros)
+	var g *gather
+	if c.snapEvery > 0 && c.step+1-c.ckpt.Step >= c.snapEvery {
+		g = c.newGather()
+	}
+	loss, err := c.tryStep(ctx, micros, g)
 	if err == nil {
 		c.step++
-		if c.snapEvery > 0 && (c.step-c.ckpt.Step) >= c.snapEvery {
-			err = c.snapshot(ctx)
+		if g != nil {
+			err = c.commit(g)
 		}
 		if err == nil {
 			return loss, nil
@@ -740,31 +756,42 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 // tryStep ships one step and runs its report barrier, watching the liveness
 // plane: a pending rank going down, or the step timeout expiring with ranks
 // unreported, fails the step with death evidence instead of deadlocking.
-func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, error) {
+// With a gather g the step carries the snap flag and the barrier fills g
+// too: a rank is through once its step-done and then its snap-ack are in.
+func (c *Coordinator) tryStep(ctx context.Context, micros []Batch, g *gather) (float64, error) {
 	for _, w := range c.alive {
-		if err := c.send(w, c.step, micros); err != nil {
+		if err := c.send(w, c.step, micros, g != nil); err != nil {
 			return 0, err
 		}
 	}
-	pending := c.members()
+	steps, pending := c.members(), c.members()
 	var loss float64
-	err := c.await(ctx, wait{what: "step", pending: pending, limit: c.cfg.stepTimeout, ctrl: func(peer int, env envelope) bool {
-		if env.Kind != ctrlStepDone {
-			return false
-		}
-		if pending[peer] {
-			delete(pending, peer)
+	wt := wait{what: "step", pending: pending, limit: c.cfg.stepTimeout, ctrl: func(peer int, env envelope) bool {
+		switch {
+		case env.Kind == ctrlStepDone && steps[peer]:
+			delete(steps, peer)
 			loss += env.Loss
+		case env.Kind == ctrlSnapAck && g != nil && !steps[peer]:
+			g.ack(peer, env)
+		case env.Kind != ctrlStepDone:
+			return false // any other kind, or a snap-ack ahead of its step-done
+		}
+		if !steps[peer] && (g == nil || !g.acks[peer]) {
+			delete(pending, peer)
 		}
 		return true
-	}})
+	}}
+	if g != nil {
+		wt.tensor = g.put
+	}
+	err := c.await(ctx, wt)
 	return loss, err
 }
 
 // send ships one step announcement and its micro-batches to worker w. Labels
 // travel as a rows×1 float64 matrix beside each input block.
-func (c *Coordinator) send(w, step int, micros []Batch) error {
-	if err := sendEnvelope(c.t, w, envelope{Kind: ctrlStep, Step: step, M: len(micros)}); err != nil {
+func (c *Coordinator) send(w, step int, micros []Batch, snap bool) error {
+	if err := sendEnvelope(c.t, w, envelope{Kind: ctrlStep, Step: step, M: len(micros), Snap: snap}); err != nil {
 		return err
 	}
 	for mb, b := range micros {
@@ -782,52 +809,113 @@ func (c *Coordinator) send(w, step int, micros []Batch) error {
 	return nil
 }
 
-// snapshot gathers a consistent checkpoint from the workers at the current
-// step boundary and persists it when a checkpoint directory is configured.
-// Each stage's state is sent by its primary rank (the lowest rank hosting
-// one of its devices); gradient synchronization keeps all replicas of a
-// stage identical, so one copy per stage reassembles the full master state.
-// A rank's ack follows its share in its session inbox, so once every rank
+// A gather collects one consistent snapshot at a step boundary. Each
+// stage's state is sent by its primary rank (the lowest rank hosting one of
+// its devices); gradient synchronization keeps all replicas of a stage
+// identical, so one copy per stage reassembles the full master state. A
+// rank's snap-ack follows its share in its session inbox, so once every rank
 // has acked, every state tensor has arrived.
+type gather struct {
+	a    *assembly
+	acks map[int]bool // live ranks whose snap-ack is still owed
+}
+
+// newGather expects a snapshot of the master state from every live rank.
+func (c *Coordinator) newGather() *gather {
+	return &gather{a: newAssembly(c.master.Params(), c.opt.Slots()), acks: c.members()}
+}
+
+// ack files a rank's snap-ack and the optimizer step it reports.
+func (g *gather) ack(peer int, env envelope) {
+	if g.acks[peer] {
+		delete(g.acks, peer)
+		g.a.ck.OptStep = max(g.a.ck.OptStep, env.OptStep)
+	}
+}
+
+// put files one state tensor of a rank's share.
+func (g *gather) put(sm transport.SessionMsg) error { return g.a.put(sm.Class, sm.Index, sm.Tensor) }
+
+// snapshot gathers a consistent checkpoint at the current step boundary on
+// an explicit request and commits it. Only expand asks: a snapshot due at
+// the end of a step rides on that step instead (see tryStep).
 func (c *Coordinator) snapshot(ctx context.Context) error {
 	for _, w := range c.alive {
 		if err := sendEnvelope(c.t, w, envelope{Kind: ctrlSnapshot}); err != nil {
 			return err
 		}
 	}
-	a := newAssembly(c.master.Params(), c.opt.Slots())
-	a.ck.Step = c.step
-	acks := c.members()
+	g := c.newGather()
 	err := c.await(ctx, wait{
-		what: "snapshot", pending: acks,
+		what: "snapshot", pending: g.acks,
 		ctrl: func(peer int, env envelope) bool {
 			if env.Kind != ctrlSnapAck {
 				return false
 			}
-			delete(acks, peer)
-			a.ck.OptStep = max(a.ck.OptStep, env.OptStep)
+			g.ack(peer, env)
 			return true
 		},
-		tensor: func(sm transport.SessionMsg) error { return a.put(sm.Class, sm.Index, sm.Tensor) },
+		tensor: g.put,
 	})
-	if err == nil && a.left > 0 {
-		err = fmt.Errorf("train: snapshot at step %d: every rank acked with %d state tensors missing", c.step, a.left)
-	}
 	if err != nil {
 		return err
 	}
-	c.ckpt = a.ck
+	return c.commit(g)
+}
+
+// commit makes a fully acked gather the session's snapshot at the current
+// step and, when a checkpoint directory is configured, hands it to the
+// background writer once the previous write has landed, so files reach the
+// directory in step order.
+func (c *Coordinator) commit(g *gather) error {
+	if g.a.left > 0 {
+		return fmt.Errorf("train: snapshot at step %d: every rank acked with %d state tensors missing", c.step, g.a.left)
+	}
+	if err := c.settle(); err != nil {
+		return err
+	}
+	g.a.ck.Step = c.step
+	c.ckpt = g.a.ck
 	if c.cfg.ckptDir != "" {
-		if _, err := SaveCheckpoint(c.cfg.ckptDir, c.ckpt); err != nil {
-			return fmt.Errorf("train: checkpoint write: %w", err)
-		}
-		if c.cfg.ckptKeep > 0 {
-			if _, err := PruneCheckpoints(c.cfg.ckptDir, c.cfg.ckptKeep); err != nil {
-				return fmt.Errorf("train: checkpoint prune: %w", err)
-			}
-		}
+		c.persist()
 	}
 	return nil
+}
+
+// persist writes c.ckpt to the checkpoint directory in the background —
+// SaveCheckpoint, then PruneCheckpoints under the retention — while the
+// session steps on. Nothing mutates a committed checkpoint, so the writer
+// needs no lock. settle joins it.
+func (c *Coordinator) persist() {
+	ck, dir, keep := c.ckpt, c.cfg.ckptDir, c.cfg.ckptKeep
+	done := make(chan error, 1)
+	c.writing = done
+	go func() {
+		_, err := SaveCheckpoint(dir, ck)
+		if err != nil {
+			err = fmt.Errorf("train: checkpoint write: %w", err)
+		} else if keep > 0 {
+			if _, err = PruneCheckpoints(dir, keep); err != nil {
+				err = fmt.Errorf("train: checkpoint prune: %w", err)
+			}
+		}
+		done <- err
+	}()
+}
+
+// settle waits for the in-flight checkpoint write, if any, and returns the
+// session's first write or prune failure — once one failed, every later
+// join reports it, so no failure is dropped. Every reader of the checkpoint
+// directory after session start settles first: the next commit, recover
+// and Close.
+func (c *Coordinator) settle() error {
+	if c.writing != nil {
+		if err := <-c.writing; c.werr == nil {
+			c.werr = err
+		}
+		c.writing = nil
+	}
+	return c.werr
 }
 
 // recover heals the session after a failure: determine the dead set, retire
@@ -836,6 +924,9 @@ func (c *Coordinator) snapshot(ctx context.Context) error {
 // mid-recovery starts the next round; recovery fails when no progress is
 // possible (no rank died, no survivors, or the re-plan itself fails).
 func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
+	if err := c.settle(); err != nil {
+		return nil, err // the snapshot to restore may not be on disk
+	}
 	defer c.rebuild()()
 	var lost []int
 	attempts := len(c.alive) + 1
@@ -935,8 +1026,16 @@ func (c *Coordinator) fail(err error) error {
 
 // Close ends a healthy session: shutdown to every worker, a barrier on
 // their acks (so no worker is still mid-read when the connections drop)
-// bounded by the shutdown timeout, then the mesh.
-func (c *Coordinator) Close() error {
+// bounded by the shutdown timeout, then the mesh. On every path, a failed
+// session's included, it waits for the in-flight checkpoint write, so the
+// newest snapshot is on disk when it returns; a write that failed is its
+// error.
+func (c *Coordinator) Close() (err error) {
+	defer func() {
+		if werr := c.settle(); werr != nil {
+			err = werr
+		}
+	}()
 	if c.failed != nil {
 		return nil
 	}
@@ -1125,7 +1224,7 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 				return nil
 			}
 			next, err = w.runStep(ctx, env)
-		case ctrlSnapshot:
+		case ctrlSnapshot: // expand's explicit gather
 			err = w.sendSnapshot()
 		case ctrlShutdown:
 			// Ack, then hold the mesh open until the coordinator — who has
@@ -1328,7 +1427,11 @@ func layerParamOffsets(net *nn.Network) []int {
 // sendSnapshot ships this rank's share of a consistent snapshot: for every
 // stage whose primary (lowest-hosting) rank this is, the stage's weights and
 // optimizer state from its first hosted replica, then the ack. Called only
-// between steps, so the state is a clean step boundary by construction.
+// between steps — right behind a snap step's step-done, or on expand's
+// request — so the state is a clean step boundary by construction. Weights
+// and slot vectors go out live, uncopied: the coordinator announces the next
+// step only after this rank's ack, which the writer pump sends after every
+// byte of the share.
 func (w *Worker) sendSnapshot() error {
 	coord := w.coord
 	offs := layerParamOffsets(w.net)
@@ -1451,7 +1554,11 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 			if out.err != nil {
 				return nil, w.stepFailed(out.err)
 			}
-			return nil, sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
+			err := sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
+			if err == nil && env.Snap {
+				err = w.sendSnapshot()
+			}
+			return nil, err
 		case sm := <-w.t.Session():
 			// The coordinator interrupted the step: a relayed abort, a
 			// recovery reconfig, or something unexpected (equally fatal).

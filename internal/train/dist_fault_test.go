@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -369,6 +372,8 @@ func TestSessionSurvivesWorkerDeath(t *testing.T) {
 // then starts a brand-new session pointed at the same checkpoint directory
 // and checks it picks up exactly where the first left off — the
 // crash-and-restart restore path, compared against one uninterrupted run.
+// Snapshots are written in the background, so each life's Close must leave
+// its newest one, the last committed step's, on disk.
 func TestSessionResumesFromCheckpointDir(t *testing.T) {
 	p, master, deviceRanks, b0, b1, b2 := distFixture(t)
 	iters := [][]Batch{b0, b1, b2}
@@ -413,6 +418,9 @@ func TestSessionResumesFromCheckpointDir(t *testing.T) {
 		}
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if saved, path, err := LatestCheckpoint(dir); err != nil || saved == nil || saved.Step != to {
+			t.Fatalf("after Close at step %d the newest checkpoint is %q (err %v), want step %d's", to, path, err, to)
 		}
 		for range workers {
 			if err := <-served; err != nil {
@@ -511,6 +519,197 @@ func TestRebuildBudgetShrinksAroundSilentRank(t *testing.T) {
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker 0: %v", err)
+	}
+}
+
+// TestCheckpointWriteFailureIsNeverLost replaces the checkpoint directory
+// with a regular file mid-session, so the background writes that follow
+// fail. The failure must come back: from the Step whose commit joins the
+// failed write, or from Close, which joins the last one — and Close must
+// report it even after a Step already has. A survivable session must end
+// on it too, not recover around it: no rank died.
+func TestCheckpointWriteFailureIsNeverLost(t *testing.T) {
+	p, master, deviceRanks, b0, b1, b2 := distFixture(t)
+	iters := [][]Batch{b0, b1, b2, b0}
+	for _, tc := range []struct {
+		name       string
+		survivable bool
+		viaStep    bool // another Step joins the failed write before Close
+	}{
+		{"fail-stop/close", false, false},
+		{"fail-stop/step", false, true},
+		{"survivable/close", true, false},
+		{"survivable/step", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w0t, w1t, ct := sessionMesh(t)
+			served := make(chan error, 2)
+			for _, w := range []*Worker{NewWorker(w0t, 0), NewWorker(w1t, 1)} {
+				go func(w *Worker) { served <- w.Serve(context.Background()) }(w)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			opts := []SessionOption{WithCheckpoint(dir, 1)}
+			if tc.survivable {
+				opts = append(opts, WithReplan(func(alive []int) (*core.Plan, []int, error) {
+					return nil, nil, fmt.Errorf("no rank should die, yet the session re-plans onto %v", alive)
+				}))
+			}
+			coord, err := NewCoordinator(ctx, ct, p, master.Clone(), OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9},
+				ExecOptions{Policy: schedule.DapplePA}, deviceRanks, 2, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				if _, err := coord.Step(ctx, iters[k]); err != nil {
+					t.Fatalf("step %d: %v", k, err)
+				}
+			}
+			// Land step 2's snapshot first, so nothing recreates the
+			// directory once it is gone.
+			if err := coord.settle(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Step 2 commits; its snapshot's write fails in the background.
+			if _, err := coord.Step(ctx, iters[2]); err != nil {
+				t.Fatalf("step 2: %v", err)
+			}
+			if tc.viaStep {
+				_, err := coord.Step(ctx, iters[3])
+				var rec *Recovered
+				if err == nil || errors.As(err, &rec) || !strings.Contains(err.Error(), "checkpoint write") {
+					t.Fatalf("step 3 after a failed checkpoint write: %v, want that failure", err)
+				}
+			}
+			if err := coord.Close(); err == nil || !strings.Contains(err.Error(), "checkpoint write") {
+				t.Fatalf("Close after a failed checkpoint write returned %v", err)
+			}
+			for range 2 {
+				<-served // a failed session aborts its workers; only their exit matters
+			}
+		})
+	}
+}
+
+// TestTornPiggybackedSnapshot tears a snapshot that rides on its step: rank
+// 1, a hand-driven peer hosting no device, answers step 1 with its
+// step-done and dies before its snap-ack. The step must not commit — rank 0
+// has applied it, but the snapshot is incomplete — so Step returns
+// *Recovered at the previous snapshot's step, restored from disk, and the
+// trajectory that follows on rank 0 alone is sequential training's.
+func TestTornPiggybackedSnapshot(t *testing.T) {
+	p, master := tinyPlan(t)
+	iters := [][]Batch{makeMicros(2, 4, 8, 4, 51), makeMicros(2, 4, 8, 4, 52), makeMicros(2, 4, 8, 4, 53)}
+	want := sequentialLosses(t, master, iters)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w0t, w1t, ct := sessionMesh(t)
+
+	// Rank 1 runs the handshake honestly, answers step 0 with a step-done
+	// and an empty share's snap-ack, and dies between the two on step 1.
+	peer := NewWorker(w1t, 1)
+	torn := make(chan error, 1)
+	go func() {
+		torn <- func() error {
+			for {
+				env, tm, err := peer.recv(ctx, 0)
+				if err != nil {
+					return err
+				}
+				w1t.RecycleTensor(tm.Tensor)
+				if env.Kind == ctrlWeightsDone {
+					break
+				}
+			}
+			if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlReady}); err != nil {
+				return err
+			}
+			for step := 0; ; step++ {
+				env, _, err := peer.recv(ctx, 0)
+				if err != nil {
+					return err
+				}
+				if env.Kind != ctrlStep || env.Step != step || !env.Snap {
+					return fmt.Errorf("step %d: got %q for step %d (snap %v), want a snap step", step, env.Kind, env.Step, env.Snap)
+				}
+				for i := 0; i < 2*env.M; i++ {
+					_, tm, err := peer.recv(ctx, 0)
+					if err != nil {
+						return err
+					}
+					if tm.Tensor == nil {
+						return fmt.Errorf("step %d: envelope in place of micro-batch tensor %d", step, i)
+					}
+					w1t.RecycleTensor(tm.Tensor)
+				}
+				if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlStepDone, Step: step}); err != nil {
+					return err
+				}
+				if step == 1 {
+					return w1t.Close()
+				}
+				if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlSnapAck}); err != nil {
+					return err
+				}
+			}
+		}()
+	}()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(w0t, 0).Serve(context.Background()) }()
+
+	dir := t.TempDir()
+	coord, err := NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9},
+		ExecOptions{Policy: schedule.DapplePA}, []int{0}, 2,
+		WithCheckpoint(dir, 1),
+		WithReplan(func(alive []int) (*core.Plan, []int, error) {
+			if !reflect.DeepEqual(alive, []int{0}) {
+				return nil, nil, fmt.Errorf("unexpected survivors %v", alive)
+			}
+			return p, []int{0}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(iters))
+	if got[0], err = coord.Step(ctx, iters[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Step(ctx, iters[1])
+	var rec *Recovered
+	if !errors.As(err, &rec) || rec.Resume != 1 || !reflect.DeepEqual(rec.Lost, []int{1}) {
+		t.Fatalf("step 1 with a torn snapshot: %v, want *Recovered losing [1] and resuming at 1", err)
+	}
+	if err := <-torn; err != nil {
+		t.Fatalf("hand-driven rank 1: %v", err)
+	}
+	if coord.ckpt.Step != 1 {
+		t.Fatalf("the torn step committed: snapshot at step %d, want 1", coord.ckpt.Step)
+	}
+	for k := rec.Resume; k < len(iters); k++ {
+		if got[k], err = coord.Step(ctx, iters[k]); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+	}
+	for k := range iters {
+		if drift := math.Abs(got[k] - want[k]); drift > 1e-6 {
+			t.Fatalf("step %d: loss %.12f vs uninterrupted %.12f (drift %.3g)", k, got[k], want[k], drift)
+		}
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if saved, _, err := LatestCheckpoint(dir); err != nil || saved == nil || saved.Step != len(iters) {
+		t.Fatalf("newest checkpoint after Close: %v (err %v), want step %d", saved, err, len(iters))
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("worker 0: %v", err)
