@@ -31,10 +31,7 @@ import (
 // The handshake is manifest → state broadcast →
 // weights-done (step counters and the checkpoint CRC) → ready; each step is
 // step → micro-batch tensors → step-done, and the coordinator gates step k+1
-// on every worker's step-k report. A step that ends at a snapshot boundary
-// carries the snap flag: every rank follows its step-done with its share of
-// the snapshot and a snap-ack, which the same barrier collects, so the
-// gather costs no extra round trip. Every control and tensor
+// on every worker's step-k report. Every control and tensor
 // frame's header carries its sender's session generation (the transport
 // epoch floor), so each side drops a torn generation's leftovers with one
 // comparison: the coordinator in await, the worker in accept.
@@ -179,12 +176,9 @@ func (m *Manifest) ranks() []int {
 // envelope is the one wire shape of every control message; Kind selects
 // which fields matter.
 type envelope struct {
-	Kind string `json:"kind"`
-	Step int    `json:"step,omitempty"`
-	M    int    `json:"m,omitempty"`
-	// Snap rides on step: the step ends at a snapshot boundary, so each rank
-	// sends its snapshot share and a snap-ack right behind its step-done.
-	Snap     bool      `json:"snap,omitempty"`
+	Kind     string    `json:"kind"`
+	Step     int       `json:"step,omitempty"`
+	M        int       `json:"m,omitempty"`
 	Loss     float64   `json:"loss,omitempty"`
 	Err      string    `json:"err,omitempty"`
 	Manifest *Manifest `json:"manifest,omitempty"`
@@ -726,15 +720,11 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 			return 0, c.admit(ctx, js)
 		}
 	}
-	var g *gather
-	if c.snapEvery > 0 && c.step+1-c.ckpt.Step >= c.snapEvery {
-		g = c.newGather()
-	}
-	loss, err := c.tryStep(ctx, micros, g)
+	loss, err := c.tryStep(ctx, micros)
 	if err == nil {
 		c.step++
-		if g != nil {
-			err = c.commit(g)
+		if c.snapEvery > 0 && (c.step-c.ckpt.Step) >= c.snapEvery {
+			err = c.snapshot(ctx)
 		}
 		if err == nil {
 			return loss, nil
@@ -756,42 +746,31 @@ func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error)
 // tryStep ships one step and runs its report barrier, watching the liveness
 // plane: a pending rank going down, or the step timeout expiring with ranks
 // unreported, fails the step with death evidence instead of deadlocking.
-// With a gather g the step carries the snap flag and the barrier fills g
-// too: a rank is through once its step-done and then its snap-ack are in.
-func (c *Coordinator) tryStep(ctx context.Context, micros []Batch, g *gather) (float64, error) {
+func (c *Coordinator) tryStep(ctx context.Context, micros []Batch) (float64, error) {
 	for _, w := range c.alive {
-		if err := c.send(w, c.step, micros, g != nil); err != nil {
+		if err := c.send(w, c.step, micros); err != nil {
 			return 0, err
 		}
 	}
-	steps, pending := c.members(), c.members()
+	pending := c.members()
 	var loss float64
-	wt := wait{what: "step", pending: pending, limit: c.cfg.stepTimeout, ctrl: func(peer int, env envelope) bool {
-		switch {
-		case env.Kind == ctrlStepDone && steps[peer]:
-			delete(steps, peer)
-			loss += env.Loss
-		case env.Kind == ctrlSnapAck && g != nil && !steps[peer]:
-			g.ack(peer, env)
-		case env.Kind != ctrlStepDone:
-			return false // any other kind, or a snap-ack ahead of its step-done
+	err := c.await(ctx, wait{what: "step", pending: pending, limit: c.cfg.stepTimeout, ctrl: func(peer int, env envelope) bool {
+		if env.Kind != ctrlStepDone {
+			return false
 		}
-		if !steps[peer] && (g == nil || !g.acks[peer]) {
+		if pending[peer] {
 			delete(pending, peer)
+			loss += env.Loss
 		}
 		return true
-	}}
-	if g != nil {
-		wt.tensor = g.put
-	}
-	err := c.await(ctx, wt)
+	}})
 	return loss, err
 }
 
 // send ships one step announcement and its micro-batches to worker w. Labels
 // travel as a rows×1 float64 matrix beside each input block.
-func (c *Coordinator) send(w, step int, micros []Batch, snap bool) error {
-	if err := sendEnvelope(c.t, w, envelope{Kind: ctrlStep, Step: step, M: len(micros), Snap: snap}); err != nil {
+func (c *Coordinator) send(w, step int, micros []Batch) error {
+	if err := sendEnvelope(c.t, w, envelope{Kind: ctrlStep, Step: step, M: len(micros)}); err != nil {
 		return err
 	}
 	for mb, b := range micros {
@@ -809,73 +788,46 @@ func (c *Coordinator) send(w, step int, micros []Batch, snap bool) error {
 	return nil
 }
 
-// A gather collects one consistent snapshot at a step boundary. Each
-// stage's state is sent by its primary rank (the lowest rank hosting one of
-// its devices); gradient synchronization keeps all replicas of a stage
-// identical, so one copy per stage reassembles the full master state. A
-// rank's snap-ack follows its share in its session inbox, so once every rank
+// snapshot gathers a consistent checkpoint from the workers at the current
+// step boundary and, when a checkpoint directory is configured, hands it to
+// the background writer (persist) once the previous write has landed, so
+// files reach the directory in step order.
+// Each stage's state is sent by its primary rank (the lowest rank hosting
+// one of its devices); gradient synchronization keeps all replicas of a
+// stage identical, so one copy per stage reassembles the full master state.
+// A rank's ack follows its share in its session inbox, so once every rank
 // has acked, every state tensor has arrived.
-type gather struct {
-	a    *assembly
-	acks map[int]bool // live ranks whose snap-ack is still owed
-}
-
-// newGather expects a snapshot of the master state from every live rank.
-func (c *Coordinator) newGather() *gather {
-	return &gather{a: newAssembly(c.master.Params(), c.opt.Slots()), acks: c.members()}
-}
-
-// ack files a rank's snap-ack and the optimizer step it reports.
-func (g *gather) ack(peer int, env envelope) {
-	if g.acks[peer] {
-		delete(g.acks, peer)
-		g.a.ck.OptStep = max(g.a.ck.OptStep, env.OptStep)
-	}
-}
-
-// put files one state tensor of a rank's share.
-func (g *gather) put(sm transport.SessionMsg) error { return g.a.put(sm.Class, sm.Index, sm.Tensor) }
-
-// snapshot gathers a consistent checkpoint at the current step boundary on
-// an explicit request and commits it. Only expand asks: a snapshot due at
-// the end of a step rides on that step instead (see tryStep).
 func (c *Coordinator) snapshot(ctx context.Context) error {
 	for _, w := range c.alive {
 		if err := sendEnvelope(c.t, w, envelope{Kind: ctrlSnapshot}); err != nil {
 			return err
 		}
 	}
-	g := c.newGather()
+	a := newAssembly(c.master.Params(), c.opt.Slots())
+	a.ck.Step = c.step
+	acks := c.members()
 	err := c.await(ctx, wait{
-		what: "snapshot", pending: g.acks,
+		what: "snapshot", pending: acks,
 		ctrl: func(peer int, env envelope) bool {
 			if env.Kind != ctrlSnapAck {
 				return false
 			}
-			g.ack(peer, env)
+			delete(acks, peer)
+			a.ck.OptStep = max(a.ck.OptStep, env.OptStep)
 			return true
 		},
-		tensor: g.put,
+		tensor: func(sm transport.SessionMsg) error { return a.put(sm.Class, sm.Index, sm.Tensor) },
 	})
+	if err == nil && a.left > 0 {
+		err = fmt.Errorf("train: snapshot at step %d: every rank acked with %d state tensors missing", c.step, a.left)
+	}
 	if err != nil {
 		return err
-	}
-	return c.commit(g)
-}
-
-// commit makes a fully acked gather the session's snapshot at the current
-// step and, when a checkpoint directory is configured, hands it to the
-// background writer once the previous write has landed, so files reach the
-// directory in step order.
-func (c *Coordinator) commit(g *gather) error {
-	if g.a.left > 0 {
-		return fmt.Errorf("train: snapshot at step %d: every rank acked with %d state tensors missing", c.step, g.a.left)
 	}
 	if err := c.settle(); err != nil {
 		return err
 	}
-	g.a.ck.Step = c.step
-	c.ckpt = g.a.ck
+	c.ckpt = a.ck
 	if c.cfg.ckptDir != "" {
 		c.persist()
 	}
@@ -906,7 +858,7 @@ func (c *Coordinator) persist() {
 // settle waits for the in-flight checkpoint write, if any, and returns the
 // session's first write or prune failure — once one failed, every later
 // join reports it, so no failure is dropped. Every reader of the checkpoint
-// directory after session start settles first: the next commit, recover
+// directory after session start settles first: the next snapshot, recover
 // and Close.
 func (c *Coordinator) settle() error {
 	if c.writing != nil {
@@ -1224,7 +1176,7 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 				return nil
 			}
 			next, err = w.runStep(ctx, env)
-		case ctrlSnapshot: // expand's explicit gather
+		case ctrlSnapshot:
 			err = w.sendSnapshot()
 		case ctrlShutdown:
 			// Ack, then hold the mesh open until the coordinator — who has
@@ -1427,11 +1379,10 @@ func layerParamOffsets(net *nn.Network) []int {
 // sendSnapshot ships this rank's share of a consistent snapshot: for every
 // stage whose primary (lowest-hosting) rank this is, the stage's weights and
 // optimizer state from its first hosted replica, then the ack. Called only
-// between steps — right behind a snap step's step-done, or on expand's
-// request — so the state is a clean step boundary by construction. Weights
-// and slot vectors go out live, uncopied: the coordinator announces the next
-// step only after this rank's ack, which the writer pump sends after every
-// byte of the share.
+// between steps, so the state is a clean step boundary by construction.
+// Weights and slot vectors go out live, uncopied: the coordinator announces
+// the next step only after this rank's ack, which the writer pump sends
+// after every byte of the share.
 func (w *Worker) sendSnapshot() error {
 	coord := w.coord
 	offs := layerParamOffsets(w.net)
@@ -1554,11 +1505,7 @@ func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 			if out.err != nil {
 				return nil, w.stepFailed(out.err)
 			}
-			err := sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
-			if err == nil && env.Snap {
-				err = w.sendSnapshot()
-			}
-			return nil, err
+			return nil, sendEnvelope(w.t, w.coord, envelope{Kind: ctrlStepDone, Step: env.Step, Loss: out.res.Loss})
 		case sm := <-w.t.Session():
 			// The coordinator interrupted the step: a relayed abort, a
 			// recovery reconfig, or something unexpected (equally fatal).

@@ -601,13 +601,73 @@ func TestCheckpointWriteFailureIsNeverLost(t *testing.T) {
 	}
 }
 
-// TestTornPiggybackedSnapshot tears a snapshot that rides on its step: rank
+// emptyRank hand-drives rank 1 of a tinyPlan session, a rank hosting no
+// device: it runs the handshake, answers every step with a step-done and
+// every snapshot request with an empty share's snap-ack. Before each ack it
+// calls atSnapshot with the step just done, which may stall; the rank stops
+// there when atSnapshot returns false or an error.
+func emptyRank(ctx context.Context, wt *transport.TCP, atSnapshot func(step int) (bool, error)) error {
+	peer := NewWorker(wt, 1)
+	for {
+		env, tm, err := peer.recv(ctx, 0)
+		if err != nil {
+			return err
+		}
+		wt.RecycleTensor(tm.Tensor)
+		if env.Kind == ctrlWeightsDone {
+			break
+		}
+	}
+	if err := sendEnvelope(wt, 2, envelope{Kind: ctrlReady}); err != nil {
+		return err
+	}
+	for step := 0; ; step++ {
+		env, _, err := peer.recv(ctx, 0)
+		if err != nil {
+			return err
+		}
+		if env.Kind == ctrlShutdown {
+			return sendEnvelope(wt, 2, envelope{Kind: ctrlShutdownAck})
+		}
+		if env.Kind != ctrlStep || env.Step != step {
+			return fmt.Errorf("step %d: got %q for step %d", step, env.Kind, env.Step)
+		}
+		for i := 0; i < 2*env.M; i++ {
+			_, tm, err := peer.recv(ctx, 0)
+			if err != nil {
+				return err
+			}
+			if tm.Tensor == nil {
+				return fmt.Errorf("step %d: envelope in place of micro-batch tensor %d", step, i)
+			}
+			wt.RecycleTensor(tm.Tensor)
+		}
+		if err := sendEnvelope(wt, 2, envelope{Kind: ctrlStepDone, Step: step}); err != nil {
+			return err
+		}
+		if env, _, err = peer.recv(ctx, 0); err != nil {
+			return err
+		}
+		if env.Kind != ctrlSnapshot {
+			return fmt.Errorf("after step %d: got %q, want the snapshot request", step, env.Kind)
+		}
+		if ack, err := atSnapshot(step); !ack || err != nil {
+			return err
+		}
+		if err := sendEnvelope(wt, 2, envelope{Kind: ctrlSnapAck}); err != nil {
+			return err
+		}
+	}
+}
+
+// TestTornSnapshotRollsBack tears the snapshot at the end of a step: rank
 // 1, a hand-driven peer hosting no device, answers step 1 with its
-// step-done and dies before its snap-ack. The step must not commit — rank 0
-// has applied it, but the snapshot is incomplete — so Step returns
-// *Recovered at the previous snapshot's step, restored from disk, and the
-// trajectory that follows on rank 0 alone is sequential training's.
-func TestTornPiggybackedSnapshot(t *testing.T) {
+// step-done, then dies on the snapshot request before its snap-ack. The
+// step must not commit — rank 0 has applied it, but the snapshot is
+// incomplete — so Step returns *Recovered at the previous snapshot's step,
+// whose background write recovery joins first, and the trajectory that
+// follows on rank 0 alone is sequential training's.
+func TestTornSnapshotRollsBack(t *testing.T) {
 	p, master := tinyPlan(t)
 	iters := [][]Batch{makeMicros(2, 4, 8, 4, 51), makeMicros(2, 4, 8, 4, 52), makeMicros(2, 4, 8, 4, 53)}
 	want := sequentialLosses(t, master, iters)
@@ -617,52 +677,14 @@ func TestTornPiggybackedSnapshot(t *testing.T) {
 
 	// Rank 1 runs the handshake honestly, answers step 0 with a step-done
 	// and an empty share's snap-ack, and dies between the two on step 1.
-	peer := NewWorker(w1t, 1)
 	torn := make(chan error, 1)
 	go func() {
-		torn <- func() error {
-			for {
-				env, tm, err := peer.recv(ctx, 0)
-				if err != nil {
-					return err
-				}
-				w1t.RecycleTensor(tm.Tensor)
-				if env.Kind == ctrlWeightsDone {
-					break
-				}
+		torn <- emptyRank(ctx, w1t, func(step int) (bool, error) {
+			if step == 1 {
+				return false, w1t.Close()
 			}
-			if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlReady}); err != nil {
-				return err
-			}
-			for step := 0; ; step++ {
-				env, _, err := peer.recv(ctx, 0)
-				if err != nil {
-					return err
-				}
-				if env.Kind != ctrlStep || env.Step != step || !env.Snap {
-					return fmt.Errorf("step %d: got %q for step %d (snap %v), want a snap step", step, env.Kind, env.Step, env.Snap)
-				}
-				for i := 0; i < 2*env.M; i++ {
-					_, tm, err := peer.recv(ctx, 0)
-					if err != nil {
-						return err
-					}
-					if tm.Tensor == nil {
-						return fmt.Errorf("step %d: envelope in place of micro-batch tensor %d", step, i)
-					}
-					w1t.RecycleTensor(tm.Tensor)
-				}
-				if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlStepDone, Step: step}); err != nil {
-					return err
-				}
-				if step == 1 {
-					return w1t.Close()
-				}
-				if err := sendEnvelope(w1t, 2, envelope{Kind: ctrlSnapAck}); err != nil {
-					return err
-				}
-			}
-		}()
+			return true, nil
+		})
 	}()
 	served := make(chan error, 1)
 	go func() { served <- NewWorker(w0t, 0).Serve(context.Background()) }()
@@ -710,6 +732,55 @@ func TestTornPiggybackedSnapshot(t *testing.T) {
 	}
 	if saved, _, err := LatestCheckpoint(dir); err != nil || saved == nil || saved.Step != len(iters) {
 		t.Fatalf("newest checkpoint after Close: %v (err %v), want step %d", saved, err, len(iters))
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("worker 0: %v", err)
+	}
+}
+
+// TestSlowSnapshotOutlastsStepTimeout stalls a rank's snapshot share well
+// past a short step timeout. The step timeout bounds only the step's own
+// report; the snapshot that follows waits for every share however long it
+// takes, so the session neither declares the rank dead nor recovers.
+func TestSlowSnapshotOutlastsStepTimeout(t *testing.T) {
+	const stepTimeout = 100 * time.Millisecond
+	p, master := tinyPlan(t)
+	iters := [][]Batch{makeMicros(2, 4, 8, 4, 61), makeMicros(2, 4, 8, 4, 62)}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w0t, w1t, ct := sessionMesh(t)
+	slow := make(chan error, 1)
+	go func() {
+		slow <- emptyRank(ctx, w1t, func(int) (bool, error) {
+			time.Sleep(3 * stepTimeout)
+			return true, nil
+		})
+	}()
+	served := make(chan error, 1)
+	go func() { served <- NewWorker(w0t, 0).Serve(context.Background()) }()
+
+	coord, err := NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "momentum", LR: 0.05, Beta: 0.9},
+		ExecOptions{Policy: schedule.DapplePA}, []int{0}, 2,
+		WithCheckpoint(t.TempDir(), 1), WithStepTimeout(stepTimeout),
+		WithReplan(func(alive []int) (*core.Plan, []int, error) {
+			return nil, nil, fmt.Errorf("no rank died, yet the session re-plans onto %v", alive)
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, micros := range iters {
+		if _, err := coord.Step(ctx, micros); err != nil {
+			t.Fatalf("step %d with a slow snapshot share: %v", k, err)
+		}
+	}
+	if coord.ckpt.Step != len(iters) {
+		t.Fatalf("snapshot at step %d, want %d", coord.ckpt.Step, len(iters))
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-slow; err != nil {
+		t.Fatalf("hand-driven rank 1: %v", err)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("worker 0: %v", err)

@@ -26,12 +26,9 @@ import (
 // exactly one step.
 
 // sessionVersion is the membership-protocol revision; a joiner built against
-// a different revision is rejected at the door. Revision 7's step envelope
-// carries the snap flag, on which every rank sends its snapshot share behind
-// its step-done, where revision 6 waited for a separate snapshot request.
-// Revision 6's weights-done CRC covers the version-2 checkpoint image, where
-// revision 5's covered version 1's.
-const sessionVersion = 7
+// a different revision is rejected at the door. Revision 6's weights-done CRC
+// covers the version-2 checkpoint image, where revision 5's covered version 1's.
+const sessionVersion = 6
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {
