@@ -13,12 +13,13 @@
 //
 //	dapple -execute -exec-workers 127.0.0.1:7700,127.0.0.1:7701 ...
 //
-// By default the session is fail-stop: any error anywhere ends every
-// process's session, and the worker exits non-zero. When the coordinator
-// runs with fault tolerance enabled, the manifest switches the worker into
-// survivable mode — peer isolation, heartbeats, and participation in the
-// coordinator's re-plan protocol. -die-at-step scripts this worker's death
-// at a given step for chaos and recovery testing.
+// A failure has one path: the worker's transport downs only the dead peer,
+// and the worker reports a failed step with the ranks it saw die and waits
+// for the coordinator's verdict. A coordinator running with fault tolerance
+// re-plans onto the survivors and the worker rebuilds; otherwise it aborts
+// the session, and the worker exits non-zero. The manifest carries the
+// session's heartbeat settings. -die-at-step scripts this worker's death at
+// a given step for chaos and recovery testing.
 //
 // With -join the worker instead joins a RUNNING elastic session: it dials
 // the coordinator's listen address, runs the membership handshake (protocol

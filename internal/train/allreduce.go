@@ -71,9 +71,10 @@ func serverGroups(c hardware.Cluster, devs []hardware.DeviceID) [][]int {
 // stage's all-or-nothing gate: waitBuckets commits only if every bucket did,
 // and every local replica observes the same answer, so an aborted step can
 // never apply a weight update on some local replicas but not others. (Across
-// worker processes the commit is fail-stop instead: a step aborted
-// mid-exchange ends the session, so torn cross-process commits are never
-// trained on.) The group is reset — not reallocated — every step.
+// worker processes a step aborted mid-exchange is torn instead: the
+// coordinator ends the session or restores its last snapshot, so torn
+// cross-process commits are never trained on.) The group is reset — not
+// reallocated — every step.
 //
 // The server groups of the collective are chosen once from the plan's
 // topology: one group — a flat ring — when the replicas sit on one server

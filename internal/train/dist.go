@@ -36,14 +36,16 @@ import (
 // epoch floor), so each side drops a torn generation's leftovers with one
 // comparison: the coordinator in await, the worker in accept.
 //
-// Failure semantics are configurable. By default the session is fail-stop:
-// any failure anywhere ends it everywhere, and no torn cross-process update
-// can exist because updates commit only at step boundaries. With WithReplan
-// the session instead survives worker death: transport heartbeats
-// (WithHeartbeat) detect dead or hung ranks, the coordinator retires the torn
-// generation (transport epoch floor), re-plans onto the survivors, restores
-// the last consistent snapshot and re-runs the handshake — the failed Step
-// returns *Recovered telling the driver where to rewind its data feed.
+// Failure has one path. A rank's transport downs a dead peer and nothing
+// else (transport heartbeats, WithHeartbeat, also catch hung ones); a worker
+// whose step or rebuild fails reports the ranks it saw die and waits for the
+// coordinator's verdict. The coordinator alone decides, at the step barrier:
+// with WithReplan it retires the torn generation (transport epoch floor),
+// re-plans onto the survivors, restores the last consistent snapshot and
+// re-runs the handshake — the failed Step returns *Recovered telling the
+// driver where to rewind its data feed. Without it, it broadcasts an abort,
+// so any failure anywhere ends the session everywhere. Either way no torn
+// cross-process update can exist: updates commit only at step boundaries.
 const (
 	ctrlManifest    = "manifest"
 	ctrlWeightsDone = "weights-done"
@@ -146,11 +148,8 @@ type Manifest struct {
 	// Workers for the session's whole life, across recoveries.
 	Workers int `json:"workers"`
 	// Ranks lists the worker ranks participating in this session
-	// generation (shrinks after a recovery). Empty means 0..Workers-1.
-	Ranks []int `json:"ranks,omitempty"`
-	// Survivable marks a fault-tolerant session: every rank enables peer
-	// isolation so one rank's death downs a peer, not the mesh.
-	Survivable bool `json:"survivable,omitempty"`
+	// generation (shrinks after a recovery, grows after an expansion).
+	Ranks []int `json:"ranks"`
 	// Heartbeat and HeartbeatTimeout configure each rank's transport
 	// liveness (TCP.SetHeartbeat; nanoseconds, zero disables).
 	Heartbeat        time.Duration `json:"heartbeat,omitempty"`
@@ -159,18 +158,6 @@ type Manifest struct {
 	// (nonzero only in recovery manifests); workers Retire to it before
 	// rebuilding their executors.
 	Epoch uint32 `json:"epoch,omitempty"`
-}
-
-// ranks returns the participating worker ranks.
-func (m *Manifest) ranks() []int {
-	if len(m.Ranks) > 0 {
-		return m.Ranks
-	}
-	rs := make([]int, m.Workers)
-	for i := range rs {
-		rs[i] = i
-	}
-	return rs
 }
 
 // envelope is the one wire shape of every control message; Kind selects
@@ -183,8 +170,8 @@ type envelope struct {
 	Err      string    `json:"err,omitempty"`
 	Manifest *Manifest `json:"manifest,omitempty"`
 	// Down carries death evidence on an abort: the ranks the sender saw go
-	// down. The coordinator treats abort-with-Down as a recovery trigger
-	// rather than a fail-stop.
+	// down. The coordinator downs them too before it decides the session's
+	// fate.
 	Down []int `json:"downRanks,omitempty"`
 	// OptStep rides on weights-done and snap-ack: the optimizer's update
 	// counter belonging to the broadcast or gathered state.
@@ -305,10 +292,11 @@ func WithShutdownTimeout(d time.Duration) SessionOption {
 }
 
 // WithCheckpoint persists consistent snapshots under dir every `every`
-// steps, and restores the latest valid checkpoint at session start and
-// during recovery. Snapshots are gathered from the workers at step
-// boundaries, so they are always torn-update-free. Each is written in the
-// background while the next steps run, one write in flight, so a killed
+// steps, and restores the latest valid checkpoint at session start;
+// recovery restores the last snapshot from memory, the state the directory
+// holds once its write lands. Snapshots are gathered from the workers at
+// step boundaries, so they are always torn-update-free. Each is written in
+// the background while the next steps run, one write in flight, so a killed
 // coordinator may resume one snapshot earlier than the last Step that
 // returned; Close makes the newest snapshot durable, and a failed write
 // ends the session at the next snapshot, recovery or Close.
@@ -318,7 +306,8 @@ func WithCheckpoint(dir string, every int) SessionOption {
 
 // WithReplan makes the session survive worker death: on a detected failure
 // the coordinator re-plans onto the surviving ranks with fn, restores the
-// last snapshot, and resumes. Without this option the session is fail-stop.
+// last snapshot, and resumes. Without this option any failure ends the
+// session on every rank.
 func WithReplan(fn ReplanFunc) SessionOption {
 	return func(c *sessionConfig) { c.replan = fn }
 }
@@ -465,9 +454,6 @@ func NewCoordinator(ctx context.Context, t *transport.TCP, p *core.Plan, master 
 		}
 	}
 	c.step = c.ckpt.Step
-	if cfg.replan != nil {
-		t.SetPeerIsolation(true)
-	}
 	if cfg.elastic {
 		if cfg.replan == nil {
 			return nil, fmt.Errorf("train: WithElastic requires WithReplan")
@@ -506,10 +492,9 @@ func (c *Coordinator) manifest() (*Manifest, error) {
 		GBS: c.plan.GBS, MicroBatch: c.plan.MicroBatch,
 		Policy: int(c.eo.Policy), Recompute: c.eo.Recompute,
 		Net: net, Opt: c.opt, DeviceRanks: c.deviceRanks,
-		Workers:    c.coord,
-		Ranks:      append([]int(nil), c.alive...),
-		Survivable: c.cfg.replan != nil,
-		Heartbeat:  c.cfg.hbInterval, HeartbeatTimeout: c.cfg.hbTimeout,
+		Workers:   c.coord,
+		Ranks:     append([]int(nil), c.alive...),
+		Heartbeat: c.cfg.hbInterval, HeartbeatTimeout: c.cfg.hbTimeout,
 		Epoch: c.floor(),
 	}
 	for _, s := range c.plan.Stages {
@@ -657,8 +642,8 @@ func (c *Coordinator) members() map[int]bool {
 }
 
 // readyBarrier waits for every live worker's ready. A worker dying during
-// the barrier fails it — the caller decides between fail-stop and another
-// recovery round.
+// the barrier fails it — the caller decides between ending the session and
+// another recovery round.
 func (c *Coordinator) readyBarrier(ctx context.Context) error {
 	pending := c.members()
 	return c.await(ctx, wait{what: "handshake", pending: pending, ctrl: func(peer int, env envelope) bool {
@@ -671,29 +656,29 @@ func (c *Coordinator) readyBarrier(ctx context.Context) error {
 }
 
 // noteAbort processes a worker's abort envelope. Fresh death evidence downs
-// the named ranks and fails the current wait so recovery sees them; evidence
+// the named ranks and fails the current wait, so Step sees them; evidence
 // naming only ranks the session has already removed is a stale report from
-// before the recovery and is dropped (nil). An abort without evidence is a
-// worker-level failure and fail-stops the session.
+// before a recovery and is dropped (nil). An abort without evidence is a
+// worker-level failure: it fails the wait, and no rank died.
 func (c *Coordinator) noteAbort(peer int, env envelope) error {
-	if c.cfg.replan != nil && len(env.Down) > 0 {
-		alive := make(map[int]bool, len(c.alive))
-		for _, r := range c.alive {
-			alive[r] = true
-		}
-		fresh := false
-		for _, r := range env.Down {
-			if r != c.coord && alive[r] {
-				fresh = true
-				c.t.ClosePeer(r, fmt.Errorf("train: rank %d reported rank %d down: %s", peer, r, env.Err))
-			}
-		}
-		if !fresh {
-			return nil
-		}
-		return fmt.Errorf("train: rank %d reported ranks %v down: %s", peer, env.Down, env.Err)
+	if len(env.Down) == 0 {
+		return fmt.Errorf("train: rank %d aborted: %s", peer, env.Err)
 	}
-	return fmt.Errorf("train: rank %d aborted: %s", peer, env.Err)
+	alive := make(map[int]bool, len(c.alive))
+	for _, r := range c.alive {
+		alive[r] = true
+	}
+	fresh := false
+	for _, r := range env.Down {
+		if r != c.coord && alive[r] {
+			fresh = true
+			c.t.ClosePeer(r, fmt.Errorf("train: rank %d reported rank %d down: %s", peer, r, env.Err))
+		}
+	}
+	if !fresh {
+		return nil
+	}
+	return fmt.Errorf("train: rank %d reported ranks %v down: %s", peer, env.Down, env.Err)
 }
 
 // CompletedSteps is the number of training steps the session has completed —
@@ -706,10 +691,11 @@ func (c *Coordinator) CompletedSteps() int { return c.step }
 // of the workers' last-stage partial losses — the same micro-batch-averaged
 // cross-entropy a single-process ExecResult reports.
 //
-// On failure, a fail-stop session (no WithReplan) is dead and every later
-// Step fails immediately. A survivable session instead recovers — re-plans
-// onto the live ranks, restores the last snapshot — and returns *Recovered;
-// the caller rewinds to Recovered.Resume and keeps stepping.
+// On failure the coordinator decides the session's fate. With WithReplan it
+// recovers — re-plans onto the live ranks, restores the last snapshot — and
+// returns *Recovered; the caller rewinds to Recovered.Resume and keeps
+// stepping. Without it, or when recovery fails, every worker is told to
+// abort and every later Step fails immediately.
 func (c *Coordinator) Step(ctx context.Context, micros []Batch) (float64, error) {
 	if c.failed != nil {
 		return 0, c.failed
@@ -857,9 +843,8 @@ func (c *Coordinator) persist() {
 
 // settle waits for the in-flight checkpoint write, if any, and returns the
 // session's first write or prune failure — once one failed, every later
-// join reports it, so no failure is dropped. Every reader of the checkpoint
-// directory after session start settles first: the next snapshot, recover
-// and Close.
+// join reports it, so no failure is dropped. It is joined before the next
+// write (snapshot), by recover and by Close.
 func (c *Coordinator) settle() error {
 	if c.writing != nil {
 		if err := <-c.writing; c.werr == nil {
@@ -870,14 +855,13 @@ func (c *Coordinator) settle() error {
 	return c.werr
 }
 
-// recover heals the session after a failure: determine the dead set, retire
-// the torn transport generation, re-plan onto the survivors, restore the
-// last consistent snapshot and re-run the handshake. Another rank dying
-// mid-recovery starts the next round; recovery fails when no progress is
-// possible (no rank died, no survivors, or the re-plan itself fails).
+// recover heals the session after a failure: determine the dead set and
+// reshape the session onto the survivors. Another rank dying mid-recovery,
+// or a failed re-plan, starts the next round; recovery fails when no
+// progress is possible (no rank died, or no survivors).
 func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
 	if err := c.settle(); err != nil {
-		return nil, err // the snapshot to restore may not be on disk
+		return nil, err // a lost checkpoint write ends the session, whatever died
 	}
 	defer c.rebuild()()
 	var lost []int
@@ -904,37 +888,37 @@ func (c *Coordinator) recover(ctx context.Context, cause error) ([]int, error) {
 		if len(alive) == 0 {
 			return nil, fmt.Errorf("train: no surviving workers: %w", cause)
 		}
-		plan, deviceRanks, err := c.cfg.replan(alive)
-		if err != nil {
-			return nil, fmt.Errorf("train: re-plan onto %v: %w", alive, err)
+		err := c.reshape(ctx, alive)
+		if err == nil {
+			return lost, nil
 		}
-		if err := validatePlacement(plan, deviceRanks, alive); err != nil {
+		if ctx.Err() != nil || c.t.Err() != nil {
 			return nil, err
 		}
-		// Restore the last consistent snapshot: from disk when a checkpoint
-		// directory is configured (exercising the real restore path), from
-		// the in-memory copy otherwise.
-		ck := c.ckpt
-		if c.cfg.ckptDir != "" {
-			saved, _, err := LatestCheckpoint(c.cfg.ckptDir)
-			if err == nil && saved != nil {
-				ck = saved
-			}
-		}
-		c.gen++
-		c.t.Retire(c.floor())
-		c.plan, c.deviceRanks, c.alive, c.ckpt = plan, deviceRanks, alive, ck
-		c.step = ck.Step
-		if err := c.handshake(ctx, ctrlReconfig); err != nil {
-			if ctx.Err() != nil || c.t.Err() != nil {
-				return nil, err
-			}
-			cause = err
-			continue // another rank died; next round shrinks further
-		}
-		return lost, nil
+		cause = err // the next round shrinks further, or finds no rank died
 	}
 	return nil, fmt.Errorf("train: recovery did not converge: %w", cause)
+}
+
+// reshape moves the session onto ranks, the one step of both a shrink
+// (recover) and an expansion (expand): re-plan at unchanged global batch
+// size, check the placement, start a new generation behind a raised epoch
+// floor and run the handshake, which broadcasts c.ckpt — the last committed
+// snapshot, the same state settle leaves in the checkpoint directory.
+func (c *Coordinator) reshape(ctx context.Context, ranks []int) error {
+	c.alive = ranks
+	plan, deviceRanks, err := c.cfg.replan(ranks)
+	if err != nil {
+		return fmt.Errorf("train: re-plan onto %v: %w", ranks, err)
+	}
+	if err := validatePlacement(plan, deviceRanks, ranks); err != nil {
+		return err
+	}
+	c.gen++
+	c.t.Retire(c.floor())
+	c.plan, c.deviceRanks = plan, deviceRanks
+	c.step = c.ckpt.Step
+	return c.handshake(ctx, ctrlReconfig)
 }
 
 // rebuild marks a recover or expand in flight until the returned func runs.
@@ -1010,10 +994,9 @@ func (c *Coordinator) Close() (err error) {
 
 // Worker is one rank of a multi-process session: it receives the manifest
 // and state, hosts its share of stage replicas in an Executor, and runs
-// coordinator-gated steps until shutdown. In a survivable session it also
-// participates in recovery: executor failures with death evidence are
-// reported and survived, and a coordinator reconfig rebuilds the executor
-// onto the new plan.
+// coordinator-gated steps until shutdown. A failed step is reported with
+// death evidence and survived until the coordinator's verdict: an abort
+// ends the worker, a reconfig rebuilds the executor onto the new plan.
 type Worker struct {
 	t    *transport.TCP
 	rank int
@@ -1142,8 +1125,8 @@ func (w *Worker) interrupted(env envelope, tm transport.SessionMsg) (*envelope, 
 // session failure, or ctx cancellation. It must be called once, after the
 // mesh is fully connected. It never fails silently: on any exit other than
 // shutdown it sends the coordinator a best-effort abort naming this rank as
-// down — a survivable coordinator shrinks around it at once — and closes the
-// coordinator connection, so no wait is left on a rank that stopped serving.
+// down, so the coordinator decides at once, and closes the coordinator
+// connection, so no wait is left on a rank that stopped serving.
 func (w *Worker) Serve(ctx context.Context) (err error) {
 	defer func() {
 		if err != nil && w.coord >= 0 {
@@ -1198,8 +1181,7 @@ func (w *Worker) Serve(ctx context.Context) (err error) {
 }
 
 // awaitTeardown blocks (bounded) until the coordinator tears the session
-// down after a clean shutdown: under peer isolation its connection dropping
-// marks it down; under fail-stop semantics the whole transport dies.
+// down after a clean shutdown, which downs the coordinator's connection.
 func (w *Worker) awaitTeardown(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
@@ -1224,9 +1206,6 @@ func (w *Worker) handshake(ctx context.Context) error {
 	man := env.Manifest
 	w.man = man
 	w.coord = man.Workers
-	if man.Survivable {
-		w.t.SetPeerIsolation(true)
-	}
 	return w.buildSession(ctx, man)
 }
 
@@ -1241,7 +1220,7 @@ var peerWaitTimeout = 30 * time.Second
 // joined peer.
 func (w *Worker) waitMesh(ctx context.Context, man *Manifest) error {
 	peers := make([]int, 0, man.Workers+1)
-	for _, r := range man.ranks() {
+	for _, r := range man.Ranks {
 		if r != w.rank {
 			peers = append(peers, r)
 		}
@@ -1439,7 +1418,7 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 	w.man = man
 	w.t.Retire(man.Epoch)
 	err := w.buildSession(ctx, man)
-	if err != nil && man.Survivable && errors.Is(err, transport.ErrPeerDown) {
+	if errors.Is(err, transport.ErrPeerDown) {
 		// A manifest peer (a joiner, typically) died while this rank was
 		// rebuilding around it: report the evidence and stay alive — the
 		// coordinator's next round re-plans without the corpse, and this
@@ -1453,10 +1432,10 @@ func (w *Worker) reconfig(ctx context.Context, env envelope) error {
 // the plan, watching the session inbox throughout so a peer's abort or a
 // recovery reconfig cancels a step blocked on cross-process transfers. An
 // envelope arriving in place of a micro-batch tensor means the coordinator
-// tore the step before sending it. In a survivable session an executor
-// failure is reported with death evidence and survived (the worker waits
-// for the coordinator's verdict); the returned envelope, when non-nil, is a
-// reconfig that interrupted the step and must be processed next.
+// tore the step before sending it. An executor failure is reported with
+// death evidence and survived (the worker waits for the coordinator's
+// verdict); the returned envelope, when non-nil, is a reconfig that
+// interrupted the step and must be processed next.
 func (w *Worker) runStep(ctx context.Context, env envelope) (*envelope, error) {
 	micros := w.microBuf[:0]
 	for mb := 0; mb < env.M; mb++ {
@@ -1550,14 +1529,10 @@ func (w *Worker) recycleMicros(micros []Batch) {
 	}
 }
 
-// stepFailed reports an executor or rebuild failure. In a survivable
-// session the report carries the ranks this worker saw die and the worker
-// stays alive for the coordinator's recovery; otherwise the failure ends the
-// worker (Serve's exit sends the abort), preserving fail-stop semantics.
+// stepFailed reports an executor or rebuild failure with the ranks this
+// worker saw die, and keeps the worker alive for the coordinator's verdict:
+// a reconfig when the session re-plans, an abort when it ends.
 func (w *Worker) stepFailed(cause error) error {
-	if !w.man.Survivable {
-		return cause
-	}
 	downs, _ := w.t.PeerDowns()
 	evidence := make([]int, 0, len(downs))
 	for _, r := range downs {

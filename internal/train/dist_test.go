@@ -2,6 +2,7 @@ package train
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -172,43 +173,79 @@ func TestDistributedSessionMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestDistributedWorkerFailureFailsStop injects a failing step (micro-batch
-// rows below stage 1's replica count) and checks the whole session dies
-// fail-stop: the coordinator reports the abort and later steps fail fast.
+// TestDistributedWorkerFailureFailsStop ends a session without WithReplan
+// by a failure on one rank, and checks it ends everywhere through the
+// coordinator's verdict: the failing Step returns a plain error (no
+// *Recovered), later steps fail fast, every surviving worker's Serve
+// returns an error within a bound, and Close returns. The failure is a
+// poisoned step (micro-batch rows below stage 1's replica count, so both
+// ranks' executors fail) or rank 1 dying at step 2, which leaves rank 0
+// alive with nothing but the coordinator's abort to end it.
 func TestDistributedWorkerFailureFailsStop(t *testing.T) {
-	p, master, deviceRanks, b0, _, _ := distFixture(t)
-	w0t, w1t, ct := sessionMesh(t)
-	workers := []*Worker{NewWorker(w0t, 0), NewWorker(w1t, 1)}
-	served := make(chan error, len(workers))
-	for _, w := range workers {
-		go func(w *Worker) { served <- w.Serve(context.Background()) }(w)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	coord, err := NewCoordinator(ctx, ct, p, master, OptSpec{Kind: "sgd", LR: 0.05},
-		ExecOptions{Policy: schedule.DapplePA}, deviceRanks, len(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := make([]Batch, len(b0))
+	p, master, deviceRanks, b0, b1, b2 := distFixture(t)
+	poisoned := make([]Batch, len(b0))
 	for i, b := range b0 {
-		bad[i] = Batch{X: b.X.RowSlice(0, 1), Y: b.Y[:1]} // 1 row < 2 replicas
+		poisoned[i] = Batch{X: b.X.RowSlice(0, 1), Y: b.Y[:1]} // 1 row < 2 replicas
 	}
-	if _, err := coord.Step(ctx, bad); err == nil {
-		t.Fatal("poisoned step succeeded")
-	}
-	if _, err := coord.Step(ctx, b0); err == nil {
-		t.Fatal("step after session failure succeeded")
-	}
-	for range workers {
-		select {
-		case err := <-served:
-			if err == nil {
-				t.Fatal("worker survived a fail-stop session")
+	for _, tc := range []struct {
+		name  string
+		dieAt int       // rank 1's scripted death step; -1 never
+		iters [][]Batch // the last one fails
+	}{
+		{"poisoned-step", -1, [][]Batch{poisoned}},
+		{"rank-dies", 2, [][]Batch{b0, b1, b2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w0t, w1t, ct := sessionMesh(t)
+			workers := []*Worker{NewWorker(w0t, 0), NewWorker(w1t, 1)}
+			workers[1].SetDieAtStep(tc.dieAt)
+			served := make([]chan error, len(workers))
+			for r, w := range workers {
+				served[r] = make(chan error, 1)
+				go func() { served[r] <- w.Serve(context.Background()) }()
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("worker never exited after session failure")
-		}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			coord, err := NewCoordinator(ctx, ct, p, master.Clone(), OptSpec{Kind: "sgd", LR: 0.05},
+				ExecOptions{Policy: schedule.DapplePA}, deviceRanks, len(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(tc.iters) - 1
+			for k, micros := range tc.iters[:last] {
+				if _, err := coord.Step(ctx, micros); err != nil {
+					t.Fatalf("step %d: %v", k, err)
+				}
+			}
+			_, err = coord.Step(ctx, tc.iters[last])
+			var rec *Recovered
+			if err == nil || errors.As(err, &rec) {
+				t.Fatalf("failing step returned %v, want a plain error", err)
+			}
+			start := time.Now()
+			if _, err := coord.Step(ctx, b0); err == nil {
+				t.Fatal("step after session failure succeeded")
+			} else if d := time.Since(start); d > time.Second {
+				t.Fatalf("step after session failure took %v to fail", d)
+			}
+			for r, ch := range served {
+				select {
+				case err := <-ch:
+					if err == nil && !(r == 1 && tc.dieAt >= 0) { // a scripted death exits cleanly
+						t.Fatalf("rank %d survived a failed session", r)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("rank %d never exited after session failure", r)
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- coord.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close never returned after session failure")
+			}
+		})
 	}
 }
 

@@ -26,9 +26,11 @@ import (
 // exactly one step.
 
 // sessionVersion is the membership-protocol revision; a joiner built against
-// a different revision is rejected at the door. Revision 6's weights-done CRC
-// covers the version-2 checkpoint image, where revision 5's covered version 1's.
-const sessionVersion = 6
+// a different revision is rejected at the door. Revision 7 drops the
+// manifest's survivable flag: every worker reports a failed step and awaits
+// the coordinator's verdict, where a revision-6 worker reading no flag would
+// end its own session instead.
+const sessionVersion = 7
 
 // joinRequestMsg is the payload of a FrameJoinReq: who is knocking.
 type joinRequestMsg struct {
@@ -252,9 +254,8 @@ func (c *Coordinator) admit(ctx context.Context, js []int) error {
 
 // expand grows the session at a step boundary: snapshot first — gathered
 // from the live primary ranks, so the broadcast state is this boundary's,
-// not a stale checkpoint — then merge the joiners into the membership,
-// re-plan at unchanged global batch size, fence the old transport generation
-// and re-run the handshake. As in recover, the rebuild budget bounds every
+// not a stale checkpoint — then reshape the session onto the membership
+// merged with the joiners. As in recover, the rebuild budget bounds every
 // wait, so a rank that stops answering mid-expansion is shrunk around.
 func (c *Coordinator) expand(ctx context.Context, js []int) error {
 	defer c.rebuild()()
@@ -263,18 +264,7 @@ func (c *Coordinator) expand(ctx context.Context, js []int) error {
 	}
 	merged := append(append([]int(nil), c.alive...), js...)
 	sort.Ints(merged)
-	plan, deviceRanks, err := c.cfg.replan(merged)
-	if err != nil {
-		return fmt.Errorf("train: re-plan onto %v: %w", merged, err)
-	}
-	if err := validatePlacement(plan, deviceRanks, merged); err != nil {
-		return err
-	}
-	c.gen++
-	c.t.Retire(c.floor())
-	c.plan, c.deviceRanks, c.alive = plan, deviceRanks, merged
-	c.step = c.ckpt.Step
-	return c.handshake(ctx, ctrlReconfig)
+	return c.reshape(ctx, merged)
 }
 
 // JoinSession runs the joiner's half of the membership handshake against a
@@ -291,7 +281,6 @@ func JoinSession(ctx context.Context, t *transport.TCP, coordAddr string) (*Work
 	if err != nil {
 		return nil, err
 	}
-	t.SetPeerIsolation(true) // elastic sessions are survivable by construction
 	rank, granter, reply, err := t.DialJoin(ctx, coordAddr, raw)
 	if err != nil {
 		return nil, err

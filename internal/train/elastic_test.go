@@ -456,8 +456,8 @@ func TestSessionRecoversFromTornExpansionRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The joiner meshes with both ranks and dies; both see it down (the
-	// session is survivable, so only that peer goes).
+	// The joiner meshes with both ranks and dies; both see it down (a
+	// transport downs only the dead peer).
 	if err := jt.Dial(ctx, 0, wt.Addr()); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,10 @@ import (
 func TestProfileNetworkMeasuredFromSpans(t *testing.T) {
 	net := nn.MLP([]int{16, 256, 256, 4}, 11) // D(16,256), R, D(256,256), R, D(256,4)
 	const rows, gbs = 16, 64
-	mo := MeasureOptions{Warmup: 1, Iters: 5}
+	// Fifteen spans per layer: the ordering checks below compare medians of
+	// wall-clock spans, and a median of five flips under a few preemptions
+	// of a loaded host.
+	mo := MeasureOptions{Warmup: 1, Iters: 15}
 	mod, calTrace, err := ProfileNetworkMeasuredTrace(context.Background(), "lopsided", net, 16, rows, gbs, mo)
 	if err != nil {
 		t.Fatal(err)

@@ -157,8 +157,8 @@ func TestChaosGroup(t *testing.T) {
 			})
 
 			// Rank 0 tears on its first send: it sees the injected fault and
-			// rank 1 the dead peer — ErrClosed on the mesh, the fail-stop
-			// connection error over TCP.
+			// rank 1 the dead peer — ErrClosed on the mesh, ErrPeerDown over
+			// TCP.
 			t.Run("tear", func(t *testing.T) {
 				ch, gs := open(t, b, ChaosConfig{Seed: 1, TearAfter: 1})
 				bufs := randBufs(2, size, 5)
@@ -167,7 +167,8 @@ func TestChaosGroup(t *testing.T) {
 				if !errors.Is(errs[0], ErrChaos) || !ch.Torn() {
 					t.Fatalf("torn rank 0 returned %v, want ErrChaos", errs[0])
 				}
-				if errs[1] == nil || errors.Is(errs[1], ErrChaos) || b.name == "mesh" && !errors.Is(errs[1], ErrClosed) {
+				if errs[1] == nil || errors.Is(errs[1], ErrChaos) || b.name == "mesh" && !errors.Is(errs[1], ErrClosed) ||
+					b.name == "tcp" && !errors.Is(errs[1], ErrPeerDown) {
 					t.Fatalf("rank 1 returned %v, want its dead peer's error", errs[1])
 				}
 				if !slices.Equal(bufs[1], mine) {

@@ -11,17 +11,6 @@ import (
 // budgets are multiples of it.
 const hbTick = 15 * time.Millisecond
 
-// isolatedMesh is mesh with peer isolation on every rank, so a silence
-// verdict downs one peer instead of the transport.
-func isolatedMesh(t *testing.T, n int) []*TCP {
-	t.Helper()
-	ts := mesh(t, n)
-	for _, tr := range ts {
-		tr.SetPeerIsolation(true)
-	}
-	return ts
-}
-
 // downWithin reports whether tr marks rank down within budget.
 func downWithin(tr *TCP, rank int, budget time.Duration) bool {
 	deadline := time.After(budget)
@@ -60,7 +49,7 @@ func TestHeartbeatLiveness(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := isolatedMesh(t, 2)
+			ts := mesh(t, 2)
 			watcher, peer := ts[0], ts[1]
 			// The watcher's reader pump is already parked in a socket read:
 			// SetHeartbeat must arm it, or a hung peer is never judged.
@@ -121,7 +110,7 @@ func drain(tr *TCP, stop <-chan struct{}) {
 // inbox drains and the pump reads again, the verdict fires, but no sooner
 // than one full timeout after the pump resumed.
 func TestHeartbeatSilenceOnlyWhileReading(t *testing.T) {
-	ts := isolatedMesh(t, 2)
+	ts := mesh(t, 2)
 	judge, peer := ts[0], ts[1]
 	timeout := 6 * hbTick
 	// Fill the judge's inbox and park its pump on one frame more.
@@ -158,7 +147,7 @@ func TestHeartbeatSilenceOnlyWhileReading(t *testing.T) {
 // floods it, so rank 0's queue toward rank 1 fills. Rank 0's heartbeats to
 // rank 2 must keep flowing, or rank 2 declares the healthy rank 0 dead.
 func TestHeartbeatPastStalledPeer(t *testing.T) {
-	ts := isolatedMesh(t, 3)
+	ts := mesh(t, 3)
 	var sent atomic.Int64
 	flooded := make(chan struct{})
 	go func() {

@@ -18,9 +18,9 @@ import (
 )
 
 // ErrPeerDown is wrapped by operations targeting a rank whose connection has
-// failed while the transport runs in peer-isolation mode (the rest of the
-// mesh stays live). errors.Is(err, ErrPeerDown) distinguishes a lost peer
-// from a dead transport.
+// failed (the rest of the mesh stays live): sends toward it and receives on
+// its edges. errors.Is(err, ErrPeerDown) distinguishes a lost peer from a
+// closed transport.
 var ErrPeerDown = errors.New("transport: peer down")
 
 // defaultDialRetryLimit caps DialRetry's total retry window when the caller's
@@ -109,12 +109,10 @@ type Stats struct {
 // each peer sent them, and liveness at the socket (SetHeartbeat): a read
 // silent past the timeout fails its connection like any read error.
 //
-// By default a TCP transport fails stop: the first connection error closes
-// the whole transport and every blocked operation returns ErrClosed. With
-// SetPeerIsolation(true) — the fault-tolerant session mode — a connection
-// error instead marks only that peer down: sends toward it return
-// ErrPeerDown, PeerDowns reports it, and the rest of the mesh keeps running
-// so the session layer can re-plan onto the survivors.
+// A connection error downs only that peer (ClosePeer): sends toward it and
+// receives on its edges return ErrPeerDown, PeerDowns reports it, and the
+// rest of the mesh keeps running. Whether the session then ends or re-plans
+// onto the survivors is the session layer's decision, not the transport's.
 type TCP struct {
 	rank atomic.Int32 // read through Rank: the accept loop reads it concurrently with SetRank
 	ln   net.Listener
@@ -124,10 +122,10 @@ type TCP struct {
 	connWait    chan struct{} // closed and remade on each registration or peer-down
 	edges       map[EdgeID]*edgeSlot
 	err         error
-	isolate     bool
 	downs       map[int]error
-	downWait    chan struct{} // closed and remade when the down set grows
-	epochFloor  atomic.Uint32 // see Retire; written under mu, read lock-free to stamp sends
+	latches     map[int]chan struct{} // per-rank latch, closed when the rank is marked down
+	downWait    chan struct{}         // closed and remade when the down set grows
+	epochFloor  atomic.Uint32         // see Retire; written under mu, read lock-free to stamp sends
 	acceptJoins bool
 	inbound     map[net.Conn]struct{} // accepted connections whose opening frame is unread
 	hbEvery     time.Duration         // heartbeat period; 0 until SetHeartbeat
@@ -160,6 +158,7 @@ func newTCP() *TCP {
 		connWait: make(chan struct{}),
 		edges:    make(map[EdgeID]*edgeSlot),
 		downs:    make(map[int]error),
+		latches:  make(map[int]chan struct{}),
 		downWait: make(chan struct{}),
 		inbound:  make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
@@ -223,16 +222,6 @@ func (t *TCP) Stats() Stats {
 // Session returns the session inbox: every control payload and out-of-band
 // tensor from every peer, each peer's frames in the order it sent them.
 func (t *TCP) Session() <-chan SessionMsg { return t.sess }
-
-// SetPeerIsolation switches the transport's failure semantics: on, a
-// connection error downs only that peer (see PeerDowns); off (the default),
-// it fails the whole transport. Fault-tolerant sessions enable isolation on
-// every rank so the mesh survives a worker's death.
-func (t *TCP) SetPeerIsolation(on bool) {
-	t.mu.Lock()
-	t.isolate = on
-	t.mu.Unlock()
-}
 
 // SetHeartbeat turns on the liveness plane: every interval (positive) a
 // heartbeat is queued toward each peer, skipping a full writer queue so a
@@ -314,9 +303,9 @@ func (r *silenceReader) Read(p []byte) (int, error) {
 	return r.nc.Read(p)
 }
 
-// PeerDowns returns the ranks marked down under peer isolation (ascending)
-// and a channel closed the next time the set grows, so liveness waits can
-// select on membership changes instead of polling.
+// PeerDowns returns the ranks marked down (ascending) and a channel closed
+// the next time the set grows, so liveness waits can select on membership
+// changes instead of polling.
 func (t *TCP) PeerDowns() ([]int, <-chan struct{}) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -330,32 +319,21 @@ func (t *TCP) DownErr(rank int) error {
 	return t.downs[rank]
 }
 
-// ClosePeer forcibly disconnects rank for the given reason — a connection
-// pump's error (a read silent past the heartbeat timeout included) or the
-// session layer's verdict on a rank that missed a barrier. Under peer
-// isolation the rank is marked down and the rest of the mesh survives;
-// otherwise the whole transport fails, preserving fail-stop semantics.
+// ClosePeer marks rank down for the given reason — a connection pump's
+// error (a read silent past the heartbeat timeout included) or the session
+// layer's verdict on a rank that missed a barrier. Its connection is closed
+// and removed, sends toward it and receives on its edges fail with
+// ErrPeerDown (blocked ones included), and both the registration and
+// down-set latches fire; the rest of the mesh keeps running. Idempotent per
+// rank.
 func (t *TCP) ClosePeer(rank int, reason error) {
-	t.mu.Lock()
-	isolate := t.isolate
-	t.mu.Unlock()
-	if isolate {
-		t.peerDown(rank, reason)
-		return
-	}
-	t.fail(reason)
-}
-
-// peerDown marks rank down: its connection is closed and removed, blocked
-// sends toward it unblock with ErrPeerDown, and both the registration and
-// down-set latches fire. Idempotent per rank.
-func (t *TCP) peerDown(rank int, err error) {
 	t.mu.Lock()
 	if _, dup := t.downs[rank]; dup {
 		t.mu.Unlock()
 		return
 	}
-	t.downs[rank] = err
+	t.downs[rank] = reason
+	close(t.latch(rank))
 	c, live := t.conns[rank]
 	delete(t.conns, rank)
 	close(t.connWait)
@@ -365,8 +343,18 @@ func (t *TCP) peerDown(rank int, err error) {
 	t.mu.Unlock()
 	if live {
 		c.nc.Close()
-		close(c.dead)
 	}
+}
+
+// latch returns rank's down latch, closed once rank is marked down. The
+// caller holds mu.
+func (t *TCP) latch(rank int) chan struct{} {
+	l, ok := t.latches[rank]
+	if !ok {
+		l = make(chan struct{})
+		t.latches[rank] = l
+	}
+	return l
 }
 
 // Retire ends the current session generation's data-plane state: every open
@@ -575,7 +563,7 @@ func (j *JoinRequest) Grant(rank int, reply []byte) error {
 	// nothing can interleave with it.
 	grant := Header{Type: FrameJoinGrant, A: int32(rank), B: int32(j.t.Rank())}
 	if err := (&FrameWriter{W: j.nc}).write(outFrame{h: grant, payload: reply}); err != nil {
-		j.t.peerDown(rank, err)
+		j.t.ClosePeer(rank, err)
 		return err
 	}
 	c.start()
@@ -675,6 +663,7 @@ func (t *TCP) register(c *tcpConn) error {
 	if _, dup := t.conns[c.peer]; dup {
 		return fmt.Errorf("transport: duplicate connection from rank %d", c.peer)
 	}
+	c.dead = t.latch(c.peer)
 	t.conns[c.peer] = c
 	close(t.connWait)
 	t.connWait = make(chan struct{})
@@ -784,9 +773,10 @@ func (t *TCP) fail(err error) {
 	t.shutdown()
 }
 
-// Done returns a channel closed when the transport has shut down, by clean
-// Close or fail-stop; Err then reports why. Session layers select on it
-// alongside Session so a dead mesh never strands a protocol wait.
+// Done returns a channel closed when the transport has shut down, by Close
+// or a failed listener; Err then reports why. A peer's death never closes it
+// (see ClosePeer). Session layers select on it alongside Session so a closed
+// transport never strands a protocol wait.
 func (t *TCP) Done() <-chan struct{} { return t.closed }
 
 // Err returns the failure that tore the transport down, ErrClosed after a
@@ -851,12 +841,12 @@ type tcpConn struct {
 	nc   net.Conn
 	fr   *FrameReader // over a silenceReader; the handshake may have read from it
 	out  chan outFrame
-	dead chan struct{} // closed when this peer is marked down
+	dead chan struct{} // the peer's down latch (see latch), set by register
 }
 
 // newTCPConn builds one peer connection's state.
 func newTCPConn(t *TCP, peer int, nc net.Conn, fr *FrameReader) *tcpConn {
-	return &tcpConn{t: t, peer: peer, nc: nc, fr: fr, out: make(chan outFrame, 128), dead: make(chan struct{})}
+	return &tcpConn{t: t, peer: peer, nc: nc, fr: fr, out: make(chan outFrame, 128)}
 }
 
 // start launches the connection's reader and writer pumps.
@@ -1024,8 +1014,9 @@ func (t *TCP) OpenEdge(id EdgeID, peer, cap int) (Edge, error) {
 	close(sl.opened)
 	sl.opened = make(chan struct{})
 	st := sl.st
+	down := t.latch(peer)
 	t.mu.Unlock()
-	return &tcpEdge{t: t, peer: peer, id: id, st: st, sfree: make(chan *tensor.Matrix, cap)}, nil
+	return &tcpEdge{t: t, peer: peer, id: id, st: st, down: down, sfree: make(chan *tensor.Matrix, cap)}, nil
 }
 
 // deliverData routes one edge frame: stale-generation frames (below the
@@ -1084,6 +1075,7 @@ type tcpEdge struct {
 	peer  int
 	id    EdgeID
 	st    *edgeState
+	down  <-chan struct{}     // the peer's down latch
 	sfree chan *tensor.Matrix // recycled serialization staging buffers
 }
 
@@ -1112,7 +1104,9 @@ func (e *tcpEdge) SendView(m int, view *tensor.Matrix) error { return e.send(m, 
 // SendCopy stages a copy for serialization.
 func (e *tcpEdge) SendCopy(m int, data *tensor.Matrix) error { return e.send(m, data) }
 
-// Recv returns the next delivered block of this edge generation.
+// Recv returns the next delivered block of this edge generation. Once the
+// peer is down it returns ErrPeerDown, after handing out every block
+// delivered before.
 func (e *tcpEdge) Recv(abort <-chan struct{}) (Msg, error) {
 	select {
 	case msg := <-e.st.in:
@@ -1121,6 +1115,13 @@ func (e *tcpEdge) Recv(abort <-chan struct{}) (Msg, error) {
 		return Msg{}, ErrAborted
 	case <-e.st.dead:
 		return Msg{}, ErrClosed
+	case <-e.down:
+		select {
+		case msg := <-e.st.in:
+			return msg, nil
+		default:
+			return Msg{}, fmt.Errorf("%w: rank %d: %v", ErrPeerDown, e.peer, e.t.DownErr(e.peer))
+		}
 	case <-e.t.closed:
 		return Msg{}, e.t.closeErr()
 	}

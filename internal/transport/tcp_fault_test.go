@@ -69,23 +69,44 @@ func waitDown(t *testing.T, tr *TCP, rank int) {
 	}
 }
 
-// TestPeerIsolationSurvivesDeadRank kills one rank of a 3-rank mesh running
-// in isolation mode: the dead rank must be reported down with sends toward it
-// failing ErrPeerDown, while the surviving pair's edge keeps carrying
-// traffic — the property that lets a session re-plan instead of dying.
+// TestPeerIsolationSurvivesDeadRank kills one rank of a 3-rank mesh: the
+// dead rank must be reported down, with sends toward it failing ErrPeerDown
+// and receives on its edges failing ErrPeerDown once every frame it sent
+// before dying is handed out, while the surviving pair's edge keeps
+// carrying traffic — the property that lets a session re-plan instead of
+// dying.
 func TestPeerIsolationSurvivesDeadRank(t *testing.T) {
 	ts := mesh(t, 3)
-	ts[0].SetPeerIsolation(true)
-	ts[1].SetPeerIsolation(true)
-
+	open := func(tr *TCP, id EdgeID, peer int) Edge {
+		t.Helper()
+		e, err := tr.OpenEdge(id, peer, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
 	id := EdgeID{Bound: 0, Dir: Fwd, S: 0, Q: 1}
-	send, err := ts[0].OpenEdge(id, 1, 4)
-	if err != nil {
+	send, recv := open(ts[0], id, 1), open(ts[1], id, 0)
+	// Rank 2 feeds rank 1 one frame before it dies; rank 0 waits on a
+	// frame rank 2 never sends.
+	fromDead := EdgeID{Bound: 1, Dir: Fwd, S: 0, Q: 0}
+	last, delivered := open(ts[2], fromDead, 1), open(ts[1], fromDead, 2)
+	starved := open(ts[0], EdgeID{Bound: 1, Dir: Bwd, S: 0, Q: 0}, 2)
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := starved.Recv(make(chan struct{}))
+		blocked <- err
+	}()
+	final := tensor.New(1, 2)
+	final.Data[1] = 5
+	before := ts[1].Stats().FramesRecv
+	if err := last.SendCopy(0, final); err != nil {
 		t.Fatal(err)
 	}
-	recv, err := ts[1].OpenEdge(id, 0, 4)
-	if err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(5 * time.Second); ts[1].Stats().FramesRecv == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("rank 2's last frame never reached rank 1")
+		}
 	}
 
 	ts[2].Close() // rank 2 dies
@@ -97,6 +118,20 @@ func TestPeerIsolationSurvivesDeadRank(t *testing.T) {
 	}
 	if err := ts[0].SendControl(2, []byte("x")); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("send to dead rank returned %v, want ErrPeerDown", err)
+	}
+	select {
+	case err := <-blocked:
+		if !errors.Is(err, ErrPeerDown) {
+			t.Fatalf("receive blocked on the dead rank returned %v, want ErrPeerDown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("receive blocked on the dead rank never returned")
+	}
+	if msg, err := delivered.Recv(make(chan struct{})); err != nil || msg.Data.Data[1] != 5 {
+		t.Fatalf("frame delivered before the death: %v, %v; want it received first", msg.Data, err)
+	}
+	if _, err := delivered.Recv(make(chan struct{})); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("receive after the dead rank's last frame returned %v, want ErrPeerDown", err)
 	}
 
 	// The surviving edge still works.
@@ -138,7 +173,6 @@ func TestPeerIsolationSurvivesDeadRank(t *testing.T) {
 // verdict must never leave a sender wedged on a full queue.
 func TestPeerIsolationUnblocksEnqueue(t *testing.T) {
 	ts := mesh(t, 2)
-	ts[0].SetPeerIsolation(true)
 	done := make(chan error, 1)
 	go func() {
 		// Flood the queue so some send eventually blocks; stop at the first
