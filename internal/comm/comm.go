@@ -9,6 +9,8 @@
 package comm
 
 import (
+	"slices"
+
 	"dapple/internal/hardware"
 )
 
@@ -88,27 +90,39 @@ func CrossStageTime(c hardware.Cluster, src, dst []hardware.DeviceID, bytes int6
 	return t
 }
 
-// maxStackServers is the largest cluster whose per-server device tallies
-// live on the stack; larger clusters tally on the heap.
+// maxStackServers is the most servers a device group's tally (loads) holds
+// on the stack; a group spanning more tallies on the heap.
 const maxStackServers = 64
 
-// load is the number of a device group's devices on one server.
-type load struct{ srv, n int }
+// load is the number of a device group's devices on one server. Its fields
+// are 32-bit to halve the stack buffers every call clears.
+type load struct{ srv, n int32 }
 
 // loads appends the servers hosting devs to out in ascending order, each
-// with its device count.
+// with its device count. It counts in out itself, so a call clears no
+// per-server tally whatever the cluster's size: a device on the last
+// entry's server bumps it (stage devices usually arrive sorted), any other
+// is counted at its server's place in the ascending order.
 func loads(c hardware.Cluster, devs []hardware.DeviceID, out []load) []load {
-	var buf [maxStackServers]int
-	cnt := buf[:min(c.Servers, len(buf))]
-	if c.Servers > len(buf) {
-		cnt = make([]int, c.Servers)
-	}
+	base := len(out)
 	for _, d := range devs {
-		cnt[c.Server(d)]++
-	}
-	for srv, n := range cnt {
-		if n > 0 {
-			out = append(out, load{srv, n})
+		srv := int32(c.Server(d))
+		n := len(out)
+		switch {
+		case n > base && out[n-1].srv == srv:
+			out[n-1].n++
+		case n == base || out[n-1].srv < srv:
+			out = append(out, load{srv, 1})
+		default:
+			i := n - 1
+			for i > base && out[i-1].srv >= srv {
+				i--
+			}
+			if out[i].srv == srv {
+				out[i].n++
+			} else {
+				out = slices.Insert(out, i, load{srv, 1})
+			}
 		}
 	}
 	return out
@@ -131,7 +145,7 @@ func AllReduceTime(c hardware.Cluster, devs []hardware.DeviceID, bytes int64) fl
 	servers := loads(c, devs, buf[:0])
 	maxLocal := 0
 	for _, l := range servers {
-		maxLocal = max(maxLocal, l.n)
+		maxLocal = max(maxLocal, int(l.n))
 	}
 	var t float64
 	if maxLocal > 1 {

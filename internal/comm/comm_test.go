@@ -2,6 +2,8 @@ package comm
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +193,18 @@ func TestCrossStageTimeDeterministic(t *testing.T) {
 		if got := CrossStageTime(c, src, dst, bytes); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("call %d: CrossStageTime = %x, want %x (ascending-server sum)",
 				i, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	// The order of a group's devices does not matter either: shuffled
+	// groups tally their servers in the same ascending order.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		s, d := slices.Clone(src), slices.Clone(dst)
+		rng.Shuffle(len(s), func(a, b int) { s[a], s[b] = s[b], s[a] })
+		rng.Shuffle(len(d), func(a, b int) { d[a], d[b] = d[b], d[a] })
+		if got := CrossStageTime(c, s, d, bytes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("shuffle %d (%v -> %v): CrossStageTime = %x, want %x", i, s, d,
+				math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }

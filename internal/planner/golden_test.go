@@ -18,18 +18,18 @@ var zooGolden = []struct {
 	explored          int
 	latency, analytic uint64
 }{
-	{"GNMT-16", "config-A(2)", "9:1:6|7:2:7|[0 1 2 3 4 5 6];[7 8];[9 10 11 12 13 14 15];", 24412, 0x3ff0297a1c3b4904, 0x3fed533df7d35d6d},
-	{"GNMT-16", "config-B(16)", "2:8:6|2:7:7|[0 1];[2 3 4 5 6 7 8];[9 10 11 12 13 14 15];", 21583, 0x3ff30fa51d4fb05c, 0x3ff1f80d6a7aaae5},
-	{"BERT-48", "config-A(2)", "25:2:21|8:1:7|[0 1 2 3 4 5 6 7];[8];[9 10 11 12 13 14 15];", 8894, 0x3fef1ecd3a1ecb29, 0x3fed9222eee6c287},
-	{"BERT-48", "config-B(16)", "12:12:12:12|4:4:4:4|[0 1 2 3];[4 5 6 7];[8 9 10 11];[12 13 14 15];", 110697, 0x3ff690b972fbaf32, 0x3ff5ede91189d6a1},
-	{"XLNet-36", "config-A(2)", "18:2:16|8:1:7|[0 1 2 3 4 5 6 7];[8];[9 10 11 12 13 14 15];", 7380, 0x400ca435049d4e33, 0x400ca3cc2911a1ba},
-	{"XLNet-36", "config-B(16)", "11:14:11|5:6:5|[0 1 2 3 4];[5 6 7 8 9 10];[11 12 13 14 15];", 10266, 0x40104f10bd8fda31, 0x401033d2092978bc},
-	{"ResNet-50", "config-A(2)", "18|16|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15];", 1001, 0x3fd15e8e74359fbf, 0x3fd15b4797d83c34},
-	{"ResNet-50", "config-B(16)", "18|16|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15];", 1914, 0x3fd3d65a3e955a1a, 0x3fd3d3136237f690},
-	{"VGG-19", "config-A(2)", "14:5|15:1|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14];[15];", 3500, 0x4001e21c22556a8f, 0x40019730dbf757e9},
-	{"VGG-19", "config-B(16)", "15:4|15:1|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14];[15];", 436, 0x400260843f4b6ee5, 0x40023d67114f2268},
-	{"AmoebaNet-36", "config-A(2)", "20:16|8:8|[0 1 2 3 4 5 6 7];[8 9 10 11 12 13 14 15];", 13173, 0x402829070d54c1ce, 0x40276f8bde092964},
-	{"AmoebaNet-36", "config-B(16)", "24:6:6|10:3:3|[0 1 2 3 4 5 6 7 8 9];[10 11 12];[13 14 15];", 12799, 0x4028f66db6cfa71d, 0x4028e72ee2638613},
+	{"GNMT-16", "config-A(2)", "9:1:6|7:2:7|[0 1 2 3 4 5 6];[7 8];[9 10 11 12 13 14 15];", 8997, 0x3ff0297a1c3b4904, 0x3fed533df7d35d6d},
+	{"GNMT-16", "config-B(16)", "2:8:6|2:7:7|[0 1];[2 3 4 5 6 7 8];[9 10 11 12 13 14 15];", 6708, 0x3ff30fa51d4fb05c, 0x3ff1f80d6a7aaae5},
+	{"BERT-48", "config-A(2)", "25:2:21|8:1:7|[0 1 2 3 4 5 6 7];[8];[9 10 11 12 13 14 15];", 2805, 0x3fef1ecd3a1ecb29, 0x3fed9222eee6c287},
+	{"BERT-48", "config-B(16)", "12:12:12:12|4:4:4:4|[0 1 2 3];[4 5 6 7];[8 9 10 11];[12 13 14 15];", 2243, 0x3ff690b972fbaf32, 0x3ff5ede91189d6a1},
+	{"XLNet-36", "config-A(2)", "18:2:16|8:1:7|[0 1 2 3 4 5 6 7];[8];[9 10 11 12 13 14 15];", 3661, 0x400ca435049d4e33, 0x400ca3cc2911a1ba},
+	{"XLNet-36", "config-B(16)", "11:14:11|5:6:5|[0 1 2 3 4];[5 6 7 8 9 10];[11 12 13 14 15];", 3745, 0x40104f10bd8fda31, 0x401033d2092978bc},
+	{"ResNet-50", "config-A(2)", "18|16|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15];", 723, 0x3fd15e8e74359fbf, 0x3fd15b4797d83c34},
+	{"ResNet-50", "config-B(16)", "18|16|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15];", 940, 0x3fd3d65a3e955a1a, 0x3fd3d3136237f690},
+	{"VGG-19", "config-A(2)", "14:5|15:1|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14];[15];", 3035, 0x4001e21c22556a8f, 0x40019730dbf757e9},
+	{"VGG-19", "config-B(16)", "15:4|15:1|[0 1 2 3 4 5 6 7 8 9 10 11 12 13 14];[15];", 354, 0x400260843f4b6ee5, 0x40023d67114f2268},
+	{"AmoebaNet-36", "config-A(2)", "20:16|8:8|[0 1 2 3 4 5 6 7];[8 9 10 11 12 13 14 15];", 8800, 0x402829070d54c1ce, 0x40276f8bde092964},
+	{"AmoebaNet-36", "config-B(16)", "24:6:6|10:3:3|[0 1 2 3 4 5 6 7 8 9];[10 11 12];[13 14 15];", 8996, 0x4028f66db6cfa71d, 0x4028e72ee2638613},
 }
 
 // The planner's exactness proof: every zoo model on the hierarchical and

@@ -54,15 +54,17 @@ func (s *search) rootTasks(used alloc) []rootTask {
 	return tasks
 }
 
-// branch derives the isolated sub-search for root task i: fresh memo and
+// branch derives the isolated sub-search for root task i: empty memo and
 // candidate tables, the incumbent as of the enclosing chunk's start as its
 // pruning baseline (s.best is only written between chunks, so every branch
 // of a chunk reads the same value), and a sequence-number block disjoint
 // from every other branch so that merged tie-breaks reproduce the
 // sequential visit order. The derived constants (sumFB, micro-batch
-// geometry) are shared read-only.
-func (s *search) branch(i int) *search {
-	return &search{
+// geometry) are shared read-only. When the worker has finished a branch
+// before, done, the new branch takes over its memo (cleared) and walk
+// scratch (emptied): merge reads neither.
+func (s *search) branch(i int, done *search) *search {
+	b := &search{
 		ctx: s.ctx,
 		m:   s.m, c: s.c, gbs: s.gbs,
 		maxStages: s.maxStages,
@@ -75,9 +77,20 @@ func (s *search) branch(i int) *search {
 		sumFB:     s.sumFB,
 		best:      s.best,
 		seq:       (uint64(i) + 1) << 32,
-		memo:      map[string]float64{},
 		cands:     finalistTable{k: s.cands.k},
 	}
+	if done == nil {
+		b.memo = map[string]float64{}
+		return b
+	}
+	clear(done.memo)
+	b.memo, done.memo = done.memo, nil
+	b.path, done.path = done.path[:0], nil
+	b.units, done.units = done.units[:0], nil
+	b.devs, done.devs = done.devs[:0], nil
+	b.ints, done.ints = done.ints[:0], nil
+	b.key, done.key = done.key[:0], nil
+	return b
 }
 
 // merge folds a completed branch into the root search. Its finalist table
@@ -129,14 +142,15 @@ func (s *search) fanout(used alloc) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var done *search
 				for {
 					i := int(atomic.AddInt64(&next, 1))
 					if i >= hi || s.ctx.Err() != nil {
 						return
 					}
-					b := s.branch(i)
+					b := s.branch(i, done)
 					b.step(0, tasks[i].j2, used, nil, tasks[i].take, 0)
-					branches[i] = b
+					branches[i], done = b, b
 				}
 			}()
 		}

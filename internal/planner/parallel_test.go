@@ -2,9 +2,11 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"dapple/internal/core"
 	"dapple/internal/hardware"
 	"dapple/internal/model"
 )
@@ -125,12 +127,19 @@ func randomModel(rng *rand.Rand, n int) *model.Model {
 // Property: branch-and-bound pruning is sound — on small random models the
 // pruned search never returns a worse plan than the exhaustive search
 // (NoPrune disables the lower bound, the dominance memo and the slack cut).
+//
+// The first trials run on small flat clusters, the last ones on one
+// 8-GPU server, where placement shapes (and so the fixed first stage's
+// all-reduce term of the bound) differ between otherwise equal states.
 func TestPruningSoundnessProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 15; trial++ {
 		n := 4 + rng.Intn(5)
 		m := randomModel(rng, n)
 		c := hardware.ConfigB(2 + rng.Intn(3))
+		if trial >= 10 {
+			c = hardware.ConfigA(1)
+		}
 		gbs := (1 + rng.Intn(4)) * 8
 
 		pruned, err := Plan(m, c, Options{GBS: gbs})
@@ -149,6 +158,44 @@ func TestPruningSoundnessProperty(t *testing.T) {
 		if pruned.Explored > exhaustive.Explored {
 			t.Errorf("trial %d: pruned search explored more states (%d) than exhaustive (%d)",
 				trial, pruned.Explored, exhaustive.Explored)
+		}
+	}
+}
+
+// Property: the search's lower bound never exceeds the latency it bounds.
+// boundOf is checked against core.PipelineLatency on random unit lists of 1
+// to 8 units and 1 to 128 micro-batches, with its maximum F+B taken over the
+// whole list and its head from the list's first unit. Units are drawn from
+// four shapes: ordinary stages, boundary-like units (F = B, no all-reduce),
+// near-zero-cost units, and all-reduce-heavy stages whose AR term dwarfs
+// their compute, so every phase of Eq. (2) gets to dominate.
+func TestLowerBoundAdmissible(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	unit := func() core.Unit {
+		switch rng.Intn(4) {
+		case 0:
+			v := rng.Float64()
+			return core.Unit{F: v, B: v, Comm: true}
+		case 1:
+			return core.Unit{F: 1e-12 * rng.Float64(), B: 1e-12 * rng.Float64()}
+		case 2:
+			return core.Unit{F: rng.Float64(), B: rng.Float64(), AR: 1e3 * rng.Float64()}
+		default:
+			return core.Unit{F: rng.Float64(), B: 2 * rng.Float64(), AR: rng.Float64()}
+		}
+	}
+	for trial := 0; trial < 100_000; trial++ {
+		units := make([]core.Unit, 1+rng.Intn(8))
+		maxFB := 0.0
+		for i := range units {
+			units[i] = unit()
+			maxFB = math.Max(maxFB, units[i].F+units[i].B)
+		}
+		m := 1 + rng.Intn(128)
+		s := &search{mOne: float64(m - 1), units: units}
+		lb := s.boundOf(maxFB)
+		if l := core.PipelineLatency(units, m).Latency(); lb > l*(1+1e-12) {
+			t.Fatalf("trial %d: bound %v exceeds latency %v (M=%d, units %+v)", trial, lb, l, m, units)
 		}
 	}
 }

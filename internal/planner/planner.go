@@ -15,10 +15,13 @@
 //
 // The search fans out across first-stage split points on a bounded worker
 // pool (Options.Workers) and cuts hopeless subtrees with an admissible
-// branch-and-bound lower bound; see parallel.go for why the result is
-// nevertheless identical for every worker count. The walk carries the
-// pipeline units of the stages it has fixed, so scoring a candidate computes
-// only the units of its new boundary and suffix stage.
+// branch-and-bound lower bound: Eq. (2) costs at least (M-1) times the
+// largest per-micro-batch F+B of any unit, plus the fixed first stage's own
+// forward, backward and all-reduce time (boundOf proves it). See
+// parallel.go for why the result is nevertheless identical for every worker
+// count. The walk carries the pipeline units of the stages it has fixed, so
+// scoring a candidate computes only the units of its new boundary and
+// suffix stage.
 //
 // The search records only what the re-ranking reads (finalists.go): the best
 // Options.Finalists hybrid candidates, one per signature, and every
@@ -308,12 +311,12 @@ func (s *search) extend(j int, used alloc, prefix []core.Stage, maxUnit float64)
 			}
 			if s.prune {
 				// Every placement of an r-replica stage [j, j2) shares these
-				// bound terms; skip the placement enumeration when even they
-				// cannot approach the incumbent.
+				// bound terms, the fixed first stage's included; skip the
+				// placement enumeration when even they cannot approach the
+				// incumbent.
 				unit := (s.sumFB[j2] - s.sumFB[j]) / float64(r)
 				rem := (s.sumFB[n] - s.sumFB[j2]) / float64(free-r)
-				lb := s.mOne * math.Max(maxUnit, math.Max(unit, rem))
-				if lb > s.best*boundSlack {
+				if s.boundOf(math.Max(maxUnit, math.Max(unit, rem))) > s.best*boundSlack {
 					continue
 				}
 			}
@@ -375,17 +378,45 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 }
 
 // lowerBound returns an admissible lower bound on the analytic latency of
-// any completion of state (j, used): the steady phase of Eq. (2) is at least
-// (M-1)(F+B) of every pipeline unit, the prefix's units are already fixed,
-// and however the remaining layers are split over the remaining devices,
-// some suffix stage carries at least their mean work per device.
+// any completion of state (j, used). The prefix's units are fixed, and
+// however the remaining layers are split over the remaining devices, some
+// suffix stage carries at least their mean work per device, so every
+// completion has a unit with F+B >= max(maxUnit, mean); boundOf turns that
+// into a latency bound.
 func (s *search) lowerBound(j int, used alloc, maxUnit float64) float64 {
 	if free := s.freeTotal(used); free > 0 {
 		if mean := (s.sumFB[len(s.sumFB)-1] - s.sumFB[j]) / float64(free); mean > maxUnit {
 			maxUnit = mean
 		}
 	}
-	return s.mOne * maxUnit
+	return s.boundOf(maxUnit)
+}
+
+// boundOf returns (M-1)·maxFB + F₀ + B₀ + AR₀, a lower bound on Eq. (2) for
+// every unit list whose largest F+B is at least maxFB and whose first unit
+// is the walk's fixed first stage, units[0]. Let Q be the pivot of Eq. (3)
+// and S(u) = (M-1)(F+B)ᵤ:
+//
+//   - Tw = Σ_{a<=Q} Fₐ, and Te is at least its u = 0 term, AR₀ + Σ_{a<=Q} Bₐ,
+//     so Tw + Te >= AR₀ + Σ_{a<=Q} (F+B)ₐ.
+//   - A unit u < Q was passed over by the pivot walk after Q was adopted:
+//     S(u) <= Ts + Σ_{u<a<Q} (F+B)ₐ. Unit 0 and the units strictly between u
+//     and Q are disjoint parts of Σ_{a<=Q}, so Tw + Te >= AR₀ + (F+B)₀ +
+//     S(u) - Ts.
+//   - A unit u > Q was passed over while some P > u was the pivot:
+//     S(u) <= S(P) + Σ_{u<a<P} (F+B)ₐ. Every later adoption beat its pivot
+//     plus the units it skipped, among them u and all of (u, P), so
+//     Ts = S(Q) > S(P) + Σ_{u<=a<P} (F+B)ₐ >= S(u), while
+//     Tw + Te >= AR₀ + (F+B)₀ still holds.
+//
+// So L = Tw + Ts + Te >= S(u) + F₀ + B₀ + AR₀ for every u, the maximum
+// included. The bound is only as exact as the prefix sums behind maxFB,
+// which is far inside boundSlack. Counting anything past unit 0 is not
+// admissible: a pivot-and-prefix term Σ_{a<=u} (F+B)ₐ fails on units after
+// the pivot (TestLowerBoundAdmissible).
+func (s *search) boundOf(maxFB float64) float64 {
+	u := s.units[0]
+	return s.mOne*maxFB + u.F + u.B + u.AR
 }
 
 // candidate evaluates the complete plan formed by prefix plus one suffix

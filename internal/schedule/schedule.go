@@ -10,15 +10,18 @@
 // device (each replica holds the full stage parameters but only its slice of
 // activations).
 //
-// One-off simulations go through Run/RunContext. Sweeps over Policy × M ×
-// recompute of one plan should use a Sweeper, which reuses the task graph's
-// task, dependency and name buffers across runs instead of rebuilding them
-// from scratch.
+// Every simulation goes through one graph builder. Run/RunContext take one
+// from a package-internal pool and rebind it to their plan, so a caller
+// simulating many plans (the planner's finalist re-ranking) reuses task and
+// dependency buffers across plans. A Sweeper keeps one builder bound to one
+// plan for a Policy × M × recompute sweep. Task and resource names come from
+// one shared table (names.go), so no build formats a string.
 package schedule
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"dapple/internal/core"
 	"dapple/internal/sim"
@@ -95,7 +98,6 @@ type Result struct {
 
 	BubbleFraction float64 // idle fraction of compute-stage executors
 	Sim            *sim.Result
-	stageRes       []int
 }
 
 // StageStats summarizes one stage's executor and memory.
@@ -121,7 +123,19 @@ func (r *Result) MemTrace(i int) []sim.MemPoint {
 
 // StageResource returns the simulator resource index of stage i's executor,
 // for timeline inspection.
-func (r *Result) StageResource(i int) int { return r.stageRes[i] }
+func (r *Result) StageResource(i int) int { return stageRes(i) }
+
+// Resource indices of a build: it interns nameTable.res[:3S-2] in order, so
+// stage i's executor is resource 3i and the forward and backward links after
+// it are 3i+1 and 3i+2.
+func stageRes(i int) int { return 3 * i }
+func linkFRes(i int) int { return 3*i + 1 }
+func linkBRes(i int) int { return 3*i + 2 }
+
+// builders pools the builders of Run/RunContext. A builder is rebound to
+// each plan it simulates and keeps its buffers; nothing a Result holds
+// aliases them.
+var builders = sync.Pool{New: func() any { return &builder{g: sim.NewGraph()} }}
 
 // Run simulates one training iteration of the plan under the given options.
 func Run(p *core.Plan, opts Options) (*Result, error) {
@@ -134,7 +148,10 @@ func RunContext(ctx context.Context, p *core.Plan, opts Options) (*Result, error
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return runBuilder(ctx, newBuilder(p), opts)
+	b := builders.Get().(*builder)
+	r, err := runBuilder(ctx, b.bind(p), opts)
+	builders.Put(b.bind(nil))
+	return r, err
 }
 
 // MustRun is Run for validated plans in examples and benches.
@@ -163,11 +180,10 @@ func BuildGraph(p *core.Plan, opts Options) (*sim.Graph, error) {
 	return b.g, nil
 }
 
-// Sweeper simulates many iterations of one plan while reusing the underlying
-// task graph: tasks, dependency lists, cached task names and interned
-// resources persist across runs, so a Policy × M × recompute sweep allocates
-// per-run results only. Results remain byte-identical to Run's. A Sweeper is
-// not safe for concurrent use.
+// Sweeper simulates many iterations of one plan on one builder: tasks,
+// dependency lists and per-stage tables persist across runs, so a Policy × M
+// × recompute sweep allocates per-run results only. Results remain
+// byte-identical to Run's. A Sweeper is not safe for concurrent use.
 type Sweeper struct {
 	b *builder
 }
@@ -247,7 +263,6 @@ func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) 
 		Samples:  m * p.MicroBatch,
 		Sim:      sr,
 		OOMStage: -1,
-		stageRes: b.stageRes,
 		PerStage: make([]StageStats, 0, len(p.Stages)),
 	}
 	var memSum float64
@@ -257,7 +272,7 @@ func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) 
 		st := StageStats{
 			PeakMem:     peak,
 			StaticMem:   b.static[i],
-			Utilization: sr.Utilization(b.stageRes[i]),
+			Utilization: sr.Utilization(stageRes(i)),
 			Warmup:      b.warmup[i],
 		}
 		res.PerStage = append(res.PerStage, st)
@@ -269,7 +284,7 @@ func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) 
 			res.OOM = true
 			res.OOMStage = i
 		}
-		busy += sr.BusyTime[b.stageRes[i]]
+		busy += sr.BusyTime[stageRes(i)]
 		span += sr.Makespan
 	}
 	nDev := 0
@@ -284,19 +299,19 @@ func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) 
 }
 
 // builder accumulates the task graph for one iteration. It outlives a single
-// build when owned by a Sweeper: prepare rewinds the graph and resizes the
-// per-micro-batch tables without discarding their capacity, and task names
-// are cached so sweeps do not re-format identical strings.
+// build: bind points it at a plan, and prepare rewinds the graph and resizes
+// the per-stage and per-micro-batch tables without discarding their
+// capacity, so neither a sweep of one plan nor a run of many plans
+// reallocates them.
 type builder struct {
 	p     *core.Plan
 	m     int
 	opts  Options
 	limit int64
 
-	g        *sim.Graph
-	stageRes []int
-	linkF    []int
-	linkB    []int
+	g     *sim.Graph
+	names *nameTable
+	order []Op // StageOrder scratch
 
 	// per stage, fixed by the plan
 	static []int64 // params + optimizer + workspace, per device
@@ -309,85 +324,58 @@ type builder struct {
 	bwd    [][]sim.TaskID
 	commF  [][]sim.TaskID
 	commB  [][]sim.TaskID
-
-	// cached task names, grown on demand: names[kind][stage][mb]
-	names    [4][][]string
-	initName []string
-	arName   []string
 }
 
-// name-table kinds, indexed into builder.names.
-const (
-	nameFwd = iota
-	nameBwd
-	nameCommF
-	nameCommB
-)
-
-// nameFormats renders task names per kind as (micro-batch, stage).
-var nameFormats = [4]string{"F%d.s%d", "B%d.s%d", "CF%d.s%d", "CB%d.s%d"}
-
 func newBuilder(p *core.Plan) *builder {
+	return (&builder{g: sim.NewGraph()}).bind(p)
+}
+
+// bind points the builder at plan p (nil releases the last one) and
+// computes its per-stage tables.
+func (b *builder) bind(p *core.Plan) *builder {
+	b.p = p
+	if p == nil {
+		return b
+	}
 	s := len(p.Stages)
-	b := &builder{
-		p:        p,
-		g:        sim.NewGraph(),
-		stageRes: make([]int, s),
-		linkF:    make([]int, s),
-		linkB:    make([]int, s),
-		static:   make([]int64, s),
-		perMB:    make([]int64, s),
-		stash:    make([]int64, s),
-		warmup:   make([]int, s),
-		fwd:      make([][]sim.TaskID, s),
-		bwd:      make([][]sim.TaskID, s),
-		commF:    make([][]sim.TaskID, s),
-		commB:    make([][]sim.TaskID, s),
-		initName: make([]string, s),
-		arName:   make([]string, s),
-	}
-	for k := range b.names {
-		b.names[k] = make([][]string, s)
-	}
-	// Resources are interned once; their indices survive graph resets.
-	for i := range p.Stages {
-		b.stageRes[i] = b.g.Resource(fmt.Sprintf("stage%d", i))
-		if i < s-1 {
-			b.linkF[i] = b.g.Resource(fmt.Sprintf("link%d.fwd", i))
-			b.linkB[i] = b.g.Resource(fmt.Sprintf("link%d.bwd", i))
-		}
-		b.initName[i] = fmt.Sprintf("init.s%d", i)
-		b.arName[i] = fmt.Sprintf("AR.s%d", i)
-	}
+	b.static = resize(b.static, s)
+	b.perMB = resize(b.perMB, s)
+	b.stash = resize(b.stash, s)
+	b.warmup = resize(b.warmup, s)
+	b.fwd = resize(b.fwd, s)
+	b.bwd = resize(b.bwd, s)
+	b.commF = resize(b.commF, s)
+	b.commB = resize(b.commB, s)
 	b.stageMemory()
 	return b
 }
 
-// prepare rewinds the builder for one build of m micro-batches: the graph's
-// tasks are cleared (buffers kept), the per-micro-batch ID tables resized,
-// and the name cache extended if m grew past anything seen before.
-func (b *builder) prepare(m int, opts Options, limit int64) {
-	b.m, b.opts, b.limit = m, opts, limit
-	b.g.Reset()
-	for i := range b.p.Stages {
-		b.fwd[i] = resizeIDs(b.fwd[i], m)
-		b.bwd[i] = resizeIDs(b.bwd[i], m)
-		b.commF[i] = resizeIDs(b.commF[i], m)
-		b.commB[i] = resizeIDs(b.commB[i], m)
-		for k := range b.names {
-			for mb := len(b.names[k][i]); mb < m; mb++ {
-				b.names[k][i] = append(b.names[k][i], fmt.Sprintf(nameFormats[k], mb, i))
-			}
-		}
+// resize returns xs with length n, reusing its capacity (and the elements
+// within it) when possible.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) >= n {
+		return xs[:n]
 	}
+	return append(xs[:cap(xs)], make([]T, n-cap(xs))...)
 }
 
-// resizeIDs returns ids with length m, reusing capacity when possible.
-func resizeIDs(ids []sim.TaskID, m int) []sim.TaskID {
-	if cap(ids) >= m {
-		return ids[:m]
+// prepare rewinds the builder for one build of m micro-batches: the graph's
+// tasks and resources are cleared (buffers kept), the resources interned
+// again in stageRes order, and the per-micro-batch ID tables resized.
+func (b *builder) prepare(m int, opts Options, limit int64) {
+	b.m, b.opts, b.limit = m, opts, limit
+	s := len(b.p.Stages)
+	b.names = nameTableFor(s, m)
+	b.g.Reset()
+	for _, name := range b.names.res[:3*s-2] {
+		b.g.Resource(name)
 	}
-	return make([]sim.TaskID, m)
+	for i := 0; i < s; i++ {
+		b.fwd[i] = resize(b.fwd[i], m)
+		b.bwd[i] = resize(b.bwd[i], m)
+		b.commF[i] = resize(b.commF[i], m)
+		b.commB[i] = resize(b.commB[i], m)
+	}
 }
 
 // stageMemory fills static/perMB/stash for every stage. All three depend only
@@ -493,7 +481,7 @@ func (b *builder) build() {
 	// Static allocations present for the whole iteration.
 	for i := range p.Stages {
 		b.g.Add(sim.Task{
-			Name: b.initName[i], Kind: "init",
+			Name: b.names.init[i], Kind: "init",
 			Resource: sim.NoResource, MemDevice: i, AllocBytes: b.static[i],
 		})
 	}
@@ -504,6 +492,7 @@ func (b *builder) build() {
 		if b.opts.Recompute {
 			bw += recomputeFwdFraction * f
 		}
+		names := &b.names.task[i]
 		for m := 0; m < b.m; m++ {
 			var fAlloc int64
 			if b.opts.Recompute {
@@ -512,8 +501,8 @@ func (b *builder) build() {
 				fAlloc = b.perMB[i]
 			}
 			b.fwd[i][m] = b.g.Add(sim.Task{
-				Name: b.names[nameFwd][i][m], Kind: "fwd",
-				Resource: b.stageRes[i], Duration: f,
+				Name: names[nameFwd][m], Kind: "fwd",
+				Resource: stageRes(i), Duration: f,
 				MemDevice: i, AllocBytes: fAlloc, Priority: m,
 			})
 			var bAlloc, bFree int64
@@ -524,8 +513,8 @@ func (b *builder) build() {
 				bFree = b.perMB[i]
 			}
 			b.bwd[i][m] = b.g.Add(sim.Task{
-				Name: b.names[nameBwd][i][m], Kind: "bwd",
-				Resource: b.stageRes[i], Duration: bw,
+				Name: names[nameBwd][m], Kind: "bwd",
+				Resource: stageRes(i), Duration: bw,
 				MemDevice: i, AllocBytes: bAlloc, FreeBytes: bFree, Priority: m,
 			})
 		}
@@ -536,17 +525,18 @@ func (b *builder) build() {
 	// and backward resources).
 	for i := 0; i < len(p.Stages)-1; i++ {
 		ct := p.CrossStageTime(i)
+		names := &b.names.task[i]
 		for m := 0; m < b.m; m++ {
 			b.commF[i][m] = b.g.Add(sim.Task{
-				Name: b.names[nameCommF][i][m], Kind: "comm",
-				Resource: b.linkF[i], Duration: ct, Priority: m,
+				Name: names[nameCommF][m], Kind: "comm",
+				Resource: linkFRes(i), Duration: ct, Priority: m,
 			})
 			b.g.AddDep(b.commF[i][m], b.fwd[i][m])
 			b.g.AddDep(b.fwd[i+1][m], b.commF[i][m])
 
 			b.commB[i][m] = b.g.Add(sim.Task{
-				Name: b.names[nameCommB][i][m], Kind: "comm",
-				Resource: b.linkB[i], Duration: ct, Priority: m,
+				Name: names[nameCommB][m], Kind: "comm",
+				Resource: linkBRes(i), Duration: ct, Priority: m,
 			})
 			b.g.AddDep(b.commB[i][m], b.bwd[i+1][m])
 			b.g.AddDep(b.bwd[i][m], b.commB[i][m])
@@ -557,9 +547,9 @@ func (b *builder) build() {
 	// realized exactly like the TF control edges of Fig. 11.
 	b.computeWarmups()
 	for i := range p.Stages {
-		order := StageOrder(b.opts.Policy, b.m, b.warmup[i])
-		for j := 1; j < len(order); j++ {
-			prev, cur := order[j-1], order[j]
+		b.order = appendStageOrder(b.order[:0], b.opts.Policy, b.m, b.warmup[i])
+		for j := 1; j < len(b.order); j++ {
+			prev, cur := b.order[j-1], b.order[j]
 			b.g.AddDep(b.task(i, cur), b.task(i, prev))
 		}
 	}
@@ -567,8 +557,8 @@ func (b *builder) build() {
 	// Gradient sync + weight update per stage at iteration end (Fig. 10).
 	for i := range p.Stages {
 		ar := b.g.Add(sim.Task{
-			Name: b.arName[i], Kind: "allreduce",
-			Resource: b.stageRes[i], Duration: p.StageAllReduceTime(i) + applyTime,
+			Name: b.names.ar[i], Kind: "allreduce",
+			Resource: stageRes(i), Duration: p.StageAllReduceTime(i) + applyTime,
 		})
 		for m := 0; m < b.m; m++ {
 			b.g.AddDep(ar, b.bwd[i][m])
@@ -600,7 +590,11 @@ func (b *builder) task(stage int, o Op) sim.TaskID {
 // warmup forwards then strictly interleaves one backward with one forward
 // (Fig. 3(b)). k is ignored for GPipe and clamped to [1, m] otherwise.
 func StageOrder(p Policy, m, k int) []Op {
-	var order []Op
+	return appendStageOrder(nil, p, m, k)
+}
+
+// appendStageOrder appends StageOrder(p, m, k) to order.
+func appendStageOrder(order []Op, p Policy, m, k int) []Op {
 	if p == GPipe {
 		for i := 0; i < m; i++ {
 			order = append(order, Op{false, i})

@@ -150,8 +150,8 @@ func TestAllocBeforeFreeAtSameInstant(t *testing.T) {
 }
 
 // TestGraphReuse exercises Reset: rebuilding a different graph on the same
-// Graph must produce results identical to a fresh build, with interned
-// resources preserved.
+// Graph must produce results identical to a fresh build, its resources
+// interned again from scratch.
 func TestGraphReuse(t *testing.T) {
 	g := NewGraph()
 	rng := rand.New(rand.NewSource(7))

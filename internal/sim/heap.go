@@ -121,15 +121,30 @@ type globalHeap struct {
 	pos   []int32 // index into items, -1 when the resource has no entry
 }
 
-func newGlobalHeap(nRes int) *globalHeap {
-	g := &globalHeap{
-		items: make([]resCand, 0, nRes),
-		pos:   make([]int32, nRes),
+// reset empties the heap for nRes resources, reusing its buffers.
+func (g *globalHeap) reset(nRes int) {
+	g.items = g.items[:0]
+	if cap(g.pos) < nRes {
+		g.pos = make([]int32, nRes)
 	}
+	g.pos = g.pos[:nRes]
 	for i := range g.pos {
 		g.pos[i] = -1
 	}
-	return g
+}
+
+// resetHeaps returns n empty heaps of the given kind, reusing hs and the
+// item buffers within its capacity.
+func resetHeaps(hs []taskHeap, n int, now bool) []taskHeap {
+	if cap(hs) < n {
+		hs = append(hs[:cap(hs)], make([]taskHeap, n-cap(hs))...)
+	}
+	hs = hs[:n]
+	for i := range hs {
+		hs[i].items = hs[i].items[:0]
+		hs[i].now = now
+	}
+	return hs
 }
 
 // update inserts or reorders resource res with the given candidate key.

@@ -50,7 +50,6 @@ func (g *Graph) RunReference() *Result {
 		BusyTime:  make([]float64, len(g.resources)),
 		PeakMem:   make([]int64, g.memDevs),
 		MemTrace:  make([][]MemPoint, g.memDevs),
-		resIndex:  g.resIndex,
 	}
 	// refEvent is this engine's own memory-event record: one flat list,
 	// replayed by sorting, independent of the engine's two-stream merge.

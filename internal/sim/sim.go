@@ -19,9 +19,10 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TaskID identifies a task within a Graph.
@@ -49,12 +50,15 @@ type Task struct {
 }
 
 // Graph is a task DAG under construction. A Graph is reusable: Reset clears
-// the tasks while retaining interned resources and every task/dependency
-// buffer, so schedule sweeps rebuild iterations without reallocating.
+// its tasks and resources while retaining every task/dependency buffer, and
+// RunContext keeps its working memory between runs, so a schedule builder
+// rebuilds and re-runs iterations of any plan without reallocating. A Graph
+// is not safe for concurrent use, runs included.
 type Graph struct {
 	tasks     []Task
 	resources []string
 	resIndex  map[string]int
+	run       runState
 
 	// Counts maintained by Add/AddDep so RunContext can size every buffer
 	// exactly instead of growing them.
@@ -124,12 +128,14 @@ func (g *Graph) AddDep(task, dep TaskID) {
 	g.nDeps++
 }
 
-// Reset clears the graph's tasks while keeping interned resources and the
-// capacity of every internal buffer, so the next build of a similarly-shaped
-// graph (a schedule sweep varying policy or micro-batch count) allocates
-// almost nothing.
+// Reset clears the graph's tasks and resources while keeping the capacity of
+// every internal buffer, so the next build of a similarly-shaped graph
+// allocates almost nothing. Resources interned again in the same order get
+// the same indices.
 func (g *Graph) Reset() {
 	g.tasks = g.tasks[:0]
+	g.resources = g.resources[:0]
+	clear(g.resIndex)
 	g.memDevs = 0
 	g.nDeps = 0
 	g.nAllocs = 0
@@ -174,20 +180,10 @@ type Result struct {
 	// Trace for range-safe access.
 	PeakMem  []int64
 	MemTrace [][]MemPoint
-
-	// resIndex is the graph's interned name->index map, carried into the
-	// result so ResourceIndex is O(1) instead of a scan per call.
-	resIndex map[string]int
 }
 
 // ResourceIndex returns the index of the named resource, or -1.
 func (r *Result) ResourceIndex(name string) int {
-	if r.resIndex != nil {
-		if i, ok := r.resIndex[name]; ok && i < len(r.Resources) {
-			return i
-		}
-		return -1
-	}
 	for i, n := range r.Resources {
 		if n == name {
 			return i
@@ -287,15 +283,38 @@ type memEvent struct {
 	ord   int32
 }
 
+// runState is RunContext's working memory, kept by the Graph between runs.
+// Nothing in it escapes into a Result.
+type runState struct {
+	indeg, childOff, children, cursor []int32
+	readyAt, resFree                  []float64
+	nowQ, futQ                        []taskHeap
+	global                            globalHeap
+	allocs, frees                     []memEvent
+	counts                            []int32
+	curMem                            []int64
+}
+
+// zeroed returns xs resized to n zero elements, reusing its capacity.
+func zeroed[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
+}
+
 // RunContext is Run under a context: execution stops between tasks once ctx
 // is cancelled or past its deadline, returning ctx's error and no result.
 func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 	n := len(g.tasks)
+	st := &g.run
 
 	// Dependency state in CSR form, sized exactly from the counts Add and
 	// AddDep maintain.
-	indeg := make([]int32, n)
-	childOff := make([]int32, n+1)
+	indeg := zeroed(st.indeg, n)
+	childOff := zeroed(st.childOff, n+1)
 	for i := range g.tasks {
 		t := &g.tasks[i]
 		indeg[i] = int32(len(t.deps))
@@ -306,8 +325,8 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 	for i := 0; i < n; i++ {
 		childOff[i+1] += childOff[i]
 	}
-	children := make([]int32, g.nDeps)
-	cursor := make([]int32, n)
+	children := zeroed(st.children, g.nDeps)
+	cursor := zeroed(st.cursor, n)
 	copy(cursor, childOff[:n])
 	for i := range g.tasks {
 		for _, d := range g.tasks[i].deps {
@@ -316,8 +335,8 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	readyAt := make([]float64, n) // earliest start from dependencies
-	resFree := make([]float64, len(g.resources))
+	readyAt := zeroed(st.readyAt, n) // earliest start from dependencies
+	resFree := zeroed(st.resFree, len(g.resources))
 
 	res := &Result{
 		Spans:     make([]Span, 0, n),
@@ -325,23 +344,26 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 		BusyTime:  make([]float64, len(g.resources)),
 		PeakMem:   make([]int64, g.memDevs),
 		MemTrace:  make([][]MemPoint, g.memDevs),
-		resIndex:  g.resIndex,
 	}
-	allocs := make([]memEvent, 0, g.nAllocs)
-	frees := make([]memEvent, 0, g.nFrees)
+	allocs := slices.Grow(st.allocs[:0], g.nAllocs)
+	frees := slices.Grow(st.frees[:0], g.nFrees)
 
 	// Runnable tasks live in per-resource now/future heaps; the indexed
 	// global heap tracks each resource's cheapest candidate under the
 	// engine's (earliest start, priority, task ID) pick order. NoResource
 	// tasks share one pseudo-resource whose free time never moves, so their
 	// start is always their ready time. See heap.go for the invariants.
-	nowQ := make([]taskHeap, len(g.resources)+1)
-	futQ := make([]taskHeap, len(g.resources)+1)
-	for r := range nowQ {
-		nowQ[r].now = true
-	}
+	nowQ := resetHeaps(st.nowQ, len(g.resources)+1, true)
+	futQ := resetHeaps(st.futQ, len(g.resources)+1, false)
 	pseudo := int32(len(g.resources)) // the NoResource queue
-	global := newGlobalHeap(len(g.resources) + 1)
+	global := &st.global
+	global.reset(len(g.resources) + 1)
+	defer func() {
+		st.indeg, st.childOff, st.children, st.cursor = indeg, childOff, children, cursor
+		st.readyAt, st.resFree = readyAt, resFree
+		st.nowQ, st.futQ = nowQ, futQ
+		st.allocs, st.frees = allocs, frees
+	}()
 
 	// refresh recomputes resource r's global candidate. now-tasks start at
 	// the resource free time and beat every future task (whose ready time is
@@ -438,7 +460,7 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	applyMemEvents(res, allocs, frees)
+	applyMemEvents(res, allocs, frees, st)
 	return res, nil
 }
 
@@ -448,17 +470,18 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 // applying the free first would under-count the true peak. Allocations arrive
 // already time-ordered (tasks execute in non-decreasing start order) and
 // frees sort by (end time, emission order).
-func applyMemEvents(res *Result, allocs, frees []memEvent) {
+func applyMemEvents(res *Result, allocs, frees []memEvent, st *runState) {
 	if len(allocs) == 0 && len(frees) == 0 {
 		return
 	}
-	sort.Slice(frees, func(i, j int) bool {
-		if frees[i].time != frees[j].time {
-			return frees[i].time < frees[j].time
+	slices.SortFunc(frees, func(a, b memEvent) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
-		return frees[i].ord < frees[j].ord
+		return cmp.Compare(a.ord, b.ord)
 	})
-	counts := make([]int32, len(res.MemTrace))
+	counts := zeroed(st.counts, len(res.MemTrace))
+	st.counts = counts
 	for i := range allocs {
 		counts[allocs[i].dev]++
 	}
@@ -470,7 +493,8 @@ func applyMemEvents(res *Result, allocs, frees []memEvent) {
 			res.MemTrace[d] = make([]MemPoint, 0, c)
 		}
 	}
-	curMem := make([]int64, len(res.PeakMem))
+	curMem := zeroed(st.curMem, len(res.PeakMem))
+	st.curMem = curMem
 	ai, fi := 0, 0
 	for ai < len(allocs) || fi < len(frees) {
 		var ev memEvent
