@@ -105,8 +105,9 @@ type load struct{ srv, n int32 }
 // is counted at its server's place in the ascending order.
 func loads(c hardware.Cluster, devs []hardware.DeviceID, out []load) []load {
 	base := len(out)
+	per := c.GPUsPerServer // c.Server(d) in the loop would copy c per device
 	for _, d := range devs {
-		srv := int32(c.Server(d))
+		srv := int32(int(d) / per)
 		n := len(out)
 		switch {
 		case n > base && out[n-1].srv == srv:

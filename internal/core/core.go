@@ -134,7 +134,8 @@ func (p *Plan) Validate() error {
 	want := 0
 	var buf [256]bool // clusters of up to 256 devices validate without allocating
 	used := buf[:]
-	if n := p.Cluster.NumDevices(); n > len(buf) {
+	n := p.Cluster.NumDevices() // hoisted: a call per device would copy the cluster
+	if n > len(buf) {
 		used = make([]bool, n)
 	}
 	for i, s := range p.Stages {
@@ -148,7 +149,7 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("core: stage %d has no devices", i)
 		}
 		for _, d := range s.Devices {
-			if int(d) >= p.Cluster.NumDevices() || d < 0 {
+			if int(d) >= n || d < 0 {
 				return fmt.Errorf("core: device %d out of range", d)
 			}
 			if used[d] {

@@ -172,18 +172,18 @@ func buildFig8Graph(m int, f0, f1 float64, lanes int) *sim.Result {
 	var prevF1 sim.TaskID = -1
 	fw0 := make([]sim.TaskID, m)
 	for i := 0; i < m; i++ {
-		fw0[i] = g.Add(sim.Task{Name: fmt.Sprintf("F%d.s0", i), Kind: "fwd",
+		fw0[i] = g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Fwd, Stage: 0, MB: int32(i)},
 			Resource: lane[i%lanes], Duration: f0, Priority: i})
-		f := g.Add(sim.Task{Name: fmt.Sprintf("F%d.s1", i), Kind: "fwd",
+		f := g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Fwd, Stage: 1, MB: int32(i)},
 			Resource: s1, Duration: f1, Priority: i})
 		g.AddDep(f, fw0[i])
 		if prevF1 >= 0 {
 			g.AddDep(f, prevF1)
 		}
-		b := g.Add(sim.Task{Name: fmt.Sprintf("B%d.s1", i), Kind: "bwd",
+		b := g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Bwd, Stage: 1, MB: int32(i)},
 			Resource: s1, Duration: 2 * f1, Priority: i})
 		g.AddDep(b, f)
-		b0 := g.Add(sim.Task{Name: fmt.Sprintf("B%d.s0", i), Kind: "bwd",
+		b0 := g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Bwd, Stage: 0, MB: int32(i)},
 			Resource: lane[i%lanes], Duration: 2 * f0, Priority: i})
 		g.AddDep(b0, b)
 		prevF1 = f

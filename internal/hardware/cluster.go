@@ -89,9 +89,10 @@ func (c Cluster) SpansServers(devs []DeviceID) bool {
 	if len(devs) == 0 {
 		return false
 	}
-	first := c.Server(devs[0])
+	per := c.GPUsPerServer // c.Server(d) in the loop would copy c per device
+	first := int(devs[0]) / per
 	for _, d := range devs[1:] {
-		if c.Server(d) != first {
+		if int(d)/per != first {
 			return true
 		}
 	}

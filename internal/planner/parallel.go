@@ -90,6 +90,7 @@ func (s *search) branch(i int, done *search) *search {
 	b.devs, done.devs = done.devs[:0], nil
 	b.ints, done.ints = done.ints[:0], nil
 	b.key, done.key = done.key[:0], nil
+	b.cur, done.cur = done.cur, nil
 	return b
 }
 

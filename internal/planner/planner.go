@@ -174,6 +174,7 @@ type search struct {
 	devs  []hardware.DeviceID
 	ints  []int
 	key   []byte
+	cur   *core.Plan // the plan being scored; see scratchPlan
 }
 
 // precompute derives the per-search constants of the lower bound: the
@@ -345,8 +346,7 @@ func (s *search) step(j, j2 int, used alloc, prefix []core.Stage, take alloc, ma
 	}
 	s.path = append(append(s.path[:0], prefix...), stage)
 	stages := s.path
-	p := s.plan(stages)
-	s.pushUnits(&p, len(prefix))
+	s.pushUnits(s.scratchPlan(stages), len(prefix))
 	l := s.candidate(stages, j2, newUsed)
 	if math.IsInf(l, 1) {
 		return
@@ -432,10 +432,16 @@ func (s *search) candidate(prefix []core.Stage, j int, used alloc) float64 {
 	return s.evaluate(s.path)
 }
 
-// plan wraps a stage list in this search's model, cluster and batch
-// geometry.
-func (s *search) plan(stages []core.Stage) core.Plan {
-	return core.Plan{Model: s.m, Cluster: s.c, Stages: stages, GBS: s.gbs, MicroBatch: s.mb}
+// scratchPlan wraps a stage list in this search's model, cluster and batch
+// geometry. The plan is the search's own (handed on between branches like
+// the other walk scratch) and valid until the next call, so the cluster is
+// copied into it once, not once per candidate.
+func (s *search) scratchPlan(stages []core.Stage) *core.Plan {
+	if s.cur == nil {
+		s.cur = &core.Plan{Model: s.m, Cluster: s.c, GBS: s.gbs, MicroBatch: s.mb}
+	}
+	s.cur.Stages = stages
+	return s.cur
 }
 
 // pushUnits pushes the pipeline units of stage i of p, the boundary into it
@@ -453,14 +459,14 @@ func (s *search) pushUnits(p *core.Plan, i int) {
 // that the walk has fixed; evaluate scores the rest and pops them again. The
 // stages may be scratch: a recorded finalist gets its own copy.
 func (s *search) evaluate(stages []core.Stage) float64 {
-	p := s.plan(stages)
+	p := s.scratchPlan(stages)
 	if p.Validate() != nil {
 		return math.Inf(1)
 	}
 	s.explored++
 	mark := len(s.units)
 	for i := (mark + 1) / 2; i < len(stages); i++ {
-		s.pushUnits(&p, i)
+		s.pushUnits(p, i)
 	}
 	l := core.PipelineLatency(s.units, p.M()).Latency()
 	s.units = s.units[:mark]
@@ -476,8 +482,8 @@ func (s *search) evaluate(stages []core.Stage) float64 {
 
 	if s.memCheck {
 		switch {
-		case FitsMemory(&p, false):
-		case FitsMemory(&p, true):
+		case FitsMemory(p, false):
+		case FitsMemory(p, true):
 			c.recompute = true
 		default:
 			return l // prunable but not a feasible finalist
@@ -487,7 +493,7 @@ func (s *search) evaluate(stages []core.Stage) float64 {
 	if old, ok := s.cands.lookup(hybrid, s.key); ok && !betterCand(c, old) {
 		return l
 	}
-	q := p
+	q := *p
 	q.Stages = slices.Clone(stages)
 	devs := make([]hardware.DeviceID, 0, s.c.NumDevices())
 	for i, st := range stages {
@@ -513,9 +519,10 @@ func (s *search) signature(b []byte, stages []core.Stage) []byte {
 	}
 	b = append(b, '|')
 	cnt := s.push(s.c.Servers)
+	per := s.c.GPUsPerServer // s.c.Server(d) in the loop would copy s.c per device
 	for _, st := range stages {
 		for _, d := range st.Devices {
-			cnt[s.c.Server(d)]++
+			cnt[int(d)/per]++
 		}
 		for srv, k := range cnt {
 			if k > 0 {
@@ -551,8 +558,11 @@ func (s *search) finalists() []candidate {
 }
 
 // finalize re-ranks the analytic finalists on the discrete-event scheduler.
-// Near-ties (within 1%) resolve toward fewer stages, then less replication —
-// the paper's preference for simple plans.
+// Each finalist is scored without a timeline (schedule.Score: no spans, no
+// names, no memory traces), on a graph builder from schedule's free list,
+// since the ranking reads only iteration time and OOM. Near-ties (within
+// 2.5 %) resolve toward fewer stages, then less replication — the paper's
+// preference for simple plans.
 func (s *search) finalize() (*Result, error) {
 	list := s.finalists()
 	if len(list) == 0 {
@@ -589,7 +599,7 @@ func (s *search) finalize() (*Result, error) {
 				if i >= len(list) || s.ctx.Err() != nil {
 					return
 				}
-				r, err := schedule.RunContext(s.ctx, list[i].plan, schedule.Options{
+				r, err := schedule.Score(s.ctx, list[i].plan, schedule.Options{
 					Policy:    schedule.DapplePA,
 					Recompute: list[i].recompute,
 				})

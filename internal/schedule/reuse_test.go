@@ -48,10 +48,18 @@ func copyResult(r *Result) *Result {
 	return &c
 }
 
+// drainBuilders empties the free list.
+func drainBuilders() {
+	for len(builders) > 0 {
+		<-builders
+	}
+}
+
 // TestBuilderReuseMatchesRun rebinds one builder across plans of 1, 4, 2 and
 // 8 stages, with the micro-batch count going up and down and re-computation
 // on and off: every Result must equal a fresh builder's, and a Result taken
-// before the reuse must be left intact by it.
+// before the reuse must be left intact by it. Then one builder goes through
+// the free list from a large plan to a smaller one and back.
 func TestBuilderReuseMatchesRun(t *testing.T) {
 	b := &builder{g: sim.NewGraph()}
 	var first, firstCopy *Result
@@ -62,11 +70,11 @@ func TestBuilderReuseMatchesRun(t *testing.T) {
 			rc bool
 		}{{8, false}, {24, true}, {3, false}, {12, true}} {
 			opts := Options{Policy: Policy((s + k) % 3), Recompute: tc.rc, M: tc.m}
-			got, err := runBuilder(context.Background(), b.bind(p), opts)
+			got, err := runBuilder(context.Background(), b.bind(p), opts, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := runBuilder(context.Background(), newBuilder(p), opts)
+			want, err := runBuilder(context.Background(), newBuilder(p), opts, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,12 +89,48 @@ func TestBuilderReuseMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(first, firstCopy) {
 		t.Fatal("a later run overwrote an earlier run's result")
 	}
+
+	drainBuilders()
+	var listed *builder
+	for _, tc := range []struct{ s, m int }{{8, 130}, {2, 5}, {8, 130}} {
+		p := evenPlan(tc.s)
+		opts := Options{Policy: DapplePB, Recompute: tc.s == 2, M: tc.m}
+		got, err := Run(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := runBuilder(context.Background(), newBuilder(p), opts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d stages, %+v: the free list's builder's result differs from a fresh one's", tc.s, opts)
+		}
+		if n := len(builders); n != 1 {
+			t.Fatalf("free list holds %d builders after a run, want 1", n)
+		}
+		b := <-builders
+		if listed != nil && b != listed {
+			t.Fatal("the free list handed back a different builder")
+		}
+		listed = b
+		builders <- b
+	}
+}
+
+// withoutTimeline returns r as Score reports it: no spans, no memory traces.
+func withoutTimeline(r *Result) *Result {
+	c := *r
+	s := *r.Sim
+	s.Spans, s.MemTrace = nil, nil
+	c.Sim = &s
+	return &c
 }
 
 // TestConcurrentRunsMatchSequential runs plans of every shape from several
-// goroutines at once, starting from an empty name table, so pooled
-// builders and the table's growth are shared the way finalist re-ranking
-// shares them; each result must equal the same run made alone.
+// goroutines at once, starting from an empty free list, so builders are
+// shared the way finalist re-ranking shares them; each result must equal the
+// same run made alone, and each Score the same run without its timeline.
 func TestConcurrentRunsMatchSequential(t *testing.T) {
 	type job struct {
 		p    *core.Plan
@@ -102,7 +146,7 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 	for i, j := range jobs {
 		want[i] = MustRun(j.p, j.opts)
 	}
-	names.Store(nil)
+	drainBuilders()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -118,39 +162,52 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 				if !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("worker %d, job %d: concurrent result differs from the sequential one", w, i)
 				}
+				scored, err := Score(context.Background(), jobs[i].p, jobs[i].opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(scored, withoutTimeline(want[i])) {
+					t.Errorf("worker %d, job %d: concurrent Score differs from the sequential run", w, i)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// TestNameTable pins the shared name table to the names builds formatted
-// with fmt.Sprintf before it existed, across growth in stages and
-// micro-batches.
-func TestNameTable(t *testing.T) {
-	names.Store(nil)
+// TestSpanAndResourceNames pins the names builds label spans and resources
+// with to the fmt.Sprintf formats they had before tags replaced them.
+func TestSpanAndResourceNames(t *testing.T) {
 	for _, sm := range [][2]int{{3, 7}, {2, 200}, {17, 20}, {9, 300}} {
 		s, m := sm[0], sm[1]
-		tab := nameTableFor(s, m)
-		var res []string
+		var want []string
 		for i := 0; i < s; i++ {
-			res = append(res, fmt.Sprintf("stage%d", i))
+			want = append(want, fmt.Sprintf("stage%d", i))
 			if i < s-1 {
-				res = append(res, fmt.Sprintf("link%d.fwd", i), fmt.Sprintf("link%d.bwd", i))
+				want = append(want, fmt.Sprintf("link%d.fwd", i), fmt.Sprintf("link%d.bwd", i))
 			}
-			if tab.init[i] != fmt.Sprintf("init.s%d", i) || tab.ar[i] != fmt.Sprintf("AR.s%d", i) {
-				t.Fatalf("stage %d: init %q, all-reduce %q", i, tab.init[i], tab.ar[i])
+			st := int32(i)
+			init, ar := sim.Tag{Kind: sim.Init, Stage: st}, sim.Tag{Kind: sim.AllReduce, Stage: st}
+			if init.Name() != fmt.Sprintf("init.s%d", i) || ar.Name() != fmt.Sprintf("AR.s%d", i) {
+				t.Fatalf("stage %d: init %q, all-reduce %q", i, init.Name(), ar.Name())
 			}
 			for k, format := range []string{"F%d.s%d", "B%d.s%d", "CF%d.s%d", "CB%d.s%d"} {
+				kind := []sim.Kind{sim.Fwd, sim.Bwd, sim.CommF, sim.CommB}[k]
 				for mb := 0; mb < m; mb++ {
-					if got, want := tab.task[i][k][mb], fmt.Sprintf(format, mb, i); got != want {
+					tag := sim.Tag{Kind: kind, Stage: st, MB: int32(mb)}
+					if got, want := tag.Name(), fmt.Sprintf(format, mb, i); got != want {
 						t.Fatalf("task name %q, want %q", got, want)
 					}
 				}
 			}
 		}
-		if got := tab.res[:3*s-2]; !reflect.DeepEqual(got, res) {
-			t.Fatalf("%d stages: resources %q, want %q", s, got, res)
+		var got []string
+		for k := 0; k < 3*s-2; k++ {
+			got = append(got, resourceName(k))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d stages: resources %q, want %q", s, got, want)
 		}
 	}
 }

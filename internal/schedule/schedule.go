@@ -10,18 +10,19 @@
 // device (each replica holds the full stage parameters but only its slice of
 // activations).
 //
-// Every simulation goes through one graph builder. Run/RunContext take one
-// from a package-internal pool and rebind it to their plan, so a caller
-// simulating many plans (the planner's finalist re-ranking) reuses task and
-// dependency buffers across plans. A Sweeper keeps one builder bound to one
-// plan for a Policy × M × recompute sweep. Task and resource names come from
-// one shared table (names.go), so no build formats a string.
+// Every simulation goes through one graph builder. Run, RunContext and
+// Score take one from a bounded package-internal free list and rebind it to
+// their plan, so a caller simulating many plans (the planner's finalist
+// re-ranking) reuses task and dependency buffers across plans. A Sweeper
+// keeps one builder bound to one plan for a Policy × M × recompute sweep.
+// Tasks carry compact sim.Tags, not names: Run, RunContext and a Sweeper
+// record a named timeline, and Score, which the re-rank uses, records none.
 package schedule
 
 import (
 	"context"
 	"fmt"
-	"sync"
+	"strconv"
 
 	"dapple/internal/core"
 	"dapple/internal/sim"
@@ -116,7 +117,8 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Samples) / r.IterTime
 }
 
-// MemTrace returns the memory-over-time curve of stage i's devices.
+// MemTrace returns the memory-over-time curve of stage i's devices; nil for
+// a Score result.
 func (r *Result) MemTrace(i int) []sim.MemPoint {
 	return r.Sim.Trace(i)
 }
@@ -125,17 +127,29 @@ func (r *Result) MemTrace(i int) []sim.MemPoint {
 // for timeline inspection.
 func (r *Result) StageResource(i int) int { return stageRes(i) }
 
-// Resource indices of a build: it interns nameTable.res[:3S-2] in order, so
-// stage i's executor is resource 3i and the forward and backward links after
-// it are 3i+1 and 3i+2.
+// Resource indices of a build: it interns resourceName(0..3S-3) in order,
+// so stage i's executor is resource 3i and the forward and backward links
+// after it are 3i+1 and 3i+2.
 func stageRes(i int) int { return 3 * i }
 func linkFRes(i int) int { return 3*i + 1 }
 func linkBRes(i int) int { return 3*i + 2 }
 
-// builders pools the builders of Run/RunContext. A builder is rebound to
-// each plan it simulates and keeps its buffers; nothing a Result holds
-// aliases them.
-var builders = sync.Pool{New: func() any { return &builder{g: sim.NewGraph()} }}
+// resourceName names resource k of a build: "stage<i>", "link<i>.fwd" or
+// "link<i>.bwd".
+func resourceName(k int) string {
+	return [...]string{"stage", "link", "link"}[k%3] + strconv.Itoa(k/3) + [...]string{"", ".fwd", ".bwd"}[k%3]
+}
+
+// maxIdleBuilders bounds the free list: one builder per concurrent finalist
+// worker on hosts of up to 16 cores. A run finding the list empty makes a
+// builder, and one finding it full drops its own.
+const maxIdleBuilders = 16
+
+// builders is the free list of Run, RunContext and Score. Unlike a
+// sync.Pool, garbage collection (several cycles per plan search) cannot
+// empty it. A builder is rebound to each plan it simulates and keeps its
+// buffers; nothing a Result holds aliases them.
+var builders = make(chan *builder, maxIdleBuilders)
 
 // Run simulates one training iteration of the plan under the given options.
 func Run(p *core.Plan, opts Options) (*Result, error) {
@@ -145,12 +159,33 @@ func Run(p *core.Plan, opts Options) (*Result, error) {
 // RunContext is Run under a context: the discrete-event execution aborts with
 // ctx's error once ctx is cancelled or past its deadline.
 func RunContext(ctx context.Context, p *core.Plan, opts Options) (*Result, error) {
+	return run(ctx, p, opts, true)
+}
+
+// Score is RunContext without a timeline: the Result's Sim holds the
+// makespan, busy time and peaks but no Spans and no MemTrace, and every
+// other field equals RunContext's. It is for callers that read only
+// IterTime, OOM and peaks, such as the planner's finalist re-rank.
+func Score(ctx context.Context, p *core.Plan, opts Options) (*Result, error) {
+	return run(ctx, p, opts, false)
+}
+
+// run simulates p on a builder from the free list.
+func run(ctx context.Context, p *core.Plan, opts Options, timeline bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	b := builders.Get().(*builder)
-	r, err := runBuilder(ctx, b.bind(p), opts)
-	builders.Put(b.bind(nil))
+	var b *builder
+	select {
+	case b = <-builders:
+	default:
+		b = &builder{g: sim.NewGraph()}
+	}
+	r, err := runBuilder(ctx, b.bind(p), opts, timeline)
+	select {
+	case builders <- b.bind(nil):
+	default:
+	}
 	return r, err
 }
 
@@ -221,7 +256,7 @@ func (s *Sweeper) MustRun(opts Options) *Result {
 
 // RunContext is Run under a context.
 func (s *Sweeper) RunContext(ctx context.Context, opts Options) (*Result, error) {
-	return runBuilder(ctx, s.b, opts)
+	return runBuilder(ctx, s.b, opts, true)
 }
 
 // resolve derives the effective micro-batch count and memory limit.
@@ -241,8 +276,8 @@ func resolve(p *core.Plan, opts Options) (int, int64) {
 }
 
 // runBuilder expands one iteration on the (possibly reused) builder, executes
-// it, and assembles the Result.
-func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) {
+// it, with a timeline or without, and assembles the Result.
+func runBuilder(ctx context.Context, b *builder, opts Options, timeline bool) (*Result, error) {
 	p := b.p
 	m, limit := resolve(p, opts)
 	b.prepare(m, opts, limit)
@@ -250,7 +285,13 @@ func runBuilder(ctx context.Context, b *builder, opts Options) (*Result, error) 
 	if err := b.g.Validate(); err != nil {
 		return nil, fmt.Errorf("schedule: internal graph error: %w", err)
 	}
-	sr, err := b.g.RunContext(ctx)
+	var sr *sim.Result
+	var err error
+	if timeline {
+		sr, err = b.g.RunContext(ctx)
+	} else {
+		sr, err = b.g.Score(ctx)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -309,9 +350,9 @@ type builder struct {
 	opts  Options
 	limit int64
 
-	g     *sim.Graph
-	names *nameTable
-	order []Op // StageOrder scratch
+	g        *sim.Graph
+	resNames []string // resourceName(k) for every k a build has interned
+	order    []Op     // StageOrder scratch
 
 	// per stage, fixed by the plan
 	static []int64 // params + optimizer + workspace, per device
@@ -365,9 +406,11 @@ func resize[T any](xs []T, n int) []T {
 func (b *builder) prepare(m int, opts Options, limit int64) {
 	b.m, b.opts, b.limit = m, opts, limit
 	s := len(b.p.Stages)
-	b.names = nameTableFor(s, m)
+	for k := len(b.resNames); k < 3*s-2; k++ {
+		b.resNames = append(b.resNames, resourceName(k))
+	}
 	b.g.Reset()
-	for _, name := range b.names.res[:3*s-2] {
+	for _, name := range b.resNames[:3*s-2] {
 		b.g.Resource(name)
 	}
 	for i := 0; i < s; i++ {
@@ -481,7 +524,7 @@ func (b *builder) build() {
 	// Static allocations present for the whole iteration.
 	for i := range p.Stages {
 		b.g.Add(sim.Task{
-			Name: b.names.init[i], Kind: "init",
+			Tag:      sim.Tag{Kind: sim.Init, Stage: int32(i)},
 			Resource: sim.NoResource, MemDevice: i, AllocBytes: b.static[i],
 		})
 	}
@@ -492,8 +535,8 @@ func (b *builder) build() {
 		if b.opts.Recompute {
 			bw += recomputeFwdFraction * f
 		}
-		names := &b.names.task[i]
 		for m := 0; m < b.m; m++ {
+			tag := sim.Tag{Kind: sim.Fwd, Stage: int32(i), MB: int32(m)}
 			var fAlloc int64
 			if b.opts.Recompute {
 				fAlloc = b.stash[i]
@@ -501,7 +544,7 @@ func (b *builder) build() {
 				fAlloc = b.perMB[i]
 			}
 			b.fwd[i][m] = b.g.Add(sim.Task{
-				Name: names[nameFwd][m], Kind: "fwd",
+				Tag:      tag,
 				Resource: stageRes(i), Duration: f,
 				MemDevice: i, AllocBytes: fAlloc, Priority: m,
 			})
@@ -512,8 +555,9 @@ func (b *builder) build() {
 			} else {
 				bFree = b.perMB[i]
 			}
+			tag.Kind = sim.Bwd
 			b.bwd[i][m] = b.g.Add(sim.Task{
-				Name: names[nameBwd][m], Kind: "bwd",
+				Tag:      tag,
 				Resource: stageRes(i), Duration: bw,
 				MemDevice: i, AllocBytes: bAlloc, FreeBytes: bFree, Priority: m,
 			})
@@ -525,17 +569,18 @@ func (b *builder) build() {
 	// and backward resources).
 	for i := 0; i < len(p.Stages)-1; i++ {
 		ct := p.CrossStageTime(i)
-		names := &b.names.task[i]
 		for m := 0; m < b.m; m++ {
+			tag := sim.Tag{Kind: sim.CommF, Stage: int32(i), MB: int32(m)}
 			b.commF[i][m] = b.g.Add(sim.Task{
-				Name: names[nameCommF][m], Kind: "comm",
+				Tag:      tag,
 				Resource: linkFRes(i), Duration: ct, Priority: m,
 			})
 			b.g.AddDep(b.commF[i][m], b.fwd[i][m])
 			b.g.AddDep(b.fwd[i+1][m], b.commF[i][m])
 
+			tag.Kind = sim.CommB
 			b.commB[i][m] = b.g.Add(sim.Task{
-				Name: names[nameCommB][m], Kind: "comm",
+				Tag:      tag,
 				Resource: linkBRes(i), Duration: ct, Priority: m,
 			})
 			b.g.AddDep(b.commB[i][m], b.bwd[i+1][m])
@@ -557,7 +602,7 @@ func (b *builder) build() {
 	// Gradient sync + weight update per stage at iteration end (Fig. 10).
 	for i := range p.Stages {
 		ar := b.g.Add(sim.Task{
-			Name: b.names.ar[i], Kind: "allreduce",
+			Tag:      sim.Tag{Kind: sim.AllReduce, Stage: int32(i)},
 			Resource: stageRes(i), Duration: p.StageAllReduceTime(i) + applyTime,
 		})
 		for m := 0; m < b.m; m++ {

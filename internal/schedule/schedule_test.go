@@ -241,7 +241,7 @@ func TestGPipeBackwardReversed(t *testing.T) {
 	var names []string
 	for _, sp := range res.Sim.Spans {
 		if sp.Resource == stage1 && sp.Kind == "bwd" {
-			names = append(names, sp.Name)
+			names = append(names, sp.Name())
 		}
 	}
 	if len(names) != 4 || names[0] != "B3.s1" || names[3] != "B0.s1" {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func randomGraph(rng *rand.Rand) *Graph {
 			res = NoResource
 		}
 		t := Task{
-			Name:     "t",
+			Tag:      Tag{Kind: Kind(i % 7), Stage: int32(i % 3), MB: int32(i)},
 			Resource: res,
 			Duration: float64(rng.Intn(5)) * 0.5, // quantized: forces start-time ties
 			Priority: rng.Intn(3) - 1,
@@ -82,12 +83,40 @@ func sameResult(t *testing.T, want, got *Result) bool {
 	return true
 }
 
+// sameTotals asserts that a run without a timeline matches the timeline
+// run bit for bit in makespan, busy time, peaks and resources, and that it
+// recorded neither spans nor memory traces.
+func sameTotals(t *testing.T, timeline, scored *Result) bool {
+	t.Helper()
+	if scored.Spans != nil || scored.MemTrace != nil {
+		t.Errorf("a run without a timeline recorded %d spans and %d memory traces",
+			len(scored.Spans), len(scored.MemTrace))
+		return false
+	}
+	if timeline.Makespan != scored.Makespan ||
+		!reflect.DeepEqual(timeline.BusyTime, scored.BusyTime) ||
+		!reflect.DeepEqual(timeline.PeakMem, scored.PeakMem) ||
+		!reflect.DeepEqual(timeline.Resources, scored.Resources) {
+		t.Errorf("totals differ: timeline %g %v %v, without %g %v %v",
+			timeline.Makespan, timeline.BusyTime, timeline.PeakMem,
+			scored.Makespan, scored.BusyTime, scored.PeakMem)
+		return false
+	}
+	return true
+}
+
 // TestEngineEquivalenceRandomDAGs cross-checks the event-driven engine
-// against the pre-rewrite linear-scan engine on randomized DAGs.
+// against the pre-rewrite linear-scan engine on randomized DAGs, and the
+// engine's run without a timeline against its timeline run.
 func TestEngineEquivalenceRandomDAGs(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(rand.New(rand.NewSource(seed)))
-		return sameResult(t, g.RunReference(), g.Run())
+		run := g.Run()
+		scored, err := g.Score(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sameResult(t, g.RunReference(), run) && sameTotals(t, run, scored)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -126,11 +155,11 @@ func TestAllocBeforeFreeAtSameInstant(t *testing.T) {
 		g := NewGraph()
 		r1, r2 := g.Resource("r1"), g.Resource("r2")
 		// A runs [0,1) on r1 holding 100 bytes, freed at t=1.
-		g.Add(Task{Name: "A", Resource: r1, Duration: 1, MemDevice: 0, AllocBytes: 100, FreeBytes: 100})
+		g.Add(Task{Resource: r1, Duration: 1, MemDevice: 0, AllocBytes: 100, FreeBytes: 100})
 		// C delays B to t=1 without touching memory.
-		c := g.Add(Task{Name: "C", Resource: r2, Duration: 1})
+		c := g.Add(Task{Resource: r2, Duration: 1})
 		// B allocates 100 bytes at t=1 — the instant A's free lands.
-		b := g.Add(Task{Name: "B", Resource: r2, Duration: 1, MemDevice: 0, AllocBytes: 100})
+		b := g.Add(Task{Resource: r2, Duration: 1, MemDevice: 0, AllocBytes: 100})
 		g.AddDep(b, c)
 		return g
 	}

@@ -26,12 +26,9 @@ func (g *Graph) RunReference() *Result {
 	n := len(g.tasks)
 	indeg := make([]int, n)
 	children := make([][]TaskID, n)
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		indeg[i] = len(t.deps)
-		for _, d := range t.deps {
-			children[d] = append(children[d], TaskID(i))
-		}
+	for _, e := range g.edges {
+		indeg[e.task]++
+		children[e.dep] = append(children[e.dep], TaskID(e.task))
 	}
 
 	ready := make([]float64, n) // earliest start from dependencies
@@ -99,7 +96,7 @@ func (g *Graph) RunReference() *Result {
 			res.BusyTime[t.Resource] += t.Duration
 		}
 		res.Spans = append(res.Spans, Span{
-			Task: id, Name: t.Name, Kind: t.Kind, Resource: t.Resource,
+			Task: id, Tag: t.Tag, Kind: t.Tag.Kind.String(), Resource: t.Resource,
 			Start: start, End: end,
 		})
 		if end > res.Makespan {

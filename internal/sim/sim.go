@@ -3,6 +3,9 @@
 // for the paper's TensorFlow runtime on GPU clusters: schedule builders emit
 // tasks with data/control dependencies, and the engine produces per-task
 // timelines, resource utilization, and byte-accurate memory traces.
+// RunContext records that timeline; Score runs the same engine for the
+// totals alone (makespan, busy time, memory peaks), which is all a caller
+// ranking many graphs reads.
 //
 // Semantics: every task optionally occupies one resource for Duration
 // seconds; a task becomes ready when all dependencies have finished; a
@@ -23,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // TaskID identifies a task within a Graph.
@@ -31,12 +35,54 @@ type TaskID int
 // NoResource marks tasks that consume no resource time (pure ordering nodes).
 const NoResource = -1
 
+// Kind says what a task does. Untagged tasks get no span name or kind.
+type Kind uint8
+
+// The task kinds of a pipelined training iteration and their span names.
+const (
+	Untagged  Kind = iota
+	Init           // "init.s<stage>": a stage's static allocation
+	Fwd            // "F<mb>.s<stage>"
+	Bwd            // "B<mb>.s<stage>"
+	CommF          // "CF<mb>.s<stage>": activations to the next stage
+	CommB          // "CB<mb>.s<stage>": gradients from the next stage
+	AllReduce      // "AR.s<stage>": gradient sync and weight update
+)
+
+// kinds and prefixes are each Kind's span kind and span-name prefix.
+var (
+	kinds    = [...]string{"", "init", "fwd", "bwd", "comm", "comm", "allreduce"}
+	prefixes = [...]string{"", "init", "F", "B", "CF", "CB", "AR"}
+)
+
+// String returns the kind spans carry: "fwd", "bwd", "comm", ...
+func (k Kind) String() string { return kinds[k] }
+
+// Tag labels a task compactly. Score never reads it; a timeline's spans
+// carry it, and Name, the one formatter of task names, names them on request.
+type Tag struct {
+	Kind      Kind
+	Stage, MB int32
+}
+
+// Name formats the tag as a span name: "F3.s1" is the forward pass of
+// micro-batch 3 on stage 1.
+func (t Tag) Name() string {
+	if t.Kind == Untagged {
+		return ""
+	}
+	b := append(make([]byte, 0, 24), prefixes[t.Kind]...)
+	if Fwd <= t.Kind && t.Kind <= CommB {
+		b = strconv.AppendInt(b, int64(t.MB), 10)
+	}
+	return string(strconv.AppendInt(append(b, ".s"...), int64(t.Stage), 10))
+}
+
 // Task is one unit of simulated work.
 type Task struct {
 	ID       TaskID
-	Name     string
-	Kind     string // free-form label surfaced in traces ("fwd", "bwd", "comm", "allreduce", ...)
-	Resource int    // executing resource, or NoResource
+	Tag      Tag
+	Resource int // executing resource, or NoResource
 	Duration float64
 	Priority int // lower runs first among simultaneously-startable tasks
 
@@ -45,28 +91,24 @@ type Task struct {
 	AllocBytes int64
 	FreeBytes  int64
 	MemDevice  int
-
-	deps []TaskID
 }
 
 // Graph is a task DAG under construction. A Graph is reusable: Reset clears
-// its tasks and resources while retaining every task/dependency buffer, and
-// RunContext keeps its working memory between runs, so a schedule builder
+// its tasks, dependencies and resources while retaining their buffers, and
+// a run keeps its working memory between runs, so a schedule builder
 // rebuilds and re-runs iterations of any plan without reallocating. A Graph
 // is not safe for concurrent use, runs included.
 type Graph struct {
 	tasks     []Task
+	edges     []edge // every dependency, in AddDep order
 	resources []string
 	resIndex  map[string]int
-	run       runState
-
-	// Counts maintained by Add/AddDep so RunContext can size every buffer
-	// exactly instead of growing them.
-	memDevs int // 1 + highest MemDevice of any task
-	nDeps   int // total dependency edges
-	nAllocs int // tasks charging AllocBytes
-	nFrees  int // tasks crediting FreeBytes
+	st        runState
+	memDevs   int // 1 + highest MemDevice of any task
 }
+
+// edge records that task depends on dep.
+type edge struct{ task, dep int32 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -94,27 +136,8 @@ func (g *Graph) Add(t Task) TaskID {
 	if t.MemDevice == 0 && t.AllocBytes == 0 && t.FreeBytes == 0 {
 		t.MemDevice = -1
 	}
-	if t.MemDevice >= 0 {
-		if t.MemDevice+1 > g.memDevs {
-			g.memDevs = t.MemDevice + 1
-		}
-		if t.AllocBytes != 0 {
-			g.nAllocs++
-		}
-		if t.FreeBytes != 0 {
-			g.nFrees++
-		}
-	}
-	if len(g.tasks) < cap(g.tasks) {
-		// Reuse the slot (and its dependency buffer) retired by Reset.
-		g.tasks = g.tasks[:id+1]
-		if t.deps == nil {
-			t.deps = g.tasks[id].deps[:0]
-		}
-		g.tasks[id] = t
-	} else {
-		g.tasks = append(g.tasks, t)
-	}
+	g.memDevs = max(g.memDevs, t.MemDevice+1)
+	g.tasks = append(g.tasks, t)
 	return id
 }
 
@@ -123,36 +146,33 @@ func (g *Graph) AddDep(task, dep TaskID) {
 	if dep < 0 || task < 0 {
 		return
 	}
-	t := &g.tasks[task]
-	t.deps = append(t.deps, dep)
-	g.nDeps++
+	g.edges = append(g.edges, edge{int32(task), int32(dep)})
 }
 
-// Reset clears the graph's tasks and resources while keeping the capacity of
-// every internal buffer, so the next build of a similarly-shaped graph
-// allocates almost nothing. Resources interned again in the same order get
-// the same indices.
+// Reset clears the graph's tasks, dependencies and resources while keeping
+// the capacity of every internal buffer, so the next build of a
+// similarly-shaped graph allocates almost nothing. Resources interned again
+// in the same order get the same indices.
 func (g *Graph) Reset() {
 	g.tasks = g.tasks[:0]
+	g.edges = g.edges[:0]
 	g.resources = g.resources[:0]
 	clear(g.resIndex)
 	g.memDevs = 0
-	g.nDeps = 0
-	g.nAllocs = 0
-	g.nFrees = 0
 }
 
-// Task returns the task with the given id (for inspection in tests). The
-// pointer is invalidated by the next Add or Reset.
-func (g *Graph) Task(id TaskID) *Task { return &g.tasks[id] }
-
-// Span is one executed task in the result timeline.
+// Span is one executed task in the result timeline. Kind is its tag's kind
+// as a string; Name formats the tag.
 type Span struct {
 	Task       TaskID
-	Name, Kind string
+	Tag        Tag
+	Kind       string
 	Resource   int
 	Start, End float64
 }
+
+// Name returns the span's name, formatted from its tag: "F3.s1".
+func (s Span) Name() string { return s.Tag.Name() }
 
 // MemPoint is one step of a device's memory-over-time trace.
 type MemPoint struct {
@@ -167,7 +187,8 @@ type Result struct {
 	// engine's deterministic pick order. (That order is not simply
 	// (priority, task ID) within an equal-start run: a zero-duration task
 	// picked earlier can enable a child that also starts at the same
-	// instant, which then competes under its own key.)
+	// instant, which then competes under its own key.) Score leaves it
+	// nil.
 	Spans     []Span
 	Makespan  float64
 	Resources []string
@@ -177,7 +198,7 @@ type Result struct {
 
 	// PeakMem and MemTrace are dense slices indexed by memory-device id; a
 	// device that never allocated has peak 0 and a nil trace. Use Peak and
-	// Trace for range-safe access.
+	// Trace for range-safe access. Score leaves MemTrace nil.
 	PeakMem  []int64
 	MemTrace [][]MemPoint
 }
@@ -268,6 +289,19 @@ func (g *Graph) Run() *Result {
 	return res
 }
 
+// RunContext is Run under a context: execution stops between tasks once ctx
+// is cancelled or past its deadline, returning ctx's error and no result.
+func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
+	return g.execute(ctx, true)
+}
+
+// Score is RunContext without a timeline: the same run, whose Result holds
+// the makespan, resources, busy time and memory peaks but no Spans and no
+// MemTrace, so it allocates nothing per task.
+func (g *Graph) Score(ctx context.Context) (*Result, error) {
+	return g.execute(ctx, false)
+}
+
 // ctxCheckStride bounds how many tasks execute between context checks; large
 // graphs (GPipe floods build O(stages x M) tasks) stay responsive to
 // cancellation without paying an atomic load per task.
@@ -283,7 +317,7 @@ type memEvent struct {
 	ord   int32
 }
 
-// runState is RunContext's working memory, kept by the Graph between runs.
+// runState is a run's working memory, kept by the Graph between runs.
 // Nothing in it escapes into a Result.
 type runState struct {
 	indeg, childOff, children, cursor []int32
@@ -305,48 +339,43 @@ func zeroed[T any](xs []T, n int) []T {
 	return xs
 }
 
-// RunContext is Run under a context: execution stops between tasks once ctx
-// is cancelled or past its deadline, returning ctx's error and no result.
-func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
+// execute runs the graph, recording spans and memory traces when timeline
+// is set.
+func (g *Graph) execute(ctx context.Context, timeline bool) (*Result, error) {
 	n := len(g.tasks)
-	st := &g.run
+	st := &g.st
 
-	// Dependency state in CSR form, sized exactly from the counts Add and
-	// AddDep maintain.
+	// Dependency state in CSR form, sized exactly from the edge list.
 	indeg := zeroed(st.indeg, n)
 	childOff := zeroed(st.childOff, n+1)
-	for i := range g.tasks {
-		t := &g.tasks[i]
-		indeg[i] = int32(len(t.deps))
-		for _, d := range t.deps {
-			childOff[d+1]++
-		}
+	for _, e := range g.edges {
+		indeg[e.task]++
+		childOff[e.dep+1]++
 	}
 	for i := 0; i < n; i++ {
 		childOff[i+1] += childOff[i]
 	}
-	children := zeroed(st.children, g.nDeps)
+	children := zeroed(st.children, len(g.edges))
 	cursor := zeroed(st.cursor, n)
 	copy(cursor, childOff[:n])
-	for i := range g.tasks {
-		for _, d := range g.tasks[i].deps {
-			children[cursor[d]] = int32(i)
-			cursor[d]++
-		}
+	for _, e := range g.edges {
+		children[cursor[e.dep]] = e.task
+		cursor[e.dep]++
 	}
 
 	readyAt := zeroed(st.readyAt, n) // earliest start from dependencies
 	resFree := zeroed(st.resFree, len(g.resources))
 
 	res := &Result{
-		Spans:     make([]Span, 0, n),
 		Resources: append([]string(nil), g.resources...),
 		BusyTime:  make([]float64, len(g.resources)),
 		PeakMem:   make([]int64, g.memDevs),
-		MemTrace:  make([][]MemPoint, g.memDevs),
 	}
-	allocs := slices.Grow(st.allocs[:0], g.nAllocs)
-	frees := slices.Grow(st.frees[:0], g.nFrees)
+	if timeline {
+		res.Spans = make([]Span, 0, n)
+		res.MemTrace = make([][]MemPoint, g.memDevs)
+	}
+	allocs, frees := st.allocs[:0], st.frees[:0]
 
 	// Runnable tasks live in per-resource now/future heaps; the indexed
 	// global heap tracks each resource's cheapest candidate under the
@@ -433,10 +462,12 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		refresh(r)
-		res.Spans = append(res.Spans, Span{
-			Task: it.id, Name: t.Name, Kind: t.Kind, Resource: t.Resource,
-			Start: start, End: end,
-		})
+		if timeline {
+			res.Spans = append(res.Spans, Span{
+				Task: it.id, Tag: t.Tag, Kind: t.Tag.Kind.String(), Resource: t.Resource,
+				Start: start, End: end,
+			})
+		}
 		if end > res.Makespan {
 			res.Makespan = end
 		}
@@ -465,11 +496,12 @@ func (g *Graph) RunContext(ctx context.Context) (*Result, error) {
 }
 
 // applyMemEvents replays the run's memory events in time order and fills
-// PeakMem and MemTrace. At equal timestamps allocations apply before frees: a
-// task starting the instant another ends briefly holds both footprints, and
-// applying the free first would under-count the true peak. Allocations arrive
-// already time-ordered (tasks execute in non-decreasing start order) and
-// frees sort by (end time, emission order).
+// PeakMem, and MemTrace when the run records one. At equal timestamps
+// allocations apply before frees: a task starting the instant another ends
+// briefly holds both footprints, and applying the free first would
+// under-count the true peak. Allocations arrive already time-ordered (tasks
+// execute in non-decreasing start order) and frees sort by (end time,
+// emission order).
 func applyMemEvents(res *Result, allocs, frees []memEvent, st *runState) {
 	if len(allocs) == 0 && len(frees) == 0 {
 		return
@@ -480,17 +512,20 @@ func applyMemEvents(res *Result, allocs, frees []memEvent, st *runState) {
 		}
 		return cmp.Compare(a.ord, b.ord)
 	})
-	counts := zeroed(st.counts, len(res.MemTrace))
-	st.counts = counts
-	for i := range allocs {
-		counts[allocs[i].dev]++
-	}
-	for i := range frees {
-		counts[frees[i].dev]++
-	}
-	for d, c := range counts {
-		if c > 0 {
-			res.MemTrace[d] = make([]MemPoint, 0, c)
+	trace := res.MemTrace != nil
+	if trace {
+		counts := zeroed(st.counts, len(res.MemTrace))
+		st.counts = counts
+		for i := range allocs {
+			counts[allocs[i].dev]++
+		}
+		for i := range frees {
+			counts[frees[i].dev]++
+		}
+		for d, c := range counts {
+			if c > 0 {
+				res.MemTrace[d] = make([]MemPoint, 0, c)
+			}
 		}
 	}
 	curMem := zeroed(st.curMem, len(res.PeakMem))
@@ -509,7 +544,9 @@ func applyMemEvents(res *Result, allocs, frees []memEvent, st *runState) {
 		if curMem[ev.dev] > res.PeakMem[ev.dev] {
 			res.PeakMem[ev.dev] = curMem[ev.dev]
 		}
-		res.MemTrace[ev.dev] = append(res.MemTrace[ev.dev], MemPoint{ev.time, curMem[ev.dev]})
+		if trace {
+			res.MemTrace[ev.dev] = append(res.MemTrace[ev.dev], MemPoint{ev.time, curMem[ev.dev]})
+		}
 	}
 }
 
@@ -518,15 +555,15 @@ func (g *Graph) Validate() error {
 	for i := range g.tasks {
 		t := &g.tasks[i]
 		if t.Resource != NoResource && (t.Resource < 0 || t.Resource >= len(g.resources)) {
-			return fmt.Errorf("sim: task %d (%s) uses unknown resource %d", t.ID, t.Name, t.Resource)
+			return fmt.Errorf("sim: task %d uses unknown resource %d", t.ID, t.Resource)
 		}
 		if t.Duration < 0 {
-			return fmt.Errorf("sim: task %d (%s) has negative duration", t.ID, t.Name)
+			return fmt.Errorf("sim: task %d has negative duration", t.ID)
 		}
-		for _, d := range t.deps {
-			if d < 0 || int(d) >= len(g.tasks) {
-				return fmt.Errorf("sim: task %d (%s) depends on unknown task %d", t.ID, t.Name, d)
-			}
+	}
+	for _, e := range g.edges {
+		if int(e.task) >= len(g.tasks) || int(e.dep) >= len(g.tasks) {
+			return fmt.Errorf("sim: task %d depends on unknown task %d", e.task, e.dep)
 		}
 	}
 	return nil

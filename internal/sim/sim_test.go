@@ -10,8 +10,8 @@ import (
 func TestSequentialOnOneResource(t *testing.T) {
 	g := NewGraph()
 	r := g.Resource("dev")
-	a := g.Add(Task{Name: "a", Resource: r, Duration: 1})
-	b := g.Add(Task{Name: "b", Resource: r, Duration: 2})
+	a := g.Add(Task{Resource: r, Duration: 1})
+	b := g.Add(Task{Resource: r, Duration: 2})
 	_ = a
 	_ = b
 	res := g.Run()
@@ -29,13 +29,13 @@ func TestSequentialOnOneResource(t *testing.T) {
 func TestDependencyOrdering(t *testing.T) {
 	g := NewGraph()
 	r1, r2 := g.Resource("d1"), g.Resource("d2")
-	a := g.Add(Task{Name: "a", Resource: r1, Duration: 5})
-	b := g.Add(Task{Name: "b", Resource: r2, Duration: 1})
+	a := g.Add(Task{Resource: r1, Duration: 5})
+	b := g.Add(Task{Resource: r2, Duration: 1})
 	g.AddDep(b, a)
 	res := g.Run()
 	var bSpan Span
 	for _, s := range res.Spans {
-		if s.Name == "b" {
+		if s.Task == b {
 			bSpan = s
 		}
 	}
@@ -50,7 +50,7 @@ func TestDependencyOrdering(t *testing.T) {
 func TestParallelResources(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 4; i++ {
-		g.Add(Task{Name: "t", Resource: g.Resource(string(rune('a' + i))), Duration: 2})
+		g.Add(Task{Resource: g.Resource(string(rune('a' + i))), Duration: 2})
 	}
 	res := g.Run()
 	if res.Makespan != 2 {
@@ -61,21 +61,21 @@ func TestParallelResources(t *testing.T) {
 func TestPriorityTieBreak(t *testing.T) {
 	g := NewGraph()
 	r := g.Resource("dev")
-	lo := g.Add(Task{Name: "lo", Resource: r, Duration: 1, Priority: 2})
-	hi := g.Add(Task{Name: "hi", Resource: r, Duration: 1, Priority: 1})
+	lo := g.Add(Task{Resource: r, Duration: 1, Priority: 2})
+	hi := g.Add(Task{Resource: r, Duration: 1, Priority: 1})
 	_ = lo
 	_ = hi
 	res := g.Run()
-	if res.Spans[0].Name != "hi" {
-		t.Fatalf("priority ignored: first span %s", res.Spans[0].Name)
+	if res.Spans[0].Task != hi {
+		t.Fatalf("priority ignored: first span is task %d", res.Spans[0].Task)
 	}
 }
 
 func TestNoResourceTask(t *testing.T) {
 	g := NewGraph()
 	r := g.Resource("dev")
-	barrier := g.Add(Task{Name: "barrier", Resource: NoResource})
-	work := g.Add(Task{Name: "w", Resource: r, Duration: 1})
+	barrier := g.Add(Task{Resource: NoResource})
+	work := g.Add(Task{Resource: r, Duration: 1})
 	g.AddDep(work, barrier)
 	res := g.Run()
 	if res.Makespan != 1 {
@@ -86,8 +86,8 @@ func TestNoResourceTask(t *testing.T) {
 func TestMemoryAccounting(t *testing.T) {
 	g := NewGraph()
 	r := g.Resource("dev")
-	a := g.Add(Task{Name: "a", Resource: r, Duration: 1, MemDevice: 0, AllocBytes: 100})
-	b := g.Add(Task{Name: "b", Resource: r, Duration: 1, MemDevice: 0, AllocBytes: 50, FreeBytes: 150})
+	a := g.Add(Task{Resource: r, Duration: 1, MemDevice: 0, AllocBytes: 100})
+	b := g.Add(Task{Resource: r, Duration: 1, MemDevice: 0, AllocBytes: 50, FreeBytes: 150})
 	g.AddDep(b, a)
 	res := g.Run()
 	if res.PeakMem[0] != 150 {
@@ -103,8 +103,8 @@ func TestMemoryAccounting(t *testing.T) {
 func TestCycleDetection(t *testing.T) {
 	g := NewGraph()
 	r := g.Resource("dev")
-	a := g.Add(Task{Name: "a", Resource: r, Duration: 1})
-	b := g.Add(Task{Name: "b", Resource: r, Duration: 1})
+	a := g.Add(Task{Resource: r, Duration: 1})
+	b := g.Add(Task{Resource: r, Duration: 1})
 	g.AddDep(a, b)
 	g.AddDep(b, a)
 	defer func() {
@@ -117,12 +117,12 @@ func TestCycleDetection(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	g := NewGraph()
-	g.Add(Task{Name: "neg", Resource: NoResource, Duration: -1})
+	g.Add(Task{Resource: NoResource, Duration: -1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("expected error for negative duration")
 	}
 	g2 := NewGraph()
-	id := g2.Add(Task{Name: "ok", Resource: NoResource})
+	id := g2.Add(Task{Resource: NoResource})
 	g2.AddDep(id, TaskID(99))
 	if err := g2.Validate(); err == nil {
 		t.Fatal("expected error for unknown dependency")
@@ -136,7 +136,7 @@ func TestDeterminism(t *testing.T) {
 		var prev TaskID = -1
 		for i := 0; i < 200; i++ {
 			r := g.Resource(string(rune('a' + i%7)))
-			id := g.Add(Task{Name: "t", Resource: r, Duration: rng.Float64()})
+			id := g.Add(Task{Resource: r, Duration: rng.Float64()})
 			if prev >= 0 && i%3 == 0 {
 				g.AddDep(id, prev)
 			}
@@ -174,7 +174,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			durs[i] = rng.Float64()
 			r := rng.Intn(nRes)
-			id := g.Add(Task{Name: "t", Resource: r, Duration: durs[i]})
+			id := g.Add(Task{Resource: r, Duration: durs[i]})
 			longest[i] = durs[i]
 			// Random deps on earlier tasks (keeps it acyclic).
 			for k := 0; k < 2 && i > 0; k++ {
@@ -212,7 +212,7 @@ func TestNoResourceOverlapProperty(t *testing.T) {
 		}
 		var ids []TaskID
 		for i := 0; i < 60; i++ {
-			id := g.Add(Task{Name: "t", Resource: rng.Intn(3), Duration: rng.Float64() * 2})
+			id := g.Add(Task{Resource: rng.Intn(3), Duration: rng.Float64() * 2})
 			if i > 0 && rng.Intn(2) == 0 {
 				g.AddDep(id, ids[rng.Intn(i)])
 			}

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // TestEngineEquivalenceZoo asserts byte-identical simulator Results from the
 // event-driven engine and the pre-rewrite reference engine on every zoo
 // model's schedule, for every policy and recompute setting — the CI gate for
-// the engine rewrite.
+// the engine rewrite — and the same makespan, busy time and peaks from the
+// engine's run without a timeline.
 func TestEngineEquivalenceZoo(t *testing.T) {
 	for _, m := range model.Zoo() {
 		c := hardware.ConfigB(4)
@@ -47,6 +49,17 @@ func TestEngineEquivalenceZoo(t *testing.T) {
 				}
 				if !reflect.DeepEqual(want.MemTrace, got.MemTrace) {
 					t.Fatalf("%s: memory traces differ", name)
+				}
+				scored, err := g.Score(context.Background())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if scored.Spans != nil || scored.MemTrace != nil {
+					t.Fatalf("%s: a run without a timeline recorded one", name)
+				}
+				if scored.Makespan != got.Makespan || !reflect.DeepEqual(scored.BusyTime, got.BusyTime) ||
+					!reflect.DeepEqual(scored.PeakMem, got.PeakMem) {
+					t.Fatalf("%s: totals without a timeline differ from the timeline run's", name)
 				}
 			}
 		}

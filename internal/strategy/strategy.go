@@ -94,13 +94,13 @@ func Evaluate(ctx context.Context, name string, p *core.Plan, pol schedule.Polic
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("strategy %s: %w", name, err)
 	}
-	res, err := schedule.RunContext(ctx, p, schedule.Options{Policy: pol})
+	res, err := schedule.Score(ctx, p, schedule.Options{Policy: pol})
 	if err != nil {
 		return nil, err
 	}
 	recompute := false
 	if res.OOM && !opts.SkipMemCheck {
-		rc, err := schedule.RunContext(ctx, p, schedule.Options{Policy: pol, Recompute: true})
+		rc, err := schedule.Score(ctx, p, schedule.Options{Policy: pol, Recompute: true})
 		if err != nil {
 			return nil, err
 		}

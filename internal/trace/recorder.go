@@ -13,7 +13,8 @@ import (
 // Gantt/Chrome tooling). Resources must be interned with Resource before the
 // execution starts; during execution each resource must be driven by a single
 // goroutine, which records its spans in its own execution order — the
-// concurrency model of one worker goroutine per device.
+// concurrency model of one worker goroutine per device. Spans carry
+// sim.Tags, as simulated ones do, so real and simulated span names agree.
 type Recorder struct {
 	start     time.Time
 	resources []string
@@ -54,14 +55,14 @@ func (r *Recorder) Reset() {
 	}
 }
 
-// Record appends one executed span to resource res. Distinct resources may
-// record concurrently; a single resource must record from one goroutine, in
-// start-time order.
-func (r *Recorder) Record(res int, name, kind string, start, end float64) {
+// Record appends one executed span, labelled tag, to resource res.
+// Distinct resources may record concurrently; a single resource must record
+// from one goroutine, in start-time order.
+func (r *Recorder) Record(res int, tag sim.Tag, start, end float64) {
 	r.spans[res] = append(r.spans[res], sim.Span{
 		Task:     sim.TaskID(-1),
-		Name:     name,
-		Kind:     kind,
+		Tag:      tag,
+		Kind:     tag.Kind.String(),
 		Resource: res,
 		Start:    start,
 		End:      end,

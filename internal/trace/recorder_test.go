@@ -3,6 +3,8 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"dapple/internal/sim"
 )
 
 func TestRecorderResultShape(t *testing.T) {
@@ -12,10 +14,10 @@ func TestRecorderResultShape(t *testing.T) {
 	if r.Resource("dev0") != a {
 		t.Fatal("Resource must intern")
 	}
-	r.Record(a, "F0.s0", "fwd", 0.0, 1.0)
-	r.Record(b, "F0.s1", "fwd", 0.5, 2.0)
-	r.Record(a, "B0.s0", "bwd", 1.0, 3.5)
-	r.Record(b, "B0.s1", "bwd", 2.0, 3.0)
+	r.Record(a, sim.Tag{Kind: sim.Fwd}, 0.0, 1.0)
+	r.Record(b, sim.Tag{Kind: sim.Fwd, Stage: 1}, 0.5, 2.0)
+	r.Record(a, sim.Tag{Kind: sim.Bwd}, 1.0, 3.5)
+	r.Record(b, sim.Tag{Kind: sim.Bwd, Stage: 1}, 2.0, 3.0)
 
 	res := r.Result()
 	if len(res.Spans) != 4 {
@@ -39,7 +41,7 @@ func TestRecorderResultShape(t *testing.T) {
 	var devA []string
 	for _, s := range res.Spans {
 		if s.Resource == a {
-			devA = append(devA, s.Name)
+			devA = append(devA, s.Name())
 		}
 	}
 	if strings.Join(devA, ",") != "F0.s0,B0.s0" {
@@ -57,7 +59,7 @@ func TestRecorderResultShape(t *testing.T) {
 func TestRecorderReset(t *testing.T) {
 	r := NewRecorder()
 	a := r.Resource("dev0")
-	r.Record(a, "F0.s0", "fwd", 0, 1)
+	r.Record(a, sim.Tag{Kind: sim.Fwd}, 0, 1)
 	first := r.Result()
 	if len(first.Spans) != 1 {
 		t.Fatalf("first iteration recorded %d spans", len(first.Spans))
@@ -67,16 +69,16 @@ func TestRecorderReset(t *testing.T) {
 	if r.Resource("dev0") != a {
 		t.Fatal("Reset dropped interned resources")
 	}
-	r.Record(a, "F1.s0", "fwd", 0, 2)
+	r.Record(a, sim.Tag{Kind: sim.Fwd, MB: 1}, 0, 2)
 	second := r.Result()
-	if len(second.Spans) != 1 || second.Spans[0].Name != "F1.s0" {
+	if len(second.Spans) != 1 || second.Spans[0].Name() != "F1.s0" {
 		t.Fatalf("post-reset result carries stale spans: %+v", second.Spans)
 	}
 	if second.Makespan != 2 {
 		t.Fatalf("post-reset makespan %g", second.Makespan)
 	}
 	// Results snapshot: the first result must be unaffected by the reset.
-	if first.Spans[0].Name != "F0.s0" {
+	if first.Spans[0].Name() != "F0.s0" {
 		t.Fatal("earlier Result mutated by Reset")
 	}
 }

@@ -59,7 +59,7 @@ func Gantt(r *sim.Result, width int) string {
 
 // glyph picks the Gantt character for a span.
 func glyph(s sim.Span) byte {
-	mb := microBatchOf(s.Name)
+	mb := s.Tag.MB
 	switch s.Kind {
 	case "fwd":
 		if mb >= 0 && mb < 10 {
@@ -78,24 +78,6 @@ func glyph(s sim.Span) byte {
 	default:
 		return '+'
 	}
-}
-
-// microBatchOf parses the micro-batch index from task names like "F12.s0".
-func microBatchOf(name string) int {
-	i := 0
-	for i < len(name) && (name[i] < '0' || name[i] > '9') {
-		i++
-	}
-	j := i
-	n := 0
-	for j < len(name) && name[j] >= '0' && name[j] <= '9' {
-		n = n*10 + int(name[j]-'0')
-		j++
-	}
-	if j == i {
-		return -1
-	}
-	return n
 }
 
 // chromeEvent is one complete ("ph":"X") trace event.
@@ -117,7 +99,7 @@ func WriteChrome(w io.Writer, r *sim.Result) error {
 			continue
 		}
 		evs = append(evs, chromeEvent{
-			Name: s.Name,
+			Name: s.Name(),
 			Cat:  s.Kind,
 			Ph:   "X",
 			Ts:   s.Start * 1e6,

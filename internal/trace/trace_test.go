@@ -13,10 +13,10 @@ import (
 func tinyResult() *sim.Result {
 	g := sim.NewGraph()
 	r0, r1 := g.Resource("stage0"), g.Resource("stage1")
-	a := g.Add(sim.Task{Name: "F0.s0", Kind: "fwd", Resource: r0, Duration: 1})
-	b := g.Add(sim.Task{Name: "B0.s1", Kind: "bwd", Resource: r1, Duration: 2})
+	a := g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Fwd}, Resource: r0, Duration: 1})
+	b := g.Add(sim.Task{Tag: sim.Tag{Kind: sim.Bwd, Stage: 1}, Resource: r1, Duration: 2})
 	g.AddDep(b, a)
-	g.Add(sim.Task{Name: "CF0.s0", Kind: "comm", Resource: r0, Duration: 0.5})
+	g.Add(sim.Task{Tag: sim.Tag{Kind: sim.CommF}, Resource: r0, Duration: 0.5})
 	return g.Run()
 }
 
@@ -44,11 +44,22 @@ func TestGanttEmpty(t *testing.T) {
 	}
 }
 
-func TestMicroBatchParsing(t *testing.T) {
-	cases := map[string]int{"F12.s0": 12, "B3.s4": 3, "AR.s1": 1, "init": -1}
-	for name, want := range cases {
-		if got := microBatchOf(name); got != want {
-			t.Errorf("microBatchOf(%q) = %d, want %d", name, got, want)
+// TestGlyphs pins each span's Gantt character to its tag: forwards draw
+// their micro-batch digit and backwards a letter, falling back to F and B
+// past ten digits and 26 letters.
+func TestGlyphs(t *testing.T) {
+	cases := map[sim.Tag]byte{
+		{Kind: sim.Fwd, MB: 3}:           '3',
+		{Kind: sim.Fwd, MB: 12}:          'F',
+		{Kind: sim.Bwd, Stage: 4, MB: 3}: 'd',
+		{Kind: sim.Bwd, MB: 26}:          'B',
+		{Kind: sim.CommB, MB: 1}:         '-',
+		{Kind: sim.AllReduce, Stage: 1}:  '#',
+		{Kind: sim.Init}:                 '+',
+	}
+	for tag, want := range cases {
+		if got := glyph(sim.Span{Tag: tag, Kind: tag.Kind.String()}); got != want {
+			t.Errorf("glyph of %q = %q, want %q", tag.Name(), got, want)
 		}
 	}
 }

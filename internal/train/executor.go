@@ -163,9 +163,9 @@ func (r *ExecResult) OverlapEfficiency() float64 {
 // The executor is allocation-free at steady state: every buffer a step
 // touches — layer activations and gradients (per-worker tensor.Pool
 // workspaces), link transfer buffers, all-reduce scratch, schedule orders,
-// span names, trace buffers — is owned by the Executor and reused across
-// Steps, so after one warm-up iteration with a given micro-batch geometry
-// the hot path spends its time in compute, not the allocator. Forward
+// trace buffers and their span names — is owned by the Executor and reused
+// across Steps, so after one warm-up iteration with a given micro-batch
+// geometry the hot path spends its time in compute, not the allocator. Forward
 // receives are prefetched by a per-worker goroutine (double-buffered) so
 // cross-stage transfers overlap compute.
 //
@@ -228,9 +228,6 @@ type estage struct {
 	offs     []int         // replica row offsets, len(nets)+1
 	order    []schedule.Op // the stage's FW/BW sequence
 	fwdOrder []int         // micro-batch ids in forward arrival order
-	fwdNames []string      // span names "F<m>.s<i>", reused every step
-	bwdNames []string      // span names "B<m>.s<i>"
-	arName   string        // span name "AR.s<i>"
 }
 
 // workerState is one replica worker's persistent runtime: its workspace
@@ -490,17 +487,19 @@ func (e *Executor) now() float64 {
 	return e.rec.Now()
 }
 
-// record closes a span opened at start on the worker's resource.
-func (e *Executor) record(stage, replica int, name, kind string, start float64) {
+// record closes a span of the given kind and micro-batch opened at start on
+// the worker's resource.
+func (e *Executor) record(stage, replica int, kind sim.Kind, mb int, start float64) {
 	if e.rec == nil {
 		return
 	}
-	e.rec.Record(e.resID[stage][replica], name, kind, start, e.rec.Now())
+	tag := sim.Tag{Kind: kind, Stage: int32(stage), MB: int32(mb)}
+	e.rec.Record(e.resID[stage][replica], tag, start, e.rec.Now())
 }
 
 // ensureRuntime (re)builds the geometry-dependent caches — warmup depths,
-// boundaries with their transfer state, schedule orders, span-name tables,
-// stash slots and prefetchers — when the step geometry changed or the last
+// boundaries with their transfer state, schedule orders, stash slots and
+// prefetchers — when the step geometry changed or the last
 // step aborted with links in an undefined state. A repeated geometry is a
 // no-op, which is what makes steady-state iterations allocation-free.
 func (e *Executor) ensureRuntime(rows, m int) error {
@@ -531,13 +530,6 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 				st.fwdOrder = append(st.fwdOrder, o.M)
 			}
 		}
-		st.fwdNames = make([]string, m)
-		st.bwdNames = make([]string, m)
-		for mb := 0; mb < m; mb++ {
-			st.fwdNames[mb] = fmt.Sprintf("F%d.s%d", mb, i)
-			st.bwdNames[mb] = fmt.Sprintf("B%d.s%d", mb, i)
-		}
-		st.arName = fmt.Sprintf("AR.s%d", i)
 		for r, w := range st.work {
 			if w == nil {
 				continue
@@ -866,7 +858,7 @@ func (e *Executor) runWorker(ss *stepState, i, r int) error {
 	}
 	scaleGrads(w.params, 1/float64(ss.m))
 	st.opts[r].Step(w.params)
-	e.record(i, r, st.arName, "allreduce", start)
+	e.record(i, r, sim.AllReduce, 0, start)
 	if i == len(e.stages)-1 {
 		e.lossParts[r] = loss
 	}
@@ -938,7 +930,7 @@ func (e *Executor) workerCompute(ss *stepState, i, r int) (float64, error) {
 				g.Scale(myWeight)
 				w.pending[o.M] = g
 			}
-			e.record(i, r, st.fwdNames[o.M], "fwd", start)
+			e.record(i, r, sim.Fwd, o.M, start)
 			if !last {
 				if err := e.bounds[i].sendFwd(r, o.M, out); err != nil {
 					return 0, err
@@ -989,7 +981,7 @@ func (e *Executor) workerCompute(ss *stepState, i, r int) (float64, error) {
 		sh.live = false
 		w.liveStash--
 		w.curBytes -= sh.bytes
-		e.record(i, r, st.bwdNames[o.M], "bwd", start)
+		e.record(i, r, sim.Bwd, o.M, start)
 		if i > 0 {
 			if err := e.bounds[i-1].sendBwd(r, o.M, dx); err != nil {
 				return 0, err
@@ -1065,7 +1057,7 @@ func spanSequence(r *sim.Result, res int) []string {
 		}
 		switch s.Kind {
 		case "fwd", "bwd", "allreduce":
-			out = append(out, s.Name)
+			out = append(out, s.Name())
 		}
 	}
 	return out

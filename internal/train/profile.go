@@ -142,12 +142,8 @@ func ProfileNetworkMeasuredTrace(ctx context.Context, name string, net *nn.Netwo
 	nL := cal.NumLayers()
 	rec := trace.NewRecorder()
 	layerRes := make([]int, nL)
-	fwdNames := make([]string, nL)
-	bwdNames := make([]string, nL)
 	for i := range layerRes {
 		layerRes[i] = rec.Resource(fmt.Sprintf("L%d", i))
-		fwdNames[i] = fmt.Sprintf("F.L%d", i)
-		bwdNames[i] = fmt.Sprintf("B.L%d", i)
 	}
 	params := cal.Params()
 	outs := make([]*tensor.Matrix, nL)
@@ -159,7 +155,7 @@ func ProfileNetworkMeasuredTrace(ctx context.Context, name string, net *nn.Netwo
 			t0 := rec.Now()
 			y, c := l.ForwardWS(ws, x)
 			if record {
-				rec.Record(layerRes[i], fwdNames[i], "fwd", t0, rec.Now())
+				rec.Record(layerRes[i], sim.Tag{Kind: sim.Fwd, Stage: int32(i)}, t0, rec.Now())
 			}
 			outs[i], ctxs[i] = y, c
 			x = y
@@ -175,7 +171,7 @@ func ProfileNetworkMeasuredTrace(ctx context.Context, name string, net *nn.Netwo
 			t0 := rec.Now()
 			dx := cal.Layers[i].BackwardWS(ws, ctxs[i], dy)
 			if record {
-				rec.Record(layerRes[i], bwdNames[i], "bwd", t0, rec.Now())
+				rec.Record(layerRes[i], sim.Tag{Kind: sim.Bwd, Stage: int32(i)}, t0, rec.Now())
 			}
 			if dx != dy && dy != orig {
 				ws.Put(dy)
