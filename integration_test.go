@@ -66,8 +66,12 @@ func TestWarmupDepthMatchesRealRuntime(t *testing.T) {
 		x.Randomize(rng, 1)
 		micros[i] = train.Batch{X: x, Y: []int{0, 1, 2, 3}}
 	}
-	execRes, err := train.ExecutePlan(context.Background(), straightPlan(t, master, 8, rows, m, []int{3, 6, 9}),
-		master, micros, func() nn.Optimizer { return nn.SGD{LR: 0} }, ExecOptions{Policy: DapplePA})
+	ex, err := train.NewExecutor(straightPlan(t, master, 8, rows, m, []int{3, 6, 9}),
+		master, func() nn.Optimizer { return nn.SGD{LR: 0} }, ExecOptions{Policy: DapplePA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execRes, err := ex.StepContext(context.Background(), micros)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,6 @@ func TransferTime(bytes int64, bw, latency float64) float64 {
 	return float64(bytes)/bw + latency
 }
 
-// P2PTime returns the transfer time between two specific devices.
-func P2PTime(c hardware.Cluster, from, to hardware.DeviceID, bytes int64) float64 {
-	if from == to {
-		return 0
-	}
-	return TransferTime(bytes, c.Bandwidth(from, to), c.Latency(from, to))
-}
-
 // splitConcatOverhead is the fixed cost of one split or concat node the
 // DAPPLE runtime inserts between stages with unequal replication (§V-B2).
 const splitConcatOverhead = 20e-6 // seconds

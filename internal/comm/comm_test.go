@@ -22,18 +22,6 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
-func TestP2PTime(t *testing.T) {
-	c := cluster()
-	if P2PTime(c, 3, 3, 1<<20) != 0 {
-		t.Fatal("self transfer must be free")
-	}
-	intra := P2PTime(c, 0, 1, 1<<30)
-	inter := P2PTime(c, 0, 8, 1<<30)
-	if intra >= inter {
-		t.Fatalf("intra %g should beat inter %g", intra, inter)
-	}
-}
-
 func TestCrossStageNICBottleneck(t *testing.T) {
 	c := cluster()
 	srv0 := []hardware.DeviceID{0, 1, 2, 3, 4, 5, 6, 7}

@@ -237,21 +237,6 @@ func (r *Result) Utilization(res int) float64 {
 	return r.BusyTime[res] / r.Makespan
 }
 
-// AvgUtilization averages utilization over the given resources, or all when
-// none are specified.
-func (r *Result) AvgUtilization(res ...int) float64 {
-	if len(res) == 0 {
-		for i := range r.Resources {
-			res = append(res, i)
-		}
-	}
-	var sum float64
-	for _, i := range res {
-		sum += r.Utilization(i)
-	}
-	return sum / float64(len(res))
-}
-
 // MaxPeakMem returns the largest per-device peak.
 func (r *Result) MaxPeakMem() int64 {
 	var m int64

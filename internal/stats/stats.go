@@ -1,12 +1,9 @@
 // Package stats provides the small numeric and formatting helpers the
-// experiment harness shares: means, geometric means, ratios, and byte/second
+// experiment harness shares: means, extremes, ratios, and byte/second
 // pretty-printers.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -18,22 +15,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values, or 0 when any value
-// is non-positive or the input is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Max returns the maximum, or 0 for empty input.
@@ -62,20 +43,6 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mu := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Bytes formats a byte count with binary units.

@@ -11,12 +11,12 @@ import (
 )
 
 // stepAllocBudget is the steady-state allocation ceiling per executed
-// iteration of the benchmark fixture (trace recording on). The PR-4 runtime
-// spent 2263 allocs per iteration here; the pooled-workspace runtime measures
-// ~70, so the gate at a 10x reduction from the old baseline has generous
-// headroom while still failing loudly if a hot path regresses into the
-// allocator.
-const stepAllocBudget = 220
+// iteration of the benchmark fixture (trace recording on). The runtime
+// measures 47 allocs per step here (DAPPLE and GPipe) and 33 on the
+// wide-layer fixture, at -cpu 1,2,4 and under GOAMD64=v3 alike; the budget
+// is the larger measurement plus 25 %, so one new per-micro-batch or
+// per-worker allocation on the hot path fails the gate.
+const stepAllocBudget = 60
 
 // TestStepSteadyStateAllocBudget is the allocation-regression gate of the
 // real runtime: after warm-up, a full plan-driven training iteration — 8

@@ -2,7 +2,9 @@
 // Executor, runs a planner core.Plan on genuine gradient math (packages
 // tensor, nn): goroutines are devices, channel links or TCP connections are
 // interconnects, and replicated stages synchronize gradients with bucketed
-// ring or hierarchical all-reduce. Coordinator and Worker drive executors in
+// ring or hierarchical all-reduce. Each device goroutine runs its stage's
+// schedule order and receives its inputs inline at the op that consumes
+// them, so no received input waits outside its micro-batch's stash. Coordinator and Worker drive executors in
 // worker processes as a fault-tolerant, elastic session. SequentialStep is
 // the single-device oracle every executed schedule must match, which is how
 // this reproduction proves the paper's claim that DAPPLE scheduling yields

@@ -75,18 +75,6 @@ type ExecOptions struct {
 	bucketBytes int
 }
 
-// prefetchDepth bounds how many forward inputs each worker's receive
-// prefetcher may assemble ahead of compute — classic double-buffering. Depth
-// only changes overlap, never event order: the recorded compute spans still
-// follow the schedule exactly. Prefetched but not-yet-consumed inputs are
-// transfer-side state OUTSIDE the stash memory model: they are not charged
-// to MaxStash/MaxStashBytes (which mirror the simulator's
-// stashed-for-backward accounting), so real resident bytes can exceed
-// MaxStashBytes by up to prefetchDepth+1 in-flight micro-batch inputs per
-// device (prefetchDepth buffered ready plus one assembled in the
-// prefetcher's hand).
-const prefetchDepth = 2
-
 // ExecResult reports one really-executed training iteration of a plan.
 type ExecResult struct {
 	// Loss is the micro-batch-averaged cross-entropy of the iteration.
@@ -102,8 +90,9 @@ type ExecResult struct {
 	MaxStash []int
 	// MaxStashBytes is the peak stashed activation volume on any single
 	// device of each stage — the simulator's stashed-for-backward memory
-	// model. Transfer-side state (prefetched inputs, recycled link buffers)
-	// is excluded; see prefetchDepth.
+	// model. A worker receives each forward input at its own forward op and
+	// holds it only in that micro-batch's stash, so no input waits beside
+	// the stash; recycled link buffers are not counted.
 	MaxStashBytes []int64
 	// WallTime is the wall-clock duration of the step in seconds.
 	WallTime float64
@@ -165,9 +154,12 @@ func (r *ExecResult) OverlapEfficiency() float64 {
 // workspaces), link transfer buffers, all-reduce scratch, schedule orders,
 // trace buffers and their span names — is owned by the Executor and reused
 // across Steps, so after one warm-up iteration with a given micro-batch
-// geometry the hot path spends its time in compute, not the allocator. Forward
-// receives are prefetched by a per-worker goroutine (double-buffered) so
-// cross-stage transfers overlap compute.
+// geometry the hot path spends its time in compute, not the allocator. A
+// worker receives its inputs inline, in schedule order: the forward input at
+// its forward op, the output gradient at its backward op. Both transports
+// buffer a whole step of inbound blocks, so senders never wait on it. A step
+// runs one goroutine per hosted replica plus one comm driver per replicated
+// stage with gradients.
 //
 // An Executor is not safe for concurrent Steps (it reuses per-step state);
 // gradients from any executed plan match SequentialStep on the unpartitioned
@@ -225,15 +217,14 @@ type estage struct {
 	ar     *arGroup // nil unless hosted replicas have gradients to sum
 
 	// Rebuilt by ensureRuntime per (rows, m) geometry.
-	offs     []int         // replica row offsets, len(nets)+1
-	order    []schedule.Op // the stage's FW/BW sequence
-	fwdOrder []int         // micro-batch ids in forward arrival order
+	offs  []int         // replica row offsets, len(nets)+1
+	order []schedule.Op // the stage's FW/BW sequence
 }
 
 // workerState is one replica worker's persistent runtime: its workspace
 // arena, cached parameter list (on stages with an arGroup, gradients
-// contiguous in one vector the group's buckets view), per-micro-batch stash
-// slots, and (stages > 0) its receive prefetcher.
+// contiguous in one vector the group's buckets view), and per-micro-batch
+// stash slots.
 type workerState struct {
 	ws     *nn.Workspace
 	params []nn.Param
@@ -248,8 +239,6 @@ type workerState struct {
 	stashes []rstash         // indexed by micro-batch, len m
 	pending []*tensor.Matrix // last stage: pooled loss gradients
 	xHdrs   []tensor.Matrix  // stage 0: reusable input view headers
-	bparts  []transport.Msg  // recvBwd scratch
-	pf      *prefetcher      // stages > 0: forward-input prefetcher
 
 	liveStash int
 	curBytes  int64
@@ -404,17 +393,6 @@ func (st *estage) initSync(si int, c hardware.Cluster, localDevs []hardware.Devi
 	return nil
 }
 
-// ExecutePlan carves master by p, executes one training iteration over the
-// micro-batches under ctx, and applies synchronized updates — the one-shot
-// form of NewExecutor followed by StepContext.
-func ExecutePlan(ctx context.Context, p *core.Plan, master *nn.Network, micros []Batch, optFactory func() nn.Optimizer, opts ExecOptions) (*ExecResult, error) {
-	e, err := NewExecutor(p, master, optFactory, opts)
-	if err != nil {
-		return nil, err
-	}
-	return e.StepContext(ctx, micros)
-}
-
 // Plan returns the plan the executor realizes.
 func (e *Executor) Plan() *core.Plan { return e.plan }
 
@@ -498,10 +476,10 @@ func (e *Executor) record(stage, replica int, kind sim.Kind, mb int, start float
 }
 
 // ensureRuntime (re)builds the geometry-dependent caches — warmup depths,
-// boundaries with their transfer state, schedule orders, stash slots and
-// prefetchers — when the step geometry changed or the last
-// step aborted with links in an undefined state. A repeated geometry is a
-// no-op, which is what makes steady-state iterations allocation-free.
+// boundaries with their transfer state, schedule orders and stash slots —
+// when the step geometry changed or the last step aborted with links in an
+// undefined state. A repeated geometry is a no-op, which is what makes
+// steady-state iterations allocation-free.
 func (e *Executor) ensureRuntime(rows, m int) error {
 	if e.rtValid && e.rtRows == rows && e.rtM == m {
 		return nil
@@ -524,13 +502,7 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 	for i, st := range e.stages {
 		st.offs = partition(rows, st.repl)
 		st.order = schedule.StageOrder(e.opts.Policy, m, warmup[i])
-		st.fwdOrder = st.fwdOrder[:0]
-		for _, o := range st.order {
-			if !o.Backward {
-				st.fwdOrder = append(st.fwdOrder, o.M)
-			}
-		}
-		for r, w := range st.work {
+		for _, w := range st.work {
 			if w == nil {
 				continue
 			}
@@ -538,19 +510,6 @@ func (e *Executor) ensureRuntime(rows, m int) error {
 			w.pending = make([]*tensor.Matrix, m)
 			if i == 0 {
 				w.xHdrs = make([]tensor.Matrix, m)
-			}
-			if w.bparts == nil {
-				w.bparts = make([]transport.Msg, 0, 4)
-			}
-			if i > 0 {
-				w.pf = &prefetcher{
-					bound: e.bounds[i-1],
-					q:     r,
-					rows:  st.offs[r+1] - st.offs[r],
-					ready: make(chan prefetched, prefetchDepth),
-					free:  make(chan *tensor.Matrix, m),
-					parts: make([]transport.Msg, 0, e.stages[i-1].repl),
-				}
 			}
 		}
 	}
@@ -682,19 +641,8 @@ func (e *Executor) StepContext(ctx context.Context, micros []Batch) (*ExecResult
 	}
 	for i, st := range e.stages {
 		for r := range st.nets {
-			w := st.work[r]
-			if w == nil {
+			if st.work[r] == nil {
 				continue
-			}
-			if w.pf != nil {
-				// Prefetchers join the step's wait group: an aborted step's
-				// stale prefetcher must be fully exited before a later step
-				// rebuilds the state it reads.
-				wg.Add(1)
-				go func(pf *prefetcher, fwdOrder []int) {
-					defer wg.Done()
-					pf.run(fwdOrder, ss.abort)
-				}(w.pf, st.fwdOrder)
 			}
 			wg.Add(1)
 			go func(i, r int) {
@@ -758,65 +706,6 @@ func (e *Executor) StepContext(ctx context.Context, micros []Batch) (*ExecResult
 		res.Trace = e.rec.Result()
 	}
 	return res, nil
-}
-
-// prefetched is one forward input delivered by a prefetcher, in schedule
-// order: the assembled micro-batch rows plus the recycle destination for the
-// buffer (nil when data is a zero-copy view into sender-owned storage).
-type prefetched struct {
-	m    int
-	data *tensor.Matrix
-	free chan *tensor.Matrix
-	err  error
-}
-
-// prefetcher receives and assembles one worker's forward inputs ahead of
-// compute on its own goroutine — the recv double-buffering of the ROADMAP's
-// overlap item. It delivers micro-batches in the stage's forward schedule
-// order; the bounded ready channel caps how far it runs ahead.
-type prefetcher struct {
-	bound *boundary
-	q     int
-	rows  int
-	ready chan prefetched
-	free  chan *tensor.Matrix
-	parts []transport.Msg
-}
-
-// run receives every forward input of one step in order, assembling
-// multi-sender parts into recycled buffers, until done or aborted. A single
-// full-range part is forwarded zero-copy with its own recycle destination
-// (nil for in-process views, the transfer ring for TCP arrivals).
-func (pf *prefetcher) run(fwdOrder []int, abort <-chan struct{}) {
-	for _, mb := range fwdOrder {
-		parts, err := pf.bound.recvFwdParts(pf.q, mb, pf.parts, abort)
-		if err != nil {
-			if err != errAborted {
-				select {
-				case pf.ready <- prefetched{err: err}:
-				case <-abort:
-				}
-			}
-			return
-		}
-		pf.parts = parts
-		var out prefetched
-		if len(parts) == 1 {
-			out = prefetched{m: mb, data: parts[0].Data, free: parts[0].Free}
-		} else {
-			dst := transport.LeaseBuf(pf.free, pf.rows, parts[0].Data.Cols)
-			concatMsgRows(dst, parts)
-			for _, p := range parts {
-				transport.Recycle(p.Free, p.Data)
-			}
-			out = prefetched{m: mb, data: dst, free: pf.free}
-		}
-		select {
-		case pf.ready <- out:
-		case <-abort:
-			return
-		}
-	}
 }
 
 // runWorker executes stage i's replica r: the compute phase (its slice of
@@ -889,19 +778,11 @@ func (e *Executor) workerCompute(ss *stepState, i, r int) (float64, error) {
 				x = hdr
 				sh.inFree = nil
 			} else {
-				var in prefetched
-				select {
-				case in = <-w.pf.ready:
-				case <-ss.abort:
-					return 0, errAborted
+				var err error
+				x, sh.inFree, err = e.bounds[i-1].fwdIn[r].gather(o.M, ss.abort)
+				if err != nil {
+					return 0, err
 				}
-				if in.err != nil {
-					return 0, in.err
-				}
-				if in.m != o.M {
-					return 0, fmt.Errorf("train: stage %d expected F%d, got F%d", i, o.M, in.m)
-				}
-				x, sh.inFree = in.data, in.free
 			}
 			start := e.now()
 			out := net.ForwardWS(ws, x, &sh.run)
@@ -958,7 +839,7 @@ func (e *Executor) workerCompute(ss *stepState, i, r int) (float64, error) {
 			w.pending[o.M] = nil
 		} else {
 			var err error
-			dy, dyFree, err = e.bounds[i].recvBwd(r, o.M, &w.bparts, ws, ss.abort)
+			dy, dyFree, err = e.bounds[i].bwdIn[r].gather(o.M, ss.abort)
 			if err != nil {
 				return 0, err
 			}
@@ -988,20 +869,18 @@ func (e *Executor) workerCompute(ss *stepState, i, r int) (float64, error) {
 			}
 		}
 		// Release this micro-batch's buffers: the gradients, the forward
-		// input (back to its transfer ring when it was assembled), and in
+		// input (back to its free list unless it is a sender's view), and in
 		// recompute mode the detached output.
 		if dx != dy {
 			ws.Put(dx)
 		}
-		if dyFree != nil {
-			transport.Recycle(dyFree, dy)
-		} else {
+		if last {
 			ws.Put(dy)
+		} else {
+			transport.Recycle(dyFree, dy)
 		}
-		if sh.inFree != nil {
-			transport.Recycle(sh.inFree, sh.in)
-			sh.inFree = nil
-		}
+		transport.Recycle(sh.inFree, sh.in)
+		sh.inFree = nil
 		if sh.out != nil {
 			ws.Put(sh.out)
 			sh.out = nil

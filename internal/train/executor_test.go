@@ -171,7 +171,10 @@ func TestPlannerPlansExecute(t *testing.T) {
 
 // TestExecutorPropertyRandomPlans is the randomized form of the equivalence
 // guarantee: random small networks × random valid plans (cuts, replicas,
-// policy, recompute, micro-batch counts) all match SequentialStep.
+// micro-batch counts), each run under every policy with recompute on and
+// off, all match SequentialStep. It is also the stash-count oracle: every
+// stage's peak stash equals its warmup depth and the simulator's for the
+// same plan and options.
 func TestExecutorPropertyRandomPlans(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -195,10 +198,6 @@ func TestExecutorPropertyRandomPlans(t *testing.T) {
 		}
 		rows := maxRep + rng.Intn(5)
 		m := rng.Intn(4) + 2
-		opts := ExecOptions{
-			Policy:    schedule.Policy(rng.Intn(3)),
-			Recompute: rng.Intn(2) == 1,
-		}
 
 		mod, err := ProfileNetwork("prop-net", master, dims[0], rows, rows*m)
 		if err != nil {
@@ -231,28 +230,38 @@ func TestExecutorPropertyRandomPlans(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ExecutePlan(context.Background(), p, master,
-			micros, func() nn.Optimizer { return nn.SGD{LR: 0.1} }, opts)
-		if err != nil {
-			return false
-		}
-		if math.Abs(res.Loss-seqLoss) > 1e-9 {
-			return false
-		}
-		ex, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.1} }, opts)
-		if err != nil {
-			return false
-		}
-		if _, err := ex.Step(micros); err != nil {
-			return false
-		}
-		for si, s := range p.Stages {
-			want := seq.Slice(s.Lo, s.Hi).Params()
-			for r := 0; r < s.Replicas(); r++ {
-				got := ex.StageParams(si, r)
-				for i := range got {
-					if tensor.MaxAbsDiff(got[i].W, want[i].W) > 1e-9 {
+		for _, pol := range []schedule.Policy{schedule.GPipe, schedule.DapplePA, schedule.DapplePB} {
+			for _, rc := range []bool{false, true} {
+				opts := ExecOptions{Policy: pol, Recompute: rc}
+				ex, err := NewExecutor(p, master, func() nn.Optimizer { return nn.SGD{LR: 0.1} }, opts)
+				if err != nil {
+					return false
+				}
+				res, err := ex.StepContext(context.Background(), micros)
+				if err != nil {
+					return false
+				}
+				if math.Abs(res.Loss-seqLoss) > 1e-9 {
+					return false
+				}
+				sim, err := schedule.Run(p, schedule.Options{Policy: pol, Recompute: rc, M: m})
+				if err != nil {
+					return false
+				}
+				for si, s := range p.Stages {
+					if res.MaxStash[si] != res.Warmup[si] || res.Warmup[si] != sim.PerStage[si].Warmup {
+						t.Logf("seed %d %v recompute=%v stage %d: stash %d, warmup %d, simulated warmup %d",
+							seed, pol, rc, si, res.MaxStash[si], res.Warmup[si], sim.PerStage[si].Warmup)
 						return false
+					}
+					want := seq.Slice(s.Lo, s.Hi).Params()
+					for r := 0; r < s.Replicas(); r++ {
+						got := ex.StageParams(si, r)
+						for i := range got {
+							if tensor.MaxAbsDiff(got[i].W, want[i].W) > 1e-9 {
+								return false
+							}
+						}
 					}
 				}
 			}
@@ -368,8 +377,12 @@ func TestVerifyOrderDetectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ExecutePlan(context.Background(), p, master.Clone(), makeMicros(m, rows, 8, 4, 3),
-		func() nn.Optimizer { return nn.SGD{LR: 0.05} }, ExecOptions{Policy: schedule.GPipe})
+	ex, err := NewExecutor(p, master.Clone(), func() nn.Optimizer { return nn.SGD{LR: 0.05} },
+		ExecOptions{Policy: schedule.GPipe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.StepContext(context.Background(), makeMicros(m, rows, 8, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,8 +577,8 @@ func TestExecutorMemoryBound(t *testing.T) {
 		t.Fatalf("GPipe stage0 stash %d, want %d", gs.MaxStash[0], len(micros))
 	}
 	ds := stepStraight(t, master, micros, []int{3, 5}, schedule.DapplePA)
-	if ds.MaxStash[0] > ds.Warmup[0] {
-		t.Fatalf("DAPPLE stage0 stash %d above warmup %d", ds.MaxStash[0], ds.Warmup[0])
+	if ds.MaxStash[0] != ds.Warmup[0] {
+		t.Fatalf("DAPPLE stage0 stash %d, want its warmup %d", ds.MaxStash[0], ds.Warmup[0])
 	}
 	if ds.MaxStashBytes[0] >= gs.MaxStashBytes[0] {
 		t.Fatalf("DAPPLE stash bytes %d not below GPipe %d", ds.MaxStashBytes[0], gs.MaxStashBytes[0])

@@ -3,7 +3,6 @@ package train
 import (
 	"fmt"
 
-	"dapple/internal/nn"
 	"dapple/internal/tensor"
 	"dapple/internal/transport"
 )
@@ -48,6 +47,17 @@ type bedge struct {
 	tmp    tensor.Matrix   // backward: reusable row-slice header
 }
 
+// inlet is one replica's receive side of one boundary direction: its
+// incoming edges in counterpart order, the rows they tile, the free list of
+// the buffers a multi-part gather leases (nil with a single edge), and the
+// parts scratch. Only the replica's own worker goroutine touches it.
+type inlet struct {
+	edges []*bedge
+	rows  int
+	free  chan *tensor.Matrix
+	parts []transport.Msg
+}
+
 // boundary wires one stage cut of the pipeline: an edge matrix between the
 // sender stage's replicas and the receiver stage's replicas realizing the
 // paper's split/concat semantics (§V-B2). Each replica owns a contiguous
@@ -57,16 +67,18 @@ type bedge struct {
 // and backward (gradients) directions use separate edges, mirroring the
 // simulator's full-duplex link resources. A boundary is built once per step
 // geometry and all its transfer state — view headers forward, recycled
-// buffers backward — is reused across training iterations, so a warm
-// in-process boundary moves every micro-batch with zero allocation. In a
-// distributed run, pairs whose endpoints share the process use in-process
-// edges and cross-process pairs use the TCP backend; pairs entirely remote
-// stay nil.
+// buffers backward, leased gather buffers both ways — is reused across
+// training iterations, so a warm in-process boundary moves every
+// micro-batch with zero allocation. In a distributed run, pairs whose
+// endpoints share the process use in-process edges and cross-process pairs
+// use the TCP backend; pairs entirely remote stay nil and appear in no list.
 type boundary struct {
 	sendOffs []int      // sender-stage row offsets, len(senders)+1
 	recvOffs []int      // receiver-stage row offsets, len(receivers)+1
-	fwd      [][]*bedge // [sender][receiver]
-	bwd      [][]*bedge // [sender][receiver]
+	fwdOut   [][]*bedge // [sender]: forward edges in receiver order
+	bwdOut   [][]*bedge // [receiver]: backward edges in sender order
+	fwdIn    []inlet    // [receiver]: forward inputs from the senders
+	bwdIn    []inlet    // [sender]: gradients from the receivers
 }
 
 // newBoundary builds the edge matrix for cut bound (between stages bound and
@@ -77,12 +89,12 @@ func newBoundary(bound, rows, rs, rr, m int, mk edgeMaker) (*boundary, error) {
 	b := &boundary{
 		sendOffs: partition(rows, rs),
 		recvOffs: partition(rows, rr),
-		fwd:      make([][]*bedge, rs),
-		bwd:      make([][]*bedge, rs),
+		fwdOut:   make([][]*bedge, rs),
+		bwdOut:   make([][]*bedge, rr),
+		fwdIn:    make([]inlet, rr),
+		bwdIn:    make([]inlet, rs),
 	}
 	for s := 0; s < rs; s++ {
-		b.fwd[s] = make([]*bedge, rr)
-		b.bwd[s] = make([]*bedge, rr)
 		for q := 0; q < rr; q++ {
 			lo, hi := intersect(b.sendOffs, s, b.recvOffs, q)
 			if hi <= lo {
@@ -93,18 +105,41 @@ func newBoundary(bound, rows, rs, rr, m int, mk edgeMaker) (*boundary, error) {
 				return nil, err
 			}
 			if fe != nil {
-				b.fwd[s][q] = &bedge{lo: lo, hi: hi, e: fe, hdrs: make([]tensor.Matrix, m)}
+				link := &bedge{lo: lo, hi: hi, e: fe, hdrs: make([]tensor.Matrix, m)}
+				b.fwdOut[s] = append(b.fwdOut[s], link)
+				b.fwdIn[q].edges = append(b.fwdIn[q].edges, link)
 			}
 			be, err := mk(transport.EdgeID{Bound: bound, Dir: transport.Bwd, S: q, Q: s})
 			if err != nil {
 				return nil, err
 			}
 			if be != nil {
-				b.bwd[s][q] = &bedge{lo: lo, hi: hi, e: be}
+				link := &bedge{lo: lo, hi: hi, e: be}
+				b.bwdOut[q] = append(b.bwdOut[q], link)
+				b.bwdIn[s].edges = append(b.bwdIn[s].edges, link)
 			}
 		}
 	}
+	// A forward input stays leased until the receiver's backward of its
+	// micro-batch, so up to m are out at once; a gradient is consumed within
+	// its backward op.
+	for q := range b.fwdIn {
+		b.fwdIn[q].init(b.recvOffs[q+1]-b.recvOffs[q], m)
+	}
+	for s := range b.bwdIn {
+		b.bwdIn[s].init(b.sendOffs[s+1]-b.sendOffs[s], 1)
+	}
 	return b, nil
+}
+
+// init sizes the inlet for rows-row gathers with up to held leased buffers
+// out at once.
+func (in *inlet) init(rows, held int) {
+	in.rows = rows
+	in.parts = make([]transport.Msg, 0, len(in.edges))
+	if len(in.edges) > 1 {
+		in.free = make(chan *tensor.Matrix, held)
+	}
 }
 
 // sendFwd scatters sender replica s's forward output (its local rows) to
@@ -116,10 +151,7 @@ func newBoundary(bound, rows, rs, rr, m int, mk edgeMaker) (*boundary, error) {
 // serialization.
 func (b *boundary) sendFwd(s, m int, data *tensor.Matrix) error {
 	srcLo := b.sendOffs[s]
-	for _, be := range b.fwd[s] {
-		if be == nil {
-			continue
-		}
+	for _, be := range b.fwdOut[s] {
 		hdr := &be.hdrs[m]
 		data.RowSliceInto(hdr, be.lo-srcLo, be.hi-srcLo)
 		if err := be.e.SendView(m, hdr); err != nil {
@@ -129,40 +161,12 @@ func (b *boundary) sendFwd(s, m int, data *tensor.Matrix) error {
 	return nil
 }
 
-// recvFwdParts receives receiver replica q's forward input parts for
-// micro-batch m in sender order, reusing the caller's scratch slice. Parts
-// from in-process senders are views into sender-owned storage (Free nil);
-// parts from remote senders arrive in recycled transfer buffers the caller
-// must Recycle once consumed.
-func (b *boundary) recvFwdParts(q, m int, scratch []transport.Msg, abort <-chan struct{}) ([]transport.Msg, error) {
-	parts := scratch[:0]
-	for s := range b.fwd {
-		be := b.fwd[s][q]
-		if be == nil {
-			continue
-		}
-		in, err := be.e.Recv(abort)
-		if err != nil {
-			return nil, err
-		}
-		if in.M != m {
-			return nil, fmt.Errorf("train: link expected F%d, got F%d", m, in.M)
-		}
-		parts = append(parts, in)
-	}
-	return parts, nil
-}
-
 // sendBwd scatters receiver replica q's input gradient back to every
 // intersecting sender replica of the previous stage, copying into recycled
 // transfer buffers (data may be released by the caller immediately after).
 func (b *boundary) sendBwd(q, m int, data *tensor.Matrix) error {
 	srcLo := b.recvOffs[q]
-	for s := range b.bwd {
-		be := b.bwd[s][q]
-		if be == nil {
-			continue
-		}
+	for _, be := range b.bwdOut[q] {
 		data.RowSliceInto(&be.tmp, be.lo-srcLo, be.hi-srcLo)
 		if err := be.e.SendCopy(m, &be.tmp); err != nil {
 			return err
@@ -171,48 +175,36 @@ func (b *boundary) sendBwd(q, m int, data *tensor.Matrix) error {
 	return nil
 }
 
-// recvBwd gathers sender replica s's output gradient for micro-batch m. A
-// single full-range part passes through zero-copy together with its recycle
-// destination; multiple parts are concatenated into a workspace buffer
-// (free == nil) with the transfer buffers recycled immediately. Either way
-// the caller owns the returned gradient until it returns it: to free when
-// non-nil, to ws otherwise.
-func (b *boundary) recvBwd(s, m int, scratch *[]transport.Msg, ws *nn.Workspace, abort <-chan struct{}) (*tensor.Matrix, chan *tensor.Matrix, error) {
-	parts := (*scratch)[:0]
-	defer func() { *scratch = parts[:0] }()
-	for q := range b.bwd[s] {
-		be := b.bwd[s][q]
-		if be == nil {
-			continue
-		}
-		in, err := be.e.Recv(abort)
+// gather receives micro-batch m's parts over the inlet's edges, in
+// counterpart order, on the calling worker's goroutine. A single part
+// passes through zero-copy together with its recycle destination (nil for
+// an in-process view into sender-owned storage); several parts are
+// concatenated into a buffer leased from the inlet's free list and their
+// transfer buffers recycled at once. The caller owns the result until it
+// hands it to transport.Recycle with the returned destination.
+func (in *inlet) gather(m int, abort <-chan struct{}) (*tensor.Matrix, chan *tensor.Matrix, error) {
+	parts := in.parts[:0]
+	for _, be := range in.edges {
+		msg, err := be.e.Recv(abort)
 		if err != nil {
 			return nil, nil, err
 		}
-		if in.M != m {
-			return nil, nil, fmt.Errorf("train: link expected B%d, got B%d", m, in.M)
+		if msg.M != m {
+			return nil, nil, fmt.Errorf("train: link expected micro-batch %d, got %d", m, msg.M)
 		}
-		parts = append(parts, in)
+		parts = append(parts, msg)
 	}
 	if len(parts) == 1 {
 		return parts[0].Data, parts[0].Free, nil
 	}
-	dst := ws.Get(b.sendOffs[s+1]-b.sendOffs[s], parts[0].Data.Cols)
-	concatMsgRows(dst, parts)
-	for _, p := range parts {
-		transport.Recycle(p.Free, p.Data)
-	}
-	return dst, nil, nil
-}
-
-// concatMsgRows stacks the messages' tensors into dst in order.
-func concatMsgRows(dst *tensor.Matrix, parts []transport.Msg) {
+	dst := transport.LeaseBuf(in.free, in.rows, parts[0].Data.Cols)
 	at := 0
 	for _, p := range parts {
-		copy(dst.Data[at:], p.Data.Data)
-		at += len(p.Data.Data)
+		at += copy(dst.Data[at:], p.Data.Data)
+		transport.Recycle(p.Free, p.Data)
 	}
 	if at != len(dst.Data) {
-		panic("train: concatenated parts do not tile the destination")
+		panic("train: gathered parts do not tile the destination")
 	}
+	return dst, in.free, nil
 }
